@@ -217,8 +217,8 @@ func expServe(seed int64, quick bool) error {
 	fmt.Println("per-shard cache, the production serving configuration — the two columns are")
 	fmt.Println("different paths, not a sharding speedup. 'v2 open' is OpenSnapshotFile —")
 	fmt.Println("mmap + checksum validation, estimates served straight from the file;")
-	fmt.Println("'v2 restore' additionally materializes labels and rebuilds derived artifacts")
-	fmt.Println("in the background hydration path.")
+	fmt.Println("'v2 restore' reads the arena into one buffer and rebuilds index, overlay and")
+	fmt.Println("router around it (the hydration work, minus the mapping).")
 
 	if jsonOut {
 		file := serveBenchFile{

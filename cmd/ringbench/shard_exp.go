@@ -14,7 +14,6 @@ import (
 	"rings/internal/shard"
 	"rings/internal/stats"
 	"rings/internal/version"
-	"rings/internal/workload"
 )
 
 // shardBenchFile is the BENCH_shard.json schema: one row per workload
@@ -130,10 +129,7 @@ func expShard(seed int64, quick bool) error {
 		if single.N() != n {
 			return fmt.Errorf("%s: fleet n=%d single n=%d", cfg.Workload, n, single.N())
 		}
-		spec := workload.MetricSpec{
-			Name: cfg.Workload, N: cfg.N, Side: cfg.Side, LogAspect: cfg.LogAspect, Seed: cfg.Seed,
-		}
-		space, _, err := spec.Space()
+		space, _, err := cfg.Spec().Space()
 		if err != nil {
 			return err
 		}

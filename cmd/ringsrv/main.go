@@ -58,7 +58,8 @@
 // the serving structures and swap a structurally shared delta snapshot
 // in, so membership changes cost milliseconds instead of a rebuild.
 // With -snapshot-file the server persists the snapshot on every swap
-// and warm-starts from the file on boot, skipping the label build.
+// and warm-starts from the file on boot, skipping the label build and
+// serving from the mapped file itself (a warm boot never rewrites it).
 // Combining the two, the churn engine still persists every committed
 // delta (a plain server can warm-start from it, churned membership
 // included) but itself always boots fresh: its repair state cannot be
@@ -156,6 +157,31 @@ func run() error {
 		SkipOverlay:     *noOverlay,
 	}
 
+	// serve finishes the boot of either mode: telemetry and limits,
+	// boot-time persistence (warmFleet: the fleet was opened from its
+	// shard files), then requests until SIGINT/SIGTERM.
+	serve := func(handler *server, warmFleet bool) error {
+		handler.enableTelemetry(*traceN, *auditFrac)
+		handler.enableLimits(*inflight, *reqTimeout)
+		if *pprofOn {
+			handler.enablePprof()
+		}
+		if *snapFile != "" {
+			if err := handler.bootPersist(*snapFile, warmFleet); err != nil {
+				return fmt.Errorf("persist %s: %w", *snapFile, err)
+			}
+		}
+		srv := &http.Server{Addr: *addr, Handler: handler, ReadHeaderTimeout: 5 * time.Second}
+		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+		defer stop()
+		log.Printf("serving on http://%s", *addr)
+		err := gracefulServe(srv, ctx, *drain)
+		if ctx.Err() != nil {
+			log.Printf("shut down cleanly (in-flight requests drained)")
+		}
+		return err
+	}
+
 	if *shardK > 1 || *replicaR > 1 {
 		fleetCfg := shard.Config{
 			Oracle:        cfg,
@@ -172,8 +198,9 @@ func run() error {
 		}
 		var fleet *shard.Fleet
 		var err error
+		warm := *snapFile != "" && !*churnOn && shard.SnapshotFilesExist(*snapFile, *shardK)
 		switch {
-		case *snapFile != "" && !*churnOn && shard.SnapshotFilesExist(*snapFile, *shardK):
+		case warm:
 			log.Printf("warm-starting %d-shard fleet from %s.shard*", *shardK, *snapFile)
 			fleet, err = shard.OpenFleet(fleetCfg, *snapFile)
 			if err != nil {
@@ -198,28 +225,8 @@ func run() error {
 				fleet.Name(), fleet.N(), fleet.K(), fleet.Replicas(), fleet.Beacons(),
 				fleet.BuildElapsed().Round(time.Millisecond))
 		}
-		handler := newFleetServer(fleet, *seed)
-		handler.enableTelemetry(*traceN, *auditFrac)
-		handler.enableLimits(*inflight, *reqTimeout)
-		if *pprofOn {
-			handler.enablePprof()
-		}
-		if *snapFile != "" {
-			handler.enableFleetPersist(*snapFile)
-			if err := handler.persistCurrent(); err != nil {
-				return fmt.Errorf("persist %s: %w", *snapFile, err)
-			}
-		}
 		defer fleet.Close()
-		srv := &http.Server{Addr: *addr, Handler: handler, ReadHeaderTimeout: 5 * time.Second}
-		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-		defer stop()
-		log.Printf("serving on http://%s", *addr)
-		err = gracefulServe(srv, ctx, *drain)
-		if ctx.Err() != nil {
-			log.Printf("shut down cleanly (in-flight requests drained)")
-		}
-		return err
+		return serve(newFleetServer(fleet, *seed), warm)
 	}
 
 	var (
@@ -245,9 +252,10 @@ func run() error {
 		case err == nil:
 			log.Printf("warm-starting from %s", *snapFile)
 			// O(header) open: a v2 file is mmapped and served immediately
-			// (estimates only); the full restore runs in the background and
-			// swaps in routing/overlay when ready. A v1 file falls back to
-			// the full decode inside OpenSnapshotFile.
+			// (estimates only); hydration builds index, overlay and router
+			// around the same mapping in the background and swaps them in.
+			// A v1 file falls back to the full decode inside
+			// OpenSnapshotFile.
 			loaded, rerr := oracle.OpenSnapshotFile(*snapFile)
 			if rerr != nil {
 				return fmt.Errorf("warm start from %s: %w", *snapFile, rerr)
@@ -282,11 +290,6 @@ func run() error {
 		CacheCapacity: *cacheCap,
 	})
 	handler := newServer(engine)
-	handler.enableTelemetry(*traceN, *auditFrac)
-	handler.enableLimits(*inflight, *reqTimeout)
-	if *pprofOn {
-		handler.enablePprof()
-	}
 	if mutator != nil {
 		handler.enableChurn(mutator, *seed)
 		// Rebuild the (still empty) object directory with the frozen base
@@ -296,25 +299,5 @@ func run() error {
 			BaseDist: mutator.FrozenSpace().Base().Dist,
 		})
 	}
-	if *snapFile != "" {
-		handler.enablePersist(*snapFile)
-		if err := handler.persistCurrent(); err != nil {
-			return fmt.Errorf("persist %s: %w", *snapFile, err)
-		}
-		if snap.Labels == nil && snap.Tri == nil && snap.Flat != nil {
-			// Flat-only warm start: bring /nearest and /route online once
-			// the background full restore lands.
-			handler.hydrateFrom(*snapFile, snap)
-		}
-	}
-
-	srv := &http.Server{Addr: *addr, Handler: handler, ReadHeaderTimeout: 5 * time.Second}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	log.Printf("serving on http://%s", *addr)
-	err := gracefulServe(srv, ctx, *drain)
-	if ctx.Err() != nil {
-		log.Printf("shut down cleanly (in-flight requests drained)")
-	}
-	return err
+	return serve(handler, false)
 }

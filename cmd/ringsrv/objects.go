@@ -169,12 +169,13 @@ type lookupBody struct {
 }
 
 func (s *server) handleLookup(w http.ResponseWriter, r *http.Request) {
-	obj := r.URL.Query().Get("object")
+	q := r.URL.Query()
+	obj := q.Get("object")
 	if obj == "" {
 		writeError(w, errors.New("missing required parameter \"object\""))
 		return
 	}
-	from, err := intParam(r, "from")
+	from, err := intParam(q, "from")
 	if err != nil {
 		writeError(w, err)
 		return

@@ -32,6 +32,36 @@ func persistTestServer(t *testing.T, path string) *server {
 	return s
 }
 
+// fileState fingerprints a snapshot file: content, identity, mtime.
+type fileState struct {
+	data []byte
+	info os.FileInfo
+}
+
+func statFile(t *testing.T, path string) fileState {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	info, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fileState{data, info}
+}
+
+// assertUntouched fails unless path is still the very file before saw:
+// same inode (no rename over it), same mtime, same bytes.
+func assertUntouched(t *testing.T, path string, before fileState) {
+	t.Helper()
+	after := statFile(t, path)
+	if !os.SameFile(before.info, after.info) || !after.info.ModTime().Equal(before.info.ModTime()) || !bytes.Equal(before.data, after.data) {
+		t.Fatalf("warm boot rewrote %s (same file %v, mtime %v -> %v)", path,
+			os.SameFile(before.info, after.info), before.info.ModTime(), after.info.ModTime())
+	}
+}
+
 // TestPersistConcurrentWritersNeverCorrupt is the regression test for
 // the persistence race: with the old fixed persistPath+".tmp" scheme,
 // two writers arriving from different lock domains could interleave on
@@ -172,18 +202,28 @@ func TestFleetPersistAndWarmBoot(t *testing.T) {
 	}
 	base := filepath.Join(t.TempDir(), "fleet.bin")
 	s := newFleetServer(fleet, 1)
-	s.enableFleetPersist(base)
-	if err := s.persistCurrent(); err != nil {
+	if err := s.bootPersist(base, false); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < cfg.Shards; i++ {
-		if _, err := os.Stat(shard.SnapshotPath(base, i)); err != nil {
-			t.Fatalf("shard %d file: %v", i, err)
-		}
+	files := make([]fileState, cfg.Shards)
+	for i := range files {
+		files[i] = statFile(t, shard.SnapshotPath(base, i))
 	}
 	reopened, err := shard.OpenFleet(cfg, base)
 	if err != nil {
 		t.Fatal(err)
+	}
+	defer reopened.Close()
+	// The warm boot serves the shard files themselves and must leave
+	// every one of them alone.
+	if err := newFleetServer(reopened, 1).bootPersist(base, true); err != nil {
+		t.Fatal(err)
+	}
+	for i, before := range files {
+		assertUntouched(t, shard.SnapshotPath(base, i), before)
+		if snap := reopened.ShardSnapshot(i); snap.Labels != nil || snap.Flat.Bytes() == 0 {
+			t.Fatalf("shard %d restored pointer labels (or no arena)", i)
+		}
 	}
 	for u := 0; u < fleet.Universe(); u++ {
 		for v := 0; v < fleet.Universe(); v += 5 {
@@ -198,7 +238,8 @@ func TestFleetPersistAndWarmBoot(t *testing.T) {
 
 // TestHydrateFromUpgradesFlatOnlyBoot: a flat-only warm start serves
 // estimates immediately, and the background hydration swaps in the full
-// snapshot, bringing nearest/route online with byte-identical answers.
+// snapshot — built around the same arena, the file itself never
+// rewritten — bringing nearest/route online with byte-identical answers.
 func TestHydrateFromUpgradesFlatOnlyBoot(t *testing.T) {
 	full, err := oracle.BuildSnapshot(oracle.Config{Workload: "cube", N: 32, Seed: 3, MemberStride: 4})
 	if err != nil {
@@ -216,11 +257,12 @@ func TestHydrateFromUpgradesFlatOnlyBoot(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	before := statFile(t, path)
 	fast, err := oracle.OpenSnapshotFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fast.Labels != nil || fast.Overlay != nil {
+	if fast.Idx != nil || fast.Overlay != nil {
 		t.Fatal("fast open is not flat-only")
 	}
 	s := newServer(oracle.NewEngine(fast, oracle.EngineOptions{}))
@@ -231,13 +273,22 @@ func TestHydrateFromUpgradesFlatOnlyBoot(t *testing.T) {
 		t.Fatalf("nearest before hydration: %v", err)
 	}
 
-	s.hydrateFrom(path, fast)
+	if err := s.bootPersist(path, false); err != nil {
+		t.Fatal(err)
+	}
+	assertUntouched(t, path, before)
 	deadline := time.Now().Add(10 * time.Second)
 	for s.engine.Snapshot() == fast {
 		if time.Now().After(deadline) {
 			t.Fatal("hydration never swapped the full snapshot in")
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+	assertUntouched(t, path, before)
+	hydrated := s.engine.Snapshot()
+	defer hydrated.Close()
+	if hydrated.Flat != fast.Flat || hydrated.Labels != nil {
+		t.Fatal("hydration did not serve the arena the boot opened")
 	}
 	got, err := s.engine.Nearest(0)
 	if err != nil {

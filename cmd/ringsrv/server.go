@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -9,7 +10,7 @@ import (
 	"log"
 	"math/rand"
 	"net/http"
-	"os"
+	"net/url"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -51,15 +52,15 @@ type server struct {
 	// request derives its own rand.Rand, so concurrent leaves on
 	// different shards never share one unsynchronized stream).
 	leaveSeed atomic.Int64
-	// persist, when non-nil, receives the current snapshot after every
-	// swap (and at boot) so a restart warm-starts from disk. Writes are
-	// serialized and coalesced by the persister, never by the mutation
-	// locks — see persist.go.
-	persist *persister
-	// fleetPersist holds one persister per shard (fleet mode): shard s
-	// persists to shard.SnapshotPath(base, s), and a commit touching one
-	// shard rewrites only that shard's file.
-	fleetPersist []*persister
+	// persisters, when non-nil, receive the current snapshot after every
+	// swap (and after a cold boot) so a restart warm-starts from disk — a
+	// warm boot serves the file itself and leaves it alone. One per
+	// serving unit: the engine's file, or shard s's
+	// shard.SnapshotPath(base, s), so a commit touching one shard
+	// rewrites only that shard's file. Writes are serialized and
+	// coalesced by the persister, never by the mutation locks — see
+	// persist.go.
+	persisters []*persister
 	// Telemetry surface (see telemetry.go): the sampled-query trace ring
 	// behind /debug/trace and the online stretch auditor feeding
 	// /metrics. Always initialized by the constructors (sampling
@@ -142,17 +143,37 @@ func (s *server) enableChurn(m *churn.Mutator, seed int64) {
 	s.churnRng = rand.New(rand.NewSource(seed))
 }
 
-// enablePersist arranges for every swap to persist the snapshot.
-func (s *server) enablePersist(path string) { s.persist = newPersister(path) }
-
-// enableFleetPersist arranges per-shard persistence: shard s writes to
-// shard.SnapshotPath(base, s) on every swap (and at boot), so a
-// restarted fleet warm-starts shard by shard via shard.OpenFleet.
-func (s *server) enableFleetPersist(base string) {
-	s.fleetPersist = make([]*persister, s.fleet.K())
-	for i := range s.fleetPersist {
-		s.fleetPersist[i] = newPersister(shard.SnapshotPath(base, i))
+// enablePersist arranges for every swap to persist the snapshot — per
+// shard in fleet mode, so a restarted fleet warm-starts shard by shard
+// via shard.OpenFleet.
+func (s *server) enablePersist(path string) {
+	if s.fleet == nil {
+		s.persisters = []*persister{newPersister(path)}
+		return
 	}
+	s.persisters = make([]*persister, s.fleet.K())
+	for i := range s.persisters {
+		s.persisters[i] = newPersister(shard.SnapshotPath(path, i))
+	}
+}
+
+// bootPersist enables persistence and does its boot-time half: a cold
+// build (or v1 conversion) is persisted now, while a snapshot that came
+// from the file(s) — a warm fleet, or a flat-only single-engine warm
+// start, hydrated here — is the mapped bytes themselves and writes
+// nothing until the next swap.
+func (s *server) bootPersist(path string, warmFleet bool) error {
+	s.enablePersist(path)
+	if warmFleet {
+		return nil
+	}
+	if s.fleet == nil {
+		if snap := s.engine.Snapshot(); snap.Idx == nil {
+			s.hydrate(snap)
+			return nil
+		}
+	}
+	return s.persistCurrent()
 }
 
 // persistCurrent persists the current snapshot — every shard's, in
@@ -160,54 +181,49 @@ func (s *server) enableFleetPersist(base string) {
 // hold churnMu or rebuildMu: the whole point of the persister is that
 // mutation throughput is not gated on fsync latency.
 func (s *server) persistCurrent() error {
-	if s.fleet != nil {
-		if s.fleetPersist == nil {
-			return nil
-		}
-		shards := make([]int, s.fleet.K())
-		for i := range shards {
-			shards[i] = i
-		}
-		return s.persistShards(shards)
+	units := make([]int, len(s.persisters))
+	for i := range units {
+		units[i] = i
 	}
-	if s.persist == nil {
-		return nil
-	}
-	return s.persist.persist(func() io.WriterTo { return s.engine.Snapshot() })
+	return s.persistShards(units)
 }
 
-// persistShards persists the listed shards' current snapshots (fleet
-// mode; no-op when persistence is disabled). Churn commits call this
-// with only the touched shards.
-func (s *server) persistShards(shards []int) error {
-	if s.fleetPersist == nil {
+// persistShards persists the listed units' current snapshots (no-op
+// when persistence is disabled). Fleet churn commits call this with
+// only the touched shards.
+func (s *server) persistShards(units []int) error {
+	if s.persisters == nil {
 		return nil
 	}
-	for _, i := range shards {
-		i := i
-		if err := s.fleetPersist[i].persist(func() io.WriterTo { return s.fleet.ShardSnapshot(i) }); err != nil {
-			return fmt.Errorf("shard %d: %w", i, err)
+	for _, i := range units {
+		err := s.persisters[i].persist(func() io.WriterTo {
+			if s.fleet == nil {
+				return s.engine.Snapshot()
+			}
+			return s.fleet.ShardSnapshot(i)
+		})
+		if err != nil && s.fleet != nil {
+			err = fmt.Errorf("shard %d: %w", i, err)
+		}
+		if err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-// hydrateFrom upgrades a flat-only warm start in the background: the
-// snapshot file is fully restored (labels materialized, overlay and
-// router rebuilt) and swapped in, bringing /nearest and /route online.
-// The swap is skipped if a rebuild already replaced the fast snapshot;
+// hydrate upgrades a flat-only warm start in the background: index,
+// overlay and router are built around the already-open, already-verified
+// arena (no second read of the file) and swapped in, bringing /nearest
+// and /route online. The full snapshot adopts fast's mapping, so fast is
+// not closed here — Engine.Rebuild closes whichever snapshot it swaps
+// out. The swap is skipped if a rebuild already replaced fast;
 // rebuildMu makes that check-and-swap atomic against /snapshot.
-func (s *server) hydrateFrom(path string, fast *oracle.Snapshot) {
+func (s *server) hydrate(fast *oracle.Snapshot) {
 	go func() {
-		f, err := os.Open(path)
+		full, err := fast.Hydrate()
 		if err != nil {
-			log.Printf("hydrate %s: %v (continuing to serve estimates from the mapped arenas)", path, err)
-			return
-		}
-		full, err := oracle.ReadSnapshot(f)
-		f.Close()
-		if err != nil {
-			log.Printf("hydrate %s: %v (continuing to serve estimates from the mapped arenas)", path, err)
+			log.Printf("hydrate %s: %v (continuing to serve estimates from the mapped arenas)", fast.Name, err)
 			return
 		}
 		s.rebuildMu.Lock()
@@ -215,8 +231,7 @@ func (s *server) hydrateFrom(path string, fast *oracle.Snapshot) {
 		if s.engine.Snapshot() != fast {
 			return // a rebuild landed first; its snapshot is newer
 		}
-		old := s.engine.Swap(full)
-		old.Close()                // in-flight readers hold pins; unmap happens at last unpin
+		s.engine.Swap(full)
 		s.objDir.SetSnapshot(full) // directory becomes ready with the index
 		log.Printf("hydrated %s: routing=%v overlay=%v", full.Name, full.Router != nil, full.Overlay != nil)
 	}()
@@ -363,8 +378,10 @@ func writeInternalError(w http.ResponseWriter, context string, err error) {
 	})
 }
 
-func intParam(r *http.Request, name string) (int, error) {
-	raw := r.URL.Query().Get(name)
+// intParam reads one required integer from query values the handler
+// parsed once (every r.URL.Query() call re-parses and allocates a map).
+func intParam(q url.Values, name string) (int, error) {
+	raw := q.Get(name)
 	if raw == "" {
 		return 0, fmt.Errorf("missing required parameter %q", name)
 	}
@@ -425,12 +442,13 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *server) handleEstimate(w http.ResponseWriter, r *http.Request) {
-	u, err := intParam(r, "u")
+	q := r.URL.Query()
+	u, err := intParam(q, "u")
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	v, err := intParam(r, "v")
+	v, err := intParam(q, "v")
 	if err != nil {
 		writeError(w, err)
 		return
@@ -463,6 +481,17 @@ type batchResponse struct {
 	Results []oracle.EstimateResult `json:"results"`
 }
 
+// batchScratch is one /batch request's working memory — the slice
+// Engine.EstimateBatchInto answers into and the buffer the response is
+// encoded in — pooled so a steady batch stream stops allocating (and
+// zeroing) both per request. maxBatchPairs bounds what the pool retains.
+type batchScratch struct {
+	results []oracle.EstimateResult
+	body    bytes.Buffer
+}
+
+var batchPool = sync.Pool{New: func() any { return new(batchScratch) }}
+
 func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req batchRequest
 	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<22)).Decode(&req); err != nil {
@@ -494,7 +523,12 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, fleetBatchResponse{Results: results})
 		return
 	}
-	results, err := s.engine.EstimateBatch(req.Pairs)
+	sc := batchPool.Get().(*batchScratch)
+	defer batchPool.Put(sc)
+	if cap(sc.results) < len(req.Pairs) {
+		sc.results = make([]oracle.EstimateResult, len(req.Pairs))
+	}
+	results, err := s.engine.EstimateBatchInto(req.Pairs, sc.results[:len(req.Pairs)])
 	if err != nil {
 		writeError(w, err)
 		return
@@ -506,11 +540,20 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			version: results[i].Version,
 		})
 	}
-	writeJSON(w, http.StatusOK, batchResponse{Results: results})
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	sc.body.Reset()
+	if err := json.NewEncoder(&sc.body).Encode(batchResponse{Results: results}); err != nil {
+		log.Printf("ringsrv: encode batch response: %v", err)
+		return
+	}
+	if _, err := w.Write(sc.body.Bytes()); err != nil {
+		log.Printf("ringsrv: write batch response: %v", err)
+	}
 }
 
 func (s *server) handleNearest(w http.ResponseWriter, r *http.Request) {
-	target, err := intParam(r, "target")
+	target, err := intParam(r.URL.Query(), "target")
 	if err != nil {
 		writeError(w, err)
 		return
@@ -533,12 +576,13 @@ func (s *server) handleNearest(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *server) handleRoute(w http.ResponseWriter, r *http.Request) {
-	src, err := intParam(r, "src")
+	q := r.URL.Query()
+	src, err := intParam(q, "src")
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	dst, err := intParam(r, "dst")
+	dst, err := intParam(q, "dst")
 	if err != nil {
 		writeError(w, err)
 		return

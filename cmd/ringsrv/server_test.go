@@ -293,3 +293,67 @@ func TestServerExposesBuildStats(t *testing.T) {
 			stats.Version, stats.Build, snapResp.Version, snapResp.Build)
 	}
 }
+
+// TestBatchBodyUnchangedByPooling: /batch answers into pooled scratch
+// memory, and the body must stay exactly what encoding/json makes of the
+// engine's own batch answer — across a large batch followed by a small
+// one (stale pooled results must never leak into a shorter response)
+// and across concurrent callers sharing the pool.
+func TestBatchBodyUnchangedByPooling(t *testing.T) {
+	engine := testEngine(t)
+	ts := httptest.NewServer(newServer(engine))
+	defer ts.Close()
+
+	check := func(size, salt int) error {
+		pairs := make([]oracle.Pair, size)
+		for i := range pairs {
+			pairs[i] = oracle.Pair{U: (i*7 + salt) % 48, V: (i*13 + 5*salt) % 48}
+		}
+		want, err := engine.EstimateBatch(pairs)
+		if err != nil {
+			return err
+		}
+		wantBody, err := json.Marshal(batchResponse{Results: want})
+		if err != nil {
+			return err
+		}
+		reqBody, err := json.Marshal(batchRequest{Pairs: pairs})
+		if err != nil {
+			return err
+		}
+		resp, err := ts.Client().Post(ts.URL+"/batch", "application/json", bytes.NewReader(reqBody))
+		if err != nil {
+			return err
+		}
+		defer resp.Body.Close()
+		var got bytes.Buffer
+		if _, err := got.ReadFrom(resp.Body); err != nil {
+			return err
+		}
+		if resp.StatusCode != http.StatusOK || resp.Header.Get("Content-Type") != "application/json" ||
+			!bytes.Equal(got.Bytes(), append(wantBody, '\n')) {
+			return fmt.Errorf("batch of %d: status %d, body %q, want %q", size, resp.StatusCode, got.Bytes(), wantBody)
+		}
+		return nil
+	}
+	for _, size := range []int{256, 3, 1, 64} {
+		if err := check(size, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	errs := make(chan error, 8)
+	for g := 0; g < cap(errs); g++ {
+		go func(g int) {
+			var err error
+			for i := 0; i < 20 && err == nil; i++ {
+				err = check(1+(g*37+i*11)%200, g)
+			}
+			errs <- err
+		}(g)
+	}
+	for g := 0; g < cap(errs); g++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+}

@@ -147,14 +147,7 @@ func (c Config) withDefaults() (Config, error) {
 		c.Oracle.N = len(c.Universe.Active)
 		c.Capacity = len(c.Universe.Owned)
 	} else {
-		spec := workload.MetricSpec{
-			Name:      c.Oracle.Workload,
-			N:         c.Oracle.N,
-			Side:      c.Oracle.Side,
-			LogAspect: c.Oracle.LogAspect,
-			Seed:      c.Oracle.Seed,
-		}
-		initial, capacity, err := workload.ChurnSizes(spec, c.Capacity)
+		initial, capacity, err := workload.ChurnSizes(c.Oracle.Spec(), c.Capacity)
 		if err != nil {
 			return c, err
 		}

@@ -112,14 +112,7 @@ func NewMutator(cfg Config) (*Mutator, error) {
 		}
 		active = append([]int32(nil), uni.Active...)
 	} else {
-		spec := workload.MetricSpec{
-			Name:      cfg.Oracle.Workload,
-			N:         cfg.Oracle.N,
-			Side:      cfg.Oracle.Side,
-			LogAspect: cfg.Oracle.LogAspect,
-			Seed:      cfg.Oracle.Seed,
-		}
-		base, name, err = workload.ChurnBase(spec, cfg.Capacity)
+		base, name, err = workload.ChurnBase(cfg.Oracle.Spec(), cfg.Capacity)
 		if err != nil {
 			return nil, err
 		}
@@ -522,6 +515,8 @@ func (m *Mutator) buildState(prev *state, new2old, old2new []int32, ops []Op) (*
 			Level0Count: st.level0Count,
 		}
 	}
-	st.snap = oracle.AssembleSnapshot(cfg, m.name, art, elapsed, build)
+	if st.snap, err = oracle.AssembleSnapshot(cfg, m.name, art, elapsed, build); err != nil {
+		return nil, nil, err
+	}
 	return st, ost, nil
 }

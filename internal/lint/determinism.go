@@ -16,6 +16,8 @@ var determinismPkgs = map[string]bool{
 	"nets":          true,
 	"churn":         true,
 	"objects":       true,
+	"nnsearch":      true,
+	"routing":       true,
 }
 
 // Determinism flags the three classic nondeterminism leaks in the

@@ -87,8 +87,9 @@ func New(idx metric.BallIndex, members []int, cfg Config) (*Overlay, error) {
 // sampleRings retains up to PerRing members per geometric annulus
 // around m.
 func (o *Overlay) sampleRings(m int, rng *rand.Rand) []int {
-	// Bucket fellow members by ring index.
-	buckets := map[int][]int{}
+	// Bucket fellow members by ring index — in a slice, not a map: the
+	// buckets draw from the shared seeded rng in index order.
+	var buckets [][]int
 	dmin := o.idx.MinDistance()
 	for _, v := range o.members {
 		if v == m {
@@ -98,6 +99,9 @@ func (o *Overlay) sampleRings(m int, rng *rand.Rand) []int {
 		ring := 0
 		if d > dmin {
 			ring = int(math.Floor(math.Log(d/dmin)/math.Log(o.cfg.RingBase))) + 1
+		}
+		for ring >= len(buckets) {
+			buckets = append(buckets, nil)
 		}
 		buckets[ring] = append(buckets[ring], v)
 	}

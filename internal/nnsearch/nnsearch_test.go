@@ -176,3 +176,26 @@ func TestRingSparsity(t *testing.T) {
 		t.Errorf("MaxRingSize %d exceeds PerRing·log∆ bound %d", o.MaxRingSize(), bound)
 	}
 }
+
+// TestSameSeedSameRings pins build determinism: every replica rebuilds
+// its overlay from the shared seed, so two builds must retain exactly
+// the same ring members (sampled buckets included — n is large enough
+// that most annuli exceed PerRing).
+func TestSameSeedSameRings(t *testing.T) {
+	space := metric.UniformCube(512, 2, 100, rand.New(rand.NewSource(3)))
+	_, first := overlayOn(t, space, 4, DefaultConfig(17))
+	for rebuild := 0; rebuild < 4; rebuild++ {
+		_, again := overlayOn(t, space, 4, DefaultConfig(17))
+		for _, m := range first.Members() {
+			a, b := first.Ring(m), again.Ring(m)
+			if len(a) != len(b) {
+				t.Fatalf("rebuild %d: member %d retained %d pointers, first build %d", rebuild, m, len(b), len(a))
+			}
+			for i := range a {
+				if a[i] != b[i] {
+					t.Fatalf("rebuild %d: member %d ring differs at %d: %d vs %d", rebuild, m, i, b[i], a[i])
+				}
+			}
+		}
+	}
+}

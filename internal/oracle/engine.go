@@ -144,7 +144,9 @@ func NewEngine(snap *Snapshot, opts EngineOptions) *Engine {
 // returned snapshot is safe to keep using — it is immutable — or to drop
 // for garbage collection.
 //
-// Swap assigns snap.Version (monotonically increasing from 1), so a
+// The engine serves estimates from snap.Flat alone, which every built,
+// assembled, opened or restored snapshot carries. Swap assigns
+// snap.Version (monotonically increasing from 1), so a
 // given snapshot may be installed at most once, in one engine — a
 // second install would rewrite Version while readers of the first may
 // still be loading it.
@@ -174,13 +176,14 @@ func (e *Engine) Swap(snap *Snapshot) *Snapshot {
 // snapshot. The build runs without holding any engine lock, so queries
 // keep flowing against the current snapshot for its whole duration —
 // this is the zero-downtime rebuild path cmd/ringsrv's /snapshot
-// endpoint triggers.
+// endpoint triggers. The replaced snapshot is Closed: a warm-started
+// one gives its mapping up once its in-flight readers drain.
 func (e *Engine) Rebuild(cfg Config) (*Snapshot, error) {
 	snap, err := BuildSnapshot(cfg)
 	if err != nil {
 		return nil, err
 	}
-	e.Swap(snap)
+	e.Swap(snap).Close()
 	return snap, nil
 }
 
@@ -219,10 +222,6 @@ var errArenaClosed = errors.New("oracle: snapshot arena closed while serving (Cl
 //ringvet:hotpath
 func flatEstimate(snap *Snapshot, u, v int) (EstimateResult, error, bool) {
 	f := snap.Flat
-	if f == nil {
-		res, err := snap.Estimate(u, v)
-		return res, err, true
-	}
 	if err := snap.checkNode("estimate", u); err != nil {
 		return EstimateResult{}, err, true
 	}
@@ -331,29 +330,14 @@ func (e *Engine) EstimateBatchInto(pairs []Pair, out []EstimateResult) ([]Estima
 	return out, nil
 }
 
-// batchOn answers a whole batch against one state. With flat arenas the
-// arena is pinned once around the loop (the S6 lifetime guard: a
-// concurrent Swap+Close cannot unmap it mid-batch); without them it
-// falls back to the cached single-pair path.
+// batchOn answers a whole batch against one state. The arena is pinned
+// once around the loop (the S6 lifetime guard: a concurrent Swap+Close
+// cannot unmap it mid-batch).
 //
 //ringvet:hotpath
 func batchOn(st *engineState, pairs []Pair, out []EstimateResult) (error, bool) {
 	snap := st.snap
 	f := snap.Flat
-	if f == nil {
-		for i, p := range pairs {
-			var err error
-			var ok bool
-			if out[i], err, ok = estimateOn(st, p.U, p.V); err != nil || !ok {
-				if err != nil {
-					//ringvet:ignore noalloc: cold error path, the batch aborts here anyway
-					err = fmt.Errorf("pair %d: %w", i, err)
-				}
-				return err, ok
-			}
-		}
-		return nil, true
-	}
 	if !f.pin() {
 		return nil, false
 	}

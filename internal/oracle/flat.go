@@ -73,12 +73,6 @@ type flatSection struct {
 	Count int64  `json:"count"`
 }
 
-// N reports the node count served by the flat arenas.
-func (f *FlatSnap) N() int { return f.n }
-
-// Scheme reports the estimator scheme the arenas encode.
-func (f *FlatSnap) Scheme() string { return f.scheme }
-
 // Bytes reports the arena size (what one warm replica maps or holds).
 func (f *FlatSnap) Bytes() int { return len(f.buf) }
 
@@ -246,7 +240,7 @@ func (f *FlatSnap) bind() error {
 	}
 	// Structural validation (offset monotonicity etc.) is separate:
 	// builders bind empty arenas before the fill pass, so only loaded
-	// payloads run validate (see flatFromSections).
+	// payloads run validate (see arenaSnapshot).
 	return nil
 }
 
@@ -462,30 +456,10 @@ func newFlatForSnapshot(s *Snapshot) (*FlatSnap, error) {
 	return nil, fmt.Errorf("oracle: snapshot has no estimator to flatten")
 }
 
-// flatFromSections wraps loaded arena bytes (heap copy or mmap window)
-// with bound, validated views. The caller passes ownership of m (nil
-// for heap buffers); on error the mapping is closed.
-func flatFromSections(n int, scheme string, buf []byte, sections []flatSection, m *mapping) (*FlatSnap, error) {
-	f := &FlatSnap{n: n, scheme: scheme, buf: buf, m: m, sections: sections}
-	f.refs.Store(1)
-	err := f.bind()
-	if err == nil {
-		err = f.validate()
-	}
-	if err != nil {
-		if m != nil {
-			m.close()
-		}
-		return nil, err
-	}
-	return f, nil
-}
-
 // materializeLabels rebuilds pointer-form labels from the label arenas
-// — the inverse of newFlatFromLabels, used when a v2 snapshot file is
-// hydrated into a full snapshot (routing and overlay rebuilds consume
-// []*distlabel.Label). Entry lists come back in the same Y-sorted order
-// they were packed in.
+// — the inverse of newFlatFromLabels, reached only through
+// Snapshot.MaterializeLabels (no serving path wants pointer labels).
+// Entry lists come back in the same Y-sorted order they were packed in.
 func (f *FlatSnap) materializeLabels() []*distlabel.Label {
 	labels := make([]*distlabel.Label, f.n)
 	for u := 0; u < f.n; u++ {

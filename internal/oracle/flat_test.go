@@ -152,9 +152,10 @@ func TestOpenSnapshotFileFlatOnly(t *testing.T) {
 	}
 }
 
-// TestReadSnapshotV2FullRestore checks hydration: a full ReadSnapshot of
-// a v2 file rebuilds every derived artifact and answers exactly like the
-// original snapshot.
+// TestReadSnapshotV2FullRestore checks the streaming restore: a full
+// ReadSnapshot of a v2 stream rebuilds every queried artifact around the
+// read buffer (and nothing else) and answers exactly like the original
+// snapshot.
 func TestReadSnapshotV2FullRestore(t *testing.T) {
 	snap := buildTestSnapshot(t, 23)
 	var buf bytes.Buffer
@@ -165,8 +166,11 @@ func TestReadSnapshotV2FullRestore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if loaded.Labels == nil || loaded.Idx == nil || loaded.Overlay == nil || loaded.Router == nil {
+	if loaded.Idx == nil || loaded.Overlay == nil || loaded.Router == nil {
 		t.Fatal("full restore missing derived artifacts")
+	}
+	if loaded.Labels != nil || loaded.Scheme != nil || loaded.Tri != nil || loaded.Flat.Mapped() {
+		t.Fatal("restore of a labels stream built more than the arena's serving artifacts")
 	}
 	n := snap.N()
 	for u := 0; u < n; u += 2 {
@@ -278,8 +282,8 @@ func TestSnapshotV1ConvertsToV2(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if loaded.N() != snap.N() || loaded.Labels == nil || loaded.Flat == nil {
-		t.Fatalf("v1 restore incomplete: n=%d labels=%v flat=%v", loaded.N(), loaded.Labels != nil, loaded.Flat != nil)
+	if loaded.N() != snap.N() || loaded.Idx == nil || loaded.Flat == nil {
+		t.Fatalf("v1 restore incomplete: n=%d idx=%v flat=%v", loaded.N(), loaded.Idx != nil, loaded.Flat != nil)
 	}
 	// Wire semantics: codec-rounded, so compare against the decoded
 	// labels (exact) rather than the original builder's labels.
@@ -315,7 +319,7 @@ func TestSnapshotV1ConvertsToV2(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if opened.Labels == nil {
+	if opened.Idx == nil || opened.Router == nil {
 		t.Fatal("v1 fast-open fallback did not fully restore")
 	}
 }
@@ -325,7 +329,11 @@ func TestSnapshotV1ConvertsToV2(t *testing.T) {
 // while the main goroutine swaps fresh mmaps in and Closes the old one
 // — under -race, and with every answer checked byte-identical against
 // a reference snapshot. A pinned batch must never observe an unmapped
-// arena.
+// arena. The last leg is the warm-boot hand-off: the served flat-only
+// snapshot is hydrated and swapped for the full one that adopted its
+// mapping (no Close in between), which is then swapped out and Closed
+// under the same readers — the one mapping is unmapped exactly once,
+// and only after the last pinned batch drains.
 func TestEngineSwapUnderConcurrentBatches(t *testing.T) {
 	ref := buildTestSnapshot(t, 31)
 	path := writeSnapshotV2File(t, t.TempDir(), ref)
@@ -390,6 +398,22 @@ func TestEngineSwapUnderConcurrentBatches(t *testing.T) {
 		old := e.Swap(next)
 		old.Close() // in-flight batches hold pins; unmap happens at last unpin
 	}
+
+	fast := e.Snapshot()
+	full, err := fast.Hydrate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e.Swap(full) != fast || full.Flat != fast.Flat {
+		t.Fatal("hydrate hand-off did not carry the served arena over")
+	}
+	if _, err := e.Nearest(1); err != nil {
+		t.Fatalf("nearest after the hydrate swap: %v", err)
+	}
+	if e.Swap(ref) != full {
+		t.Fatal("swap-out did not return the hydrated snapshot")
+	}
+	full.Close()
 	close(stop)
 	wg.Wait()
 	select {
@@ -397,5 +421,8 @@ func TestEngineSwapUnderConcurrentBatches(t *testing.T) {
 		t.Fatal(err)
 	default:
 	}
-	e.Snapshot().Close()
+	fast.Close() // the arena's one creation reference is already gone: a no-op
+	if refs := full.Flat.refs.Load(); refs != 0 || full.Flat.Mapped() != false {
+		t.Fatalf("after hand-off, swap-out and Close: refs=%d mapped=%v, want the mapping released exactly once", refs, full.Flat.Mapped())
+	}
 }

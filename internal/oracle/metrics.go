@@ -92,7 +92,7 @@ func (e *Engine) Metrics() *telemetry.Registry { return e.metrics.reg }
 const (
 	openModeMmap    = "mmap"    // OpenSnapshotFile, zero-copy mapping
 	openModeRead    = "read"    // OpenSnapshotFile, bulk-read fallback
-	openModeRestore = "restore" // ReadSnapshot full restore (rebuilds artifacts)
+	openModeRestore = "restore" // HydrateOver: artifacts rebuilt around an arena
 )
 
 // Snapshot persistence metrics live in telemetry.Default: persist and

@@ -153,8 +153,8 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// spec translates the workload knobs into the shared catalogue spec.
-func (c Config) spec() workload.MetricSpec {
+// Spec translates the workload knobs into the shared catalogue spec.
+func (c Config) Spec() workload.MetricSpec {
 	return workload.MetricSpec{
 		Name:      c.Workload,
 		N:         c.N,
@@ -221,7 +221,7 @@ func OverlayMembers(n, stride int) []int {
 // in.
 func BuildSnapshot(cfg Config) (*Snapshot, error) {
 	cfg = cfg.withDefaults()
-	space, name, err := cfg.spec().Space()
+	space, name, err := cfg.Spec().Space()
 	if err != nil {
 		return nil, err
 	}
@@ -231,72 +231,18 @@ func BuildSnapshot(cfg Config) (*Snapshot, error) {
 // BuildSnapshotOver is BuildSnapshot over an explicit metric space
 // instead of the config's workload spec: the from-scratch reference the
 // churn engine's delta snapshots are tested against (both constructions
-// then see literally the same metric), and the warm-start path's way to
-// rebuild derived artifacts over a restored node set. The config's
-// workload knobs are used only for naming/defaults; the space is served
-// as given.
+// then see literally the same metric). The config's workload knobs are
+// used only for naming/defaults; the space is served as given.
 func BuildSnapshotOver(cfg Config, space metric.Space, name string) (*Snapshot, error) {
-	return buildSnapshotOver(cfg, space, name, nil)
-}
-
-// labelSource replaces the Theorem 3.4 scheme build on the warm-start
-// path: it yields prebuilt (decoded) labels once the index exists.
-type labelSource func(idx metric.BallIndex) ([]*distlabel.Label, LabelMeta, error)
-
-func buildSnapshotOver(cfg Config, space metric.Space, name string, preLabels labelSource) (*Snapshot, error) {
-	cfg = cfg.withDefaults()
 	start := time.Now()
-	// Validate everything validatable before the index build: at large n
-	// the index is the first expensive step, and a rebuild triggered over
-	// HTTP should reject a bad delta/scheme/profile instantly, not after
-	// minutes of construction.
-	opts, err := cfg.indexOptions()
+	snap, params, err := indexSnapshot(cfg, space, name)
 	if err != nil {
 		return nil, err
 	}
-	params, err := cfg.TriangulationParams()
+	cfg, n := snap.Config, snap.n
+	cons, err := snap.buildTri(params)
 	if err != nil {
 		return nil, err
-	}
-	switch cfg.Scheme {
-	case SchemeLabels, SchemeBeacons:
-	default:
-		return nil, fmt.Errorf("oracle: unknown scheme %q (want labels|beacons)", cfg.Scheme)
-	}
-
-	phase := time.Now()
-	idx := metric.New(space, opts)
-	n := idx.N()
-	indexSec := time.Since(phase).Seconds()
-	if sub, ok := space.(*metric.Subspace); ok && cfg.RefCount > 0 {
-		// Churned views run every greedy scan in base-id order so this
-		// from-scratch build reproduces the churn engine's incremental
-		// repair bit for bit (and vice versa).
-		params.StableOrder = sub.BaseOrder()
-	}
-
-	cons, err := triangulation.NewConstructionParams(idx, params)
-	if err != nil {
-		return nil, err
-	}
-	phase = time.Now()
-	tri := triangulation.FromConstruction(cons, cfg.Delta)
-	triSec := time.Since(phase).Seconds()
-	verifySec := 0.0
-	if cfg.Verify {
-		phase = time.Now()
-		if _, err := tri.VerifyAllPairs(); err != nil {
-			return nil, fmt.Errorf("oracle: triangulation verification: %w", err)
-		}
-		verifySec = time.Since(phase).Seconds()
-	}
-
-	snap := &Snapshot{
-		Config: cfg,
-		Name:   name,
-		Idx:    idx,
-		Tri:    tri,
-		n:      n,
 	}
 
 	// The remaining artifacts are independent of each other — labels read
@@ -304,27 +250,17 @@ func buildSnapshotOver(cfg Config, space metric.Space, name string, preLabels la
 	// they build concurrently. Each phase is itself parallel over the
 	// worker pool; overlapping them additionally hides the shorter phases
 	// behind the label build, the dominant cost at serving scale.
-	var labelsSec, overlaySec, routerSec float64
 	err = par.Group(
 		func() error {
 			if cfg.Scheme != SchemeLabels {
 				return nil // SchemeBeacons: estimates come straight from snap.Tri.
-			}
-			if preLabels != nil {
-				labels, meta, err := preLabels(idx)
-				if err != nil {
-					return err
-				}
-				snap.Labels = labels
-				snap.LabelMeta = meta
-				return nil
 			}
 			t0 := time.Now()
 			scheme, err := distlabel.FromConstruction(cons, cfg.Delta)
 			if err != nil {
 				return err
 			}
-			labelsSec = time.Since(t0).Seconds()
+			snap.Build.LabelsTotalSec = time.Since(t0).Seconds()
 			snap.Scheme = scheme
 			snap.Labels = make([]*distlabel.Label, n)
 			for u := 0; u < n; u++ {
@@ -337,56 +273,17 @@ func buildSnapshotOver(cfg Config, space metric.Space, name string, preLabels la
 			}
 			return nil
 		},
-		func() error {
-			if cfg.SkipOverlay {
-				return nil
-			}
-			t0 := time.Now()
-			overlay, err := nnsearch.New(idx, OverlayMembers(n, cfg.MemberStride), nnsearch.DefaultConfig(cfg.Seed))
-			if err != nil {
-				return err
-			}
-			overlaySec = time.Since(t0).Seconds()
-			snap.setOverlay(overlay)
-			return nil
-		},
-		func() error {
-			if cfg.SkipRouting {
-				return nil
-			}
-			t0 := time.Now()
-			router, err := routing.NewThm21Metric(idx, cfg.Delta)
-			if err != nil {
-				return err
-			}
-			routerSec = time.Since(t0).Seconds()
-			snap.setRouter(router, cfg.RouteHops)
-			return nil
-		},
+		snap.buildOverlay,
+		snap.buildRouter,
 	)
 	if err != nil {
 		return nil, err
 	}
 
-	snap.BuildElapsed = time.Since(start)
-	snap.Build = BuildStats{
-		N:                n,
-		Workload:         name,
-		Scheme:           cfg.Scheme,
-		Profile:          cfg.Profile,
-		Workers:          par.Workers(cfg.Workers, n),
-		IndexSec:         indexSec,
-		NetsSec:          cons.Timings.Nets.Seconds(),
-		RadiiSec:         cons.Timings.Radii.Seconds(),
-		PackingsSec:      cons.Timings.Packings.Seconds(),
-		RingsSec:         cons.Timings.Rings.Seconds(),
-		TriangulationSec: triSec,
-		VerifySec:        verifySec,
-		OverlaySec:       overlaySec,
-		RouterSec:        routerSec,
-		LabelsTotalSec:   labelsSec,
-		TotalSec:         snap.BuildElapsed.Seconds(),
-	}
+	snap.Build.NetsSec = cons.Timings.Nets.Seconds()
+	snap.Build.RadiiSec = cons.Timings.Radii.Seconds()
+	snap.Build.PackingsSec = cons.Timings.Packings.Seconds()
+	snap.Build.RingsSec = cons.Timings.Rings.Seconds()
 	if snap.Scheme != nil {
 		lt := snap.Scheme.Timings
 		snap.Build.ZSetsSec = lt.ZSets.Seconds()
@@ -394,14 +291,120 @@ func buildSnapshotOver(cfg Config, space metric.Space, name string, preLabels la
 		snap.Build.HostEnumsSec = lt.HostEnums.Seconds()
 		snap.Build.LabelFillSec = lt.Labels.Seconds()
 	}
+	snap.finishBuild(start)
 	// Pack the flat serving arenas last: a linear copy of the estimator
 	// payload, dwarfed by every phase above. The Engine's hot path reads
 	// these instead of the pointer structures, and the v2 persisted
 	// format is exactly their bytes.
-	flat, err := newFlatForSnapshot(snap)
+	if snap.Flat, err = newFlatForSnapshot(snap); err != nil {
+		return nil, err
+	}
+	return snap, nil
+}
+
+// indexSnapshot is the part of a snapshot a cold build and an arena
+// restore share: the validated recipe and the ball index over space.
+func indexSnapshot(cfg Config, space metric.Space, name string) (*Snapshot, triangulation.Params, error) {
+	cfg = cfg.withDefaults()
+	// Validate everything validatable before the index build: at large n
+	// the index is the first expensive step, and a rebuild triggered over
+	// HTTP should reject a bad delta/scheme/profile instantly, not after
+	// minutes of construction.
+	opts, err := cfg.indexOptions()
+	if err != nil {
+		return nil, triangulation.Params{}, err
+	}
+	params, err := cfg.TriangulationParams()
+	if err != nil {
+		return nil, params, err
+	}
+	switch cfg.Scheme {
+	case SchemeLabels, SchemeBeacons:
+	default:
+		return nil, params, fmt.Errorf("oracle: unknown scheme %q (want labels|beacons)", cfg.Scheme)
+	}
+
+	phase := time.Now()
+	idx := metric.New(space, opts)
+	n := idx.N()
+	if sub, ok := space.(*metric.Subspace); ok && cfg.RefCount > 0 {
+		// Churned views run every greedy scan in base-id order so this
+		// from-scratch build reproduces the churn engine's incremental
+		// repair bit for bit (and vice versa).
+		params.StableOrder = sub.BaseOrder()
+	}
+	return &Snapshot{
+		Config: cfg,
+		Name:   name,
+		Idx:    idx,
+		n:      n,
+		Build: BuildStats{
+			N:        n,
+			Workload: name,
+			Scheme:   cfg.Scheme,
+			Profile:  cfg.Profile,
+			Workers:  par.Workers(cfg.Workers, n),
+			IndexSec: time.Since(phase).Seconds(),
+		},
+	}, params, nil
+}
+
+// buildTri runs the ring construction and derives the Theorem 3.2
+// triangulation from it (verified when the recipe asks).
+func (s *Snapshot) buildTri(params triangulation.Params) (*triangulation.Construction, error) {
+	cons, err := triangulation.NewConstructionParams(s.Idx, params)
 	if err != nil {
 		return nil, err
 	}
-	snap.Flat = flat
-	return snap, nil
+	phase := time.Now()
+	s.Tri = triangulation.FromConstruction(cons, s.Config.Delta)
+	s.Build.TriangulationSec = time.Since(phase).Seconds()
+	if s.Config.Verify {
+		phase = time.Now()
+		if _, err := s.Tri.VerifyAllPairs(); err != nil {
+			return nil, fmt.Errorf("oracle: triangulation verification: %w", err)
+		}
+		s.Build.VerifySec = time.Since(phase).Seconds()
+	}
+	return cons, nil
+}
+
+// buildOverlay builds the Meridian overlay over the index (unless
+// skipped); it reads nothing but the index, so it may run beside any
+// other build phase.
+func (s *Snapshot) buildOverlay() error {
+	if s.Config.SkipOverlay {
+		return nil
+	}
+	t0 := time.Now()
+	overlay, err := nnsearch.New(s.Idx, OverlayMembers(s.n, s.Config.MemberStride), nnsearch.DefaultConfig(s.Config.Seed))
+	if err != nil {
+		return err
+	}
+	s.Build.OverlaySec = time.Since(t0).Seconds()
+	s.setOverlay(overlay)
+	return nil
+}
+
+// buildRouter builds the Theorem 2.1 metric router over the index
+// (unless skipped), independent of every other phase like buildOverlay.
+func (s *Snapshot) buildRouter() error {
+	if s.Config.SkipRouting {
+		return nil
+	}
+	t0 := time.Now()
+	router, err := routing.NewThm21Metric(s.Idx, s.Config.Delta)
+	if err != nil {
+		return err
+	}
+	s.Build.RouterSec = time.Since(t0).Seconds()
+	s.setRouter(router, s.Config.RouteHops)
+	return nil
+}
+
+// finishBuild stamps the wall-clock total (less than the sum of phases
+// when independent artifacts built concurrently).
+func (s *Snapshot) finishBuild(start time.Time) {
+	s.BuildElapsed = time.Since(start)
+	s.Build.TotalSec = s.BuildElapsed.Seconds()
 }

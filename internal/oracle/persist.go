@@ -13,14 +13,15 @@ import (
 
 	"rings/internal/distlabel"
 	"rings/internal/metric"
+	"rings/internal/par"
 	"rings/internal/workload"
 )
 
 // Snapshot file magics. v1 framed codec-rounded wire labels behind a
 // JSON header; v2 is the flat arena bytes behind a checksummed header,
 // so a warm start is an mmap (or one bulk read) plus validation instead
-// of a per-label decode. ReadSnapshot accepts both (v1 converts through
-// the old decode path); WriteTo always emits v2.
+// of a per-label decode. ReadSnapshot accepts both (v1 labels decode and
+// repack into an arena first); WriteTo always emits v2.
 const (
 	persistMagicV1 = "RINGSNAP1\n"
 	persistMagicV2 = "RINGSNAP2\n"
@@ -103,6 +104,11 @@ func (s *Snapshot) writeToV2(w io.Writer) (int64, error) {
 	if s.Flat == nil {
 		return 0, fmt.Errorf("oracle: snapshot has no flat arenas to persist")
 	}
+	// A restored snapshot re-persists (and ships) the mapping itself.
+	if !s.Flat.pin() {
+		return 0, errArenaClosed
+	}
+	defer s.Flat.unpin()
 	hdr := persistHeaderV2{
 		Config:     s.Config,
 		Name:       s.Name,
@@ -202,38 +208,62 @@ func (s *Snapshot) WriteLegacyV1(w io.Writer) (int64, error) {
 }
 
 // ReadSnapshot restores a full snapshot from WriteTo's format (v2) or
-// the legacy v1 format: the workload view is regenerated from the
-// header, derived artifacts (index, triangulation, overlay, router)
-// are rebuilt deterministically, and the estimator payload is taken
-// from the file — arena bytes under v2, codec-rounded wire labels
-// under v1 (the conversion path). For the O(1) serve-immediately open,
-// see OpenSnapshotFile.
-func ReadSnapshot(r io.Reader) (*Snapshot, error) {
-	start := time.Now()
-	snap, err := readSnapshotAny(r)
-	if err != nil {
-		mOpenErrors.Inc()
-		return nil, err
-	}
-	mOpenTotal.With(openModeRestore).Inc()
-	mOpenUs.With(openModeRestore).Observe(float64(time.Since(start)) / float64(time.Microsecond))
-	return snap, nil
+// the legacy v1 format: the stream's estimator payload becomes the
+// snapshot's arena (one aligned read buffer under v2; decoded, repacked
+// wire labels under v1) and HydrateOver rebuilds the derived artifacts
+// around it over the workload the header describes. For the O(header)
+// serve-immediately open, see OpenSnapshotFile.
+func ReadSnapshot(r io.Reader) (*Snapshot, error) { return readSnapshot(r, "", nil) }
+
+// ReadSnapshotFor is ReadSnapshot over a space the stream's own Config
+// cannot regenerate (see HydrateOver): spaceOf resolves it from the
+// header's Perm (nil for a static subspace) and node count. This is the
+// replica-shipping path — under churn every shipped snapshot carries a
+// different membership — and the shipped bytes are read once, into the
+// buffer the replica then serves from. Only v2 streams are accepted.
+func ReadSnapshotFor(r io.Reader, name string, spaceOf func(perm []int32, n int) (metric.Space, error)) (*Snapshot, error) {
+	return readSnapshot(r, name, spaceOf)
 }
 
-func readSnapshotAny(r io.Reader) (*Snapshot, error) {
+func readSnapshot(r io.Reader, name string, spaceOf func(perm []int32, n int) (metric.Space, error)) (snap *Snapshot, err error) {
+	defer func() {
+		if err != nil {
+			mOpenErrors.Inc()
+		}
+	}()
 	br := bufio.NewReader(r)
-	magic := make([]byte, len(persistMagicV1))
+	magic := make([]byte, len(persistMagicV2))
 	if _, err := io.ReadFull(br, magic); err != nil {
 		return nil, fmt.Errorf("oracle: snapshot magic: %w", err)
 	}
-	switch string(magic) {
-	case persistMagicV1:
+	switch {
+	case string(magic) == persistMagicV2:
+	case string(magic) == persistMagicV1 && spaceOf == nil:
 		return readSnapshotV1(br)
-	case persistMagicV2:
-		return readSnapshotV2(br)
+	case spaceOf != nil:
+		return nil, fmt.Errorf("oracle: not a v2 snapshot file (magic %q; per-shard snapshots require the v2 format)", magic)
 	default:
 		return nil, fmt.Errorf("oracle: not a snapshot file (magic %q)", magic)
 	}
+	hdr, payload, err := readV2Envelope(br)
+	if err != nil {
+		return nil, err
+	}
+	fast, err := arenaSnapshot(hdr, payload, nil)
+	if err != nil {
+		return nil, err
+	}
+	if spaceOf == nil {
+		return fast.Hydrate()
+	}
+	space, err := spaceOf(hdr.Perm, hdr.N)
+	if err != nil {
+		return nil, err
+	}
+	if name == "" {
+		name = hdr.Name
+	}
+	return fast.HydrateOver(space, name)
 }
 
 // readV2Envelope reads and validates everything after the v2 magic:
@@ -282,140 +312,110 @@ func readV2Envelope(br io.Reader) (persistHeaderV2, []byte, error) {
 	return hdr, payload, nil
 }
 
-// restoreSpace regenerates the workload view a header describes (the
-// full base space, or a churned subset through Perm).
-func restoreSpace(cfg Config, hdrName string, perm []int32, capacity, n int) (metric.Space, string, error) {
+// arenaSnapshot binds and validates loaded arena bytes (mapping window
+// when m is set, heap buffer otherwise) as a flat-only snapshot: what
+// OpenSnapshotFile serves at once and what HydrateOver starts from.
+// Ownership of m passes to the snapshot; on error it is unmapped.
+func arenaSnapshot(hdr persistHeaderV2, payload []byte, m *mapping) (*Snapshot, error) {
+	flat := &FlatSnap{n: hdr.N, scheme: hdr.Scheme, buf: payload, m: m, sections: hdr.Sections}
+	flat.refs.Store(1)
+	err := flat.bind()
+	if err == nil {
+		err = flat.validate()
+	}
+	if err != nil {
+		if m != nil {
+			m.close()
+		}
+		return nil, err
+	}
+	return &Snapshot{
+		Config:    hdr.Config.withDefaults(),
+		Name:      hdr.Name,
+		LabelMeta: hdr.LabelMeta,
+		Perm:      hdr.Perm,
+		Capacity:  hdr.Capacity,
+		Flat:      flat,
+		n:         hdr.N,
+	}, nil
+}
+
+// ownSpace regenerates the workload view a flat-only snapshot's header
+// describes (the full base space, or a churned subset through Perm).
+func (s *Snapshot) ownSpace() (metric.Space, string, error) {
 	var space metric.Space
-	name := hdrName
-	if perm != nil {
-		spec := cfg.spec()
-		base, _, err := workload.ChurnBase(spec, capacity)
+	name := s.Name
+	if s.Perm != nil {
+		base, _, err := workload.ChurnBase(s.Config.Spec(), s.Capacity)
 		if err != nil {
 			return nil, "", err
 		}
-		for _, b := range perm {
+		for _, b := range s.Perm {
 			if int(b) < 0 || int(b) >= base.N() {
 				return nil, "", fmt.Errorf("oracle: perm references base node %d of %d", b, base.N())
 			}
 		}
-		space = metric.NewSubspace(base, perm)
+		space = metric.NewSubspace(base, s.Perm)
 	} else {
 		var err error
-		space, name, err = cfg.spec().Space()
-		if err != nil {
+		if space, name, err = s.Config.Spec().Space(); err != nil {
 			return nil, "", err
 		}
-		if hdrName != "" {
-			name = hdrName
+		if s.Name != "" {
+			name = s.Name
 		}
-	}
-	if space.N() != n {
-		return nil, "", fmt.Errorf("oracle: restored space has %d nodes, header says %d", space.N(), n)
 	}
 	return space, name, nil
 }
 
-// readSnapshotV2 is the full-restore read of a v2 stream (after the
-// magic): validate the envelope, bind the arenas, materialize pointer
-// labels from them, and rebuild every derived artifact. The restored
-// snapshot keeps the file's exact arena bytes as its flat form, so a
-// re-write reproduces the file bit for bit.
-func readSnapshotV2(br io.Reader) (*Snapshot, error) {
-	hdr, payload, err := readV2Envelope(br)
+// Hydrate is HydrateOver the workload the snapshot's own header names.
+func (s *Snapshot) Hydrate() (*Snapshot, error) {
+	space, name, err := s.ownSpace()
 	if err != nil {
 		return nil, err
 	}
-	flat, err := flatFromSections(hdr.N, hdr.Scheme, payload, hdr.Sections, nil)
-	if err != nil {
-		return nil, err
-	}
-	cfg := hdr.Config.withDefaults()
-	space, name, err := restoreSpace(cfg, hdr.Name, hdr.Perm, hdr.Capacity, hdr.N)
-	if err != nil {
-		return nil, err
-	}
-	var preLabels labelSource
-	if hdr.Scheme == SchemeLabels {
-		preLabels = func(idx metric.BallIndex) ([]*distlabel.Label, LabelMeta, error) {
-			return flat.materializeLabels(), hdr.LabelMeta, nil
-		}
-	}
-	snap, err := buildSnapshotOver(cfg, space, name, preLabels)
-	if err != nil {
-		return nil, err
-	}
-	snap.Perm = hdr.Perm
-	snap.Capacity = hdr.Capacity
-	// Serve (and re-persist) the file's own arena bytes rather than the
-	// repack of the materialized labels; the two are identical by the
-	// canonical layout, but keeping the originals makes the write →
-	// read → write byte-identity structural instead of incidental.
-	snap.Flat = flat
-	return snap, nil
+	return s.HydrateOver(space, name)
 }
 
-// ReadSnapshotOver restores a full snapshot from a v2 stream over a
-// caller-supplied space — the warm-boot path for snapshots whose space
-// is not regenerable from their own Config, i.e. fleet shards built
-// over subspaces of a shared global workload (the shard's header knows
-// its node count and labels but not the partition; the fleet
-// regenerates base space and partition deterministically and hands
-// each shard its subspace here). Only v2 files are accepted: per-shard
-// persistence postdates the v1 format.
-func ReadSnapshotOver(r io.Reader, space metric.Space, name string) (*Snapshot, error) {
-	return ReadSnapshotFor(r, name, func([]int32, int) (metric.Space, error) {
-		return space, nil
-	})
-}
-
-// ReadSnapshotFor is ReadSnapshotOver with the space resolved from the
-// stream's own membership header: spaceOf receives the header's Perm
-// (nil for a static subspace) and node count and returns the matching
-// space. This is the replica-shipping path — under churn every shipped
-// snapshot carries a different membership, so a receiver cannot fix the
-// space up front the way a warm boot can.
-func ReadSnapshotFor(r io.Reader, name string, spaceOf func(perm []int32, n int) (metric.Space, error)) (*Snapshot, error) {
-	br := bufio.NewReader(r)
-	magic := make([]byte, len(persistMagicV2))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("oracle: snapshot magic: %w", err)
+// HydrateOver is the one routine that turns an arena into a full
+// snapshot; every restore entry point (ReadSnapshot*, Hydrate, fleet
+// warm boots) ends here. It builds only what queries read — ball index,
+// overlay, router, and under SchemeBeacons the triangulation — around
+// the receiver's arena as is: no copy, no pointer labels, no ring
+// construction under SchemeLabels. The space is the caller's because a
+// fleet shard's (a subspace of the shared workload) is not regenerable
+// from its own Config.
+//
+// The result shares the receiver's FlatSnap and takes over its one
+// creation reference: swap it in WITHOUT closing the receiver (readers
+// of either pin the same refcount) and Close the result once it has
+// left service — that single release is what unmaps.
+func (s *Snapshot) HydrateOver(space metric.Space, name string) (*Snapshot, error) {
+	start := time.Now()
+	if s.Flat == nil || s.Idx != nil {
+		return nil, fmt.Errorf("oracle: hydrate needs a flat-only snapshot (a v2 OpenSnapshotFile result)")
 	}
-	if string(magic) != persistMagicV2 {
-		return nil, fmt.Errorf("oracle: not a v2 snapshot file (magic %q; per-shard snapshots require the v2 format)", magic)
+	if space.N() != s.n {
+		return nil, fmt.Errorf("oracle: snapshot holds %d nodes, its space has %d", s.n, space.N())
 	}
-	hdr, payload, err := readV2Envelope(br)
+	full, params, err := indexSnapshot(s.Config, space, name)
 	if err != nil {
 		return nil, err
 	}
-	space, err := spaceOf(hdr.Perm, hdr.N)
-	if err != nil {
+	full.LabelMeta, full.Perm, full.Capacity, full.Flat = s.LabelMeta, s.Perm, s.Capacity, s.Flat
+	tasks := []func() error{full.buildOverlay, full.buildRouter}
+	if s.Flat.scheme == SchemeBeacons {
+		tasks = append(tasks, func() error {
+			_, err := full.buildTri(params)
+			return err
+		})
+	}
+	if err := par.Group(tasks...); err != nil {
 		return nil, err
 	}
-	if hdr.N != space.N() {
-		return nil, fmt.Errorf("oracle: snapshot holds %d nodes, supplied space has %d", hdr.N, space.N())
-	}
-	flat, err := flatFromSections(hdr.N, hdr.Scheme, payload, hdr.Sections, nil)
-	if err != nil {
-		return nil, err
-	}
-	cfg := hdr.Config.withDefaults()
-	var preLabels labelSource
-	if hdr.Scheme == SchemeLabels {
-		preLabels = func(idx metric.BallIndex) ([]*distlabel.Label, LabelMeta, error) {
-			return flat.materializeLabels(), hdr.LabelMeta, nil
-		}
-	}
-	if name == "" {
-		name = hdr.Name
-	}
-	snap, err := buildSnapshotOver(cfg, space, name, preLabels)
-	if err != nil {
-		return nil, err
-	}
-	snap.Perm = hdr.Perm
-	snap.Capacity = hdr.Capacity
-	snap.Flat = flat
-	return snap, nil
+	full.finishBuild(start)
+	observeOpen(openModeRestore, start)
+	return full, nil
 }
 
 // OpenSnapshotFile opens a snapshot file for serving in O(header): a v2
@@ -423,21 +423,29 @@ func ReadSnapshotFor(r io.Reader, name string, spaceOf func(perm []int32, n int)
 // unavailable), its checksums validated, and the returned snapshot
 // serves estimates directly from the file-backed arenas — no label
 // decode, no derived-artifact rebuild. The result is flat-only: Idx,
-// Labels, Overlay and Router are nil until the caller hydrates a full
-// snapshot (ReadSnapshot) and swaps it in; Nearest/Route return their
-// usual sentinel errors meanwhile. A v1 file falls back to the full
-// ReadSnapshot conversion. Callers must Close the returned snapshot
-// once it has been swapped out of every engine.
+// Overlay and Router are nil until the caller swaps in its Hydrate
+// result (which keeps serving this same mapping); Nearest/Route return
+// their usual sentinel errors meanwhile. A v1 file falls back to the
+// full ReadSnapshot conversion. Callers must Close the returned
+// snapshot — or the hydrated one that took its arena over — once it has
+// been swapped out of every engine.
 func OpenSnapshotFile(path string) (*Snapshot, error) {
 	start := time.Now()
 	snap, mode, err := openSnapshotFile(path)
-	if err != nil {
+	switch {
+	case mode == openModeRestore: // a v1 file: readSnapshot recorded the conversion or its failure
+	case err != nil:
 		mOpenErrors.Inc()
-		return nil, err
+	default:
+		observeOpen(mode, start)
 	}
+	return snap, err
+}
+
+// observeOpen records one completed open or restore under its mode.
+func observeOpen(mode string, start time.Time) {
 	mOpenTotal.With(mode).Inc()
 	mOpenUs.With(mode).Observe(float64(time.Since(start)) / float64(time.Microsecond))
-	return snap, nil
 }
 
 // openSnapshotFile is OpenSnapshotFile minus the telemetry: it reports
@@ -457,7 +465,7 @@ func openSnapshotFile(path string) (*Snapshot, string, error) {
 		if _, err := f.Seek(0, io.SeekStart); err != nil {
 			return nil, "", err
 		}
-		snap, err := readSnapshotAny(f)
+		snap, err := readSnapshot(f, "", nil)
 		return snap, openModeRestore, err
 	case persistMagicV2:
 	default:
@@ -493,20 +501,8 @@ func openSnapshotFile(path string) (*Snapshot, string, error) {
 			return nil, "", err
 		}
 	}
-	flat, err := flatFromSections(hdr.N, hdr.Scheme, payload, hdr.Sections, m)
-	if err != nil {
-		return nil, "", err
-	}
-	cfg := hdr.Config.withDefaults()
-	return &Snapshot{
-		Config:    cfg,
-		Name:      hdr.Name,
-		LabelMeta: hdr.LabelMeta,
-		Perm:      hdr.Perm,
-		Capacity:  hdr.Capacity,
-		Flat:      flat,
-		n:         hdr.N,
-	}, mode, nil
+	snap, err := arenaSnapshot(hdr, payload, m)
+	return snap, mode, err
 }
 
 // sliceV2Envelope validates a v2 file presented as one byte slice (the
@@ -544,10 +540,12 @@ func sliceV2Envelope(data []byte) (persistHeaderV2, []byte, error) {
 	return hdr, payload, nil
 }
 
-// readSnapshotV1 restores a legacy v1 stream (after the magic): decode
-// the codec-rounded wire labels and rebuild everything else. Kept so
+// readSnapshotV1 restores a legacy v1 stream (after the magic). Kept so
 // pre-v2 snapshot files keep warm-starting (they convert: the next
-// persist writes v2).
+// persist writes v2): the codec-rounded wire labels decode and repack
+// into a heap arena for HydrateOver; a beacons v1 file carries no
+// estimator payload and is simply rebuilt. The conversion indexes the
+// space twice (once for the codec's range) — a one-off per legacy file.
 func readSnapshotV1(br *bufio.Reader) (*Snapshot, error) {
 	hdrLen, err := binary.ReadUvarint(br)
 	if err != nil {
@@ -561,60 +559,56 @@ func readSnapshotV1(br *bufio.Reader) (*Snapshot, error) {
 	if err := json.Unmarshal(hdrBuf, &hdr); err != nil {
 		return nil, fmt.Errorf("oracle: snapshot header: %w", err)
 	}
-
-	cfg := hdr.Config.withDefaults()
-	space, name, err := restoreSpace(cfg, hdr.Name, hdr.Perm, hdr.Capacity, hdr.N)
+	fast := &Snapshot{
+		Config:    hdr.Config.withDefaults(),
+		Name:      hdr.Name,
+		LabelMeta: hdr.LabelMeta,
+		Perm:      hdr.Perm,
+		Capacity:  hdr.Capacity,
+		n:         hdr.N,
+	}
+	space, name, err := fast.ownSpace()
 	if err != nil {
 		return nil, err
 	}
-
-	var preLabels labelSource
-	if hdr.Labels > 0 {
-		if hdr.Labels != hdr.N {
-			return nil, fmt.Errorf("oracle: %d label blocks for %d nodes", hdr.Labels, hdr.N)
+	if hdr.Labels == 0 {
+		snap, err := BuildSnapshotOver(fast.Config, space, name)
+		if err != nil {
+			return nil, err
 		}
-		blocks := make([][]byte, hdr.Labels)
-		bits := make([]int, hdr.Labels)
-		for u := 0; u < hdr.Labels; u++ {
-			b, err := binary.ReadUvarint(br)
-			if err != nil {
-				return nil, fmt.Errorf("oracle: label %d frame: %w", u, err)
-			}
-			bits[u] = int(b)
-			blocks[u] = make([]byte, (b+7)/8)
-			if _, err := io.ReadFull(br, blocks[u]); err != nil {
-				return nil, fmt.Errorf("oracle: label %d: %w", u, err)
-			}
-		}
-		preLabels = func(idx metric.BallIndex) ([]*distlabel.Label, LabelMeta, error) {
-			wire, err := wireFor(idx, cfg, hdr.LabelMeta)
-			if err != nil {
-				return nil, LabelMeta{}, err
-			}
-			labels := make([]*distlabel.Label, hdr.Labels)
-			for u := range labels {
-				lab, err := wire.Decode(blocks[u], bits[u])
-				if err != nil {
-					return nil, LabelMeta{}, fmt.Errorf("oracle: decode label %d: %w", u, err)
-				}
-				labels[u] = lab
-			}
-			return labels, hdr.LabelMeta, nil
-		}
+		snap.Perm, snap.Capacity = hdr.Perm, hdr.Capacity
+		return snap, nil
 	}
-	snap, err := buildSnapshotOver(cfg, space, name, preLabels)
+	if hdr.Labels != hdr.N || space.N() != hdr.N {
+		return nil, fmt.Errorf("oracle: %d label blocks for %d nodes over a %d-node space", hdr.Labels, hdr.N, space.N())
+	}
+	probe, _, err := indexSnapshot(fast.Config, space, name)
 	if err != nil {
 		return nil, err
 	}
-	snap.Perm = hdr.Perm
-	snap.Capacity = hdr.Capacity
-	return snap, nil
-}
-
-// wireFor mirrors Snapshot.LabelWire for a not-yet-assembled snapshot.
-func wireFor(idx metric.BallIndex, cfg Config, meta LabelMeta) (distlabel.Wire, error) {
-	tmp := &Snapshot{Config: cfg, Idx: idx, LabelMeta: meta, Labels: []*distlabel.Label{}}
-	return tmp.LabelWire()
+	probe.LabelMeta = hdr.LabelMeta
+	wire, err := probe.LabelWire()
+	if err != nil {
+		return nil, err
+	}
+	labels := make([]*distlabel.Label, hdr.Labels)
+	for u := range labels {
+		bits, err := binary.ReadUvarint(br)
+		if err != nil {
+			return nil, fmt.Errorf("oracle: label %d frame: %w", u, err)
+		}
+		block := make([]byte, (bits+7)/8)
+		if _, err := io.ReadFull(br, block); err != nil {
+			return nil, fmt.Errorf("oracle: label %d: %w", u, err)
+		}
+		if labels[u], err = wire.Decode(block, int(bits)); err != nil {
+			return nil, fmt.Errorf("oracle: decode label %d: %w", u, err)
+		}
+	}
+	if fast.Flat, err = newFlatFromLabels(labels); err != nil {
+		return nil, err
+	}
+	return fast.HydrateOver(space, name)
 }
 
 type countingWriter struct {

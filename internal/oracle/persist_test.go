@@ -22,8 +22,8 @@ func persistConfigs() []Config {
 // TestSnapshotPersistRoundTrip is the persistence property: write →
 // read → write is byte-identical (the canonical wire encoding is a
 // fixed point), and the loaded snapshot answers exactly like labels
-// decoded from the file (estimates) and like the deterministically
-// rebuilt artifacts (nearest, routes).
+// materialized from the file's arena (estimates) and like the
+// deterministically rebuilt artifacts (nearest, routes).
 func TestSnapshotPersistRoundTrip(t *testing.T) {
 	for _, cfg := range persistConfigs() {
 		snap, err := BuildSnapshot(cfg)
@@ -55,13 +55,17 @@ func TestSnapshotPersistRoundTrip(t *testing.T) {
 		if snap.Labels != nil {
 			// Loaded estimates must equal direct estimates on the decoded
 			// labels — the snapshot adds nothing beyond the file content.
+			decoded, err := loaded.MaterializeLabels()
+			if err != nil {
+				t.Fatal(err)
+			}
 			for u := 0; u < n; u++ {
 				for v := 0; v < n; v += 3 {
 					got, err := loaded.Estimate(u, v)
 					if err != nil {
 						t.Fatal(err)
 					}
-					lo, up, ok := distlabel.Estimate(loaded.Labels[u], loaded.Labels[v])
+					lo, up, ok := distlabel.Estimate(decoded[u], decoded[v])
 					if got.Lower != lo || got.Upper != up || got.OK != ok {
 						t.Fatalf("%s: estimate(%d,%d) diverges from decoded labels", cfg.Workload, u, v)
 					}

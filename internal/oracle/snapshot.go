@@ -43,14 +43,15 @@ type Snapshot struct {
 	Version int64
 	// Idx is the ball index over the workload's space.
 	Idx metric.BallIndex
-	// Tri is the Theorem 3.2 triangulation (always built; it shares its
-	// construction with the labels).
+	// Tri is the Theorem 3.2 triangulation: always on a cold build (it
+	// shares its construction with the labels), on a restored snapshot
+	// only under SchemeBeacons, where it is the estimator.
 	Tri *triangulation.Triangulation
-	// Scheme and Labels are the Theorem 3.4 labeling (both nil under
-	// SchemeBeacons). Labels alone answers estimates; Scheme is the full
-	// build-side object and is nil on snapshots whose labels were
-	// repaired incrementally (churn) or decoded from disk (warm start) —
-	// when present, Labels[u] == Scheme.Label(u).
+	// Scheme and Labels are the Theorem 3.4 labeling in pointer form,
+	// carried by build-side snapshots only (both nil under SchemeBeacons
+	// and on every restored snapshot, which serves from Flat alone — see
+	// MaterializeLabels). Scheme is the full build object, nil on churn
+	// deltas; when present, Labels[u] == Scheme.Label(u).
 	Scheme *distlabel.Scheme
 	Labels []*distlabel.Label
 	// Overlay is the Meridian-style ring overlay (nil under SkipOverlay).
@@ -74,7 +75,7 @@ type Snapshot struct {
 
 	// LabelMeta carries the scheme-wide label constants (zero under
 	// SchemeBeacons). It exists so snapshots whose labels did not come
-	// from a live *distlabel.Scheme — churn deltas, warm starts — can
+	// from a live *distlabel.Scheme — churn deltas, restores — can
 	// still derive a Wire codec.
 	LabelMeta LabelMeta
 
@@ -82,8 +83,9 @@ type Snapshot struct {
 	// beacon sets). Every assembled snapshot carries it; the Engine's
 	// hot path reads it instead of the pointer structures, and the v2
 	// persisted format is exactly its bytes. A snapshot opened via
-	// OpenSnapshotFile may carry ONLY Flat (plus config/meta): estimates
-	// work immediately, Nearest/Route/Idx-dependent calls need hydration.
+	// OpenSnapshotFile carries ONLY Flat (plus config/meta): estimates
+	// work immediately, Nearest/Route/Idx-dependent calls need Hydrate,
+	// whose result shares this same arena.
 	Flat *FlatSnap
 
 	// n caches the node count so flat-only snapshots (Idx == nil) can
@@ -113,11 +115,22 @@ type LabelMeta struct {
 	Level0Count int `json:"level0_count"`
 }
 
+// scheme reports which estimator the snapshot answers from: the one its
+// arena encodes (what the Engine serves), else the build recipe's.
+func (s *Snapshot) scheme() string {
+	if s.Flat != nil {
+		return s.Flat.scheme
+	}
+	return s.Config.Scheme
+}
+
 // LabelWire derives the serialization context of the snapshot's labels
 // — the same context Scheme.Wire would return for the scheme that
-// (conceptually) produced them. It errors under SchemeBeacons.
+// (conceptually) produced them — from LabelMeta and the index alone,
+// resident pointer labels or not. It errors under SchemeBeacons and
+// before hydration.
 func (s *Snapshot) LabelWire() (distlabel.Wire, error) {
-	if s.Labels == nil {
+	if s.scheme() != SchemeLabels || s.Idx == nil {
 		return distlabel.Wire{}, fmt.Errorf("oracle: snapshot has no labels to serialize")
 	}
 	codec, err := bitio.NewDistCodec(s.Idx.MinDistance(), s.Idx.Diameter(), s.Config.Delta/6)
@@ -130,6 +143,24 @@ func (s *Snapshot) LabelWire() (distlabel.Wire, error) {
 		Level0Count: s.LabelMeta.Level0Count,
 		Codec:       codec,
 	}, nil
+}
+
+// MaterializeLabels returns the Theorem 3.4 labels in pointer form: the
+// resident ones on a build-side snapshot, else a copy rebuilt from the
+// label arena. It feeds byte-identity tests and wire tooling; serving
+// code reads the arena and never calls it.
+func (s *Snapshot) MaterializeLabels() ([]*distlabel.Label, error) {
+	if s.Labels != nil {
+		return s.Labels, nil
+	}
+	if s.scheme() != SchemeLabels || s.Flat == nil {
+		return nil, fmt.Errorf("oracle: snapshot has no labels to materialize")
+	}
+	if !s.Flat.pin() {
+		return nil, errArenaClosed
+	}
+	defer s.Flat.unpin()
+	return s.Flat.materializeLabels(), nil
 }
 
 // setOverlay installs the overlay plus its derived query parameters.
@@ -170,9 +201,9 @@ type Artifacts struct {
 // BuildSnapshot would, and packing the flat serving arenas. It is the
 // commit path of the churn engine — which repairs artifacts
 // incrementally and must still publish an ordinary, immutable Snapshot
-// — and of the persistence warm start, which decodes labels and
-// rebuilds the rest.
-func AssembleSnapshot(cfg Config, name string, a Artifacts, elapsed time.Duration, build BuildStats) *Snapshot {
+// (restores go through the arena path in persist.go instead). It fails
+// only when the estimator cannot be packed.
+func AssembleSnapshot(cfg Config, name string, a Artifacts, elapsed time.Duration, build BuildStats) (*Snapshot, error) {
 	cfg = cfg.withDefaults()
 	snap := &Snapshot{
 		Config:       cfg,
@@ -199,12 +230,11 @@ func AssembleSnapshot(cfg Config, name string, a Artifacts, elapsed time.Duratio
 	// The pack is a linear copy of the label/beacon payload — cheap next
 	// to any build or repair that produced the artifacts. Packing at
 	// every assembly (including churn delta commits) keeps the invariant
-	// that a served snapshot always has its flat form and its v2
-	// persisted form available.
-	if flat, err := newFlatForSnapshot(snap); err == nil {
-		snap.Flat = flat
-	}
-	return snap
+	// the Engine serves by: a snapshot always has its flat form (and with
+	// it its v2 persisted form).
+	var err error
+	snap.Flat, err = newFlatForSnapshot(snap)
+	return snap, err
 }
 
 // BuildStats is the per-phase wall-clock breakdown of one BuildSnapshot
@@ -240,14 +270,8 @@ type BuildStats struct {
 	TotalSec   float64 `json:"total_sec"`
 }
 
-// N reports the node count of the snapshot's space (available even on
-// flat-only snapshots, which carry no ball index).
-func (s *Snapshot) N() int {
-	if s.Idx != nil {
-		return s.Idx.N()
-	}
-	return s.n
-}
+// N reports the node count (flat-only snapshots know it too).
+func (s *Snapshot) N() int { return s.n }
 
 // EstimateResult is one distance estimate. Lower and Upper sandwich the
 // true distance; Upper is the (1+δ)-approximate estimate.
@@ -293,10 +317,11 @@ func (s *Snapshot) checkNode(kind string, u int) error {
 }
 
 // Estimate answers one distance estimate directly from the snapshot's
-// estimator, bypassing any cache: under SchemeLabels it is exactly
-// distlabel.Estimate(Labels[u], Labels[v]); under SchemeBeacons exactly
-// Tri.Estimate(u, v). Flat-only snapshots (OpenSnapshotFile) answer
-// from the arenas — bit-identical to the pointer path by construction.
+// estimator, bypassing any cache. The scheme picks the estimator, not
+// which pointers happen to be set: a build-side snapshot answers with
+// the reference walk — exactly distlabel.Estimate(Labels[u], Labels[v])
+// under SchemeLabels, Tri.Estimate(u, v) under SchemeBeacons — and an
+// arena-only one from the pinned arena, bit-identical by construction.
 func (s *Snapshot) Estimate(u, v int) (EstimateResult, error) {
 	if err := s.checkNode("estimate", u); err != nil {
 		return EstimateResult{}, err
@@ -305,13 +330,19 @@ func (s *Snapshot) Estimate(u, v int) (EstimateResult, error) {
 		return EstimateResult{}, err
 	}
 	res := EstimateResult{U: u, V: v, Version: s.Version}
-	switch {
-	case s.Labels != nil:
+	switch scheme := s.scheme(); {
+	case scheme == SchemeLabels && s.Labels != nil:
 		res.Lower, res.Upper, res.OK = distlabel.Estimate(s.Labels[u], s.Labels[v])
-	case s.Tri != nil:
+	case scheme == SchemeBeacons && s.Tri != nil:
 		res.Lower, res.Upper, res.OK = s.Tri.Estimate(u, v)
+	case s.Flat == nil:
+		return EstimateResult{}, fmt.Errorf("oracle: snapshot has no estimator")
 	default:
+		if !s.Flat.pin() {
+			return EstimateResult{}, errArenaClosed
+		}
 		res.Lower, res.Upper, res.OK = s.Flat.estimatePair(u, v)
+		s.Flat.unpin()
 	}
 	return res, nil
 }

@@ -125,13 +125,7 @@ func NewFleet(cfg Config) (*Fleet, error) {
 		return nil, err
 	}
 	start := time.Now()
-	spec := workload.MetricSpec{
-		Name:      cfg.Oracle.Workload,
-		N:         cfg.Oracle.N,
-		Side:      cfg.Oracle.Side,
-		LogAspect: cfg.Oracle.LogAspect,
-		Seed:      cfg.Oracle.Seed,
-	}
+	spec := cfg.Oracle.Spec()
 	var (
 		base     metric.Space
 		name     string
@@ -481,8 +475,8 @@ func (f *Fleet) updateDownGauge() {
 	f.metrics.replicasDown.Set(float64(f.ReplicasDown()))
 }
 
-// Close stops the health prober and releases replica transports. Safe
-// to call more than once.
+// Close stops the health prober and releases replica transports and
+// mapped snapshot files. Safe to call more than once.
 func (f *Fleet) Close() {
 	f.closeOnce.Do(func() {
 		close(f.probeStop)
@@ -492,6 +486,7 @@ func (f *Fleet) Close() {
 				_ = rep.b.Close()
 			}
 		}
+		f.releaseSnapshots()
 	})
 }
 

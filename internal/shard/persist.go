@@ -8,7 +8,6 @@ import (
 	"rings/internal/metric"
 	"rings/internal/oracle"
 	"rings/internal/par"
-	"rings/internal/workload"
 )
 
 // SnapshotPath names shard s's snapshot file under a base path: one
@@ -22,9 +21,11 @@ func SnapshotPath(base string, s int) string {
 // by cmd/ringsrv on every swap, named by SnapshotPath). The global
 // workload, partition and beacon tier regenerate deterministically from
 // cfg — only the per-shard label payloads come from disk, which skips
-// the dominant build phase for every shard. All K files must exist and
-// match the partition (node counts are validated by the v2 restore);
-// callers fall back to NewFleet when any is missing.
+// the dominant build phase for every shard: each primary maps its file
+// and serves straight from the mapping (oracle.HydrateOver; released by
+// Fleet.Close). All K files must exist and match the partition (node
+// counts are validated by the v2 restore); callers fall back to
+// NewFleet when any is missing.
 //
 // Churn fleets are refused: membership lives in the per-shard mutators,
 // whose repair state is not reconstructible from the persisted labels
@@ -38,14 +39,7 @@ func OpenFleet(cfg Config, snapBase string) (*Fleet, error) {
 		return nil, fmt.Errorf("shard: churn fleets boot fresh (mutator state is not persisted); snapshot files remain valid for a plain warm start")
 	}
 	start := time.Now()
-	spec := workload.MetricSpec{
-		Name:      cfg.Oracle.Workload,
-		N:         cfg.Oracle.N,
-		Side:      cfg.Oracle.Side,
-		LogAspect: cfg.Oracle.LogAspect,
-		Seed:      cfg.Oracle.Seed,
-	}
-	base, name, err := spec.Space()
+	base, name, err := cfg.Oracle.Spec().Space()
 	if err != nil {
 		return nil, err
 	}
@@ -65,36 +59,43 @@ func OpenFleet(cfg Config, snapBase string) (*Fleet, error) {
 
 	loaders := make([]func() error, cfg.Shards)
 	for s := 0; s < cfg.Shards; s++ {
-		s := s
 		loaders[s] = func() error {
 			path := SnapshotPath(snapBase, s)
-			file, err := os.Open(path)
+			mapped, err := oracle.OpenSnapshotFile(path)
 			if err != nil {
 				return fmt.Errorf("shard %d: %w", s, err)
 			}
-			defer file.Close()
 			shardName := fmt.Sprintf("%s/shard%d-of-%d", name, s, cfg.Shards)
-			snap, err := oracle.ReadSnapshotOver(file, metric.NewSubspace(base, owned[s]), shardName)
+			snap, err := mapped.HydrateOver(metric.NewSubspace(base, owned[s]), shardName)
+			if err == nil && snap.Config.Scheme != cfg.Oracle.Scheme {
+				err = fmt.Errorf("snapshot scheme %q, fleet wants %q", snap.Config.Scheme, cfg.Oracle.Scheme)
+			}
 			if err != nil {
+				mapped.Close()
 				return fmt.Errorf("shard %d (%s): %w", s, path, err)
 			}
-			if snap.Config.Scheme != cfg.Oracle.Scheme {
-				return fmt.Errorf("shard %d (%s): snapshot scheme %q, fleet wants %q", s, path, snap.Config.Scheme, cfg.Oracle.Scheme)
-			}
 			unit := &shardUnit{engine: oracle.NewEngine(snap, cfg.Engine)}
-			if err := f.buildReplicas(unit, s, shardName, owned[s]); err != nil {
-				return err
-			}
 			unit.state.Store(f.newState(snap, owned[s], nil))
 			f.shards[s] = unit
-			return nil
+			return f.buildReplicas(unit, s, shardName, owned[s])
 		}
 	}
 	if err := par.Group(loaders...); err != nil {
+		f.releaseSnapshots()
 		return nil, err
 	}
 	f.finishInit(start)
 	return f, nil
+}
+
+// releaseSnapshots drops every primary's hold on its mapped shard file
+// (a no-op for built, heap-backed snapshots).
+func (f *Fleet) releaseSnapshots() {
+	for _, unit := range f.shards {
+		if unit != nil {
+			unit.engine.Snapshot().Close()
+		}
+	}
 }
 
 // SnapshotFilesExist reports whether every per-shard snapshot file is

@@ -180,8 +180,8 @@ func NewOracleEngine(snap *OracleSnapshot, opts OracleEngineOptions) *OracleEngi
 // ReadOracleSnapshot restores a snapshot persisted with
 // OracleSnapshot.WriteTo: the workload view (including a churned node
 // subset) regenerates from the header, derived artifacts rebuild
-// deterministically, and the labels decode from their wire blocks —
-// the warm start skips the dominant build phase.
+// deterministically, and estimates are served straight from the
+// persisted arena bytes — the warm start skips the dominant build phase.
 func ReadOracleSnapshot(r io.Reader) (*OracleSnapshot, error) {
 	return oracle.ReadSnapshot(r)
 }

@@ -94,6 +94,28 @@ func TestMetricsSingleMode(t *testing.T) {
 	if got := sampleValue(t, parsed["rings_engine_cache_events_total"], map[string]string{"event": "hit"}); got < 1 {
 		t.Errorf("cache hits = %v, want >= 1", got)
 	}
+
+	// Where the served arena's bytes are: the sections add up to the
+	// arena, and fewer lists are stored than keys name.
+	sections := parsed["rings_arena_section_bytes"]
+	if sections == nil || parsed["rings_arena_keys"] == nil || parsed["rings_arena_distinct_lists"] == nil {
+		t.Fatal("/metrics: arena accounting missing")
+	}
+	total := 0.0
+	for _, smp := range sections.Samples {
+		total += smp.Value
+	}
+	if arena := srv.engine.Snapshot().Flat.Bytes(); total != float64(arena) {
+		t.Errorf("arena sections sum to %v bytes, the arena holds %d", total, arena)
+	}
+	if got := sampleValue(t, sections, map[string]string{"section": "ents"}); got <= 0 {
+		t.Errorf("ents section = %v bytes", got)
+	}
+	keys := sampleValue(t, parsed["rings_arena_keys"], nil)
+	lists := sampleValue(t, parsed["rings_arena_distinct_lists"], nil)
+	if lists <= 0 || lists >= keys {
+		t.Errorf("%v lists stored for %v keys", lists, keys)
+	}
 }
 
 func TestMetricsFleetMode(t *testing.T) {
@@ -112,6 +134,8 @@ func TestMetricsFleetMode(t *testing.T) {
 		"shard0_rings_engine_requests_total",
 		"shard1_rings_engine_requests_total",
 		"shard2_rings_engine_requests_total",
+		"shard0_rings_arena_section_bytes",
+		"shard2_rings_arena_distinct_lists",
 	} {
 		if parsed[name] == nil {
 			t.Errorf("/metrics: family %q missing", name)

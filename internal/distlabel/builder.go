@@ -22,9 +22,10 @@ type VirtualSet interface {
 	// IndexOf reports ψ_v(w).
 	IndexOf(v, w int) (int, bool)
 	// Identity reports whether ψ_v is the identity enumeration of the
-	// whole node set (T_v = {0..n-1}, ψ_v(w) = w). Implementations may
-	// always return false — it only unlocks a fill fast path that skips
-	// the per-entry searches; the emitted entries are identical.
+	// whole node set (T_v = {0..n-1}, ψ_v(w) = w). Every identity key of
+	// one level translates through the same list, which the filler emits
+	// once and the keys share; the entries themselves are what the
+	// per-entry searches would produce.
 	Identity(v int) bool
 }
 
@@ -33,7 +34,10 @@ type enumVirtualSet []core.Enum
 
 func (e enumVirtualSet) Nodes(v int) []int            { return e[v].Nodes() }
 func (e enumVirtualSet) IndexOf(v, w int) (int, bool) { return e[v].IndexOf(w) }
-func (e enumVirtualSet) Identity(v int) bool          { return false }
+
+// Identity: T_v is a set of ids below n enumerated ascending, so holding
+// all n of them makes ψ_v the identity.
+func (e enumVirtualSet) Identity(v int) bool { return e[v].Size() == len(e) }
 
 // Level0Count reports the size of the shared level-0 host prefix
 // |X_00 ∪ Y_00| (identical across nodes by the level-0 uniformization).
@@ -64,9 +68,9 @@ type LabelScratch struct {
 	nextZ []int32
 	// entries accumulates one level's ζ entries (reused across levels
 	// and nodes: appends stop allocating once it reaches the high-water
-	// mark); meta records the per-x spans. The persistent label gets one
-	// exact-size copy per level, so append-growth never memmoves label
-	// data twice.
+	// mark); meta records the per-x spans, which coincide for the keys
+	// that share a list. The persistent label gets one exact-size copy
+	// per level, so append-growth never memmoves label data twice.
 	entries []TransEntry
 	meta    []transMeta
 }
@@ -124,7 +128,9 @@ func FillLabel(cons *triangulation.Construction, u int, host core.Enum, level0Co
 	// entries then come from one linear scan of ψ_v's node list — the
 	// index in that list IS psi — with zero hash lookups in the hot pair
 	// loop, and entries emerge already sorted by Y. One backing array per
-	// level replaces per-x entry slices.
+	// level replaces per-x entry slices; the keys v whose ψ_v is the
+	// identity all translate through the same list (Y = the next-level
+	// neighbor's id), stored once and aliased by each of them.
 	for i := 0; i < cons.IMax; i++ {
 		sc.level = intset.MergeSorted(sc.level[:0], cons.X[u][i], cons.Y[u][i])
 		sc.next = intset.MergeSorted(sc.next[:0], cons.X[u][i+1], cons.Y[u][i+1])
@@ -137,6 +143,7 @@ func FillLabel(cons *triangulation.Construction, u int, host core.Enum, level0Co
 		}
 		sc.entries = sc.entries[:0]
 		sc.meta = sc.meta[:0]
+		idStart, idEnd := -1, -1 // the level's identity list, once emitted
 		for _, v := range sc.level {
 			x, ok := host.IndexOf(v)
 			if !ok {
@@ -144,13 +151,16 @@ func FillLabel(cons *triangulation.Construction, u int, host core.Enum, level0Co
 			}
 			first := len(sc.entries)
 			if vs.Identity(v) {
-				// ψ_v(w) = w: emit entries directly (identical to what
-				// either search branch below would produce).
-				for _, wNode := range sc.next {
-					sc.entries = append(sc.entries, TransEntry{Y: int32(wNode), Z: sc.nextZ[wNode]})
+				// ψ_v(w) = w: identical to what either search branch below
+				// would produce, and the same for every such v.
+				if idEnd < 0 {
+					for _, wNode := range sc.next {
+						sc.entries = append(sc.entries, TransEntry{Y: int32(wNode), Z: sc.nextZ[wNode]})
+					}
+					idStart, idEnd = first, len(sc.entries)
 				}
-				if len(sc.entries) > first {
-					sc.meta = append(sc.meta, transMeta{x: int32(x), start: int32(first), end: int32(len(sc.entries))})
+				if idEnd > idStart {
+					sc.meta = append(sc.meta, transMeta{x: int32(x), start: int32(idStart), end: int32(idEnd)})
 				}
 				continue
 			}

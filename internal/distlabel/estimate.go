@@ -53,13 +53,15 @@ func Estimate(lu, lv *Label) (lower, upper float64, ok bool) {
 		}
 		consider2(a, b)
 		for i := 0; i < len(mine.ZoomPsi); i++ {
+			// Labels of unequal depth (a truncated or cross-scheme wire
+			// label) stop at the shallower one, as the flat walk does.
+			if i >= len(mine.Trans) || i >= len(other.Trans) {
+				return
+			}
 			// Harvest all virtual neighbors of f that both sides can
 			// translate at this level (the paper's final-stage scan, done
 			// at every level since the critical one is unknown).
 			harvest(mine.Trans[i], other.Trans[i], a, b, consider2)
-			if i >= len(other.Trans) {
-				return
-			}
 			y := mine.ZoomPsi[i]
 			na := lookup(mine.Trans[i], int32(a), y)
 			nb := lookup(other.Trans[i], int32(b), y)

@@ -108,3 +108,64 @@ func TestTranslateTotality(t *testing.T) {
 		}
 	}
 }
+
+// Labels of unequal depth — a truncated or cross-scheme wire label
+// arriving through the public API — must be answered, not indexed out of
+// range: the walk stops at the shallower label, on either side, and
+// still returns the sandwich of what it did harvest.
+func TestEstimateOnTruncatedLabels(t *testing.T) {
+	g, err := metric.NewGrid(5, 2, metric.L2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx := metric.NewIndex(g)
+	s, err := New(idx, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := s.Label(3)
+	if len(full.Trans) < 2 {
+		t.Skip("labels too shallow to truncate")
+	}
+	noMaps, shallow := *full, *full
+	noMaps.Trans = nil // zoom pointers without a single translation map
+	shallow.Trans, shallow.ZoomPsi = full.Trans[:1], full.ZoomPsi[:1]
+	for _, cut := range []*Label{&noMaps, &shallow} {
+		for v := 0; v < idx.N(); v++ {
+			d := idx.Dist(3, v)
+			for _, pair := range [][2]*Label{{cut, s.Label(v)}, {s.Label(v), cut}} {
+				lo, up, ok := Estimate(pair[0], pair[1])
+				if !ok || lo > d*(1+1e-9) || up < d*(1-1e-9) {
+					t.Fatalf("truncated label vs node %d: (%v, %v, %v) does not sandwich %v", v, lo, up, ok, d)
+				}
+			}
+		}
+	}
+}
+
+// The keys of a level whose ψ is the identity translate through one
+// list; FillLabel stores it once and the keys alias it.
+func TestIdentityKeysShareOneList(t *testing.T) {
+	g, err := metric.NewGrid(5, 2, metric.L2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(metric.NewIndex(g), 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys, lists := 0, 0
+	for u := 0; u < g.N(); u++ {
+		for _, lm := range s.Label(u).Trans {
+			first := make(map[*TransEntry]bool)
+			for _, entries := range lm {
+				first[&entries[0]] = true
+			}
+			keys += len(lm)
+			lists += len(first)
+		}
+	}
+	if lists == 0 || lists >= keys {
+		t.Fatalf("%d lists back %d keys: identity keys do not share", lists, keys)
+	}
+}

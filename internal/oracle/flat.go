@@ -1,8 +1,10 @@
 package oracle
 
 import (
+	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"unsafe"
@@ -43,7 +45,11 @@ type FlatSnap struct {
 	// ZoomPsi is psi[psiOff[u]:psiOff[u+1]], and its translation-map groups
 	// (one per level) are group indices levOff[u]..levOff[u+1]. A group g
 	// holds its sorted x keys at xkeys[xkOff[g]:xkOff[g+1]]; key slot k
-	// holds its Y-sorted (Y, Z) pairs interleaved at ents[2*entOff[k]:2*entOff[k+1]].
+	// names its Y-sorted (Y, Z) pairs by the span pair
+	// (s, e) = entSpan[2k], entSpan[2k+1]: they sit interleaved at
+	// ents[2s:2e]. Keys of a group whose lists are equal carry the same
+	// span — each distinct list of a group is stored once (saturated
+	// T-sets make every list of a group equal at lab scale).
 	distOff []int32
 	dists   []float64
 	l0      []int32 // per-node Level0Count
@@ -53,8 +59,10 @@ type FlatSnap struct {
 	levOff  []int32
 	xkOff   []int32
 	xkeys   []int32
-	entOff  []int32
+	entSpan []int32
 	ents    []int32
+	// lists is countLists() of the finished arena (for the gauges).
+	lists int
 
 	// SchemeBeacons views: node u's beacon set is ids bIDs[bOff[u]:bOff[u+1]]
 	// (ascending) with distances bDist over the same range.
@@ -71,6 +79,14 @@ type flatSection struct {
 	Kind  string `json:"kind"` // "f64" | "i32"
 	Off   int64  `json:"off"`  // byte offset into the arena
 	Count int64  `json:"count"`
+}
+
+// bytes reports the section's size in the arena.
+func (s flatSection) bytes() int64 {
+	if s.Kind == "f64" {
+		return 8 * s.Count
+	}
+	return 4 * s.Count
 }
 
 // Bytes reports the arena size (what one warm replica maps or holds).
@@ -138,12 +154,29 @@ const (
 	secLevOff  = "lev_off"
 	secXkOff   = "xk_off"
 	secXkeys   = "xkeys"
-	secEntOff  = "ent_off"
+	secEntSpan = "ent_span"
 	secEnts    = "ents"
 	secBOff    = "b_off"
 	secBIDs    = "b_ids"
 	secBDist   = "b_dist"
+
+	// secEntOffOld is the monotone per-key prefix table of the layout
+	// that stored every key's list separately. Its ents section means
+	// something else than today's, so a directory naming it is refused
+	// outright (ErrOldLayout) instead of being read under the new rules.
+	secEntOffOld = "ent_off"
 )
+
+// sectionNames lists every arena section, labels' then beacons'.
+var sectionNames = []string{
+	secDists, secDistOff, secL0, secZoom0, secPsiOff, secPsi, secLevOff,
+	secXkOff, secXkeys, secEntSpan, secEnts, secBOff, secBIDs, secBDist,
+}
+
+// ErrOldLayout rejects a v2 snapshot whose arena predates shared entry
+// lists. No reader is kept for that layout: the file is a cache of a
+// deterministic build, so the remedy is to delete it.
+var ErrOldLayout = errors.New("oracle: snapshot written before shared entry lists; delete it to rebuild")
 
 // flatLayout accumulates the section directory while sizing the arena:
 // float64 sections first (keeping them 8-aligned from a 0-aligned base),
@@ -154,12 +187,9 @@ type flatLayout struct {
 }
 
 func (l *flatLayout) add(name, kind string, count int) {
-	elem := int64(4)
-	if kind == "f64" {
-		elem = 8
-	}
-	l.sections = append(l.sections, flatSection{Name: name, Kind: kind, Off: l.off, Count: int64(count)})
-	l.off += elem * int64(count)
+	s := flatSection{Name: name, Kind: kind, Off: l.off, Count: int64(count)}
+	l.sections = append(l.sections, s)
+	l.off += s.bytes()
 }
 
 // alignedBytes allocates a zeroed byte slice whose base is 8-aligned
@@ -221,8 +251,10 @@ func (f *FlatSnap) bind() error {
 			f.xkOff, err = i32(s)
 		case secXkeys:
 			f.xkeys, err = i32(s)
-		case secEntOff:
-			f.entOff, err = i32(s)
+		case secEntSpan:
+			f.entSpan, err = i32(s)
+		case secEntOffOld:
+			return ErrOldLayout
 		case secEnts:
 			f.ents, err = i32(s)
 		case secBOff:
@@ -288,8 +320,17 @@ func (f *FlatSnap) validate() error {
 		if len(f.ents)%2 != 0 {
 			return fmt.Errorf("oracle: flat ents length %d is odd", len(f.ents))
 		}
-		if err := checkOff(secEntOff, f.entOff, len(f.xkeys)+1, len(f.ents)/2); err != nil {
-			return err
+		if len(f.entSpan) != 2*len(f.xkeys) {
+			return fmt.Errorf("oracle: flat section %s has %d bounds for %d keys", secEntSpan, len(f.entSpan), len(f.xkeys))
+		}
+		// Spans may repeat and need not be monotone, so each is bounded on
+		// its own.
+		nEnts := int32(len(f.ents) / 2)
+		for k := 0; k < len(f.xkeys); k++ {
+			start, end := f.entSpan[2*k], f.entSpan[2*k+1]
+			if start < 0 || end < start || end > nEnts {
+				return fmt.Errorf("oracle: flat section %s key %d spans [%d, %d) outside [0, %d]", secEntSpan, k, start, end, nEnts)
+			}
 		}
 	case SchemeBeacons:
 		if err := checkOff(secBOff, f.bOff, f.n+1, len(f.bIDs)); err != nil {
@@ -304,15 +345,91 @@ func (f *FlatSnap) validate() error {
 	return nil
 }
 
+// countLists counts the entry lists the arena stores: a key whose span
+// begins at or past the end of every earlier one brought its own list,
+// a key sharing a list points back below that.
+func (f *FlatSnap) countLists() int {
+	lists, stored := 0, int32(0)
+	for k := 0; k < len(f.xkeys); k++ {
+		if start, end := f.entSpan[2*k], f.entSpan[2*k+1]; end > start && start >= stored {
+			lists++
+			stored = end
+		}
+	}
+	return lists
+}
+
+// listIndex places ζ entry lists in the ents section, each distinct list
+// of a group once: a list equal to one the current group already stored
+// gets that one's span instead of a second copy. Equality is by content —
+// slice identity (the builder's aliased identity keys) is only the
+// shortcut — so the arena bytes depend on nothing but what the labels
+// say, whichever way their lists happen to be held in memory.
+type listIndex struct {
+	lists [][]distlabel.TransEntry // every stored list, in arena order
+	start []int32                  // start[i] is lists[i]'s first entry index in ents
+	older []int32                  // older[i] is the previous list of the same group and hash, or -1
+	head  map[uint64]int32         // content hash -> newest list of the current group
+	last  int32                    // the list the previous key of the group resolved to, or -1
+	ents  int                      // entries stored so far
+}
+
+// nextGroup forgets the finished group's lists: sharing never crosses a
+// (node, level) boundary.
+func (ix *listIndex) nextGroup() {
+	clear(ix.head)
+	ix.last = -1
+}
+
+// place returns the span of entries, storing the list first if the
+// current group holds no equal one. Empty lists take an empty span.
+func (ix *listIndex) place(entries []distlabel.TransEntry) (start, end int32) {
+	if len(entries) == 0 {
+		return int32(ix.ents), int32(ix.ents)
+	}
+	at := ix.last
+	if at < 0 || &ix.lists[at][0] != &entries[0] || len(ix.lists[at]) != len(entries) {
+		at = ix.find(entries)
+	}
+	ix.last = at
+	return ix.start[at], ix.start[at] + int32(len(entries))
+}
+
+// find looks entries up by content among the current group's stored
+// lists (FNV-1a over the pairs, then a full comparison along the chain
+// of that hash) and stores it as a new list when there is none.
+func (ix *listIndex) find(entries []distlabel.TransEntry) int32 {
+	h := uint64(14695981039346656037)
+	for _, e := range entries {
+		h = (h ^ (uint64(uint32(e.Y))<<32 | uint64(uint32(e.Z)))) * 1099511628211
+	}
+	newest, ok := ix.head[h]
+	if !ok {
+		newest = -1
+	}
+	for at := newest; at >= 0; at = ix.older[at] {
+		if slices.Equal(ix.lists[at], entries) {
+			return at
+		}
+	}
+	at := int32(len(ix.lists))
+	ix.lists = append(ix.lists, entries)
+	ix.start = append(ix.start, int32(ix.ents))
+	ix.older = append(ix.older, newest)
+	ix.head[h] = at
+	ix.ents += len(entries)
+	return at
+}
+
 // newFlatFromLabels packs Theorem 3.4 labels into the flat arenas. The
-// ζ-map triples are laid out sorted by (x, then Y) — the per-x entry
-// lists arrive Y-sorted from the builder, so only the x keys need
-// ordering — which preserves the exact fold order distlabel.Estimate's
-// harvest/lookup walk uses and makes the flat answers bit-identical.
+// ζ-map keys are laid out sorted by x and each list Y-sorted as it
+// arrives from the builder — the exact fold order distlabel.Estimate's
+// harvest/lookup walk uses, so the flat answers are bit-identical; the
+// lists themselves are stored once per group and content (see listIndex).
 func newFlatFromLabels(labels []*distlabel.Label) (*FlatSnap, error) {
 	n := len(labels)
 	// Size pass.
-	var nDists, nPsi, nGroups, nKeys, nEnts int
+	var nDists, nPsi, nGroups, nKeys int
 	for u, lab := range labels {
 		if lab == nil {
 			return nil, fmt.Errorf("oracle: flat pack: nil label %d", u)
@@ -327,12 +444,29 @@ func newFlatFromLabels(labels []*distlabel.Label) (*FlatSnap, error) {
 		nGroups += len(lab.Trans)
 		for _, lm := range lab.Trans {
 			nKeys += len(lm)
-			for _, entries := range lm {
-				nEnts += len(entries)
+		}
+	}
+	// Placement pass: the sorted keys and their spans, in key-slot order.
+	// It runs before the arena exists because the arena's size is the
+	// number of entries that survive the sharing.
+	ix := listIndex{head: make(map[uint64]int32)}
+	xkeys := make([]int32, 0, nKeys)
+	spans := make([]int32, 0, 2*nKeys)
+	for _, lab := range labels {
+		for _, lm := range lab.Trans {
+			ix.nextGroup()
+			first := len(xkeys)
+			for x := range lm {
+				xkeys = append(xkeys, x)
+			}
+			slices.Sort(xkeys[first:])
+			for _, x := range xkeys[first:] {
+				start, end := ix.place(lm[x])
+				spans = append(spans, start, end)
 			}
 		}
 	}
-	for _, c := range []int{nDists, nPsi, nGroups, nKeys, nEnts} {
+	for _, c := range []int{nDists, nPsi, nGroups, nKeys, ix.ents} {
 		if c > math.MaxInt32 {
 			return nil, fmt.Errorf("oracle: flat pack: arena of %d elements exceeds the int32 offset space", c)
 		}
@@ -348,8 +482,8 @@ func newFlatFromLabels(labels []*distlabel.Label) (*FlatSnap, error) {
 	lay.add(secLevOff, "i32", n+1)
 	lay.add(secXkOff, "i32", nGroups+1)
 	lay.add(secXkeys, "i32", nKeys)
-	lay.add(secEntOff, "i32", nKeys+1)
-	lay.add(secEnts, "i32", 2*nEnts)
+	lay.add(secEntSpan, "i32", 2*nKeys)
+	lay.add(secEnts, "i32", 2*ix.ents)
 
 	f := &FlatSnap{n: n, scheme: SchemeLabels, buf: alignedBytes(int(lay.off)), sections: lay.sections}
 	f.refs.Store(1)
@@ -358,10 +492,7 @@ func newFlatFromLabels(labels []*distlabel.Label) (*FlatSnap, error) {
 	}
 
 	// Fill pass.
-	var (
-		dPos, pPos, gPos, kPos, ePos int
-		xs                           []int32
-	)
+	var dPos, pPos, gPos, kPos int
 	for u, lab := range labels {
 		f.distOff[u] = int32(dPos)
 		dPos += copy(f.dists[dPos:], lab.Dists)
@@ -373,28 +504,24 @@ func newFlatFromLabels(labels []*distlabel.Label) (*FlatSnap, error) {
 		for _, lm := range lab.Trans {
 			f.xkOff[gPos] = int32(kPos)
 			gPos++
-			xs = xs[:0]
-			for x := range lm {
-				xs = append(xs, x)
-			}
-			sort.Slice(xs, func(a, b int) bool { return xs[a] < xs[b] })
-			for _, x := range xs {
-				f.xkeys[kPos] = x
-				f.entOff[kPos] = int32(ePos)
-				kPos++
-				for _, e := range lm[x] {
-					f.ents[2*ePos] = e.Y
-					f.ents[2*ePos+1] = e.Z
-					ePos++
-				}
-			}
+			kPos += len(lm)
 		}
 	}
 	f.distOff[n] = int32(dPos)
 	f.psiOff[n] = int32(pPos)
 	f.levOff[n] = int32(gPos)
 	f.xkOff[gPos] = int32(kPos)
-	f.entOff[kPos] = int32(ePos)
+	copy(f.xkeys, xkeys)
+	copy(f.entSpan, spans)
+	ePos := 0
+	for _, l := range ix.lists {
+		for _, e := range l {
+			f.ents[ePos] = e.Y
+			f.ents[ePos+1] = e.Z
+			ePos += 2
+		}
+	}
+	f.lists = f.countLists()
 	return f, nil
 }
 
@@ -459,9 +586,11 @@ func newFlatForSnapshot(s *Snapshot) (*FlatSnap, error) {
 // materializeLabels rebuilds pointer-form labels from the label arenas
 // — the inverse of newFlatFromLabels, reached only through
 // Snapshot.MaterializeLabels (no serving path wants pointer labels).
-// Entry lists come back in the same Y-sorted order they were packed in.
+// Entry lists come back in the same Y-sorted order they were packed in,
+// and the keys of a group that share a span share one slice.
 func (f *FlatSnap) materializeLabels() []*distlabel.Label {
 	labels := make([]*distlabel.Label, f.n)
+	bySpan := make(map[[2]int32][]distlabel.TransEntry)
 	for u := 0; u < f.n; u++ {
 		lab := &distlabel.Label{
 			Level0Count: int(f.l0[u]),
@@ -472,11 +601,17 @@ func (f *FlatSnap) materializeLabels() []*distlabel.Label {
 		gLo, gHi := int(f.levOff[u]), int(f.levOff[u+1])
 		lab.Trans = make([]distlabel.LevelMap, gHi-gLo)
 		for g := gLo; g < gHi; g++ {
+			clear(bySpan)
 			lm := make(distlabel.LevelMap, f.xkOff[g+1]-f.xkOff[g])
 			for k := int(f.xkOff[g]); k < int(f.xkOff[g+1]); k++ {
-				entries := make([]distlabel.TransEntry, 0, f.entOff[k+1]-f.entOff[k])
-				for e := int(f.entOff[k]); e < int(f.entOff[k+1]); e++ {
-					entries = append(entries, distlabel.TransEntry{Y: f.ents[2*e], Z: f.ents[2*e+1]})
+				span := [2]int32{f.entSpan[2*k], f.entSpan[2*k+1]}
+				entries, ok := bySpan[span]
+				if !ok {
+					entries = make([]distlabel.TransEntry, 0, span[1]-span[0])
+					for e := int(span[0]); e < int(span[1]); e++ {
+						entries = append(entries, distlabel.TransEntry{Y: f.ents[2*e], Z: f.ents[2*e+1]})
+					}
+					bySpan[span] = entries
 				}
 				lm[f.xkeys[k]] = entries
 			}

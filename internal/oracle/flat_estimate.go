@@ -106,7 +106,7 @@ func (f *FlatSnap) consider2(a *flatAcc, swap bool, uOff, vOff int32, lenU, lenV
 
 // lookup finds the Z of the entry with virtual index y under key x in
 // group g (binary search over the sorted x keys, then over the Y-sorted
-// pairs), or -1.
+// pairs of the key's span), or -1.
 //
 //ringvet:hotpath
 func (f *FlatSnap) lookup(g int, x, y int32) int {
@@ -114,7 +114,8 @@ func (f *FlatSnap) lookup(g int, x, y int32) int {
 	if k < 0 {
 		return -1
 	}
-	lo, hi := int(f.entOff[k]), int(f.entOff[k+1])
+	lo, end := int(f.entSpan[2*k]), int(f.entSpan[2*k+1])
+	hi := end
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
 		if f.ents[2*mid] < y {
@@ -123,7 +124,7 @@ func (f *FlatSnap) lookup(g int, x, y int32) int {
 			hi = mid
 		}
 	}
-	if lo < int(f.entOff[k+1]) && f.ents[2*lo] == y {
+	if lo < end && f.ents[2*lo] == y {
 		return int(f.ents[2*lo+1])
 	}
 	return -1
@@ -160,10 +161,10 @@ func (f *FlatSnap) harvest(a *flatAcc, swap bool, uOff, vOff int32, lenU, lenV, 
 	kb := f.findKey(gb, xb)
 	var ia, ea, ib, eb int
 	if ka >= 0 {
-		ia, ea = int(f.entOff[ka]), int(f.entOff[ka+1])
+		ia, ea = int(f.entSpan[2*ka]), int(f.entSpan[2*ka+1])
 	}
 	if kb >= 0 {
-		ib, eb = int(f.entOff[kb]), int(f.entOff[kb+1])
+		ib, eb = int(f.entSpan[2*kb]), int(f.entSpan[2*kb+1])
 	}
 	for ia < ea && ib < eb {
 		ya, yb := f.ents[2*ia], f.ents[2*ib]

@@ -35,6 +35,11 @@ type engineMetrics struct {
 	swaps      *telemetry.Counter
 	swapUs     *telemetry.Histogram
 	pinRetries *telemetry.Counter
+
+	// Where the served arena's bytes are (set at every swap).
+	arenaSections *telemetry.GaugeFamily
+	arenaKeys     *telemetry.Gauge
+	arenaLists    *telemetry.Gauge
 }
 
 // latency histograms span 2^0 .. 2^23 microseconds (~8.4 s) — wide
@@ -80,7 +85,27 @@ func newEngineMetrics() *engineMetrics {
 		"Snapshot swap critical-section latency in microseconds.", latMinExp, latMaxExp)
 	m.pinRetries = reg.Counter("rings_engine_arena_pin_retries_total",
 		"Queries that lost the arena pin race and reloaded the engine state.")
+	m.arenaSections = reg.GaugeFamily("rings_arena_section_bytes",
+		"Bytes of the served flat arena, by section (0 for sections the served scheme has none of).",
+		"section", sectionNames...)
+	m.arenaKeys = reg.Gauge("rings_arena_keys",
+		"Translation-map key slots of the served arena (each names one entry list).")
+	m.arenaLists = reg.Gauge("rings_arena_distinct_lists",
+		"Entry lists the served arena stores; keys minus this many share a list with another key of their group.")
 	return m
+}
+
+// setArena publishes the byte accounting of the arena being swapped in
+// (a cold path: the family lookups are not worth captured handles).
+func (m *engineMetrics) setArena(f *FlatSnap) {
+	for _, name := range sectionNames {
+		m.arenaSections.With(name).Set(0)
+	}
+	for _, s := range f.sections {
+		m.arenaSections.With(s.Name).Set(float64(s.bytes()))
+	}
+	m.arenaKeys.Set(float64(len(f.xkeys)))
+	m.arenaLists.Set(float64(f.lists))
 }
 
 // Metrics returns the engine's private telemetry registry for exposition.

@@ -329,6 +329,7 @@ func arenaSnapshot(hdr persistHeaderV2, payload []byte, m *mapping) (*Snapshot, 
 		}
 		return nil, err
 	}
+	flat.lists = flat.countLists()
 	return &Snapshot{
 		Config:    hdr.Config.withDefaults(),
 		Name:      hdr.Name,

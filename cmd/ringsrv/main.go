@@ -29,6 +29,12 @@
 //	GET  /objects/stats            object directory report
 //	/debug/pprof/*                 runtime profiles (-pprof)
 //
+// A /batch body is exactly that shape: whitespace is free, "u" and "v"
+// come in either order, ids are plain integers, at most 4096 pairs and
+// 4 MiB. Unknown, repeated or missing keys, null, non-integer numbers
+// and anything after the closing brace are a 400 (batchcodec.go has the
+// full contract).
+//
 // With -shards K the server builds a partitioned fleet (internal/shard)
 // instead of one engine: the node universe splits round-robin across K
 // shards, each with its own snapshot and engine, and node ids in every

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -23,11 +22,6 @@ import (
 	"rings/internal/telemetry"
 	"rings/internal/version"
 )
-
-// maxBatchPairs bounds one /batch request so a single client cannot
-// monopolize the engine (and the JSON decoder) with an arbitrarily large
-// body.
-const maxBatchPairs = 4096
 
 // server wires an oracle.Engine — or, under -shards, a shard.Fleet —
 // to the HTTP surface. All query endpoints are thin translations —
@@ -470,44 +464,43 @@ func (s *server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, res)
+	sc := batchPool.Get().(*batchScratch)
+	defer batchPool.Put(sc)
+	sc.body, err = appendEstimateResult(sc.body[:0], &res)
+	sc.body = append(sc.body, '\n')
+	writeAppended(w, sc.body, err)
 }
 
-type batchRequest struct {
-	Pairs []oracle.Pair `json:"pairs"`
-}
-
-type batchResponse struct {
-	Results []oracle.EstimateResult `json:"results"`
-}
-
-// batchScratch is one /batch request's working memory — the slice
-// Engine.EstimateBatchInto answers into and the buffer the response is
-// encoded in — pooled so a steady batch stream stops allocating (and
-// zeroing) both per request. maxBatchPairs bounds what the pool retains.
-type batchScratch struct {
-	results []oracle.EstimateResult
-	body    bytes.Buffer
-}
-
-var batchPool = sync.Pool{New: func() any { return new(batchScratch) }}
-
-func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	var req batchRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<22)).Decode(&req); err != nil {
-		writeError(w, fmt.Errorf("invalid batch body: %v", err))
+// writeAppended sends a 200 whose JSON body a handler appended into
+// pooled scratch — or, when the appender refused (an ok:false answer has
+// an infinite upper bound), the 500 that refusal is: nothing has been
+// written yet, so the client never sees a 200 with half a body.
+func writeAppended(w http.ResponseWriter, body []byte, err error) {
+	if err != nil {
+		writeInternalError(w, "encode response", err)
 		return
 	}
-	if len(req.Pairs) == 0 {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	if _, err := w.Write(body); err != nil {
+		log.Printf("ringsrv: write response: %v", err)
+	}
+}
+
+func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
+	sc := batchPool.Get().(*batchScratch)
+	defer batchPool.Put(sc)
+	pairs, err := sc.readPairs(r.Body)
+	if err != nil {
+		writeError(w, err)
+		return
+	}
+	if len(pairs) == 0 {
 		writeError(w, errors.New("batch needs at least one pair"))
 		return
 	}
-	if len(req.Pairs) > maxBatchPairs {
-		writeError(w, fmt.Errorf("batch of %d pairs exceeds the %d-pair cap", len(req.Pairs), maxBatchPairs))
-		return
-	}
 	if s.fleet != nil {
-		results, err := s.fleet.EstimateBatch(req.Pairs)
+		results, err := s.fleet.EstimateBatch(pairs)
 		if err != nil {
 			writeError(w, err)
 			return
@@ -523,12 +516,10 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, fleetBatchResponse{Results: results})
 		return
 	}
-	sc := batchPool.Get().(*batchScratch)
-	defer batchPool.Put(sc)
-	if cap(sc.results) < len(req.Pairs) {
-		sc.results = make([]oracle.EstimateResult, len(req.Pairs))
+	if cap(sc.results) < len(pairs) {
+		sc.results = make([]oracle.EstimateResult, len(pairs))
 	}
-	results, err := s.engine.EstimateBatchInto(req.Pairs, sc.results[:len(req.Pairs)])
+	results, err := s.engine.EstimateBatchInto(pairs, sc.results[:len(pairs)])
 	if err != nil {
 		writeError(w, err)
 		return
@@ -540,16 +531,8 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			version: results[i].Version,
 		})
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	sc.body.Reset()
-	if err := json.NewEncoder(&sc.body).Encode(batchResponse{Results: results}); err != nil {
-		log.Printf("ringsrv: encode batch response: %v", err)
-		return
-	}
-	if _, err := w.Write(sc.body.Bytes()); err != nil {
-		log.Printf("ringsrv: write batch response: %v", err)
-	}
+	sc.body, err = appendBatchResponse(sc.body[:0], results)
+	writeAppended(w, sc.body, err)
 }
 
 func (s *server) handleNearest(w http.ResponseWriter, r *http.Request) {

@@ -6,31 +6,55 @@ import "math"
 // discount; the flat path must fold exactly the same arithmetic.
 const ulpGuardFlat = 1e-13
 
-// flatAcc accumulates one estimate: the running sandwich fold. It lives
-// on the caller's stack; the whole flat estimate path performs zero heap
-// allocations.
+// spanLevels is how many levels of direction u→v's harvests direction
+// v→u can recognise as repeats. Deeper levels (no dataset in the tree has
+// more than a dozen) are simply harvested again.
+const spanLevels = 64
+
+// spanPair is the pair of entry lists one harvest intersects, in (u, v)
+// orientation: u's span [us, ue) and v's span [vs, ve) of ents.
+type spanPair struct{ us, ue, vs, ve int32 }
+
+// flatAcc accumulates one estimate: the running sandwich fold over u's
+// and v's stored host distances. It lives on the caller's stack; the
+// whole flat estimate path performs zero heap allocations.
 type flatAcc struct {
+	du, dv       []float64
 	lower, upper float64
 	ok           bool
 }
 
-// consider folds one common-neighbor candidate: hu indexes u's stored
-// distances, hv indexes v's. Bit-identical to distlabel.Estimate's
-// consider closure.
+// fold takes one common neighbor's two distances into the sandwich — the
+// arithmetic of distlabel.Estimate's consider and of Tri.Estimate. The
+// larger distance is picked by a plain compare, not math.Max (a call on
+// amd64): the two differ only when an operand is NaN, and then |da-db| is
+// NaN, so g is NaN and never stored, or when they are zeros of opposite
+// sign, and 0 - ulpGuardFlat*(±0) is +0 under either sign.
 //
 //ringvet:hotpath
-func (a *flatAcc) consider(f *FlatSnap, uOff, vOff int32, lenU, lenV, hu, hv int) {
-	if hu < 0 || hv < 0 || hu >= lenU || hv >= lenV {
-		return
-	}
+func (a *flatAcc) fold(da, db float64) {
 	a.ok = true
-	da, db := f.dists[int(uOff)+hu], f.dists[int(vOff)+hv]
 	if s := da + db; s < a.upper {
 		a.upper = s
 	}
-	if g := math.Abs(da-db) - ulpGuardFlat*math.Max(da, db); g > a.lower {
+	m := da
+	if db > m {
+		m = db
+	}
+	if g := math.Abs(da-db) - ulpGuardFlat*m; g > a.lower {
 		a.lower = g
 	}
+}
+
+// consider folds one common-neighbor candidate: hu indexes u's stored
+// distances, hv indexes v's; an index outside its label is no candidate.
+//
+//ringvet:hotpath
+func (a *flatAcc) consider(hu, hv int32) {
+	if uint(hu) >= uint(len(a.du)) || uint(hv) >= uint(len(a.dv)) {
+		return
+	}
+	a.fold(a.du[hu], a.dv[hv])
 }
 
 // estimatePair answers one pair from the flat arenas. Node ids must be
@@ -38,146 +62,152 @@ func (a *flatAcc) consider(f *FlatSnap, uOff, vOff int32, lenU, lenV, hu, hv int
 // distlabel.Estimate on the labels the arenas were packed from (or to
 // Tri.Estimate under SchemeBeacons).
 //
+// distlabel.Estimate walks u's zooming sequence and then v's, and at
+// every level of each walk intersects ("harvests") the entry lists the
+// current zoom element has in the two labels. This walk makes the same
+// folds in the same order except that direction v→u leaves out a harvest
+// of exactly the two lists direction u→v harvested at that level — at lab
+// scale a whole group shares one list, so that is most of them. A left-out
+// harvest would fold (da, db) pairs that were all folded before, and a
+// repeated fold changes nothing: upper is already ≤ its sum and lower
+// already ≥ its gap, whatever the values (NaN compares false both times).
+//
 //ringvet:hotpath
 func (f *FlatSnap) estimatePair(u, v int) (lower, upper float64, ok bool) {
 	if f.scheme == SchemeBeacons {
 		return f.estimateBeacons(u, v)
 	}
-	a := flatAcc{upper: math.Inf(1)}
-
-	uOff, vOff := f.distOff[u], f.distOff[v]
-	lenU, lenV := int(f.distOff[u+1]-uOff), int(f.distOff[v+1]-vOff)
+	a := flatAcc{
+		du:    f.dists[f.distOff[u]:f.distOff[u+1]],
+		dv:    f.dists[f.distOff[v]:f.distOff[v+1]],
+		upper: math.Inf(1),
+	}
 
 	// Shared level-0 prefix: identical node, identical index, in every
 	// label of the scheme.
-	for h := 0; h < int(f.l0[u]) && h < lenU && h < lenV; h++ {
-		a.consider(f, uOff, vOff, lenU, lenV, h, h)
+	for h := int32(0); h < f.l0[u] && int(h) < len(a.du) && int(h) < len(a.dv); h++ {
+		a.fold(a.du[h], a.dv[h])
 	}
 
-	f.walk(&a, u, v, false, uOff, vOff, lenU, lenV)
-	f.walk(&a, v, u, true, uOff, vOff, lenU, lenV)
+	// harvested[i] is what direction u→v harvested at level i. A level it
+	// never reached holds the zero pair, which only two empty spans equal
+	// — and harvesting those folds nothing.
+	var harvested [spanLevels]spanPair
+	f.walk(&a, &harvested, u, v, false)
+	f.walk(&a, &harvested, u, v, true)
 	return a.lower, a.upper, a.ok
 }
 
-// walk mirrors distlabel.Estimate's zooming walk over the flat layout:
-// follow mine's zooming sequence, tracking the current element's host
-// index on both sides, harvesting every commonly-translatable virtual
-// neighbor at each level. swap flips the (mine, other) orientation back
-// to (u, v) for the distance fold.
+// walk follows one zooming sequence — u's, or v's when fromV — keeping
+// the current zoom element's host index on both sides (hu in u's label,
+// hv in v's). Each level resolves the two host keys to their entry spans
+// once, harvests every commonly translatable virtual neighbor from the
+// spans, and finds the next zoom element in the same spans. Apart from
+// whose pointers it follows the walk is symmetric in u and v, so both
+// directions fold in (u, v) orientation.
 //
 //ringvet:hotpath
-func (f *FlatSnap) walk(a *flatAcc, mine, other int, swap bool, uOff, vOff int32, lenU, lenV int) {
-	// Invariant: (am, bo) are the host indices of the current zoom
-	// element in mine resp. other.
-	am := int(f.zoom0[mine])
-	bo := am // shared prefix: same index both sides
-	f.consider2(a, swap, uOff, vOff, lenU, lenV, am, bo)
-	psiStart := int(f.psiOff[mine])
-	lenPsi := int(f.psiOff[mine+1]) - psiStart
-	gMine := int(f.levOff[mine])
-	gOther := int(f.levOff[other])
-	lenTransOther := int(f.levOff[other+1]) - gOther
-	for i := 0; i < lenPsi; i++ {
-		if i >= lenTransOther {
+func (f *FlatSnap) walk(a *flatAcc, harvested *[spanLevels]spanPair, u, v int, fromV bool) {
+	mine := u
+	if fromV {
+		mine = v
+	}
+	hu := f.zoom0[mine]
+	hv := hu // shared prefix: same index both sides
+	a.consider(hu, hv)
+	psi := f.psi[f.psiOff[mine]:f.psiOff[mine+1]]
+	gU, gV := int(f.levOff[u]), int(f.levOff[v])
+	// Labels of unequal depth stop at the shallower one, as the pointer
+	// walk does.
+	levels := min(len(psi), int(f.levOff[u+1])-gU, int(f.levOff[v+1])-gV)
+	for i := 0; i < levels; i++ {
+		us, ue := f.span(gU+i, hu)
+		vs, ve := f.span(gV+i, hv)
+		p := spanPair{us, ue, vs, ve}
+		if !fromV && i < spanLevels {
+			harvested[i] = p
+		}
+		if !fromV || i >= spanLevels || harvested[i] != p {
+			f.harvest(a, p)
+		}
+		hu, hv = f.zoomHost(us, ue, psi[i]), f.zoomHost(vs, ve, psi[i])
+		if hu < 0 || hv < 0 {
 			return
 		}
-		f.harvest(a, swap, uOff, vOff, lenU, lenV, gMine+i, gOther+i, int32(am), int32(bo))
-		y := f.psi[psiStart+i]
-		na := f.lookup(gMine+i, int32(am), y)
-		nb := f.lookup(gOther+i, int32(bo), y)
-		if na < 0 || nb < 0 {
-			return
-		}
-		am, bo = na, nb
-		f.consider2(a, swap, uOff, vOff, lenU, lenV, am, bo)
+		a.consider(hu, hv)
 	}
 }
 
-// consider2 folds a (mine-host, other-host) pair, restoring (u, v)
-// orientation.
+// span resolves key x of group g (binary search over the group's sorted
+// keys) to the span [start, end) of its Y-sorted entries in ents; a key
+// the group does not have gets the empty span.
 //
 //ringvet:hotpath
-func (f *FlatSnap) consider2(a *flatAcc, swap bool, uOff, vOff int32, lenU, lenV, x, y int) {
-	if swap {
-		x, y = y, x
-	}
-	a.consider(f, uOff, vOff, lenU, lenV, x, y)
-}
-
-// lookup finds the Z of the entry with virtual index y under key x in
-// group g (binary search over the sorted x keys, then over the Y-sorted
-// pairs of the key's span), or -1.
-//
-//ringvet:hotpath
-func (f *FlatSnap) lookup(g int, x, y int32) int {
-	k := f.findKey(g, x)
-	if k < 0 {
-		return -1
-	}
-	lo, end := int(f.entSpan[2*k]), int(f.entSpan[2*k+1])
-	hi := end
+func (f *FlatSnap) span(g int, x int32) (start, end int32) {
+	keys := f.xkeys[f.xkOff[g]:f.xkOff[g+1]]
+	lo, hi := 0, len(keys)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if f.ents[2*mid] < y {
+		if keys[mid] < x {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	if lo < end && f.ents[2*lo] == y {
-		return int(f.ents[2*lo+1])
+	if lo < len(keys) && keys[lo] == x {
+		k := int(f.xkOff[g]) + lo
+		return f.entSpan[2*k], f.entSpan[2*k+1]
 	}
-	return -1
+	return 0, 0
 }
 
-// findKey locates key x in group g's sorted key range, returning the
-// global key slot or -1.
+// zoomHost finds the Z of the entry with virtual index y in the span
+// [start, end) (binary search over its Y-sorted pairs), or -1.
 //
 //ringvet:hotpath
-func (f *FlatSnap) findKey(g int, x int32) int {
-	lo, hi := int(f.xkOff[g]), int(f.xkOff[g+1])
+func (f *FlatSnap) zoomHost(start, end, y int32) int32 {
+	ents := f.ents[2*start : 2*end]
+	lo, hi := 0, len(ents)/2
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if f.xkeys[mid] < x {
+		if ents[2*mid] < y {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	if lo < int(f.xkOff[g+1]) && f.xkeys[lo] == x {
-		return lo
+	if 2*lo < len(ents) && ents[2*lo] == y {
+		return ents[2*lo+1]
 	}
 	return -1
 }
 
-// harvest intersects the Y-sorted entry spans of the same physical node
-// (key xa in group ga, key xb in group gb) and folds each commonly
-// translatable virtual neighbor — the same ascending-Y two-pointer merge
-// as distlabel's harvest, so the fold order matches exactly.
+// harvest intersects u's and v's Y-sorted entry spans of the same
+// physical node and folds each commonly translatable virtual neighbor, in
+// ascending Y like distlabel's harvest. A match is a branch (the lists of
+// one level mostly agree, so it predicts); a mismatch advances the side
+// with the smaller Y by arithmetic on the sign of the difference, because
+// which side that is the predictor cannot learn — written as `if` the two
+// increments compile to branches, and the uniform-pair walk is 7 % slower.
 //
 //ringvet:hotpath
-func (f *FlatSnap) harvest(a *flatAcc, swap bool, uOff, vOff int32, lenU, lenV, ga, gb int, xa, xb int32) {
-	ka := f.findKey(ga, xa)
-	kb := f.findKey(gb, xb)
-	var ia, ea, ib, eb int
-	if ka >= 0 {
-		ia, ea = int(f.entSpan[2*ka]), int(f.entSpan[2*ka+1])
-	}
-	if kb >= 0 {
-		ib, eb = int(f.entSpan[2*kb]), int(f.entSpan[2*kb+1])
-	}
-	for ia < ea && ib < eb {
-		ya, yb := f.ents[2*ia], f.ents[2*ib]
-		switch {
-		case ya < yb:
-			ia++
-		case ya > yb:
-			ib++
-		default:
-			f.consider2(a, swap, uOff, vOff, lenU, lenV, int(f.ents[2*ia+1]), int(f.ents[2*ib+1]))
-			ia++
-			ib++
+func (f *FlatSnap) harvest(a *flatAcc, p spanPair) {
+	eu, ev := f.ents[2*p.us:2*p.ue], f.ents[2*p.vs:2*p.ve]
+	iu, iv := 0, 0
+	for iu < len(eu) && iv < len(ev) {
+		yu, yv := eu[iu], ev[iv]
+		if yu == yv {
+			// consider, spelled out: the call does not inline.
+			if hu, hv := eu[iu+1], ev[iv+1]; uint(hu) < uint(len(a.du)) && uint(hv) < uint(len(a.dv)) {
+				a.fold(a.du[hu], a.dv[hv])
+			}
+			iu += 2
+			iv += 2
+			continue
 		}
+		less := int((int64(yu) - int64(yv)) >> 63) // -1 when yu < yv, else 0
+		iu -= 2 * less
+		iv += 2 + 2*less
 	}
 }
 
@@ -188,7 +218,7 @@ func (f *FlatSnap) harvest(a *flatAcc, swap bool, uOff, vOff int32, lenU, lenV, 
 //
 //ringvet:hotpath
 func (f *FlatSnap) estimateBeacons(u, v int) (lower, upper float64, ok bool) {
-	upper = math.Inf(1)
+	a := flatAcc{upper: math.Inf(1)}
 	i, e := int(f.bOff[u]), int(f.bOff[u+1])
 	j, t := int(f.bOff[v]), int(f.bOff[v+1])
 	for i < e && j < t {
@@ -198,17 +228,10 @@ func (f *FlatSnap) estimateBeacons(u, v int) (lower, upper float64, ok bool) {
 		case f.bIDs[i] > f.bIDs[j]:
 			j++
 		default:
-			ok = true
-			da, db := f.bDist[i], f.bDist[j]
-			if s := da + db; s < upper {
-				upper = s
-			}
-			if g := math.Abs(da-db) - ulpGuardFlat*math.Max(da, db); g > lower {
-				lower = g
-			}
+			a.fold(f.bDist[i], f.bDist[j])
 			i++
 			j++
 		}
 	}
-	return lower, upper, ok
+	return a.lower, a.upper, a.ok
 }

@@ -15,13 +15,15 @@ import (
 )
 
 // flatConfigs are the byte-identity subjects: all four workload
-// families under labels, plus the beacons scheme.
+// families under labels, the benchmark's dataset shape (latency, tuned,
+// δ = 0.5) at n = 256, plus the beacons scheme.
 func flatConfigs() []Config {
 	return []Config{
 		{Workload: "grid", Side: 7, SkipRouting: true},
 		{Workload: "cube", N: 56, Seed: 11, MemberStride: 4},
 		{Workload: "expline", N: 40, LogAspect: 60, SkipRouting: true},
 		{Workload: "latency", N: 56, Seed: 13, MemberStride: 3},
+		{Workload: "latency", N: 256, Seed: 1, Delta: 0.5, Profile: ProfileTuned, SkipRouting: true, SkipOverlay: true},
 		{Workload: "cube", N: 48, Seed: 17, Scheme: SchemeBeacons, SkipRouting: true, SkipOverlay: true},
 	}
 }

@@ -20,8 +20,8 @@ import (
 // serveBenchFile is the BENCH_serve.json schema: one row per instance
 // size measuring the warm serving path — single-engine and K=4 fleet
 // throughput with per-query percentiles, the flat batch path's
-// allocations per query, and the warm-start wall time of the v2
-// mmap open against the retired v1 decode. CI uploads the file as an
+// allocations per query, and the warm-start wall time of the full
+// restore and of the mmap open. CI uploads the file as an
 // artifact and gates merges on the largest size both runs measured
 // (see -baseline).
 type serveBenchFile struct {
@@ -55,17 +55,14 @@ type serveBenchRow struct {
 	FleetP50Us  float64 `json:"fleet_p50_us"`
 	FleetP99Us  float64 `json:"fleet_p99_us"`
 
-	// Warm-start wall time from a persisted file: the retired v1
-	// per-label decode, the v2 full restore (labels materialized,
-	// derived artifacts rebuilt), and the v2 serve-immediately open
-	// (mmap + checksum validation). WarmSpeedupX = v1 decode / v2 open.
-	WarmV1DecodeSec  float64 `json:"warm_v1_decode_sec"`
+	// Warm-start wall time from a persisted file: the full restore
+	// (arena read into one buffer, derived artifacts rebuilt around it)
+	// and the serve-immediately open (mmap + checksum validation).
 	WarmV2RestoreSec float64 `json:"warm_v2_restore_sec"`
 	WarmV2OpenSec    float64 `json:"warm_v2_open_sec"`
-	WarmSpeedupX     float64 `json:"warm_speedup_x"`
 	// Mapped reports whether the v2 open actually mmapped (false on
 	// platforms without mmap, where the open falls back to one bulk
-	// read — the speedup column then measures that path).
+	// read — the open column then measures that path).
 	Mapped bool `json:"mapped"`
 }
 
@@ -73,7 +70,7 @@ type serveBenchRow struct {
 // (labels scheme, tuned profile — the configuration BENCH_shard.json
 // showed is query-bound): warm flat-path throughput and latency on a
 // single engine and a 4-shard fleet, allocations per warm query, and
-// the warm-start speedup of the v2 arena format over the v1 decode.
+// the two warm-start paths from a persisted file.
 // With -json the rows go to -serveout; with -baseline the run fails if
 // throughput at the gate size regressed more than 25%.
 func expServe(seed int64, quick bool) error {
@@ -89,7 +86,7 @@ func expServe(seed int64, quick bool) error {
 	}
 
 	tbl := stats.NewTable("n", "single qps", "p50", "p99", "allocs/op",
-		"fleet qps", "fleet p50", "v1 decode", "v2 restore", "v2 open", "speedup")
+		"fleet qps", "fleet p50", "v2 restore", "v2 open")
 	var rows []serveBenchRow
 	for _, n := range sizes {
 		cfg := oracle.Config{
@@ -206,8 +203,7 @@ func expServe(seed int64, quick bool) error {
 			fmt.Sprintf("%.1fus", row.SingleP50Us), fmt.Sprintf("%.1fus", row.SingleP99Us),
 			fmt.Sprintf("%.3f", row.AllocsPerOp),
 			fmt.Sprintf("%.2fM", row.FleetQPS/1e6), fmt.Sprintf("%.1fus", row.FleetP50Us),
-			fmt.Sprintf("%.3fs", row.WarmV1DecodeSec), fmt.Sprintf("%.3fs", row.WarmV2RestoreSec),
-			fmt.Sprintf("%.4fs", row.WarmV2OpenSec), fmt.Sprintf("%.0fx", row.WarmSpeedupX))
+			fmt.Sprintf("%.3fs", row.WarmV2RestoreSec), fmt.Sprintf("%.4fs", row.WarmV2OpenSec))
 	}
 	fmt.Print(tbl.String())
 	fmt.Println("\nqps counts pairs answered by the flat batch path (closed loop, GOMAXPROCS")
@@ -245,71 +241,51 @@ func expServe(seed int64, quick bool) error {
 	return nil
 }
 
-// measureWarmStart persists the snapshot in both formats and times the
-// three boot paths against the same bytes on disk.
+// measureWarmStart persists the snapshot and times the two boot paths
+// against the same bytes on disk.
 func measureWarmStart(snap *oracle.Snapshot, row *serveBenchRow) error {
 	dir, err := os.MkdirTemp("", "ringbench-serve")
 	if err != nil {
 		return err
 	}
 	defer os.RemoveAll(dir)
-	v1Path := filepath.Join(dir, "snap.v1")
-	v2Path := filepath.Join(dir, "snap.v2")
-	writeTo := func(path string, write func(f *os.File) error) error {
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		if err := write(f); err != nil {
-			f.Close()
-			return err
-		}
-		return f.Close()
-	}
-	if err := writeTo(v1Path, func(f *os.File) error { _, err := snap.WriteLegacyV1(f); return err }); err != nil {
+	path := filepath.Join(dir, "snap.v2")
+	f, err := os.Create(path)
+	if err != nil {
 		return err
 	}
-	if err := writeTo(v2Path, func(f *os.File) error { _, err := snap.WriteTo(f); return err }); err != nil {
+	if _, err := snap.WriteTo(f); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Close(); err != nil {
 		return err
 	}
 
-	readFull := func(path string) (float64, error) {
-		f, err := os.Open(path)
-		if err != nil {
-			return 0, err
-		}
-		defer f.Close()
-		t0 := time.Now()
-		restored, err := oracle.ReadSnapshot(f)
-		if err != nil {
-			return 0, err
-		}
-		sec := time.Since(t0).Seconds()
-		restored.Close()
-		return sec, nil
-	}
-	if row.WarmV1DecodeSec, err = readFull(v1Path); err != nil {
-		return fmt.Errorf("v1 decode: %w", err)
-	}
-	if row.WarmV2RestoreSec, err = readFull(v2Path); err != nil {
-		return fmt.Errorf("v2 restore: %w", err)
+	if f, err = os.Open(path); err != nil {
+		return err
 	}
 	t0 := time.Now()
-	opened, err := oracle.OpenSnapshotFile(v2Path)
+	restored, err := oracle.ReadSnapshot(f)
+	f.Close()
+	if err != nil {
+		return fmt.Errorf("v2 restore: %w", err)
+	}
+	row.WarmV2RestoreSec = time.Since(t0).Seconds()
+	restored.Close()
+
+	t0 = time.Now()
+	opened, err := oracle.OpenSnapshotFile(path)
 	if err != nil {
 		return fmt.Errorf("v2 open: %w", err)
 	}
 	row.WarmV2OpenSec = time.Since(t0).Seconds()
 	row.Mapped = opened.Flat != nil && opened.Flat.Mapped()
-	// One estimate proves the opened file actually serves before we
-	// credit it with the speedup.
-	if _, err := opened.Estimate(0, 1%snap.N()); err != nil {
-		opened.Close()
-		return fmt.Errorf("v2 open serve check: %w", err)
-	}
+	// One estimate proves the opened file actually serves.
+	_, err = opened.Estimate(0, 1%snap.N())
 	opened.Close()
-	if row.WarmV2OpenSec > 0 {
-		row.WarmSpeedupX = row.WarmV1DecodeSec / row.WarmV2OpenSec
+	if err != nil {
+		return fmt.Errorf("v2 open serve check: %w", err)
 	}
 	return nil
 }

@@ -48,7 +48,7 @@
 // double-apply it.
 //
 // After the run the report is augmented with the server's own view:
-// /stats latency reservoirs (a scrape failure is recorded as
+// /stats latency summaries (a scrape failure is recorded as
 // "server_stats_error" in -json output and warned on stderr), and with
 // -trace K the K slowest sampled queries from the server's
 // /debug/trace ring (needs ringsrv -trace-sample).
@@ -295,7 +295,7 @@ func run() error {
 	elapsed := time.Since(start)
 
 	report := buildReport(results, h, *clients, elapsed)
-	// Duration-end server-side view: the engine's own latency reservoirs
+	// Duration-end server-side view: the engine's own latency histograms
 	// (microseconds, measured inside the serving path — no HTTP or
 	// client-loop overhead), keyed like the client-side endpoint rows so
 	// BENCH_serve.json and load runs report the same Summary shape. A
@@ -338,7 +338,7 @@ func run() error {
 
 // serverStats mirrors the slice of ringsrv's /stats body ringload
 // consumes (like health, kept in sync by the CI smoke run rather than a
-// compile-time dependency): per-endpoint latency reservoirs, nested one
+// compile-time dependency): per-endpoint latency summaries, nested one
 // engine report per shard on a fleet.
 type serverStats struct {
 	Endpoints map[string]serverEndpoint `json:"endpoints"`
@@ -356,9 +356,10 @@ type serverEndpoint struct {
 }
 
 // fetchServerLatencies snapshots the server's per-endpoint latency
-// reservoirs at the end of a run. Single engines yield one Summary per
-// endpoint; fleets yield one per shard ("shard0/estimate", ...) because
-// reservoir percentiles cannot be merged across shards after the fact.
+// summaries at the end of a run. Single engines yield one Summary per
+// endpoint; fleets yield one per shard ("shard0/estimate", ...): /stats
+// serves percentiles, and those do not merge (the shards' histograms on
+// /metrics do — sum the shardN_rings_engine_latency_us buckets).
 // Endpoints the run never touched (count 0) are dropped.
 func fetchServerLatencies(client *http.Client, base string) (map[string]stats.Summary, error) {
 	resp, err := client.Get(base + "/stats")
@@ -387,7 +388,7 @@ func fetchServerLatencies(client *http.Client, base string) (map[string]stats.Su
 		}
 	}
 	if len(out) == 0 {
-		return nil, fmt.Errorf("stats: no endpoint latency reservoirs in response")
+		return nil, fmt.Errorf("stats: no endpoint latency summaries in response")
 	}
 	return out, nil
 }
@@ -785,7 +786,7 @@ type Report struct {
 	QPS       float64                   `json:"qps"`
 	Endpoints map[string]EndpointReport `json:"endpoints"`
 	// ServerLatencyUs is the duration-end snapshot of the server's own
-	// per-endpoint latency reservoirs (/stats latency_us, microseconds,
+	// per-endpoint latency summaries (/stats latency_us, microseconds,
 	// measured inside the serving path), keyed by endpoint — prefixed
 	// "shardN/" on a fleet. Omitted when /stats was unreachable.
 	ServerLatencyUs map[string]stats.Summary `json:"server_latency_us,omitempty"`

@@ -149,8 +149,8 @@ func TestFetchServerLatenciesSingleEngine(t *testing.T) {
 }
 
 // TestFetchServerLatenciesFleet: a fleet's /stats nests one engine
-// report per shard; keys carry the shard prefix because reservoir
-// percentiles cannot be merged after the fact.
+// report per shard; keys carry the shard prefix because percentiles
+// cannot be merged after the fact.
 func TestFetchServerLatenciesFleet(t *testing.T) {
 	srv := statsServer(t, `{
 		"shards": 2,

@@ -16,6 +16,7 @@ import (
 	"rings/internal/distlabel"
 	"rings/internal/metric"
 	"rings/internal/oracle"
+	"rings/internal/shard"
 )
 
 // batchRequest and batchResponse are the encoding/json shapes of the
@@ -335,5 +336,44 @@ func TestUnboundedAnswerIsA500NotATruncated200(t *testing.T) {
 	postJSON(t, ts, "/batch", batchRequest{Pairs: []oracle.Pair{{U: 0, V: 0}, {U: 0, V: 1}}}, http.StatusInternalServerError, &eb)
 	if eb.Code != codeInternal {
 		t.Errorf("/batch: error %+v, want code %q", eb, codeInternal)
+	}
+}
+
+// TestWriteJSONEncodesBeforeTheStatusLine: every handler in both modes
+// answers through writeJSON, so a value JSON cannot carry — the fleet's
+// cross-shard estimate with no common beacon, upper = +Inf — must come
+// out as one complete 500 "internal" body with nothing ahead of it on
+// the wire. It used to be a 200 status line followed by a cut-off body.
+func TestWriteJSONEncodesBeforeTheStatusLine(t *testing.T) {
+	unbounded := shard.EstimateResult{
+		EstimateResult: oracle.EstimateResult{U: 0, V: 1, Upper: math.Inf(1)},
+		Cross:          true,
+	}
+	for _, v := range []any{unbounded, fleetBatchResponse{Results: []shard.EstimateResult{{}, unbounded}}} {
+		rec := httptest.NewRecorder()
+		writeJSON(rec, http.StatusOK, v)
+		if rec.Code != http.StatusInternalServerError {
+			t.Fatalf("%T: status %d, want 500", v, rec.Code)
+		}
+		dec := json.NewDecoder(rec.Body)
+		dec.DisallowUnknownFields()
+		var eb errorBody
+		if err := dec.Decode(&eb); err != nil {
+			t.Fatalf("%T: the 500 body does not start with a decodable error: %v", v, err)
+		}
+		if eb.Code != codeInternal || eb.Error == "" {
+			t.Errorf("%T: error body %+v, want a message with code %q", v, eb, codeInternal)
+		}
+		if rest, _ := io.ReadAll(io.MultiReader(dec.Buffered(), rec.Body)); len(bytes.TrimSpace(rest)) != 0 {
+			t.Errorf("%T: %q follows the error body", v, rest)
+		}
+	}
+
+	// What does encode is written as before: status, content type, one line.
+	rec := httptest.NewRecorder()
+	writeJSON(rec, http.StatusBadRequest, errorBody{Error: "x", Code: codeOutOfRange})
+	if rec.Code != http.StatusBadRequest || rec.Header().Get("Content-Type") != "application/json" ||
+		rec.Body.String() != `{"error":"x","code":"out_of_range"}`+"\n" {
+		t.Errorf("plain response changed: %d %q %q", rec.Code, rec.Header().Get("Content-Type"), rec.Body.String())
 	}
 }

@@ -15,7 +15,7 @@
 //	GET  /nearest?target=T         Meridian nearest-member climb
 //	GET  /route?src=S&dst=D        simulated compact-routing packet
 //	POST /snapshot                 rebuild on a fresh seed, zero-downtime swap
-//	GET  /stats                    engine counters and latency summaries
+//	GET  /stats                    engine counters and latency summaries (views of /metrics)
 //	POST /join                     -churn: activate dormant nodes (localized repair + swap)
 //	POST /leave                    -churn: retire active nodes (localized repair + swap)
 //	GET  /churn/stats              -churn: cumulative repair report
@@ -66,11 +66,14 @@
 // With -snapshot-file the server persists the snapshot on every swap
 // and warm-starts from the file on boot, skipping the label build and
 // serving from the mapped file itself (a warm boot never rewrites it).
-// Combining the two, the churn engine still persists every committed
-// delta (a plain server can warm-start from it, churned membership
-// included) but itself always boots fresh: its repair state cannot be
-// reconstructed from codec-rounded wire labels without breaking the
-// byte-identity contract.
+// A file this binary cannot serve — the retired v1 format, an arena
+// written before shared entry lists, a failed checksum — stops the boot
+// with an error naming the problem; the server never cold-builds over a
+// file it could not read. Combining the two flags, the churn engine
+// still persists every committed delta (a plain server can warm-start
+// from it, churned membership included) but itself always boots fresh:
+// the file holds the served arena, not the repair state (rings, Z-sets,
+// virtual sets) the byte-identity contract is kept on.
 //
 // Observability: /metrics exposes every layer's counters and
 // histograms in Prometheus text format (one page per process; fleet
@@ -257,18 +260,19 @@ func run() error {
 		switch {
 		case err == nil:
 			log.Printf("warm-starting from %s", *snapFile)
-			// O(header) open: a v2 file is mmapped and served immediately
+			// O(header) open: the file is mmapped and served immediately
 			// (estimates only); hydration builds index, overlay and router
 			// around the same mapping in the background and swaps them in.
-			// A v1 file falls back to the full decode inside
-			// OpenSnapshotFile.
+			// A file this binary cannot serve (retired v1 format, pre-PR-13
+			// arena layout, corruption) is an error, never a cold build
+			// over it.
 			loaded, rerr := oracle.OpenSnapshotFile(*snapFile)
 			if rerr != nil {
 				return fmt.Errorf("warm start from %s: %w", *snapFile, rerr)
 			}
 			snap = loaded
 			log.Printf("warm start ready: %s n=%d (label build skipped, mapped=%v)",
-				snap.Name, snap.N(), snap.Flat != nil && snap.Flat.Mapped())
+				snap.Name, snap.N(), snap.Flat.Mapped())
 		case os.IsNotExist(err):
 			// First boot: fall through to the cold build (which persists).
 		default:

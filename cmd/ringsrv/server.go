@@ -26,7 +26,7 @@ import (
 // server wires an oracle.Engine — or, under -shards, a shard.Fleet —
 // to the HTTP surface. All query endpoints are thin translations —
 // parameter parsing in, JSON out — so the engine's own counters and
-// latency reservoirs describe the served traffic faithfully.
+// latency histograms describe the served traffic faithfully.
 type server struct {
 	engine *oracle.Engine // nil in fleet mode
 	fleet  *shard.Fleet   // nil in single-engine mode
@@ -152,7 +152,7 @@ func (s *server) enablePersist(path string) {
 }
 
 // bootPersist enables persistence and does its boot-time half: a cold
-// build (or v1 conversion) is persisted now, while a snapshot that came
+// build is persisted now, while a snapshot that came
 // from the file(s) — a warm fleet, or a flat-only single-engine warm
 // start, hydrated here — is the mapped bytes themselves and writes
 // nothing until the next swap.
@@ -275,14 +275,25 @@ func (s *server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
 
+// writeJSON encodes v and only then writes the status line, so a value
+// JSON cannot carry (a cross-shard estimate with no common beacon has
+// upper = +Inf) is a complete 500 "internal" rather than a 200 with half
+// a body. The error body itself always encodes: it holds two strings.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	body, err := json.Marshal(v)
+	if err != nil {
+		writeInternalError(w, fmt.Sprintf("encode %T response", v), err)
+		return
+	}
+	writeBody(w, status, append(body, '\n'))
+}
+
+// writeBody sends an already encoded JSON body.
+func writeBody(w http.ResponseWriter, status int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		// The status line is already on the wire, so the client sees a
-		// truncated body; the log line is the only place the failure
-		// (usually a mid-response disconnect) is visible server-side.
-		log.Printf("ringsrv: encode %T response: %v", v, err)
+	if _, err := w.Write(body); err != nil {
+		log.Printf("ringsrv: write response: %v", err)
 	}
 }
 
@@ -361,6 +372,16 @@ func writeError(w http.ResponseWriter, err error) {
 		body.Code = codeBelowFloor
 	}
 	writeJSON(w, status, body)
+}
+
+// writeResult answers one query: its error through writeError, or 200
+// with the result.
+func writeResult(w http.ResponseWriter, res any, err error) {
+	if err != nil {
+		writeError(w, err)
+		return
+	}
+	writeJSON(w, http.StatusOK, res)
 }
 
 // writeInternalError reports a 500 with the internal code (build or
@@ -450,16 +471,12 @@ func (s *server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	if s.fleet != nil {
 		res, err := s.fleet.Estimate(u, v)
-		s.observeFleetEstimate("estimate", res, err, start)
-		if err != nil {
-			writeError(w, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, res)
+		s.observeEstimate(res, err, start)
+		writeResult(w, res, err)
 		return
 	}
 	res, err := s.engine.Estimate(u, v)
-	s.observeEngineEstimate("estimate", res, err, start)
+	s.observeEstimate(shard.EstimateResult{EstimateResult: res}, err, start)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -473,18 +490,13 @@ func (s *server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 
 // writeAppended sends a 200 whose JSON body a handler appended into
 // pooled scratch — or, when the appender refused (an ok:false answer has
-// an infinite upper bound), the 500 that refusal is: nothing has been
-// written yet, so the client never sees a 200 with half a body.
+// an infinite upper bound), the same 500 writeJSON answers with.
 func writeAppended(w http.ResponseWriter, body []byte, err error) {
 	if err != nil {
 		writeInternalError(w, "encode response", err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	if _, err := w.Write(body); err != nil {
-		log.Printf("ringsrv: write response: %v", err)
-	}
+	writeBody(w, http.StatusOK, body)
 }
 
 func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
@@ -543,19 +555,11 @@ func (s *server) handleNearest(w http.ResponseWriter, r *http.Request) {
 	}
 	if s.fleet != nil {
 		res, err := s.fleet.Nearest(target)
-		if err != nil {
-			writeError(w, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, res)
+		writeResult(w, res, err)
 		return
 	}
 	res, err := s.engine.Nearest(target)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, res)
+	writeResult(w, res, err)
 }
 
 func (s *server) handleRoute(w http.ResponseWriter, r *http.Request) {
@@ -572,19 +576,11 @@ func (s *server) handleRoute(w http.ResponseWriter, r *http.Request) {
 	}
 	if s.fleet != nil {
 		res, err := s.fleet.Route(src, dst)
-		if err != nil {
-			writeError(w, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, res)
+		writeResult(w, res, err)
 		return
 	}
 	res, err := s.engine.Route(src, dst)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, res)
+	writeResult(w, res, err)
 }
 
 type snapshotRequest struct {

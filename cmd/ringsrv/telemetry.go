@@ -66,37 +66,18 @@ func (s *server) auditTrueDist(rec auditRecord) (float64, bool) {
 	return snap.Idx.Dist(rec.u, rec.v), true
 }
 
-// observeEngineEstimate traces and audits one single-engine answer.
-func (s *server) observeEngineEstimate(endpoint string, res oracle.EstimateResult, err error, start time.Time) {
-	if err == nil {
-		s.auditor.offer(auditRecord{
-			u: res.U, v: res.V,
-			lower: res.Lower, upper: res.Upper,
-			version: res.Version,
-		})
+// scheme names the estimator being served (every shard of a fleet builds
+// from the same recipe).
+func (s *server) scheme() string {
+	if s.fleet != nil {
+		return s.fleet.ShardSnapshot(0).Config.Scheme
 	}
-	if !s.traceSampler.Sample() {
-		return
-	}
-	rec := &telemetry.TraceRecord{
-		Time:      start,
-		Endpoint:  endpoint,
-		Scheme:    s.engine.Snapshot().Config.Scheme,
-		LatencyUs: float64(time.Since(start)) / float64(time.Microsecond),
-	}
-	if err != nil {
-		rec.Err = err.Error()
-	} else {
-		rec.U, rec.V = res.U, res.V
-		rec.Cached = res.Cached
-		rec.Version = uint64(res.Version)
-		rec.Lower, rec.Upper, rec.OK = res.Lower, res.Upper, res.OK
-	}
-	s.traceRing.Record(rec)
+	return s.engine.Snapshot().Config.Scheme
 }
 
-// observeFleetEstimate traces and audits one fleet answer.
-func (s *server) observeFleetEstimate(endpoint string, res shard.EstimateResult, err error, start time.Time) {
+// observeEstimate traces and audits one /estimate answer. A single
+// engine's answer arrives wrapped with the zero shard attribution.
+func (s *server) observeEstimate(res shard.EstimateResult, err error, start time.Time) {
 	if err == nil {
 		s.auditor.offer(auditRecord{
 			u: res.U, v: res.V,
@@ -110,8 +91,8 @@ func (s *server) observeFleetEstimate(endpoint string, res shard.EstimateResult,
 	}
 	rec := &telemetry.TraceRecord{
 		Time:      start,
-		Endpoint:  endpoint,
-		Scheme:    s.fleet.ShardSnapshot(0).Config.Scheme,
+		Endpoint:  oracle.EndpointEstimate,
+		Scheme:    s.scheme(),
 		LatencyUs: float64(time.Since(start)) / float64(time.Microsecond),
 	}
 	if err != nil {

@@ -65,8 +65,10 @@ type Mutator struct {
 	intOf   []int32 // base id -> internal id, -1 when dormant
 	dormant []int32 // dormant base ids, ascending
 
-	st      *state
-	stats   Stats
+	st *state
+	// last is the most recent commit's report; every cumulative figure
+	// of Stats is read from metrics, which is where commits count.
+	last    OpStats
 	metrics *mutatorMetrics
 
 	// fence, when set, runs at the head of every Apply, before any
@@ -149,10 +151,7 @@ func NewMutator(cfg Config) (*Mutator, error) {
 		return nil, err
 	}
 	m.st = st
-	m.stats.N = st.n
-	m.stats.Capacity = cfg.Capacity
-	m.stats.Dormant = len(m.dormant)
-	m.stats.Last = OpStats{N: st.n, RepairedLabels: labelCount(st), ElapsedSec: time.Since(start).Seconds(), FullFallback: true}
+	m.last = OpStats{N: st.n, RepairedLabels: labelCount(st), ElapsedSec: time.Since(start).Seconds(), FullFallback: true}
 	m.metrics.nodes.Set(float64(st.n))
 	m.metrics.dormant.Set(float64(len(m.dormant)))
 	return m, nil
@@ -168,12 +167,24 @@ func labelCount(st *state) int {
 // Snapshot returns the current delta snapshot (immutable).
 func (m *Mutator) Snapshot() *oracle.Snapshot { return m.st.snap }
 
-// Stats returns the cumulative repair report.
+// Stats returns the cumulative repair report: the rings_churn_* series
+// read back (repair seconds and repaired labels are the sums of the
+// commit-latency and repair-size histograms), plus the current
+// membership and the last commit's own report.
 func (m *Mutator) Stats() Stats {
-	s := m.stats
-	s.N = m.dyn.N()
-	s.Dormant = len(m.dormant)
-	return s
+	mm := m.metrics
+	return Stats{
+		Joins:         mm.joins.Value(),
+		Leaves:        mm.leaves.Value(),
+		Commits:       mm.commits.Value(),
+		FullFallbacks: mm.fullFallbacks.Value(),
+		RepairedTotal: int64(mm.repairLabels.Sum()),
+		RepairSec:     mm.commitUs.Sum() / 1e6,
+		N:             m.dyn.N(),
+		Capacity:      m.cfg.Capacity,
+		Dormant:       len(m.dormant),
+		Last:          m.last,
+	}
 }
 
 // N reports the current node count.
@@ -303,14 +314,11 @@ func (m *Mutator) Apply(ops ...Op) (*oracle.Snapshot, error) {
 		return nil, fmt.Errorf("%w: %v", ErrCommit, err)
 	}
 	m.st = st
-	m.stats.Commits++
 	m.metrics.commits.Inc()
 	for _, op := range ops {
 		if op.Kind == Join {
-			m.stats.Joins++
 			m.metrics.joins.Inc()
 		} else {
-			m.stats.Leaves++
 			m.metrics.leaves.Inc()
 		}
 	}
@@ -322,12 +330,9 @@ func (m *Mutator) Apply(ops ...Op) (*oracle.Snapshot, error) {
 		ops2.Base = ops[0].Base
 	}
 	if ops2.FullFallback {
-		m.stats.FullFallbacks++
 		m.metrics.fullFallbacks.Inc()
 	}
-	m.stats.RepairedTotal += int64(ops2.RepairedLabels)
-	m.stats.RepairSec += ops2.ElapsedSec
-	m.stats.Last = *ops2
+	m.last = *ops2
 	m.metrics.commitUs.Observe(ops2.ElapsedSec * 1e6)
 	m.metrics.repairLabels.Observe(float64(ops2.RepairedLabels))
 	m.metrics.nodes.Set(float64(st.n))

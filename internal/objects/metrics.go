@@ -3,10 +3,12 @@ package objects
 import "rings/internal/telemetry"
 
 // Metrics are the rings_objects_* telemetry series of one object layer.
-// A Directory given one in its Config drives every series itself; the
-// sharded fleet keeps the per-shard directories unmetered and drives
-// one fleet-level Metrics from its own routing layer instead (plus the
-// cross-shard extras it registers into the same registry).
+// A Directory drives every series of the one in its Config itself, and
+// reports Stats from them; the sharded fleet leaves the per-shard
+// directories on private registries (their counts are the per_shard
+// rows of its report) and drives one fleet-level Metrics from its own
+// routing layer (plus the cross-shard extras it registers into the same
+// registry).
 type Metrics struct {
 	// Reg owns the series below; compose it into a /metrics page with
 	// telemetry.Group.

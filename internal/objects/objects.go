@@ -38,7 +38,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"rings/internal/nnsearch"
 	"rings/internal/oracle"
@@ -77,7 +76,9 @@ type Config struct {
 	// departures are dropped and reported in the Republish records for
 	// the caller to re-place.
 	BaseDist DistFunc
-	// Metrics, when set, receives the rings_objects_* series.
+	// Metrics receives the rings_objects_* series, the directory's only
+	// counters (Stats reads them back). Left nil, the directory counts
+	// into a private registry nobody exposes.
 	Metrics *Metrics
 }
 
@@ -87,6 +88,9 @@ func (c Config) withDefaults() Config {
 	}
 	if c.PerRing < 1 {
 		c.PerRing = 8
+	}
+	if c.Metrics == nil {
+		c.Metrics = NewMetrics()
 	}
 	return c
 }
@@ -114,13 +118,6 @@ type Directory struct {
 	intOf []int32
 
 	objs map[string]*object
-
-	publishes   atomic.Int64
-	unpublishes atomic.Int64
-	republishes atomic.Int64
-	lookups     atomic.Int64
-	notFound    atomic.Int64
-	misses      atomic.Int64
 }
 
 // New builds a directory over snap, deriving stable ids from snap.Perm
@@ -253,10 +250,7 @@ func (d *Directory) Publish(obj string, node int) (int, error) {
 		}
 		return 0, err
 	}
-	d.publishes.Add(1)
-	if m := d.cfg.Metrics; m != nil {
-		m.Publishes.Inc()
-	}
+	d.cfg.Metrics.Publishes.Inc()
 	d.setGauges()
 	return len(o.replicas), nil
 }
@@ -281,10 +275,7 @@ func (d *Directory) Unpublish(obj string, node int) (int, error) {
 	} else if err := d.rebuild(o); err != nil {
 		return 0, err
 	}
-	d.unpublishes.Add(1)
-	if m := d.cfg.Metrics; m != nil {
-		m.Unpublishes.Inc()
-	}
+	d.cfg.Metrics.Unpublishes.Inc()
 	d.setGauges()
 	return len(o.replicas), nil
 }
@@ -319,10 +310,7 @@ func (d *Directory) Lookup(obj string, from int) (LookupResult, error) {
 	}
 	o := d.objs[obj]
 	if o == nil {
-		d.notFound.Add(1)
-		if m := d.cfg.Metrics; m != nil {
-			m.NotFound.Inc()
-		}
+		d.cfg.Metrics.NotFound.Inc()
 		return LookupResult{}, fmt.Errorf("objects: lookup %q: %w", obj, ErrUnknownObject)
 	}
 	target := int(d.intOf[from])
@@ -352,24 +340,19 @@ func (d *Directory) Lookup(obj string, from int) (LookupResult, error) {
 		Replicas: len(o.replicas),
 		Version:  d.snap.Version,
 	}
-	d.lookups.Add(1)
+	m := d.cfg.Metrics
+	m.Lookups.Inc()
 	trueNode, trueDist := d.trueNearest(o, target)
 	if trueNode != best || trueDist != bestD {
-		d.misses.Add(1)
-		if m := d.cfg.Metrics; m != nil {
-			m.Misses.Inc()
-		}
+		m.Misses.Inc()
 	}
-	if m := d.cfg.Metrics; m != nil {
-		m.Lookups.Inc()
-		m.Hops.Observe(float64(res.Hops))
-		m.Scanned.Observe(float64(res.Scanned))
-		stretch := 1.0
-		if trueDist > 0 {
-			stretch = bestD / trueDist
-		}
-		m.Stretch.Observe(stretch)
+	m.Hops.Observe(float64(res.Hops))
+	m.Scanned.Observe(float64(res.Scanned))
+	stretch := 1.0
+	if trueDist > 0 {
+		stretch = bestD / trueDist
 	}
+	m.Stretch.Observe(stretch)
 	return res, nil
 }
 
@@ -485,10 +468,7 @@ func (d *Directory) SetSnapshotIDs(snap *oracle.Snapshot, ids []int32, universe 
 			kept = append(kept, 0)
 			copy(kept[i+1:], kept[i:])
 			kept[i] = best
-			d.republishes.Add(1)
-			if m := d.cfg.Metrics; m != nil {
-				m.Republishes.Inc()
-			}
+			d.cfg.Metrics.Republishes.Inc()
 		}
 		o.replicas = kept
 		if len(o.replicas) == 0 {
@@ -521,19 +501,21 @@ type Stats struct {
 	Version int64 `json:"version"`
 }
 
-// Stats reports the current directory state and counters.
+// Stats reports the current directory state and its counters, read from
+// the telemetry series.
 func (d *Directory) Stats() Stats {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
+	m := d.cfg.Metrics
 	st := Stats{
 		Ready:       d.ready(),
 		Objects:     len(d.objs),
-		Publishes:   d.publishes.Load(),
-		Unpublishes: d.unpublishes.Load(),
-		Republishes: d.republishes.Load(),
-		Lookups:     d.lookups.Load(),
-		NotFound:    d.notFound.Load(),
-		Misses:      d.misses.Load(),
+		Publishes:   m.Publishes.Value(),
+		Unpublishes: m.Unpublishes.Value(),
+		Republishes: m.Republishes.Value(),
+		Lookups:     m.Lookups.Value(),
+		NotFound:    m.NotFound.Value(),
+		Misses:      m.Misses.Value(),
 	}
 	if d.snap != nil {
 		st.Version = d.snap.Version
@@ -593,14 +575,10 @@ func (d *Directory) CurrentOf(stable int) int {
 
 // setGauges refreshes the object/replica gauges. Callers hold d.mu.
 func (d *Directory) setGauges() {
-	m := d.cfg.Metrics
-	if m == nil {
-		return
-	}
 	replicas := 0
 	for _, o := range d.objs {
 		replicas += len(o.replicas)
 	}
-	m.Objects.Set(float64(len(d.objs)))
-	m.Replicas.Set(float64(replicas))
+	d.cfg.Metrics.Objects.Set(float64(len(d.objs)))
+	d.cfg.Metrics.Replicas.Set(float64(replicas))
 }

@@ -1,9 +1,6 @@
 package oracle
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
 // shardedCache memoizes estimate results under per-shard locks so
 // concurrent clients rarely contend. A cache belongs to exactly one
@@ -11,15 +8,15 @@ import (
 // Swap), so entries can never outlive the artifacts that produced them
 // and never need invalidation.
 type shardedCache struct {
-	shards    []cacheShard
-	capacity  int // per shard; <= 0 disables the cache entirely
-	hits      atomic.Int64
-	misses    atomic.Int64
-	evictions atomic.Int64
-	// metrics mirrors events into the owning engine's cumulative
-	// counters (the per-era atomics above reset with each Swap; the
-	// exposition counters must stay monotone). Nil outside an engine.
+	shards   []cacheShard
+	capacity int // per shard; <= 0 disables the cache entirely
+	// Events count into the owning engine's cumulative counters (the
+	// exposition counters must stay monotone across Swaps).
 	metrics *engineMetrics
+
+	// This cache's own era is those counters minus their values when it
+	// was created.
+	baseHits, baseMisses, baseEvicts int64
 }
 
 type cacheShard struct {
@@ -37,7 +34,14 @@ func newCache(shards, capacity int, metrics *engineMetrics) *shardedCache {
 	for pow < shards {
 		pow <<= 1
 	}
-	c := &shardedCache{shards: make([]cacheShard, pow), capacity: capacity, metrics: metrics}
+	c := &shardedCache{
+		shards:     make([]cacheShard, pow),
+		capacity:   capacity,
+		metrics:    metrics,
+		baseHits:   metrics.cacheHits.Value(),
+		baseMisses: metrics.cacheMisses.Value(),
+		baseEvicts: metrics.cacheEvicts.Value(),
+	}
 	if capacity > 0 {
 		for i := range c.shards {
 			c.shards[i].m = make(map[uint64]EstimateResult)
@@ -67,7 +71,7 @@ func (c *shardedCache) shard(key uint64) *cacheShard {
 // get returns the cached result for (u, v), counting the hit or miss.
 func (c *shardedCache) get(u, v int) (EstimateResult, bool) {
 	if c.capacity <= 0 {
-		c.miss()
+		c.metrics.cacheMisses.Inc()
 		return EstimateResult{}, false
 	}
 	key := pairKey(u, v)
@@ -76,21 +80,11 @@ func (c *shardedCache) get(u, v int) (EstimateResult, bool) {
 	res, ok := s.m[key]
 	s.mu.Unlock()
 	if ok {
-		c.hits.Add(1)
-		if c.metrics != nil {
-			c.metrics.cacheHits.Inc()
-		}
+		c.metrics.cacheHits.Inc()
 	} else {
-		c.miss()
-	}
-	return res, ok
-}
-
-func (c *shardedCache) miss() {
-	c.misses.Add(1)
-	if c.metrics != nil {
 		c.metrics.cacheMisses.Inc()
 	}
+	return res, ok
 }
 
 // put stores a result, evicting an arbitrary entry when the shard is at
@@ -105,10 +99,7 @@ func (c *shardedCache) put(u, v int, res EstimateResult) {
 	if _, exists := s.m[key]; !exists && len(s.m) >= c.capacity {
 		for k := range s.m {
 			delete(s.m, k)
-			c.evictions.Add(1)
-			if c.metrics != nil {
-				c.metrics.cacheEvicts.Inc()
-			}
+			c.metrics.cacheEvicts.Inc()
 			break
 		}
 	}
@@ -128,7 +119,7 @@ func (c *shardedCache) size() int {
 	return total
 }
 
-// CacheStats reports one cache's counters.
+// CacheStats reports one cache's counters, for its own snapshot era.
 type CacheStats struct {
 	Hits      int64 `json:"hits"`
 	Misses    int64 `json:"misses"`
@@ -140,9 +131,9 @@ type CacheStats struct {
 
 func (c *shardedCache) stats() CacheStats {
 	return CacheStats{
-		Hits:      c.hits.Load(),
-		Misses:    c.misses.Load(),
-		Evictions: c.evictions.Load(),
+		Hits:      c.metrics.cacheHits.Value() - c.baseHits,
+		Misses:    c.metrics.cacheMisses.Value() - c.baseMisses,
+		Evictions: c.metrics.cacheEvicts.Value() - c.baseEvicts,
 		Size:      c.size(),
 		Shards:    len(c.shards),
 		Capacity:  c.capacity,

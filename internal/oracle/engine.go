@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"rings/internal/stats"
-	"rings/internal/telemetry"
 )
 
 // EngineOptions tunes the serving layer (not the artifacts — those are
@@ -20,10 +19,6 @@ type EngineOptions struct {
 	// CacheCapacity is the per-shard entry cap. 0 applies the default
 	// (4096 entries per shard); negative disables caching.
 	CacheCapacity int
-	// LatencySampleSize is the per-endpoint latency sample capacity
-	// (default 2048), spread over several round-robin reservoir shards
-	// so recording never funnels through one mutex.
-	LatencySampleSize int
 }
 
 func (o EngineOptions) withDefaults() EngineOptions {
@@ -32,9 +27,6 @@ func (o EngineOptions) withDefaults() EngineOptions {
 	}
 	if o.CacheCapacity == 0 {
 		o.CacheCapacity = 4096
-	}
-	if o.LatencySampleSize == 0 {
-		o.LatencySampleSize = 2048
 	}
 	return o
 }
@@ -60,79 +52,27 @@ type engineState struct {
 	cache *shardedCache
 }
 
-// latencyShards spreads each endpoint's latency stream over several
-// reservoirs (power of two for slotHint): a single reservoir's mutex
-// would re-serialize the very traffic the sharded cache keeps
-// lock-free.
-const latencyShards = 8
-
-// endpointStats tracks one endpoint's counters and latency reservoirs.
-// Shard choice comes from slotHint (a per-caller stack-address hash)
-// rather than a shared round-robin cursor — the cursor's own cache line
-// was a cross-core contention point on the warm query path.
-type endpointStats struct {
-	count   atomic.Int64
-	errors  atomic.Int64
-	latency [latencyShards]*stats.Reservoir
-
-	// Preallocated telemetry handles for the same endpoint — captured at
-	// construction so observe stays free of map lookups.
-	mRequests  *telemetry.Counter
-	mErrors    *telemetry.Counter
-	mLatencyUs *telemetry.Histogram
-}
-
-//ringvet:hotpath
-func (s *endpointStats) record(us float64) {
-	s.latency[slotHint(latencyShards)].Add(us)
-}
-
-func (s *endpointStats) latencySummary() stats.Summary {
-	var samples []float64
-	for _, r := range s.latency {
-		samples = append(samples, r.Samples()...)
-	}
-	return stats.Summarize(samples)
-}
-
 // Engine is the concurrency-safe query layer over a current Snapshot.
 // All query methods are lock-free on the snapshot path (one atomic
-// pointer read); the only locks on the hot path are the cache shard's
-// and the latency reservoir's, both scoped far narrower than a query.
+// pointer read); the only lock on the hot path is the cache shard's,
+// scoped far narrower than a query. Every event is counted once, in the
+// engine's telemetry registry; Stats is a view of it.
 type Engine struct {
-	opts      EngineOptions
-	state     atomic.Pointer[engineState]
-	versions  atomic.Int64
-	swapMu    sync.Mutex
-	swaps     atomic.Int64
-	started   time.Time
-	endpoints map[string]*endpointStats
-	metrics   *engineMetrics
+	opts     EngineOptions
+	state    atomic.Pointer[engineState]
+	versions atomic.Int64
+	swapMu   sync.Mutex
+	started  time.Time
+	metrics  *engineMetrics
 }
 
 // NewEngine creates an engine serving the given snapshot (installed as
 // version 1).
 func NewEngine(snap *Snapshot, opts EngineOptions) *Engine {
 	e := &Engine{
-		opts:      opts.withDefaults(),
-		started:   time.Now(),
-		endpoints: make(map[string]*endpointStats, len(endpointNames)),
-		metrics:   newEngineMetrics(),
-	}
-	perShard := e.opts.LatencySampleSize / latencyShards
-	if perShard < 1 {
-		perShard = 1
-	}
-	for i, name := range endpointNames {
-		ep := &endpointStats{
-			mRequests:  e.metrics.requests[name],
-			mErrors:    e.metrics.errors[name],
-			mLatencyUs: e.metrics.latencyUs[name],
-		}
-		for j := range ep.latency {
-			ep.latency[j] = stats.NewReservoir(perShard, int64(i*latencyShards+j+1))
-		}
-		e.endpoints[name] = ep
+		opts:    opts.withDefaults(),
+		started: time.Now(),
+		metrics: newEngineMetrics(),
 	}
 	e.Swap(snap)
 	return e
@@ -161,7 +101,6 @@ func (e *Engine) Swap(snap *Snapshot) *Snapshot {
 		snap:  snap,
 		cache: newCache(e.opts.CacheShards, e.opts.CacheCapacity, e.metrics),
 	})
-	e.swaps.Add(1)
 	e.metrics.swaps.Inc()
 	e.metrics.version.Set(float64(snap.Version))
 	e.metrics.setArena(snap.Flat)
@@ -193,16 +132,12 @@ func (e *Engine) Snapshot() *Snapshot { return e.state.Load().snap }
 
 //ringvet:hotpath
 func (e *Engine) observe(endpoint string, start time.Time, err error) {
-	st := e.endpoints[endpoint]
-	st.count.Add(1)
-	st.mRequests.Inc()
+	st := e.metrics.endpoints[endpoint]
+	st.requests.Inc()
 	if err != nil {
-		st.errors.Add(1)
-		st.mErrors.Inc()
+		st.errors.Inc()
 	}
-	us := float64(time.Since(start)) / float64(time.Microsecond)
-	st.record(us)
-	st.mLatencyUs.Observe(us)
+	st.latencyUs.Observe(float64(time.Since(start)) / float64(time.Microsecond))
 }
 
 // pinAttempts bounds the reload loop around arena pinning. A pin only
@@ -379,7 +314,8 @@ func (e *Engine) Route(src, dst int) (RouteResult, error) {
 }
 
 // EndpointStats is one endpoint's counters and latency summary
-// (microseconds).
+// (microseconds, derived from the rings_engine_latency_us histogram:
+// percentiles resolve to one log2 bucket).
 type EndpointStats struct {
 	Count     int64         `json:"count"`
 	Errors    int64         `json:"errors"`
@@ -396,25 +332,26 @@ type EngineStats struct {
 	Endpoints map[string]EndpointStats `json:"endpoints"`
 }
 
-// Stats reports the engine's counters: current snapshot version, swap
-// count, the current cache's hit/miss/eviction counters (the cache is
-// per snapshot era — counters reset on Swap by design), and per-endpoint
-// call counts with latency summaries.
+// Stats reports the engine's counters, read from its telemetry registry:
+// current snapshot version, swap count, the current cache's
+// hit/miss/eviction counters (the cache is per snapshot era — they
+// restart at Swap by design), and per-endpoint call counts with latency
+// summaries.
 func (e *Engine) Stats() EngineStats {
 	st := e.state.Load()
 	out := EngineStats{
 		Version:   st.snap.Version,
-		Swaps:     e.swaps.Load(),
+		Swaps:     e.metrics.swaps.Value(),
 		UptimeSec: time.Since(e.started).Seconds(),
 		Build:     st.snap.Build,
 		Cache:     st.cache.stats(),
-		Endpoints: make(map[string]EndpointStats, len(e.endpoints)),
+		Endpoints: make(map[string]EndpointStats, len(e.metrics.endpoints)),
 	}
-	for name, ep := range e.endpoints {
+	for name, ep := range e.metrics.endpoints {
 		out.Endpoints[name] = EndpointStats{
-			Count:     ep.count.Load(),
-			Errors:    ep.errors.Load(),
-			LatencyUs: ep.latencySummary(),
+			Count:     ep.requests.Value(),
+			Errors:    ep.errors.Value(),
+			LatencyUs: ep.latencyUs.Snapshot().Summary(),
 		}
 	}
 	return out

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -263,66 +262,38 @@ func TestSnapshotV2CorruptionRejected(t *testing.T) {
 	}
 }
 
-// writeSnapshotV1 emits the legacy v1 format (the pre-arena writer,
-// kept here so version-compat tests have a real v1 image to read).
-func writeSnapshotV1(t testing.TB, snap *Snapshot, w io.Writer) {
-	t.Helper()
-	if _, err := snap.WriteLegacyV1(w); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestSnapshotV1ConvertsToV2 is the version-upgrade property: a legacy
-// v1 file still loads (labels decode through the wire codec), the
-// loaded snapshot serves, and its next persist emits v2.
-func TestSnapshotV1ConvertsToV2(t *testing.T) {
-	snap := buildTestSnapshot(t, 27)
-	var v1 bytes.Buffer
-	writeSnapshotV1(t, snap, &v1)
-
-	loaded, err := ReadSnapshot(bytes.NewReader(v1.Bytes()))
+// TestGoldenV1Rejected pins the retirement of the v1 format against a
+// real v1 file (testdata/golden_v1.snap, written by the last commit that
+// still had the writer: cube n=16 labels): both readers refuse it with
+// ErrSnapshotV1 — an error that names the format and says to rebuild —
+// and leave the file as it was.
+func TestGoldenV1Rejected(t *testing.T) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "golden_v1.snap"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if loaded.N() != snap.N() || loaded.Idx == nil || loaded.Flat == nil {
-		t.Fatalf("v1 restore incomplete: n=%d idx=%v flat=%v", loaded.N(), loaded.Idx != nil, loaded.Flat != nil)
+	if !bytes.HasPrefix(golden, []byte(persistMagicV1)) {
+		t.Fatal("golden file is not a v1 snapshot")
 	}
-	// Wire semantics: codec-rounded, so compare against the decoded
-	// labels (exact) rather than the original builder's labels.
-	res, err := loaded.Estimate(1, 2)
-	if err != nil || !res.OK {
-		t.Fatalf("v1-loaded estimate: %+v, %v", res, err)
-	}
-
-	var v2 bytes.Buffer
-	if _, err := loaded.WriteTo(&v2); err != nil {
+	path := filepath.Join(t.TempDir(), "v1.snap")
+	if err := os.WriteFile(path, golden, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.HasPrefix(v2.Bytes(), []byte(persistMagicV2)) {
-		t.Fatal("re-persist of a v1-loaded snapshot did not emit v2")
+	_, errRead := ReadSnapshot(bytes.NewReader(golden))
+	_, errOpen := OpenSnapshotFile(path)
+	for name, err := range map[string]error{"ReadSnapshot": errRead, "OpenSnapshotFile": errOpen} {
+		if !errors.Is(err, ErrSnapshotV1) {
+			t.Errorf("%s on a v1 file: %v, want ErrSnapshotV1", name, err)
+			continue
+		}
+		for _, want := range []string{"v1", "rebuild"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("%s error %q does not mention %q", name, err, want)
+			}
+		}
 	}
-	reloaded, err := ReadSnapshot(bytes.NewReader(v2.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, _ := loaded.Estimate(3, 4)
-	b, _ := reloaded.Estimate(3, 4)
-	if !sameEstimate(a, b) {
-		t.Fatalf("v1→v2 round trip diverged: %+v vs %+v", a, b)
-	}
-
-	// The fast open falls back to the full conversion for v1 files.
-	dir := t.TempDir()
-	path := filepath.Join(dir, "v1.bin")
-	if err := os.WriteFile(path, v1.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	opened, err := OpenSnapshotFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if opened.Idx == nil || opened.Router == nil {
-		t.Fatal("v1 fast-open fallback did not fully restore")
+	if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, golden) {
+		t.Fatalf("refused v1 file was modified (read error %v)", err)
 	}
 }
 

@@ -11,19 +11,26 @@ const (
 	cacheEventEvict = "evict"
 )
 
+// endpointStats is one endpoint's telemetry handles, captured at
+// construction so observe performs no registry lookups.
+type endpointStats struct {
+	requests  *telemetry.Counter
+	errors    *telemetry.Counter
+	latencyUs *telemetry.Histogram
+}
+
 // engineMetrics holds the engine's preallocated telemetry handles.
 // Every handle is captured at construction so the hot path performs no
 // registry or map lookups — an increment is exactly one atomic add.
-// Counters here are cumulative for the life of the engine: the cache
-// event counters keep counting across snapshot eras (Prometheus
-// counters must be monotone), while per-era cache numbers remain
-// available from Engine.Stats.
+// These are the engine's only counters: Engine.Stats is computed from
+// them at read time. They are cumulative for the life of the engine —
+// the cache event counters keep counting across snapshot eras
+// (Prometheus counters must be monotone), and Stats reports a cache's
+// era as the difference from the values captured when it was created.
 type engineMetrics struct {
 	reg *telemetry.Registry
 
-	requests  map[string]*telemetry.Counter
-	errors    map[string]*telemetry.Counter
-	latencyUs map[string]*telemetry.Histogram
+	endpoints map[string]*endpointStats
 
 	batchPairs *telemetry.Counter
 
@@ -53,9 +60,7 @@ func newEngineMetrics() *engineMetrics {
 	reg := telemetry.NewRegistry()
 	m := &engineMetrics{
 		reg:       reg,
-		requests:  make(map[string]*telemetry.Counter, len(endpointNames)),
-		errors:    make(map[string]*telemetry.Counter, len(endpointNames)),
-		latencyUs: make(map[string]*telemetry.Histogram, len(endpointNames)),
+		endpoints: make(map[string]*endpointStats, len(endpointNames)),
 	}
 	reqs := reg.CounterFamily("rings_engine_requests_total",
 		"Requests served, by endpoint.", "endpoint", endpointNames...)
@@ -65,9 +70,11 @@ func newEngineMetrics() *engineMetrics {
 		"Request latency in microseconds, by endpoint.", latMinExp, latMaxExp,
 		"endpoint", endpointNames...)
 	for _, name := range endpointNames {
-		m.requests[name] = reqs.With(name)
-		m.errors[name] = errs.With(name)
-		m.latencyUs[name] = lat.With(name)
+		m.endpoints[name] = &endpointStats{
+			requests:  reqs.With(name),
+			errors:    errs.With(name),
+			latencyUs: lat.With(name),
+		}
 	}
 	m.batchPairs = reg.Counter("rings_engine_batch_pairs_total",
 		"Pairs answered by the batch endpoints (each batch request counts len(pairs) here).")

@@ -21,9 +21,9 @@
 //     the estimate path; the cache is tied to the snapshot it was filled
 //     from and is replaced wholesale on Swap, so a stale entry can never
 //     survive a rebuild.
-//   - Per-endpoint latency reservoirs (internal/stats) make the engine
-//     self-reporting: Stats returns counters and latency summaries for
-//     every endpoint plus cache and swap counters.
+//   - Every event is counted once, in the engine's telemetry registry
+//     (Metrics); Stats is a view of it: counters and histogram-derived
+//     latency summaries for every endpoint plus cache and swap counters.
 //
 // cmd/ringsrv exposes the engine over HTTP/JSON and cmd/ringload drives
 // it under closed-loop load. The Snapshot/Swap contract is what lets

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc64"
 	"io"
@@ -11,36 +12,27 @@ import (
 	"time"
 	"unsafe"
 
-	"rings/internal/distlabel"
 	"rings/internal/metric"
 	"rings/internal/par"
 	"rings/internal/workload"
 )
 
-// Snapshot file magics. v1 framed codec-rounded wire labels behind a
-// JSON header; v2 is the flat arena bytes behind a checksummed header,
-// so a warm start is an mmap (or one bulk read) plus validation instead
-// of a per-label decode. ReadSnapshot accepts both (v1 labels decode and
-// repack into an arena first); WriteTo always emits v2.
+// Snapshot file magics. v2 is the flat arena bytes behind a checksummed
+// header, so a warm start is an mmap (or one bulk read) plus validation.
+// v1 (codec-rounded wire labels behind a JSON header) is retired: its
+// magic is kept only so a v1 file is refused by name (ErrSnapshotV1)
+// instead of as "not a snapshot file".
 const (
 	persistMagicV1 = "RINGSNAP1\n"
 	persistMagicV2 = "RINGSNAP2\n"
 )
 
+// ErrSnapshotV1 rejects a file in the retired v1 format. There is no
+// converter: the file's workload header says what to rebuild.
+var ErrSnapshotV1 = errors.New(`oracle: snapshot is in the retired v1 format (magic "RINGSNAP1"); delete it to rebuild`)
+
 // crcTable is the checksum polynomial of the v2 format (CRC-64/ECMA).
 var crcTable = crc64.MakeTable(crc64.ECMA)
-
-// persistHeader is the v1 JSON header, kept for reading v1 files.
-type persistHeader struct {
-	Config    Config    `json:"config"`
-	Name      string    `json:"name"`
-	N         int       `json:"n"`
-	Capacity  int       `json:"capacity,omitempty"`
-	Perm      []int32   `json:"perm,omitempty"`
-	LabelMeta LabelMeta `json:"label_meta"`
-	// Labels reports how many label blocks follow (0 under beacons).
-	Labels int `json:"labels"`
-}
 
 // persistHeaderV2 is the v2 JSON header: workload identity for the
 // deterministic rebuild of derived artifacts, plus the arena section
@@ -151,67 +143,10 @@ func (s *Snapshot) writeToV2(w io.Writer) (int64, error) {
 	return bw.n, nil
 }
 
-// WriteLegacyV1 serializes the snapshot in the retired v1 format
-// (uvarint-framed codec-rounded wire labels). Kept callable so the
-// format-migration tests and the serve benchmark's warm-start
-// comparison can produce real v1 files; production persistence always
-// writes v2.
-func (s *Snapshot) WriteLegacyV1(w io.Writer) (int64, error) {
-	bw := &countingWriter{w: w}
-	writeUvarint := func(v uint64) error {
-		var tmp [binary.MaxVarintLen64]byte
-		_, err := bw.Write(tmp[:binary.PutUvarint(tmp[:], v)])
-		return err
-	}
-	if _, err := bw.Write([]byte(persistMagicV1)); err != nil {
-		return bw.n, err
-	}
-	hdr := persistHeader{
-		Config:    s.Config,
-		Name:      s.Name,
-		N:         s.N(),
-		Capacity:  s.Capacity,
-		Perm:      s.Perm,
-		LabelMeta: s.LabelMeta,
-		Labels:    len(s.Labels),
-	}
-	hdrBuf, err := json.Marshal(hdr)
-	if err != nil {
-		return bw.n, err
-	}
-	if err := writeUvarint(uint64(len(hdrBuf))); err != nil {
-		return bw.n, err
-	}
-	if _, err := bw.Write(hdrBuf); err != nil {
-		return bw.n, err
-	}
-	if len(s.Labels) == 0 {
-		return bw.n, nil
-	}
-	wire, err := s.LabelWire()
-	if err != nil {
-		return bw.n, err
-	}
-	for u, lab := range s.Labels {
-		buf, bits, err := wire.Encode(lab)
-		if err != nil {
-			return bw.n, fmt.Errorf("oracle: encode label %d: %w", u, err)
-		}
-		if err := writeUvarint(uint64(bits)); err != nil {
-			return bw.n, err
-		}
-		if _, err := bw.Write(buf); err != nil {
-			return bw.n, err
-		}
-	}
-	return bw.n, nil
-}
-
-// ReadSnapshot restores a full snapshot from WriteTo's format (v2) or
-// the legacy v1 format: the stream's estimator payload becomes the
-// snapshot's arena (one aligned read buffer under v2; decoded, repacked
-// wire labels under v1) and HydrateOver rebuilds the derived artifacts
-// around it over the workload the header describes. For the O(header)
+// ReadSnapshot restores a full snapshot from WriteTo's format: the
+// stream's estimator payload becomes the snapshot's arena (one aligned
+// read buffer) and HydrateOver rebuilds the derived artifacts around it
+// over the workload the header describes. For the O(header)
 // serve-immediately open, see OpenSnapshotFile.
 func ReadSnapshot(r io.Reader) (*Snapshot, error) { return readSnapshot(r, "", nil) }
 
@@ -220,7 +155,7 @@ func ReadSnapshot(r io.Reader) (*Snapshot, error) { return readSnapshot(r, "", n
 // header's Perm (nil for a static subspace) and node count. This is the
 // replica-shipping path — under churn every shipped snapshot carries a
 // different membership — and the shipped bytes are read once, into the
-// buffer the replica then serves from. Only v2 streams are accepted.
+// buffer the replica then serves from.
 func ReadSnapshotFor(r io.Reader, name string, spaceOf func(perm []int32, n int) (metric.Space, error)) (*Snapshot, error) {
 	return readSnapshot(r, name, spaceOf)
 }
@@ -236,14 +171,8 @@ func readSnapshot(r io.Reader, name string, spaceOf func(perm []int32, n int) (m
 	if _, err := io.ReadFull(br, magic); err != nil {
 		return nil, fmt.Errorf("oracle: snapshot magic: %w", err)
 	}
-	switch {
-	case string(magic) == persistMagicV2:
-	case string(magic) == persistMagicV1 && spaceOf == nil:
-		return readSnapshotV1(br)
-	case spaceOf != nil:
-		return nil, fmt.Errorf("oracle: not a v2 snapshot file (magic %q; per-shard snapshots require the v2 format)", magic)
-	default:
-		return nil, fmt.Errorf("oracle: not a snapshot file (magic %q)", magic)
+	if err := checkMagic(magic); err != nil {
+		return nil, err
 	}
 	hdr, payload, err := readV2Envelope(br)
 	if err != nil {
@@ -264,6 +193,17 @@ func readSnapshot(r io.Reader, name string, spaceOf func(perm []int32, n int) (m
 		name = hdr.Name
 	}
 	return fast.HydrateOver(space, name)
+}
+
+// checkMagic accepts the v2 magic and names what else it was handed.
+func checkMagic(magic []byte) error {
+	switch string(magic) {
+	case persistMagicV2:
+		return nil
+	case persistMagicV1:
+		return ErrSnapshotV1
+	}
+	return fmt.Errorf("oracle: not a snapshot file (magic %q)", magic)
 }
 
 // readV2Envelope reads and validates everything after the v2 magic:
@@ -426,18 +366,16 @@ func (s *Snapshot) HydrateOver(space metric.Space, name string) (*Snapshot, erro
 // decode, no derived-artifact rebuild. The result is flat-only: Idx,
 // Overlay and Router are nil until the caller swaps in its Hydrate
 // result (which keeps serving this same mapping); Nearest/Route return
-// their usual sentinel errors meanwhile. A v1 file falls back to the
-// full ReadSnapshot conversion. Callers must Close the returned
-// snapshot — or the hydrated one that took its arena over — once it has
-// been swapped out of every engine.
+// their usual sentinel errors meanwhile. A retired v1 file is refused
+// with ErrSnapshotV1. Callers must Close the returned snapshot — or the
+// hydrated one that took its arena over — once it has been swapped out
+// of every engine.
 func OpenSnapshotFile(path string) (*Snapshot, error) {
 	start := time.Now()
 	snap, mode, err := openSnapshotFile(path)
-	switch {
-	case mode == openModeRestore: // a v1 file: readSnapshot recorded the conversion or its failure
-	case err != nil:
+	if err != nil {
 		mOpenErrors.Inc()
-	default:
+	} else {
 		observeOpen(mode, start)
 	}
 	return snap, err
@@ -450,7 +388,7 @@ func observeOpen(mode string, start time.Time) {
 }
 
 // openSnapshotFile is OpenSnapshotFile minus the telemetry: it reports
-// which mode answered (mmap, read fallback, or restore for v1 files).
+// which mode answered (mmap or read fallback).
 func openSnapshotFile(path string) (*Snapshot, string, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -461,16 +399,8 @@ func openSnapshotFile(path string) (*Snapshot, string, error) {
 	if _, err := io.ReadFull(f, magic); err != nil {
 		return nil, "", fmt.Errorf("oracle: snapshot magic: %w", err)
 	}
-	switch string(magic) {
-	case persistMagicV1:
-		if _, err := f.Seek(0, io.SeekStart); err != nil {
-			return nil, "", err
-		}
-		snap, err := readSnapshot(f, "", nil)
-		return snap, openModeRestore, err
-	case persistMagicV2:
-	default:
-		return nil, "", fmt.Errorf("oracle: not a snapshot file (magic %q)", magic)
+	if err := checkMagic(magic); err != nil {
+		return nil, "", err
 	}
 
 	var (
@@ -539,77 +469,6 @@ func sliceV2Envelope(data []byte) (persistHeaderV2, []byte, error) {
 		return hdr, nil, fmt.Errorf("oracle: snapshot v2 payload checksum mismatch (got %016x, want %016x)", got, hdr.PayloadCRC)
 	}
 	return hdr, payload, nil
-}
-
-// readSnapshotV1 restores a legacy v1 stream (after the magic). Kept so
-// pre-v2 snapshot files keep warm-starting (they convert: the next
-// persist writes v2): the codec-rounded wire labels decode and repack
-// into a heap arena for HydrateOver; a beacons v1 file carries no
-// estimator payload and is simply rebuilt. The conversion indexes the
-// space twice (once for the codec's range) — a one-off per legacy file.
-func readSnapshotV1(br *bufio.Reader) (*Snapshot, error) {
-	hdrLen, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, err
-	}
-	hdrBuf := make([]byte, hdrLen)
-	if _, err := io.ReadFull(br, hdrBuf); err != nil {
-		return nil, err
-	}
-	var hdr persistHeader
-	if err := json.Unmarshal(hdrBuf, &hdr); err != nil {
-		return nil, fmt.Errorf("oracle: snapshot header: %w", err)
-	}
-	fast := &Snapshot{
-		Config:    hdr.Config.withDefaults(),
-		Name:      hdr.Name,
-		LabelMeta: hdr.LabelMeta,
-		Perm:      hdr.Perm,
-		Capacity:  hdr.Capacity,
-		n:         hdr.N,
-	}
-	space, name, err := fast.ownSpace()
-	if err != nil {
-		return nil, err
-	}
-	if hdr.Labels == 0 {
-		snap, err := BuildSnapshotOver(fast.Config, space, name)
-		if err != nil {
-			return nil, err
-		}
-		snap.Perm, snap.Capacity = hdr.Perm, hdr.Capacity
-		return snap, nil
-	}
-	if hdr.Labels != hdr.N || space.N() != hdr.N {
-		return nil, fmt.Errorf("oracle: %d label blocks for %d nodes over a %d-node space", hdr.Labels, hdr.N, space.N())
-	}
-	probe, _, err := indexSnapshot(fast.Config, space, name)
-	if err != nil {
-		return nil, err
-	}
-	probe.LabelMeta = hdr.LabelMeta
-	wire, err := probe.LabelWire()
-	if err != nil {
-		return nil, err
-	}
-	labels := make([]*distlabel.Label, hdr.Labels)
-	for u := range labels {
-		bits, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("oracle: label %d frame: %w", u, err)
-		}
-		block := make([]byte, (bits+7)/8)
-		if _, err := io.ReadFull(br, block); err != nil {
-			return nil, fmt.Errorf("oracle: label %d: %w", u, err)
-		}
-		if labels[u], err = wire.Decode(block, int(bits)); err != nil {
-			return nil, fmt.Errorf("oracle: decode label %d: %w", u, err)
-		}
-	}
-	if fast.Flat, err = newFlatFromLabels(labels); err != nil {
-		return nil, err
-	}
-	return fast.HydrateOver(space, name)
 }
 
 type countingWriter struct {

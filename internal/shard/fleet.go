@@ -65,11 +65,6 @@ type shardUnit struct {
 
 func (u *shardUnit) load() *shardState { return u.state.Load() }
 
-// replicated reports whether queries should route through the replica
-// set. With a single local replica the fleet keeps the direct engine
-// path — byte- and allocation-identical to the pre-replication fleet.
-func (u *shardUnit) replicated() bool { return u.reps != nil && len(u.reps.reps) > 1 }
-
 // Fleet is the partitioned serving layer: K shardUnits behind one
 // global-id front door, glued by the beacon tier. All query methods
 // are safe for concurrent use and lock-free on the query path.
@@ -82,11 +77,7 @@ type Fleet struct {
 	tier     *beaconTier
 	shards   []*shardUnit
 
-	intra  atomic.Int64
-	cross  atomic.Int64
-	joins  atomic.Int64
-	leaves atomic.Int64
-	rr     atomic.Int64 // round-robin cursor for auto-join shard choice
+	rr atomic.Int64 // round-robin cursor for auto-join shard choice
 
 	// epoch is the partition-map era: it bumps on every replica roster
 	// change (breaker open, resync, kill/restart, explicit
@@ -669,6 +660,65 @@ func localOf(st *shardState, g int) (int, error) {
 // is consistent by construction.
 const queryAttempts = 4
 
+// remapCall is the stale-mapping retry protocol every intra-shard query
+// runs under: load the shard's state, map the global ids through it
+// (mapIDs), ask the serving path — the replica set when the shard is
+// replicated, its authoritative engine otherwise (byte- and
+// allocation-identical to the pre-replication fleet) — and accept the
+// answer only if it came from the snapshot version the ids were mapped
+// through. A churn swap landing in between shows up as a version
+// mismatch or an ErrNodeRange and re-runs the mapping; after
+// queryAttempts the loaded snapshot answers itself (fromSnap). call
+// reports the engine version that answered. The returned state is the
+// one the answer's ids belong to: callers translate back through it and
+// stamp its version (answers are byte-identical across replicas, whose
+// engines count their own installs).
+func remapCall[L, T any](unit *shardUnit,
+	mapIDs func(*shardState) (L, error),
+	call func(Backend, L) (T, int64, error),
+	fromSnap func(*oracle.Snapshot, L) (T, error),
+) (T, *shardState, error) {
+	var zero T
+	for attempt := 0; ; attempt++ {
+		st := unit.load()
+		ids, err := mapIDs(st)
+		if err != nil {
+			return zero, nil, err
+		}
+		var res T
+		switch {
+		case attempt >= queryAttempts:
+			res, err = fromSnap(st.snap, ids)
+		case len(unit.reps.reps) > 1:
+			res, err = rsCall(unit.reps, st.snap.Version, func(b Backend) (T, int64, error) {
+				return call(b, ids)
+			})
+		default:
+			var ver int64
+			if res, ver, err = call(unit.prim, ids); err == nil && ver != st.snap.Version {
+				err = errStaleReplica
+			}
+		}
+		if err == nil {
+			return res, st, nil
+		}
+		if attempt < queryAttempts && (errors.Is(err, errStaleReplica) || errors.Is(err, oracle.ErrNodeRange)) {
+			continue
+		}
+		return zero, nil, err
+	}
+}
+
+// localPair resolves two global ids inside one loaded state.
+func localPair(st *shardState, a, b int) ([2]int, error) {
+	la, err := localOf(st, a)
+	if err != nil {
+		return [2]int{}, err
+	}
+	lb, err := localOf(st, b)
+	return [2]int{la, lb}, err
+}
+
 // EstimateResult is one fleet distance estimate: the oracle result in
 // global ids plus shard attribution. Cross-shard answers come from the
 // beacon tier (Lower/Upper are unconditional triangle-inequality
@@ -699,7 +749,7 @@ func (f *Fleet) Estimate(u, v int) (EstimateResult, error) {
 	epoch, err := f.fenced(func() error {
 		var err error
 		if su != sv {
-			out, err = f.crossEstimate(u, v, su, sv)
+			out, err = f.crossEstimate(u, v, su, sv, f.currentState)
 		} else {
 			out, err = f.intraEstimate(u, v, su)
 		}
@@ -712,69 +762,42 @@ func (f *Fleet) Estimate(u, v int) (EstimateResult, error) {
 	if out.Cross {
 		f.observeCross(out.Lower, out.Upper)
 	} else {
-		f.intra.Add(1)
 		f.metrics.intra.Inc()
 	}
 	return out, nil
 }
 
-// intraEstimate answers one same-shard estimate through the shard's
-// replica set (direct engine path when unreplicated), with the bounded
-// stale-mapping remap loop.
+// intraEstimate answers one same-shard estimate through remapCall.
 func (f *Fleet) intraEstimate(u, v, s int) (EstimateResult, error) {
-	unit := f.shards[s]
-	for attempt := 0; ; attempt++ {
-		st := unit.load()
-		lu, err := localOf(st, u)
-		if err != nil {
-			return EstimateResult{}, err
-		}
-		lv, err := localOf(st, v)
-		if err != nil {
-			return EstimateResult{}, err
-		}
-		var res oracle.EstimateResult
-		if attempt >= queryAttempts {
-			res, err = st.snap.Estimate(lu, lv)
-		} else if unit.replicated() {
-			res, err = rsCall(unit.reps, st.snap.Version, func(b Backend) (oracle.EstimateResult, int64, error) {
-				r, err := b.Estimate(lu, lv)
-				return r, r.Version, err
-			})
-			if errors.Is(err, errStaleReplica) {
-				continue // era moved under the mapping; remap and retry
-			}
-			if err == nil {
-				// Answers are byte-identical across replicas; report the
-				// authoritative era version regardless of which engine spoke.
-				res.Version = st.snap.Version
-			}
-		} else {
-			res, err = unit.engine.Estimate(lu, lv)
-			if err == nil && res.Version != st.snap.Version {
-				continue // swap raced the mapping; remap and retry
-			}
-		}
-		if err != nil {
-			if attempt < queryAttempts && errors.Is(err, oracle.ErrNodeRange) {
-				continue // shrink swap raced the mapping
-			}
-			return EstimateResult{}, err
-		}
-		res.U, res.V = u, v
-		return EstimateResult{EstimateResult: res, UShard: s, VShard: s}, nil
+	res, st, err := remapCall(f.shards[s],
+		func(st *shardState) ([2]int, error) { return localPair(st, u, v) },
+		func(b Backend, l [2]int) (oracle.EstimateResult, int64, error) {
+			r, err := b.Estimate(l[0], l[1])
+			return r, r.Version, err
+		},
+		func(snap *oracle.Snapshot, l [2]int) (oracle.EstimateResult, error) {
+			return snap.Estimate(l[0], l[1])
+		})
+	if err != nil {
+		return EstimateResult{}, err
 	}
+	res.U, res.V, res.Version = u, v, st.snap.Version
+	return EstimateResult{EstimateResult: res, UShard: s, VShard: s}, nil
 }
 
-// crossEstimate folds the two nodes' beacon vectors (each loaded from
-// its shard's current state) into the sandwich bounds.
-func (f *Fleet) crossEstimate(u, v, su, sv int) (EstimateResult, error) {
-	stU := f.shards[su].load()
+// currentState loads shard s's published state.
+func (f *Fleet) currentState(s int) *shardState { return f.shards[s].load() }
+
+// crossEstimate folds the two nodes' beacon vectors into the sandwich
+// bounds. stateOf supplies each shard's state: the current one for a
+// single query, one load per shard for a whole batch.
+func (f *Fleet) crossEstimate(u, v, su, sv int, stateOf func(int) *shardState) (EstimateResult, error) {
+	stU := stateOf(su)
 	lu, err := localOf(stU, u)
 	if err != nil {
 		return EstimateResult{}, err
 	}
-	stV := f.shards[sv].load()
+	stV := stateOf(sv)
 	lv, err := localOf(stV, v)
 	if err != nil {
 		return EstimateResult{}, err
@@ -797,7 +820,7 @@ func (f *Fleet) crossEstimate(u, v, su, sv int) (EstimateResult, error) {
 
 // EstimateBatch answers many pairs. Intra-shard pairs group by owning
 // shard and run through that shard's engine in one EstimateBatch call
-// — cache, counters and latency reservoirs included, and one snapshot
+// — cache, counters and latency histograms included, and one snapshot
 // per shard per batch by the engine's own consistency contract (the
 // mapping is version-checked against the answering snapshot, with the
 // same bounded remap-retry as single queries). Cross-shard pairs fold
@@ -829,29 +852,9 @@ func (f *Fleet) EstimateBatch(pairs []oracle.Pair) ([]EstimateResult, error) {
 				groups[su] = append(groups[su], i)
 				continue
 			}
-			stU := stateOf(su)
-			lu, err := localOf(stU, p.U)
-			if err != nil {
+			var err error
+			if out[i], err = f.crossEstimate(p.U, p.V, su, sv, stateOf); err != nil {
 				return fmt.Errorf("pair %d: %w", i, err)
-			}
-			stV := stateOf(sv)
-			lv, err := localOf(stV, p.V)
-			if err != nil {
-				return fmt.Errorf("pair %d: %w", i, err)
-			}
-			lower, upper := f.tier.estimate(stU.bvec[lu], stV.bvec[lv])
-			out[i] = EstimateResult{
-				EstimateResult: oracle.EstimateResult{
-					U:       p.U,
-					V:       p.V,
-					Lower:   lower,
-					Upper:   upper,
-					OK:      !math.IsInf(upper, 1),
-					Version: stU.snap.Version,
-				},
-				UShard: su,
-				VShard: sv,
-				Cross:  true,
 			}
 		}
 		for s, idxs := range groups {
@@ -876,79 +879,61 @@ func (f *Fleet) EstimateBatch(pairs []oracle.Pair) ([]EstimateResult, error) {
 			f.observeCross(out[i].Lower, out[i].Upper)
 		}
 	}
-	f.intra.Add(int64(intra))
 	f.metrics.intra.Add(int64(intra))
 	return out, nil
 }
 
-// batchShard answers one shard's intra pairs through its engine,
-// remapping and retrying if a churn swap lands between the id mapping
-// and the engine answer (final attempt answers from the mapped
-// snapshot directly, consistent by construction).
+// batchShard answers one shard's intra pairs in one engine batch,
+// through remapCall.
 func (f *Fleet) batchShard(s int, pairs []oracle.Pair, idxs []int, out []EstimateResult) error {
-	unit := f.shards[s]
-	local := make([]oracle.Pair, len(idxs))
-	for attempt := 0; ; attempt++ {
-		st := unit.load()
-		for j, i := range idxs {
-			lu, err := localOf(st, pairs[i].U)
-			if err != nil {
-				return fmt.Errorf("pair %d: %w", i, err)
+	var mapErr error // a pair the mapping refused names itself; engine errors name the shard
+	results, st, err := remapCall(f.shards[s],
+		func(st *shardState) ([]oracle.Pair, error) {
+			// A fresh slice per attempt: a hedged read that lost the race may
+			// still be reading the previous attempt's.
+			local := make([]oracle.Pair, len(idxs))
+			for j, i := range idxs {
+				l, err := localPair(st, pairs[i].U, pairs[i].V)
+				if err != nil {
+					mapErr = fmt.Errorf("pair %d: %w", i, err)
+					return nil, mapErr
+				}
+				local[j] = oracle.Pair{U: l[0], V: l[1]}
 			}
-			lv, err := localOf(st, pairs[i].V)
-			if err != nil {
-				return fmt.Errorf("pair %d: %w", i, err)
+			return local, nil
+		},
+		func(b Backend, local []oracle.Pair) ([]oracle.EstimateResult, int64, error) {
+			rs, err := b.EstimateBatch(local)
+			if err == nil && len(rs) != len(local) {
+				err = fmt.Errorf("backend answered %d results for %d pairs", len(rs), len(local))
 			}
-			local[j] = oracle.Pair{U: lu, V: lv}
-		}
-		var (
-			results []oracle.EstimateResult
-			err     error
-		)
-		switch {
-		case attempt >= queryAttempts:
-			results = make([]oracle.EstimateResult, len(local))
+			if err != nil {
+				return nil, 0, err
+			}
+			return rs, rs[0].Version, nil // idxs is never empty
+		},
+		func(snap *oracle.Snapshot, local []oracle.Pair) ([]oracle.EstimateResult, error) {
+			rs := make([]oracle.EstimateResult, len(local))
 			for j, lp := range local {
-				if results[j], err = st.snap.Estimate(lp.U, lp.V); err != nil {
-					break
+				var err error
+				if rs[j], err = snap.Estimate(lp.U, lp.V); err != nil {
+					return nil, err
 				}
 			}
-		case unit.replicated():
-			results, err = rsCall(unit.reps, st.snap.Version, func(b Backend) ([]oracle.EstimateResult, int64, error) {
-				rs, err := b.EstimateBatch(local)
-				ver := st.snap.Version // empty batch carries no version
-				if err == nil && len(rs) > 0 {
-					ver = rs[0].Version
-				}
-				return rs, ver, err
-			})
-			if errors.Is(err, errStaleReplica) {
-				continue
-			}
-			if err == nil {
-				for j := range results {
-					results[j].Version = st.snap.Version
-				}
-			}
-		default:
-			results, err = unit.engine.EstimateBatch(local)
-			if err == nil && len(results) > 0 && results[0].Version != st.snap.Version {
-				continue // swap raced the mapping; remap and retry
-			}
+			return rs, nil
+		})
+	if err != nil {
+		if err == mapErr {
+			return err
 		}
-		if err != nil {
-			if attempt < queryAttempts && errors.Is(err, oracle.ErrNodeRange) {
-				continue
-			}
-			return fmt.Errorf("shard %d: %w", s, err)
-		}
-		for j, i := range idxs {
-			res := results[j]
-			res.U, res.V = pairs[i].U, pairs[i].V
-			out[i] = EstimateResult{EstimateResult: res, UShard: s, VShard: s}
-		}
-		return nil
+		return fmt.Errorf("shard %d: %w", s, err)
 	}
+	for j, i := range idxs {
+		res := results[j]
+		res.U, res.V, res.Version = pairs[i].U, pairs[i].V, st.snap.Version
+		out[i] = EstimateResult{EstimateResult: res, UShard: s, VShard: s}
+	}
+	return nil
 }
 
 // NearestResult is one fleet nearest-member query (global ids), plus
@@ -980,44 +965,20 @@ func (f *Fleet) Nearest(target int) (NearestResult, error) {
 
 func (f *Fleet) nearestOnce(target int) (NearestResult, error) {
 	s := owner(target, f.k)
-	unit := f.shards[s]
-	for attempt := 0; ; attempt++ {
-		st := unit.load()
-		lt, err := localOf(st, target)
-		if err != nil {
-			return NearestResult{}, err
-		}
-		var res oracle.NearestResult
-		if attempt >= queryAttempts {
-			res, err = st.snap.Nearest(lt)
-		} else if unit.replicated() {
-			res, err = rsCall(unit.reps, st.snap.Version, func(b Backend) (oracle.NearestResult, int64, error) {
-				r, err := b.Nearest(lt)
-				return r, r.Version, err
-			})
-			if errors.Is(err, errStaleReplica) {
-				continue
-			}
-			if err == nil {
-				res.Version = st.snap.Version
-			}
-		} else {
-			res, err = unit.engine.Nearest(lt)
-			if err == nil && res.Version != st.snap.Version {
-				continue
-			}
-		}
-		if err != nil {
-			if attempt < queryAttempts && errors.Is(err, oracle.ErrNodeRange) {
-				continue
-			}
-			return NearestResult{}, err
-		}
-		res.Target = target
-		res.Member = int(st.global[res.Member])
-		res.Path = globalPath(st, res.Path)
-		return NearestResult{NearestResult: res, Shard: s}, nil
+	res, st, err := remapCall(f.shards[s],
+		func(st *shardState) (int, error) { return localOf(st, target) },
+		func(b Backend, lt int) (oracle.NearestResult, int64, error) {
+			r, err := b.Nearest(lt)
+			return r, r.Version, err
+		},
+		(*oracle.Snapshot).Nearest)
+	if err != nil {
+		return NearestResult{}, err
 	}
+	res.Target, res.Version = target, st.snap.Version
+	res.Member = int(st.global[res.Member])
+	res.Path = globalPath(st, res.Path)
+	return NearestResult{NearestResult: res, Shard: s}, nil
 }
 
 // RouteResult is one fleet route simulation (global ids) plus the
@@ -1057,47 +1018,21 @@ func (f *Fleet) Route(src, dst int) (RouteResult, error) {
 }
 
 func (f *Fleet) routeOnce(src, dst, s int) (RouteResult, error) {
-	unit := f.shards[s]
-	for attempt := 0; ; attempt++ {
-		st := unit.load()
-		ls, err := localOf(st, src)
-		if err != nil {
-			return RouteResult{}, err
-		}
-		ld, err := localOf(st, dst)
-		if err != nil {
-			return RouteResult{}, err
-		}
-		var res oracle.RouteResult
-		if attempt >= queryAttempts {
-			res, err = st.snap.Route(ls, ld)
-		} else if unit.replicated() {
-			res, err = rsCall(unit.reps, st.snap.Version, func(b Backend) (oracle.RouteResult, int64, error) {
-				r, err := b.Route(ls, ld)
-				return r, r.Version, err
-			})
-			if errors.Is(err, errStaleReplica) {
-				continue
-			}
-			if err == nil {
-				res.Version = st.snap.Version
-			}
-		} else {
-			res, err = unit.engine.Route(ls, ld)
-			if err == nil && res.Version != st.snap.Version {
-				continue
-			}
-		}
-		if err != nil {
-			if attempt < queryAttempts && errors.Is(err, oracle.ErrNodeRange) {
-				continue
-			}
-			return RouteResult{}, err
-		}
-		res.Src, res.Dst = src, dst
-		res.Path = globalPath(st, res.Path)
-		return RouteResult{RouteResult: res, Shard: s}, nil
+	res, st, err := remapCall(f.shards[s],
+		func(st *shardState) ([2]int, error) { return localPair(st, src, dst) },
+		func(b Backend, l [2]int) (oracle.RouteResult, int64, error) {
+			r, err := b.Route(l[0], l[1])
+			return r, r.Version, err
+		},
+		func(snap *oracle.Snapshot, l [2]int) (oracle.RouteResult, error) {
+			return snap.Route(l[0], l[1])
+		})
+	if err != nil {
+		return RouteResult{}, err
 	}
+	res.Src, res.Dst, res.Version = src, dst, st.snap.Version
+	res.Path = globalPath(st, res.Path)
+	return RouteResult{RouteResult: res, Shard: s}, nil
 }
 
 func globalPath(st *shardState, path []int) []int {
@@ -1219,10 +1154,8 @@ func (f *Fleet) commitLocked(unit *shardUnit, s int, ops []churn.Op, epoch int64
 	for i, op := range ops {
 		bases[i] = op.Base
 		if op.Kind == churn.Join {
-			f.joins.Add(1)
 			f.metrics.joins.Inc()
 		} else {
-			f.leaves.Add(1)
 			f.metrics.leaves.Inc()
 		}
 	}
@@ -1418,16 +1351,16 @@ type FleetStats struct {
 }
 
 // Stats reports the fleet aggregation and the per-shard engine (and
-// churn) reports.
+// churn) reports; every counter is read from the telemetry registries.
 func (f *Fleet) Stats() FleetStats {
 	out := FleetStats{
 		Shards:       f.k,
 		Universe:     f.universe,
 		Beacons:      len(f.tier.ids),
-		Intra:        f.intra.Load(),
-		Cross:        f.cross.Load(),
-		Joins:        f.joins.Load(),
-		Leaves:       f.leaves.Load(),
+		Intra:        f.metrics.intra.Value(),
+		Cross:        f.metrics.cross.Value(),
+		Joins:        f.metrics.joins.Value(),
+		Leaves:       f.metrics.leaves.Value(),
 		Epoch:        f.epoch.Load(),
 		Replicas:     f.cfg.Replicas,
 		ReplicasDown: f.ReplicasDown(),

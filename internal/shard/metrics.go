@@ -108,7 +108,6 @@ func newFleetMetrics(k, replicas int) *fleetMetrics {
 // observeCross accounts one cross-shard answer: counter, unbounded
 // check, and the sandwich-width histogram. Allocation-free.
 func (f *Fleet) observeCross(lower, upper float64) {
-	f.cross.Add(1)
 	f.metrics.cross.Inc()
 	if math.IsInf(upper, 1) {
 		f.metrics.crossUnbounded.Inc()

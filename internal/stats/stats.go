@@ -5,10 +5,8 @@ package stats
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"sort"
 	"strings"
-	"sync"
 )
 
 // Summary describes a sample of float64 observations. The JSON tags are
@@ -54,66 +52,6 @@ func Summarize(xs []float64) Summary {
 		P95:   q(0.95),
 		P99:   q(0.99),
 	}
-}
-
-// Reservoir keeps a fixed-capacity uniform sample of a float64 stream
-// (Vitter's Algorithm R), safe for concurrent use. The serving engine
-// records per-endpoint latencies through it: memory stays bounded no
-// matter how many queries flow past, and Summary stays an unbiased
-// estimate of the whole stream.
-type Reservoir struct {
-	mu      sync.Mutex
-	samples []float64
-	seen    int64
-	rng     *rand.Rand
-}
-
-// NewReservoir creates a reservoir holding at most capacity samples; the
-// seed makes the subsampling reproducible.
-func NewReservoir(capacity int, seed int64) *Reservoir {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &Reservoir{
-		samples: make([]float64, 0, capacity),
-		rng:     rand.New(rand.NewSource(seed)),
-	}
-}
-
-// Add offers one observation to the reservoir.
-func (r *Reservoir) Add(x float64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.seen++
-	if len(r.samples) < cap(r.samples) {
-		r.samples = append(r.samples, x)
-		return
-	}
-	if i := r.rng.Int63n(r.seen); i < int64(cap(r.samples)) {
-		r.samples[i] = x
-	}
-}
-
-// Seen reports how many observations have been offered in total.
-func (r *Reservoir) Seen() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.seen
-}
-
-// Samples returns a copy of the current sample (callers sharding a
-// stream across several reservoirs concatenate these before Summarize).
-func (r *Reservoir) Samples() []float64 {
-	r.mu.Lock()
-	sample := append([]float64(nil), r.samples...)
-	r.mu.Unlock()
-	return sample
-}
-
-// Summary summarizes the current sample (not the full stream; for streams
-// longer than the capacity it is the uniform-subsample estimate).
-func (r *Reservoir) Summary() Summary {
-	return Summarize(r.Samples())
 }
 
 // Table accumulates rows and renders them with aligned columns in

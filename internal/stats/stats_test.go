@@ -39,62 +39,6 @@ func TestSummarizeProperty(t *testing.T) {
 	}
 }
 
-func TestReservoirBelowCapacity(t *testing.T) {
-	r := NewReservoir(16, 1)
-	for i := 1; i <= 10; i++ {
-		r.Add(float64(i))
-	}
-	s := r.Summary()
-	if s.Count != 10 || s.Min != 1 || s.Max != 10 {
-		t.Errorf("Summary = %+v", s)
-	}
-	if r.Seen() != 10 {
-		t.Errorf("Seen = %d", r.Seen())
-	}
-}
-
-func TestReservoirSubsamples(t *testing.T) {
-	r := NewReservoir(64, 7)
-	const total = 10000
-	for i := 0; i < total; i++ {
-		r.Add(float64(i))
-	}
-	if r.Seen() != total {
-		t.Errorf("Seen = %d", r.Seen())
-	}
-	s := r.Summary()
-	if s.Count != 64 {
-		t.Errorf("sample size = %d, want 64", s.Count)
-	}
-	// A uniform subsample of 0..9999 should not be concentrated at either
-	// end; the mean of a 64-point sample lies within 5 sigma of 4999.5.
-	if s.Mean < 3000 || s.Mean > 7000 {
-		t.Errorf("sample mean %v implausible for a uniform subsample", s.Mean)
-	}
-}
-
-func TestReservoirConcurrent(t *testing.T) {
-	r := NewReservoir(32, 3)
-	done := make(chan struct{})
-	for g := 0; g < 8; g++ {
-		go func(g int) {
-			defer func() { done <- struct{}{} }()
-			for i := 0; i < 1000; i++ {
-				r.Add(float64(g*1000 + i))
-			}
-		}(g)
-	}
-	for g := 0; g < 8; g++ {
-		<-done
-	}
-	if r.Seen() != 8000 {
-		t.Errorf("Seen = %d, want 8000", r.Seen())
-	}
-	if s := r.Summary(); s.Count != 32 {
-		t.Errorf("sample size = %d, want 32", s.Count)
-	}
-}
-
 func TestTableRendering(t *testing.T) {
 	tb := NewTable("scheme", "bits", "stretch")
 	tb.AddRow("thm2.1", 1234, 1.25)

@@ -4,6 +4,8 @@ import (
 	"math"
 	"sync/atomic"
 	"unsafe"
+
+	"rings/internal/stats"
 )
 
 // histStripes spreads each histogram's cells over several stripes
@@ -15,12 +17,13 @@ import (
 const histStripes = 8
 
 // histStripe is one stripe's cells: per-bucket counts plus the stripe's
-// observation count and sum (float64 bits updated by CAS).
+// sum (float64 bits updated by CAS). There is no separate observation
+// count: it is the sum of the buckets, so a scrape racing an Observe can
+// never show a _count that disagrees with the +Inf bucket.
 type histStripe struct {
 	buckets []atomic.Int64
-	count   atomic.Int64
 	sumBits atomic.Uint64
-	_       [40]byte // keep adjacent stripes' hot words off one cache line
+	_       [32]byte // keep adjacent stripes' hot words off one cache line
 }
 
 // Histogram is a fixed-bucket log2 histogram whose Observe is
@@ -73,7 +76,7 @@ func (h *Histogram) bucketOf(v float64) int {
 }
 
 // Observe records one observation. It performs no allocation and takes
-// no lock: one stripe pick, two atomic adds, one CAS loop on the sum.
+// no lock: one stripe pick, one atomic add, one CAS loop on the sum.
 //
 //ringvet:hotpath
 func (h *Histogram) Observe(v float64) {
@@ -82,7 +85,6 @@ func (h *Histogram) Observe(v float64) {
 	}
 	st := &h.stripes[slotHint(histStripes)]
 	st.buckets[h.bucketOf(v)].Add(1)
-	st.count.Add(1)
 	for {
 		old := st.sumBits.Load()
 		if st.sumBits.CompareAndSwap(old, floatBits(bitsFloat(old)+v)) {
@@ -92,9 +94,9 @@ func (h *Histogram) Observe(v float64) {
 }
 
 // HistogramSnapshot is one consistent-enough read of a histogram: per
-// bucket upper bounds and cumulative counts, total count and sum.
-// Concurrent observes may skew count vs sum by in-flight observations
-// (standard for scrape-time metric reads).
+// bucket upper bounds and cumulative counts, total count (always the
+// last cumulative count) and sum. Concurrent observes may skew count vs
+// sum by in-flight observations (standard for scrape-time metric reads).
 type HistogramSnapshot struct {
 	UpperBounds []float64 // finite bounds; the overflow bucket is +Inf
 	Cumulative  []int64   // cumulative counts per finite bound, then total
@@ -115,7 +117,6 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 		for i := range raw {
 			raw[i] += st.buckets[i].Load()
 		}
-		snap.Count += st.count.Load()
 		snap.Sum += bitsFloat(st.sumBits.Load())
 	}
 	cum := int64(0)
@@ -126,17 +127,73 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 			snap.UpperBounds[i] = math.Ldexp(1, h.minExp+i)
 		}
 	}
+	snap.Count = cum
 	return snap
 }
 
-// Count reports the total observation count.
-func (h *Histogram) Count() int64 {
-	var n int64
-	for s := range h.stripes {
-		n += h.stripes[s].count.Load()
+// Quantile estimates the q-quantile (q in [0, 1]) of the observations:
+// the bucket holding the rank-ceil(q*n) observation is located from the
+// cumulative counts and the value interpolated linearly between that
+// bucket's bounds, so the answer is never off by more than one log2
+// bucket. The first bucket's lower bound is 0 (everything at or below
+// 2^minExp shares it); a rank that falls in the overflow bucket reports
+// the last finite bound, which is then a lower bound on the true value.
+// An empty snapshot yields 0.
+func (s HistogramSnapshot) Quantile(q float64) float64 {
+	if s.Count == 0 {
+		return 0
 	}
-	return n
+	rank := int64(math.Ceil(q * float64(s.Count)))
+	if rank < 1 {
+		rank = 1
+	} else if rank > s.Count {
+		rank = s.Count
+	}
+	b := 0
+	for s.Cumulative[b] < rank {
+		b++
+	}
+	if b == len(s.UpperBounds) {
+		return s.UpperBounds[b-1]
+	}
+	lo, below := 0.0, int64(0)
+	if b > 0 {
+		lo, below = s.UpperBounds[b-1], s.Cumulative[b-1]
+	}
+	frac := float64(rank-below) / float64(s.Cumulative[b]-below)
+	return lo + (s.UpperBounds[b]-lo)*frac
 }
+
+// Summary condenses the snapshot into the report shape /stats serves:
+// count and mean exact (from _count and _sum), p50/p95/p99 by Quantile,
+// min and max the outer bounds of the lowest and highest occupied
+// buckets (Quantile's conventions at both ends).
+func (s HistogramSnapshot) Summary() stats.Summary {
+	if s.Count == 0 {
+		return stats.Summary{}
+	}
+	out := stats.Summary{
+		Count: int(s.Count),
+		Mean:  s.Sum / float64(s.Count),
+		P50:   s.Quantile(0.50),
+		P95:   s.Quantile(0.95),
+		P99:   s.Quantile(0.99),
+		Max:   s.Quantile(1),
+	}
+	// Min: the lower bound of the first occupied bucket.
+	for b, c := range s.Cumulative {
+		if c > 0 {
+			if b > 0 {
+				out.Min = s.UpperBounds[b-1]
+			}
+			break
+		}
+	}
+	return out
+}
+
+// Count reports the total observation count (the sum of the buckets).
+func (h *Histogram) Count() int64 { return h.Snapshot().Count }
 
 // Sum reports the total observation sum.
 func (h *Histogram) Sum() float64 {
@@ -157,8 +214,7 @@ func bitsFloat(b uint64) float64 { return math.Float64frombits(b) }
 // two) without a shared atomic cursor, by hashing the address of a
 // caller stack variable — goroutine stacks are distinct allocations, so
 // two goroutines on different cores almost always pick different slots
-// with zero coordination (the same trick as oracle's latency-reservoir
-// sharding).
+// with zero coordination.
 //
 //ringvet:hotpath
 func slotHint(n int) int {

@@ -10,9 +10,8 @@
 //     in its unit test, and every counter increment or histogram observe
 //     it performs rides that assertion. Counters are single atomics;
 //     histograms stripe their cells across slots chosen by a
-//     stack-address hash (the same per-P trick the engine's latency
-//     reservoirs use) so concurrent writers on different cores do not
-//     bounce one cache line.
+//     stack-address hash so concurrent writers on different cores do
+//     not bounce one cache line.
 //  2. Registration happens at construction time, never on the hot path.
 //     Labeled families preallocate one child per label value at
 //     registration; With is a read-only map lookup returning a stable

@@ -152,11 +152,15 @@ func TestDecodeBatch(t *testing.T) {
 // the pair cap is refused without reading on, and the clients' bodies
 // are answered.
 func TestBatchRejectsWhatItUsedToMisread(t *testing.T) {
-	single := httptest.NewServer(newServer(testEngine(t)))
-	defer single.Close()
-	_, fleet := testFleetServer(t, false)
+	bothFrontends(t, testBatchRejectsWhatItUsedToMisread)
+}
 
-	post := func(ts *httptest.Server, body []byte) (int, errorBody) {
+func testBatchRejectsWhatItUsedToMisread(t *testing.T, start startFunc) {
+	single := start(newServer(testEngine(t)))
+	defer single.Close()
+	_, fleet := testFleetServer(t, start, false)
+
+	post := func(ts *testServer, body []byte) (int, errorBody) {
 		t.Helper()
 		resp, err := ts.Client().Post(ts.URL+"/batch", "application/json", bytes.NewReader(body))
 		if err != nil {
@@ -171,7 +175,7 @@ func TestBatchRejectsWhatItUsedToMisread(t *testing.T) {
 		}
 		return resp.StatusCode, eb
 	}
-	for mode, ts := range map[string]*httptest.Server{"single": single, "fleet": fleet} {
+	for mode, ts := range map[string]*testServer{"single": single, "fleet": fleet} {
 		for name, body := range rejectedBodies {
 			status, eb := post(ts, []byte(body))
 			if status != http.StatusBadRequest || !strings.HasPrefix(eb.Error, "invalid batch body: ") || eb.Code != "" {
@@ -277,8 +281,12 @@ func TestAppendEstimateResultMatchesEncodingJSON(t *testing.T) {
 // answers through the appender, and the body is encoding/json's of the
 // engine's own answer — for a computed answer and for the cached repeat.
 func TestEstimateBodyMatchesEncodingJSON(t *testing.T) {
+	bothFrontends(t, testEstimateBodyMatchesEncodingJSON)
+}
+
+func testEstimateBodyMatchesEncodingJSON(t *testing.T, start startFunc) {
 	engine := testEngine(t)
-	ts := httptest.NewServer(newServer(engine))
+	ts := start(newServer(engine))
 	defer ts.Close()
 	for _, wantCached := range []bool{false, true} {
 		resp, err := ts.Client().Get(ts.URL + "/estimate?u=3&v=17")
@@ -310,6 +318,10 @@ func TestEstimateBodyMatchesEncodingJSON(t *testing.T) {
 // carry. Both handlers used to send 200 and then fail to encode; they now
 // encode first and answer 500 "internal".
 func TestUnboundedAnswerIsA500NotATruncated200(t *testing.T) {
+	bothFrontends(t, testUnboundedAnswerIsA500NotATruncated200)
+}
+
+func testUnboundedAnswerIsA500NotATruncated200(t *testing.T, start startFunc) {
 	space, err := metric.NewMatrix([][]float64{{0, 1}, {1, 0}})
 	if err != nil {
 		t.Fatal(err)
@@ -324,7 +336,7 @@ func TestUnboundedAnswerIsA500NotATruncated200(t *testing.T) {
 	if res, err := engine.Estimate(0, 1); err != nil || res.OK || !math.IsInf(res.Upper, 1) {
 		t.Fatalf("disjoint labels estimate %+v, %v; want ok:false with an infinite upper bound", res, err)
 	}
-	ts := httptest.NewServer(newServer(engine))
+	ts := start(newServer(engine))
 	defer ts.Close()
 
 	var eb errorBody

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"testing"
@@ -15,7 +14,7 @@ import (
 	"rings/internal/oracle"
 )
 
-func testChurnServer(t *testing.T) (*server, *httptest.Server, *churn.Mutator) {
+func testChurnServer(t *testing.T, start startFunc) (*server, *testServer, *churn.Mutator) {
 	t.Helper()
 	m, err := churn.NewMutator(churn.Config{
 		Oracle:   oracle.Config{Workload: "cube", N: 32, Seed: 1, SkipRouting: true},
@@ -27,7 +26,7 @@ func testChurnServer(t *testing.T) (*server, *httptest.Server, *churn.Mutator) {
 	engine := oracle.NewEngine(m.Snapshot(), oracle.EngineOptions{})
 	srv := newServer(engine)
 	srv.enableChurn(m, 7)
-	ts := httptest.NewServer(srv)
+	ts := start(srv)
 	t.Cleanup(ts.Close)
 	return srv, ts, m
 }
@@ -35,8 +34,10 @@ func testChurnServer(t *testing.T) (*server, *httptest.Server, *churn.Mutator) {
 // TestChurnEndpoints drives /join and /leave end to end: every commit
 // must swap a fresh version in, report the repair stats, and keep
 // /healthz's n in lockstep with the mutator.
-func TestChurnEndpoints(t *testing.T) {
-	_, ts, m := testChurnServer(t)
+func TestChurnEndpoints(t *testing.T) { bothFrontends(t, testChurnEndpoints) }
+
+func testChurnEndpoints(t *testing.T, start startFunc) {
+	_, ts, m := testChurnServer(t, start)
 
 	var h healthBody
 	getJSON(t, ts, "/healthz", http.StatusOK, &h)
@@ -104,9 +105,11 @@ func TestChurnEndpoints(t *testing.T) {
 }
 
 // TestChurnDisabled pins the 501 behavior without -churn.
-func TestChurnDisabled(t *testing.T) {
+func TestChurnDisabled(t *testing.T) { bothFrontends(t, testChurnDisabled) }
+
+func testChurnDisabled(t *testing.T, start startFunc) {
 	engine := testEngine(t)
-	ts := httptest.NewServer(newServer(engine))
+	ts := start(newServer(engine))
 	defer ts.Close()
 	postJSON(t, ts, "/join", nil, http.StatusNotImplemented, nil)
 	postJSON(t, ts, "/leave", nil, http.StatusNotImplemented, nil)
@@ -229,8 +232,10 @@ func TestGracefulServeHelper(t *testing.T) {
 
 // TestPersistOnSwap covers -snapshot-file: every churn commit persists,
 // and the file warm-starts into a snapshot with the same membership.
-func TestPersistOnSwap(t *testing.T) {
-	srv, ts, m := testChurnServer(t)
+func TestPersistOnSwap(t *testing.T) { bothFrontends(t, testPersistOnSwap) }
+
+func testPersistOnSwap(t *testing.T, start startFunc) {
+	srv, ts, m := testChurnServer(t, start)
 	path := filepath.Join(t.TempDir(), "snap.bin")
 	srv.enablePersist(path)
 

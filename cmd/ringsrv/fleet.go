@@ -126,7 +126,7 @@ func (s *server) handleReplicaAdmin(w http.ResponseWriter, r *http.Request) {
 // handleFleetStats serves the fleet aggregation; ?shard=i narrows to
 // one shard's engine report.
 func (s *server) handleFleetStats(w http.ResponseWriter, r *http.Request) {
-	if raw := r.URL.Query().Get("shard"); raw != "" {
+	if raw := queryParam(r.URL.RawQuery, "shard"); raw != "" {
 		i, err := strconv.Atoi(raw)
 		if err != nil || i < 0 || i >= s.fleet.K() {
 			writeError(w, fmt.Errorf("shard %q out of range [0, %d)", raw, s.fleet.K()))

@@ -16,7 +16,11 @@ import (
 // counters sum exactly to the fleet aggregation and that ?shard=i
 // matches the aggregate's per-shard entry.
 func TestFleetStatsAggregationConcurrent(t *testing.T) {
-	fleet, ts := testFleetServer(t, false)
+	bothFrontends(t, testFleetStatsAggregationConcurrent)
+}
+
+func testFleetStatsAggregationConcurrent(t *testing.T, start startFunc) {
+	fleet, ts := testFleetServer(t, start, false)
 	const workers = 8
 	const perWorker = 40
 

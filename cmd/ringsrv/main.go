@@ -59,6 +59,18 @@
 // with 503 "overloaded" (never queued unbounded), and a fully-down
 // shard answers 503 "unavailable" rather than falling back silently.
 //
+// ringsrv reads its own sockets (conn.go, DESIGN §6 "Connection loop"):
+// a plain HTTP/1.1 GET or Content-Length POST is framed by the server's
+// own loop; a connection that sends anything else (HTTP/1.0, chunked or
+// Expect bodies, HEAD, escaped targets, /debug/) is handed, bytes
+// replayed, to net/http. Both call the same handlers. -request-timeout
+// bounds a request's arrival, not its handler: once the first byte is in,
+// the rest of the head — and on the loop the Content-Length body, read
+// before an admission slot is taken — is due within it, or the
+// connection closes. /metrics splits requests by front-end
+// (rings_http_requests_total) and hand-offs by reason
+// (rings_http_handoffs_total).
+//
 // With -churn the server owns an incremental churn engine
 // (internal/churn): joins and leaves repair only the affected parts of
 // the serving structures and swap a structurally shared delta snapshot
@@ -139,7 +151,7 @@ func run() error {
 		replicaR   = flag.Int("replicas", 1, "serving replicas per shard (snapshot-shipped copies with hedged reads, health probes, breakers and failover; >1 implies fleet mode)")
 		beacons    = flag.Int("beacons", 0, "cross-shard beacon count (0 = 2*ceil(log2 n)+4)")
 		inflight   = flag.Int("max-inflight", 1024, "admission limit on concurrent requests; beyond it requests are shed with 503 \"overloaded\" instead of queuing (0 = unbounded; /healthz and /metrics exempt)")
-		reqTimeout = flag.Duration("request-timeout", 10*time.Second, "per-request handler context deadline (0 disables)")
+		reqTimeout = flag.Duration("request-timeout", 10*time.Second, "once a request's first byte has arrived, the rest of it (head, and a Content-Length body on the connection loop) is due within this or the connection is closed (0 disables)")
 		snapFile   = flag.String("snapshot-file", "", "persist the snapshot here on every swap; warm-start from it on boot (without -churn: under -churn the engine owns membership and always boots fresh, but keeps the file current for a later plain warm start)")
 		drain      = flag.Duration("drain-timeout", 5*time.Second, "in-flight request drain budget on shutdown")
 		traceN     = flag.Int("trace-sample", 0, "record every N-th query into the /debug/trace ring (0 disables)")
@@ -171,7 +183,7 @@ func run() error {
 	// shard files), then requests until SIGINT/SIGTERM.
 	serve := func(handler *server, warmFleet bool) error {
 		handler.enableTelemetry(*traceN, *auditFrac)
-		handler.enableLimits(*inflight, *reqTimeout)
+		handler.enableLimits(*inflight)
 		if *pprofOn {
 			handler.enablePprof()
 		}
@@ -180,7 +192,7 @@ func run() error {
 				return fmt.Errorf("persist %s: %w", *snapFile, err)
 			}
 		}
-		srv := &http.Server{Addr: *addr, Handler: handler, ReadHeaderTimeout: 5 * time.Second}
+		srv := &http.Server{Addr: *addr, Handler: handler, ReadHeaderTimeout: *reqTimeout}
 		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 		defer stop()
 		log.Printf("serving on http://%s", *addr)

@@ -169,8 +169,8 @@ type lookupBody struct {
 }
 
 func (s *server) handleLookup(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	obj := q.Get("object")
+	q := r.URL.RawQuery
+	obj := queryParam(q, "object")
 	if obj == "" {
 		writeError(w, errors.New("missing required parameter \"object\""))
 		return

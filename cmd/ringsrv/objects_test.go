@@ -5,7 +5,6 @@ import (
 	"io"
 	"math"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"testing"
 
@@ -16,9 +15,11 @@ import (
 // static single engine: publish/lookup/unpublish round-trips, the
 // 404/400 error taxonomy, the /healthz advertisement, and the
 // rings_objects_* exposition.
-func TestObjectsEndpointsSingle(t *testing.T) {
+func TestObjectsEndpointsSingle(t *testing.T) { bothFrontends(t, testObjectsEndpointsSingle) }
+
+func testObjectsEndpointsSingle(t *testing.T, start startFunc) {
 	engine := testEngine(t)
-	ts := httptest.NewServer(newServer(engine))
+	ts := start(newServer(engine))
 	defer ts.Close()
 
 	var pub publishBody
@@ -113,8 +114,10 @@ func TestObjectsEndpointsSingle(t *testing.T) {
 // directory in lockstep with churn commits: retiring a replica's node
 // re-publishes the object to the next-nearest survivor, visible through
 // /healthz, and lookups stay servable in the current id currency.
-func TestObjectsEndpointsChurn(t *testing.T) {
-	srv, ts, m := testChurnServer(t)
+func TestObjectsEndpointsChurn(t *testing.T) { bothFrontends(t, testObjectsEndpointsChurn) }
+
+func testObjectsEndpointsChurn(t *testing.T, start startFunc) {
+	srv, ts, m := testChurnServer(t, start)
 	srv.enableObjects(objects.Config{Seed: 1, BaseDist: m.FrozenSpace().Base().Dist})
 
 	snap := m.Snapshot()
@@ -155,8 +158,10 @@ func TestObjectsEndpointsChurn(t *testing.T) {
 // TestObjectsEndpointsFleet drives the same surface in fleet mode:
 // global-id currency, cross-shard lookups equal to the fleet-wide brute
 // force, shard attribution, and the aggregated stats body.
-func TestObjectsEndpointsFleet(t *testing.T) {
-	fleet, ts := testFleetServer(t, false)
+func TestObjectsEndpointsFleet(t *testing.T) { bothFrontends(t, testObjectsEndpointsFleet) }
+
+func testObjectsEndpointsFleet(t *testing.T, start startFunc) {
+	fleet, ts := testFleetServer(t, start, false)
 
 	var pub publishBody
 	for _, g := range []int{0, 3, 7} {
@@ -208,7 +213,7 @@ func TestObjectsEndpointsFleet(t *testing.T) {
 	}
 }
 
-func metricsText(t *testing.T, ts *httptest.Server) string {
+func metricsText(t *testing.T, ts *testServer) string {
 	t.Helper()
 	resp, err := ts.Client().Get(ts.URL + "/metrics")
 	if err != nil {

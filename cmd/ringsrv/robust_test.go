@@ -14,13 +14,15 @@ import (
 )
 
 // TestHTTPBackendConformance runs the shared Backend conformance suite
-// against a real ringsrv server over httptest: the HTTP client backend
+// against a real ringsrv server on loopback: the HTTP client backend
 // (internal/shard/transport_http.go) must return bit-for-bit the
 // answers of the snapshot the server serves, with faithful error
 // classes. This is the third leg of the suite (local and simnet legs
 // live in internal/shard; the HTTP leg lives here to keep the shard
 // package free of a ringsrv dependency).
-func TestHTTPBackendConformance(t *testing.T) {
+func TestHTTPBackendConformance(t *testing.T) { bothFrontends(t, testHTTPBackendConformance) }
+
+func testHTTPBackendConformance(t *testing.T, start startFunc) {
 	snap, err := oracle.BuildSnapshot(oracle.Config{
 		Workload:     "cube",
 		N:            40,
@@ -31,7 +33,7 @@ func TestHTTPBackendConformance(t *testing.T) {
 		t.Fatal(err)
 	}
 	engine := oracle.NewEngine(snap, oracle.EngineOptions{})
-	ts := httptest.NewServer(newServer(engine))
+	ts := start(newServer(engine))
 	defer ts.Close()
 
 	backendtest.Run(t, backendtest.Harness{
@@ -64,8 +66,8 @@ func TestHTTPBackendUnavailable(t *testing.T) {
 }
 
 // testReplicatedFleetServer builds a K=2, R=2 fleet with fast
-// recovery knobs behind an httptest server.
-func testReplicatedFleetServer(t *testing.T) (*shard.Fleet, *httptest.Server) {
+// recovery knobs behind the front-end under test.
+func testReplicatedFleetServer(t *testing.T, start startFunc) (*shard.Fleet, *testServer) {
 	t.Helper()
 	fleet, err := shard.NewFleet(shard.Config{
 		Oracle:            oracle.Config{Workload: "cube", N: 24, Seed: 5, MemberStride: 3, SkipRouting: true, SkipOverlay: true},
@@ -80,7 +82,7 @@ func testReplicatedFleetServer(t *testing.T) (*shard.Fleet, *httptest.Server) {
 		t.Fatal(err)
 	}
 	t.Cleanup(fleet.Close)
-	ts := httptest.NewServer(newFleetServer(fleet, 1))
+	ts := start(newFleetServer(fleet, 1))
 	t.Cleanup(ts.Close)
 	return fleet, ts
 }
@@ -90,7 +92,11 @@ func testReplicatedFleetServer(t *testing.T) (*shard.Fleet, *httptest.Server) {
 // degraded, queries keep flowing; killing the whole shard surfaces 503
 // "unavailable" (never a silent fallback); restarts recover.
 func TestReplicaAdminAndDegradedHealth(t *testing.T) {
-	fleet, ts := testReplicatedFleetServer(t)
+	bothFrontends(t, testReplicaAdminAndDegradedHealth)
+}
+
+func testReplicaAdminAndDegradedHealth(t *testing.T, start startFunc) {
+	fleet, ts := testReplicatedFleetServer(t, start)
 
 	var roster replicaListBody
 	getJSON(t, ts, "/replica", http.StatusOK, &roster)
@@ -165,8 +171,10 @@ func TestReplicaAdminAndDegradedHealth(t *testing.T) {
 }
 
 // TestReplicaAdminSingleEngine: without a fleet there is no roster.
-func TestReplicaAdminSingleEngine(t *testing.T) {
-	ts := httptest.NewServer(newServer(testEngine(t)))
+func TestReplicaAdminSingleEngine(t *testing.T) { bothFrontends(t, testReplicaAdminSingleEngine) }
+
+func testReplicaAdminSingleEngine(t *testing.T, start startFunc) {
+	ts := start(newServer(testEngine(t)))
 	defer ts.Close()
 	getJSON(t, ts, "/replica", http.StatusNotImplemented, nil)
 	postJSON(t, ts, "/replica", replicaAdminRequest{Action: "kill"}, http.StatusNotImplemented, nil)
@@ -176,10 +184,12 @@ func TestReplicaAdminSingleEngine(t *testing.T) {
 // queuing: with a 1-slot limit held by a deliberately stalled request,
 // further queries get an immediate 503 "overloaded" while /healthz
 // (exempt) still answers.
-func TestOverloadShedding(t *testing.T) {
+func TestOverloadShedding(t *testing.T) { bothFrontends(t, testOverloadShedding) }
+
+func testOverloadShedding(t *testing.T, start startFunc) {
 	srv := newServer(testEngine(t))
-	srv.enableLimits(1, 0)
-	ts := httptest.NewServer(srv)
+	srv.enableLimits(1)
+	ts := start(srv)
 	defer ts.Close()
 
 	// Occupy the only slot: a /batch whose body never finishes arriving
@@ -258,29 +268,5 @@ func TestOverloadShedding(t *testing.T) {
 			t.Fatal("slot never freed after the stalled request ended")
 		}
 		time.Sleep(time.Millisecond)
-	}
-}
-
-// TestRequestDeadlinePlumbed: the per-request context deadline is
-// installed by ServeHTTP (handlers observe a deadline-carrying
-// context).
-func TestRequestDeadlinePlumbed(t *testing.T) {
-	srv := newServer(testEngine(t))
-	srv.enableLimits(0, 250*time.Millisecond)
-	seen := make(chan bool, 1)
-	srv.mux.HandleFunc("GET /deadline-probe", func(w http.ResponseWriter, r *http.Request) {
-		_, ok := r.Context().Deadline()
-		seen <- ok
-		w.WriteHeader(http.StatusNoContent)
-	})
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
-	resp, err := ts.Client().Get(ts.URL + "/deadline-probe")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if !<-seen {
-		t.Fatal("handler context carries no deadline")
 	}
 }

@@ -8,9 +8,11 @@ import (
 	"io"
 	"log"
 	"math/rand"
+	"net"
 	"net/http"
 	"net/url"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -69,9 +71,6 @@ type server struct {
 	// pile up goroutines). /healthz and /metrics bypass it — liveness
 	// and scrapes stay observable under overload.
 	inflight chan struct{}
-	// reqTimeout, when > 0, bounds every handler via a per-request
-	// context deadline.
-	reqTimeout time.Duration
 	// Object directory (single-engine mode; the fleet owns per-shard
 	// directories). Mutations are serialized by the directory itself;
 	// churn repairs run under churnMu like every other mutation. See
@@ -121,13 +120,11 @@ func (s *server) routes() {
 }
 
 // enableLimits installs the admission semaphore (maxInflight <= 0
-// leaves admission unbounded) and the per-handler context deadline
-// (timeout <= 0 disables).
-func (s *server) enableLimits(maxInflight int, timeout time.Duration) {
+// leaves admission unbounded).
+func (s *server) enableLimits(maxInflight int) {
 	if maxInflight > 0 {
 		s.inflight = make(chan struct{}, maxInflight)
 	}
-	s.reqTimeout = timeout
 }
 
 // enableChurn attaches a churn mutator (its current snapshot must be
@@ -231,20 +228,35 @@ func (s *server) hydrate(fast *oracle.Snapshot) {
 	}()
 }
 
-// gracefulServe runs srv until ctx is canceled, then drains in-flight
-// requests via http.Server.Shutdown bounded by drainTimeout. It returns
-// nil on a clean drain — including when the listener was closed by
-// shutdown — and the serve error otherwise.
+// gracefulServe listens on srv.Addr and serves srv.Handler there until
+// ctx is canceled — plain requests from the connection loop (conn.go),
+// every other connection from srv once the loop has handed it off; the
+// rest of a request whose first byte has arrived is due within
+// srv.ReadHeaderTimeout on both. It then drains: idle connections close,
+// requests in flight finish, first on the loop and then on srv, all
+// inside drainTimeout. It returns nil on a clean drain and the listen,
+// serve or drain error otherwise.
 func gracefulServe(srv *http.Server, ctx context.Context, drainTimeout time.Duration) error {
+	ln, err := net.Listen("tcp", srv.Addr)
+	if err != nil {
+		return err
+	}
+	return serveListener(srv, ln, ctx, drainTimeout)
+}
+
+// serveListener is gracefulServe on a listener the caller opened.
+func serveListener(srv *http.Server, ln net.Listener, ctx context.Context, drainTimeout time.Duration) error {
+	loop := newConnLoop(ln, srv.Handler, srv.ReadHeaderTimeout)
+	defer loop.Close()
 	errc := make(chan error, 1)
-	go func() { errc <- srv.ListenAndServe() }()
+	go func() { errc <- srv.Serve(loop) }()
 	select {
 	case err := <-errc:
 		return err
 	case <-ctx.Done():
 		shutdownCtx, cancel := context.WithTimeout(context.Background(), drainTimeout)
 		defer cancel()
-		if err := srv.Shutdown(shutdownCtx); err != nil && !errors.Is(err, http.ErrServerClosed) {
+		if err := errors.Join(loop.drain(shutdownCtx), srv.Shutdown(shutdownCtx)); err != nil {
 			return err
 		}
 		if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {
@@ -255,6 +267,11 @@ func gracefulServe(srv *http.Server, ctx context.Context, drainTimeout time.Dura
 }
 
 func (s *server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if _, ok := w.(*loopResponse); ok {
+		mLoopRequests.Inc()
+	} else {
+		mNetHTTPRequests.Inc()
+	}
 	if s.inflight != nil && r.URL.Path != "/healthz" && r.URL.Path != "/metrics" {
 		select {
 		case s.inflight <- struct{}{}:
@@ -266,11 +283,6 @@ func (s *server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			})
 			return
 		}
-	}
-	if s.reqTimeout > 0 {
-		ctx, cancel := context.WithTimeout(r.Context(), s.reqTimeout)
-		defer cancel()
-		r = r.WithContext(ctx)
 	}
 	s.mux.ServeHTTP(w, r)
 }
@@ -393,10 +405,28 @@ func writeInternalError(w http.ResponseWriter, context string, err error) {
 	})
 }
 
-// intParam reads one required integer from query values the handler
-// parsed once (every r.URL.Query() call re-parses and allocates a map).
-func intParam(q url.Values, name string) (int, error) {
-	raw := q.Get(name)
+// queryParam is r.URL.Query().Get(name) without the url.Values map: the
+// first name=value pair of a raw query holding no escape ('%', '+') and
+// no ';' (which makes url.ParseQuery drop a pair) is read in place;
+// any other query goes through url.ParseQuery as before.
+func queryParam(rawQuery, name string) string {
+	if strings.ContainsAny(rawQuery, "%+;") {
+		q, _ := url.ParseQuery(rawQuery)
+		return q.Get(name)
+	}
+	for rawQuery != "" {
+		var pair string
+		pair, rawQuery, _ = strings.Cut(rawQuery, "&")
+		if key, value, _ := strings.Cut(pair, "="); key == name {
+			return value
+		}
+	}
+	return ""
+}
+
+// intParam reads one required integer from a raw query.
+func intParam(rawQuery, name string) (int, error) {
+	raw := queryParam(rawQuery, name)
 	if raw == "" {
 		return 0, fmt.Errorf("missing required parameter %q", name)
 	}
@@ -457,7 +487,7 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *server) handleEstimate(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
+	q := r.URL.RawQuery
 	u, err := intParam(q, "u")
 	if err != nil {
 		writeError(w, err)
@@ -548,7 +578,7 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *server) handleNearest(w http.ResponseWriter, r *http.Request) {
-	target, err := intParam(r.URL.Query(), "target")
+	target, err := intParam(r.URL.RawQuery, "target")
 	if err != nil {
 		writeError(w, err)
 		return
@@ -563,7 +593,7 @@ func (s *server) handleNearest(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *server) handleRoute(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
+	q := r.URL.RawQuery
 	src, err := intParam(q, "src")
 	if err != nil {
 		writeError(w, err)

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"testing"
 
@@ -26,7 +25,7 @@ func testEngine(t *testing.T) *oracle.Engine {
 	return oracle.NewEngine(snap, oracle.EngineOptions{})
 }
 
-func getJSON(t *testing.T, ts *httptest.Server, path string, wantStatus int, out any) {
+func getJSON(t *testing.T, ts *testServer, path string, wantStatus int, out any) {
 	t.Helper()
 	resp, err := ts.Client().Get(ts.URL + path)
 	if err != nil {
@@ -43,7 +42,7 @@ func getJSON(t *testing.T, ts *httptest.Server, path string, wantStatus int, out
 	}
 }
 
-func postJSON(t *testing.T, ts *httptest.Server, path string, body any, wantStatus int, out any) {
+func postJSON(t *testing.T, ts *testServer, path string, body any, wantStatus int, out any) {
 	t.Helper()
 	var buf bytes.Buffer
 	if body != nil {
@@ -66,9 +65,11 @@ func postJSON(t *testing.T, ts *httptest.Server, path string, body any, wantStat
 	}
 }
 
-func TestServerEndpoints(t *testing.T) {
+func TestServerEndpoints(t *testing.T) { bothFrontends(t, testServerEndpoints) }
+
+func testServerEndpoints(t *testing.T, start startFunc) {
 	engine := testEngine(t)
-	ts := httptest.NewServer(newServer(engine))
+	ts := start(newServer(engine))
 	defer ts.Close()
 
 	var health healthBody
@@ -116,9 +117,11 @@ func TestServerEndpoints(t *testing.T) {
 	}
 }
 
-func TestServerErrorStatuses(t *testing.T) {
+func TestServerErrorStatuses(t *testing.T) { bothFrontends(t, testServerErrorStatuses) }
+
+func testServerErrorStatuses(t *testing.T, start startFunc) {
 	engine := testEngine(t)
-	ts := httptest.NewServer(newServer(engine))
+	ts := start(newServer(engine))
 	defer ts.Close()
 
 	for _, path := range []string{
@@ -151,6 +154,10 @@ func TestServerErrorStatuses(t *testing.T) {
 }
 
 func TestServerDisabledEndpointsAre501(t *testing.T) {
+	bothFrontends(t, testServerDisabledEndpointsAre501)
+}
+
+func testServerDisabledEndpointsAre501(t *testing.T, start startFunc) {
 	snap, err := oracle.BuildSnapshot(oracle.Config{
 		Workload:    "cube",
 		N:           32,
@@ -162,7 +169,7 @@ func TestServerDisabledEndpointsAre501(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(newServer(oracle.NewEngine(snap, oracle.EngineOptions{})))
+	ts := start(newServer(oracle.NewEngine(snap, oracle.EngineOptions{})))
 	defer ts.Close()
 
 	getJSON(t, ts, "/nearest?target=1", http.StatusNotImplemented, nil)
@@ -180,9 +187,11 @@ func TestServerDisabledEndpointsAre501(t *testing.T) {
 	}
 }
 
-func TestServerSnapshotRebuildSwaps(t *testing.T) {
+func TestServerSnapshotRebuildSwaps(t *testing.T) { bothFrontends(t, testServerSnapshotRebuildSwaps) }
+
+func testServerSnapshotRebuildSwaps(t *testing.T, start startFunc) {
 	engine := testEngine(t)
-	ts := httptest.NewServer(newServer(engine))
+	ts := start(newServer(engine))
 	defer ts.Close()
 
 	var before oracle.EstimateResult
@@ -224,8 +233,12 @@ func TestServerSnapshotRebuildSwaps(t *testing.T) {
 }
 
 func TestServerConcurrentQueriesDuringRebuild(t *testing.T) {
+	bothFrontends(t, testServerConcurrentQueriesDuringRebuild)
+}
+
+func testServerConcurrentQueriesDuringRebuild(t *testing.T, start startFunc) {
 	engine := testEngine(t)
-	ts := httptest.NewServer(newServer(engine))
+	ts := start(newServer(engine))
 	defer ts.Close()
 
 	done := make(chan error, 4)
@@ -259,9 +272,11 @@ func TestServerConcurrentQueriesDuringRebuild(t *testing.T) {
 // served snapshot travels through both /stats and /snapshot, and the
 // /snapshot response describes the snapshot it just built (a fresh
 // breakdown, not the old one).
-func TestServerExposesBuildStats(t *testing.T) {
+func TestServerExposesBuildStats(t *testing.T) { bothFrontends(t, testServerExposesBuildStats) }
+
+func testServerExposesBuildStats(t *testing.T, start startFunc) {
 	engine := testEngine(t)
-	ts := httptest.NewServer(newServer(engine))
+	ts := start(newServer(engine))
 	defer ts.Close()
 
 	var stats oracle.EngineStats
@@ -299,9 +314,11 @@ func TestServerExposesBuildStats(t *testing.T) {
 // engine's own batch answer — across a large batch followed by a small
 // one (stale pooled results must never leak into a shorter response)
 // and across concurrent callers sharing the pool.
-func TestBatchBodyUnchangedByPooling(t *testing.T) {
+func TestBatchBodyUnchangedByPooling(t *testing.T) { bothFrontends(t, testBatchBodyUnchangedByPooling) }
+
+func testBatchBodyUnchangedByPooling(t *testing.T, start startFunc) {
 	engine := testEngine(t)
-	ts := httptest.NewServer(newServer(engine))
+	ts := start(newServer(engine))
 	defer ts.Close()
 
 	check := func(size, salt int) error {

@@ -3,14 +3,13 @@ package main
 import (
 	"encoding/json"
 	"net/http"
-	"net/http/httptest"
 	"testing"
 
 	"rings/internal/oracle"
 	"rings/internal/shard"
 )
 
-func testFleetServer(t *testing.T, churn bool) (*shard.Fleet, *httptest.Server) {
+func testFleet(t *testing.T, churn bool) *shard.Fleet {
 	t.Helper()
 	fleet, err := shard.NewFleet(shard.Config{
 		Oracle: oracle.Config{Workload: "cube", N: 48, Seed: 1, MemberStride: 3},
@@ -20,13 +19,21 @@ func testFleetServer(t *testing.T, churn bool) (*shard.Fleet, *httptest.Server) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(newFleetServer(fleet, 1))
+	return fleet
+}
+
+func testFleetServer(t *testing.T, start startFunc, churn bool) (*shard.Fleet, *testServer) {
+	t.Helper()
+	fleet := testFleet(t, churn)
+	ts := start(newFleetServer(fleet, 1))
 	t.Cleanup(ts.Close)
 	return fleet, ts
 }
 
-func TestFleetServerEndpoints(t *testing.T) {
-	fleet, ts := testFleetServer(t, false)
+func TestFleetServerEndpoints(t *testing.T) { bothFrontends(t, testFleetServerEndpoints) }
+
+func testFleetServerEndpoints(t *testing.T, start startFunc) {
+	fleet, ts := testFleetServer(t, start, false)
 
 	var health healthBody
 	getJSON(t, ts, "/healthz", http.StatusOK, &health)
@@ -134,8 +141,10 @@ func decodeBody(t *testing.T, resp *http.Response, out any) {
 	}
 }
 
-func TestFleetServerChurnRouting(t *testing.T) {
-	fleet, ts := testFleetServer(t, true)
+func TestFleetServerChurnRouting(t *testing.T) { bothFrontends(t, testFleetServerChurnRouting) }
+
+func testFleetServerChurnRouting(t *testing.T, start startFunc) {
+	fleet, ts := testFleetServer(t, start, true)
 	if fleet.Universe() != 96 {
 		t.Fatalf("universe = %d", fleet.Universe())
 	}

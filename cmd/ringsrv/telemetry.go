@@ -153,7 +153,7 @@ type traceBody struct {
 // records.
 func (s *server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	records := s.traceRing.Snapshot()
-	if raw := r.URL.Query().Get("n"); raw != "" {
+	if raw := queryParam(r.URL.RawQuery, "n"); raw != "" {
 		n, err := strconv.Atoi(raw)
 		if err != nil || n < 0 {
 			writeError(w, fmt.Errorf("parameter %q: want a non-negative integer, got %q", "n", raw))

@@ -3,7 +3,6 @@ package main
 import (
 	"fmt"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"testing"
 
@@ -13,7 +12,7 @@ import (
 
 // scrapeMetrics fetches /metrics and returns the families after the
 // strict exposition parser validated the page.
-func scrapeMetrics(t *testing.T, ts *httptest.Server) map[string]*telemetry.ParsedMetric {
+func scrapeMetrics(t *testing.T, ts *testServer) map[string]*telemetry.ParsedMetric {
 	t.Helper()
 	resp, err := ts.Client().Get(ts.URL + "/metrics")
 	if err != nil {
@@ -51,9 +50,11 @@ next:
 	return 0
 }
 
-func TestMetricsSingleMode(t *testing.T) {
+func TestMetricsSingleMode(t *testing.T) { bothFrontends(t, testMetricsSingleMode) }
+
+func testMetricsSingleMode(t *testing.T, start startFunc) {
 	srv := newServer(testEngine(t))
-	ts := httptest.NewServer(srv)
+	ts := start(srv)
 	t.Cleanup(ts.Close)
 
 	getJSON(t, ts, "/estimate?u=1&v=2", http.StatusOK, nil)
@@ -118,8 +119,10 @@ func TestMetricsSingleMode(t *testing.T) {
 	}
 }
 
-func TestMetricsFleetMode(t *testing.T) {
-	_, ts := testFleetServer(t, false)
+func TestMetricsFleetMode(t *testing.T) { bothFrontends(t, testMetricsFleetMode) }
+
+func testMetricsFleetMode(t *testing.T, start startFunc) {
+	_, ts := testFleetServer(t, start, false)
 
 	getJSON(t, ts, "/estimate?u=3&v=9", http.StatusOK, nil) // intra (same shard mod 3)
 	getJSON(t, ts, "/estimate?u=0&v=1", http.StatusOK, nil) // cross
@@ -152,10 +155,12 @@ func TestMetricsFleetMode(t *testing.T) {
 	}
 }
 
-func TestTraceEndpoint(t *testing.T) {
+func TestTraceEndpoint(t *testing.T) { bothFrontends(t, testTraceEndpoint) }
+
+func testTraceEndpoint(t *testing.T, start startFunc) {
 	srv := newServer(testEngine(t))
 	srv.enableTelemetry(2, 0) // every 2nd query traced
-	ts := httptest.NewServer(srv)
+	ts := start(srv)
 	t.Cleanup(ts.Close)
 
 	for i := 0; i < 10; i++ {
@@ -192,7 +197,9 @@ func TestTraceEndpoint(t *testing.T) {
 // TestAuditorBeacons drives a beacons-scheme engine with audit
 // sampling at 100% and requires every audited sandwich to contain the
 // exact distance.
-func TestAuditorBeacons(t *testing.T) {
+func TestAuditorBeacons(t *testing.T) { bothFrontends(t, testAuditorBeacons) }
+
+func testAuditorBeacons(t *testing.T, start startFunc) {
 	snap, err := oracle.BuildSnapshot(oracle.Config{
 		Workload: "cube",
 		N:        64,
@@ -204,7 +211,7 @@ func TestAuditorBeacons(t *testing.T) {
 	}
 	srv := newServer(oracle.NewEngine(snap, oracle.EngineOptions{}))
 	srv.enableTelemetry(0, 1) // audit every served estimate
-	ts := httptest.NewServer(srv)
+	ts := start(srv)
 	t.Cleanup(ts.Close)
 
 	for u := 0; u < 16; u++ {

@@ -65,11 +65,14 @@ type faultBenchRow struct {
 }
 
 // slowBackend delays every estimate by a fixed latency — the
-// hedged-read test shim plugged in through Config.Transport.
+// hedged-read test shim plugged in through Config.Transport. It is a
+// transport that stalls, and says so: only a Remote replica is hedged.
 type slowBackend struct {
 	shard.Backend
 	delay time.Duration
 }
+
+func (b slowBackend) Remote() bool { return true }
 
 func (b slowBackend) Estimate(u, v int) (oracle.EstimateResult, error) {
 	time.Sleep(b.delay)

@@ -10,6 +10,7 @@ import (
 	"sync"
 
 	"rings/internal/oracle"
+	"rings/internal/shard"
 )
 
 // The /batch body contract. One shape is accepted,
@@ -243,29 +244,87 @@ func appendJSONFloat(b []byte, f float64) ([]byte, error) {
 	return b, nil
 }
 
+// appendInt and appendFloat append one `"key":value` member; key carries
+// its own punctuation.
+func appendInt(b []byte, key string, n int64) []byte {
+	return strconv.AppendInt(append(b, key...), n, 10)
+}
+
+func appendFloat(b []byte, key string, f float64) ([]byte, error) {
+	return appendJSONFloat(append(b, key...), f)
+}
+
 // appendEstimateResult appends r as the JSON object encoding/json makes
 // of an oracle.EstimateResult, byte for byte.
 func appendEstimateResult(b []byte, r *oracle.EstimateResult) ([]byte, error) {
-	var err error
-	b = append(b, `{"u":`...)
-	b = strconv.AppendInt(b, int64(r.U), 10)
-	b = append(b, `,"v":`...)
-	b = strconv.AppendInt(b, int64(r.V), 10)
-	b = append(b, `,"lower":`...)
-	if b, err = appendJSONFloat(b, r.Lower); err != nil {
-		return b, err
+	b = appendInt(b, `{"u":`, int64(r.U))
+	b = appendInt(b, `,"v":`, int64(r.V))
+	b, err := appendFloat(b, `,"lower":`, r.Lower)
+	if err == nil {
+		b, err = appendFloat(b, `,"upper":`, r.Upper)
 	}
-	b = append(b, `,"upper":`...)
-	if b, err = appendJSONFloat(b, r.Upper); err != nil {
-		return b, err
+	b = strconv.AppendBool(append(b, `,"ok":`...), r.OK)
+	b = appendInt(b, `,"version":`, r.Version)
+	return append(strconv.AppendBool(append(b, `,"cached":`...), r.Cached), '}'), err
+}
+
+// appendPath appends ,"path": and the ids the way encoding/json writes a
+// []int: null for a nil slice, [] for an empty one.
+func appendPath(b []byte, path []int) []byte {
+	b = append(b, `,"path":`...)
+	if path == nil {
+		return append(b, "null"...)
 	}
-	b = append(b, `,"ok":`...)
-	b = strconv.AppendBool(b, r.OK)
-	b = append(b, `,"version":`...)
-	b = strconv.AppendInt(b, r.Version, 10)
-	b = append(b, `,"cached":`...)
-	b = strconv.AppendBool(b, r.Cached)
-	return append(b, '}'), nil
+	b = append(b, '[')
+	for i, id := range path {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendInt(b, int64(id), 10)
+	}
+	return append(b, ']')
+}
+
+// appendFleetTail turns the oracle result that ends b into the
+// shard.NearestResult or shard.RouteResult embedding it: the owning
+// shard and the epoch go in before its closing brace.
+func appendFleetTail(b []byte, shard int, epoch int64) []byte {
+	b = appendInt(b[:len(b)-1], `,"shard":`, int64(shard))
+	return append(appendInt(b, `,"epoch":`, epoch), '}')
+}
+
+// appendFleetEstimate appends r as the JSON object encoding/json makes
+// of a shard.EstimateResult, byte for byte.
+func appendFleetEstimate(b []byte, r *shard.EstimateResult) ([]byte, error) {
+	b, err := appendEstimateResult(b, &r.EstimateResult)
+	b = appendInt(b[:len(b)-1], `,"ushard":`, int64(r.UShard))
+	b = appendInt(b, `,"vshard":`, int64(r.VShard))
+	b = strconv.AppendBool(append(b, `,"cross":`...), r.Cross)
+	return append(appendInt(b, `,"epoch":`, r.Epoch), '}'), err
+}
+
+// appendNearestResult appends r as encoding/json's oracle.NearestResult.
+func appendNearestResult(b []byte, r *oracle.NearestResult) ([]byte, error) {
+	b = appendInt(b, `{"target":`, int64(r.Target))
+	b = appendInt(b, `,"member":`, int64(r.Member))
+	b, err := appendFloat(b, `,"dist":`, r.Dist)
+	b = appendPath(appendInt(b, `,"hops":`, int64(r.Hops)), r.Path)
+	return append(appendInt(b, `,"version":`, r.Version), '}'), err
+}
+
+// appendRouteResult appends r as encoding/json's oracle.RouteResult.
+func appendRouteResult(b []byte, r *oracle.RouteResult) ([]byte, error) {
+	b = appendInt(b, `{"src":`, int64(r.Src))
+	b = appendPath(appendInt(b, `,"dst":`, int64(r.Dst)), r.Path)
+	b, err := appendFloat(b, `,"length":`, r.Length)
+	if err == nil {
+		b, err = appendFloat(b, `,"dist":`, r.Dist)
+	}
+	if err == nil {
+		b, err = appendFloat(b, `,"stretch":`, r.Stretch)
+	}
+	b = appendInt(b, `,"hops":`, int64(r.Hops))
+	return append(appendInt(b, `,"version":`, r.Version), '}'), err
 }
 
 // appendBatchResponse appends the single-engine /batch response body,

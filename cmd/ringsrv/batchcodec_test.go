@@ -277,6 +277,163 @@ func TestAppendEstimateResultMatchesEncodingJSON(t *testing.T) {
 	}
 }
 
+// TestQueryAppendersMatchEncodingJSON: the appenders behind fleet
+// /estimate and both modes' /nearest and /route write encoding/json's
+// bytes for the struct they stand in for, over a seeded corpus — floats at
+// the format switch points, both zeros, subnormals, random bit patterns;
+// ids up to the int range; nil, empty and long paths; every flag — and
+// refuse exactly the values encoding/json refuses (an ok:false answer's
+// infinite bound, NaN), which writeAnswer turns into a 500 "internal".
+func TestQueryAppendersMatchEncodingJSON(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	edge := []float64{0, math.Copysign(0, -1), 1, -1.5, 1e-6, 9.999999e-7, 1e-7, 1e-10, 1e20, 1e21, 9.99e20, 1.23e25,
+		math.MaxFloat64, math.SmallestNonzeroFloat64, 4.9e-320, 753.7908456345253, math.Inf(1), math.Inf(-1), math.NaN()}
+	float := func() float64 {
+		switch rng.Intn(4) {
+		case 0:
+			return edge[rng.Intn(len(edge)-3)] // the finite ones
+		case 1:
+			return rng.ExpFloat64() * math.Pow(10, float64(rng.Intn(60)-30))
+		case 2:
+			if f := math.Float64frombits(rng.Uint64()); !math.IsNaN(f) && !math.IsInf(f, 0) {
+				return f
+			}
+		}
+		return rng.Float64() * 1000
+	}
+	id := func() int {
+		switch rng.Intn(4) {
+		case 0:
+			return []int{0, -1, math.MaxInt, math.MinInt, math.MaxInt32}[rng.Intn(5)]
+		case 1:
+			return int(rng.Uint64())
+		}
+		return rng.Intn(4096)
+	}
+	path := func() []int {
+		switch rng.Intn(4) {
+		case 0:
+			return nil
+		case 1:
+			return []int{}
+		}
+		p := make([]int, 1+rng.Intn(12))
+		for i := range p {
+			p[i] = id()
+		}
+		return p
+	}
+	check := func(what string, v any, got []byte, err error) {
+		t.Helper()
+		want, wantErr := json.Marshal(v)
+		if (err != nil) != (wantErr != nil) {
+			t.Fatalf("%s %+v: appender error %v, encoding/json error %v", what, v, err, wantErr)
+		}
+		if err == nil && !bytes.Equal(got, want) {
+			t.Fatalf("%s %+v:\nappended %s\nmarshal  %s", what, v, got, want)
+		}
+	}
+	for i := 0; i < 4000; i++ {
+		// One float of each answer walks the edge list, non-finite values
+		// included; the rest are drawn finite.
+		e := edge[i%len(edge)]
+		est := shard.EstimateResult{
+			EstimateResult: oracle.EstimateResult{U: id(), V: id(), Lower: float(), Upper: float(), OK: i%2 == 0, Version: int64(id()), Cached: i%3 == 0},
+			UShard:         id(), VShard: id(), Cross: i%5 == 0, Epoch: int64(id()),
+		}
+		if i%2 == 0 {
+			est.Upper = e
+		} else {
+			est.Lower = e
+		}
+		got, err := appendFleetEstimate(nil, &est)
+		check("fleet estimate", est, got, err)
+
+		near := shard.NearestResult{
+			NearestResult: oracle.NearestResult{Target: id(), Member: id(), Dist: e, Hops: id(), Path: path(), Version: int64(id())},
+			Shard:         id(), Epoch: int64(id()),
+		}
+		got, err = appendNearestResult(nil, &near.NearestResult)
+		check("nearest", near.NearestResult, got, err)
+		check("fleet nearest", near, appendFleetTail(got, near.Shard, near.Epoch), err)
+
+		route := shard.RouteResult{
+			RouteResult: oracle.RouteResult{Src: id(), Dst: id(), Path: path(), Length: float(), Dist: float(), Stretch: float(), Hops: id(), Version: int64(id())},
+			Shard:       id(), Epoch: int64(id()),
+		}
+		*[]*float64{&route.Length, &route.Dist, &route.Stretch}[i%3] = e
+		got, err = appendRouteResult(nil, &route.RouteResult)
+		check("route", route.RouteResult, got, err)
+		check("fleet route", route, appendFleetTail(got, route.Shard, route.Epoch), err)
+	}
+
+	unbounded := shard.EstimateResult{EstimateResult: oracle.EstimateResult{U: 0, V: 1, Upper: math.Inf(1)}, Cross: true}
+	rec := httptest.NewRecorder()
+	writeAnswer(rec, nil, func(b []byte) ([]byte, error) { return appendFleetEstimate(b, &unbounded) })
+	var eb errorBody
+	if err := json.Unmarshal(rec.Body.Bytes(), &eb); rec.Code != http.StatusInternalServerError || err != nil || eb.Code != codeInternal {
+		t.Fatalf("unbounded cross-shard estimate: status %d, body %q; want one 500 %q body", rec.Code, rec.Body, codeInternal)
+	}
+}
+
+// TestQueryBodiesMatchEncodingJSON: in both modes and behind both
+// front-ends, the 200 bodies of /estimate, /nearest and /route are
+// encoding/json's of the answer the engine or fleet gives directly, and
+// one line.
+func TestQueryBodiesMatchEncodingJSON(t *testing.T) {
+	bothFrontends(t, testQueryBodiesMatchEncodingJSON)
+}
+
+func testQueryBodiesMatchEncodingJSON(t *testing.T, start startFunc) {
+	engine, fleet := testEngine(t), testFleet(t, false)
+	defer fleet.Close()
+	modes := []struct {
+		name   string
+		h      http.Handler
+		direct map[string]func() (any, error)
+	}{
+		{"single", newServer(engine), map[string]func() (any, error){
+			"/nearest?target=3":  func() (any, error) { return engine.Nearest(3) },
+			"/route?src=1&dst=5": func() (any, error) { return engine.Route(1, 5) },
+		}},
+		{"fleet", newFleetServer(fleet, 1), map[string]func() (any, error){
+			"/estimate?u=3&v=9":  func() (any, error) { return fleet.Estimate(3, 9) },  // intra-shard, cached by the request
+			"/estimate?u=3&v=10": func() (any, error) { return fleet.Estimate(3, 10) }, // cross-shard
+			"/nearest?target=4":  func() (any, error) { return fleet.Nearest(4) },
+			"/route?src=1&dst=7": func() (any, error) { return fleet.Route(1, 7) },
+		}},
+	}
+	for _, mode := range modes {
+		ts := start(mode.h)
+		for target, direct := range mode.direct {
+			var got []byte
+			for i := 0; i < 2; i++ { // the second answer is the one a later direct call repeats
+				resp, err := ts.Client().Get(ts.URL + target)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err = io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if err != nil || resp.StatusCode != http.StatusOK || resp.Header.Get("Content-Type") != "application/json" {
+					t.Fatalf("%s %s: status %d, %v", mode.name, target, resp.StatusCode, err)
+				}
+			}
+			res, err := direct()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := json.Marshal(res)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, append(want, '\n')) {
+				t.Errorf("%s %s:\nbody    %s\nmarshal %s", mode.name, target, got, want)
+			}
+		}
+		ts.Close()
+	}
+}
+
 // TestEstimateBodyMatchesEncodingJSON: GET /estimate on a single engine
 // answers through the appender, and the body is encoding/json's of the
 // engine's own answer — for a computed answer and for the cached repeat.

@@ -50,8 +50,10 @@
 // shard keeps R serving copies: replica 0 is the authoritative engine
 // and the rest are restored from its serialized snapshot and kept
 // current by shipping on every commit, so any replica answers
-// byte-identically. Reads hedge to a second replica after a latency-
-// percentile trigger; a background prober circuit-breaks unhealthy
+// byte-identically. The copies live in this process, so a read runs
+// inline on one of them (rotated) and fails over in place — they are
+// here for failover and to rehearse snapshot shipping, not to race each
+// other; a background prober circuit-breaks unhealthy
 // replicas, resyncs and reinstates them; every routed operation is
 // fenced on the partition-map epoch. /healthz reports degraded and
 // replicas_down while redundancy is reduced, and /replica is the
@@ -148,7 +150,7 @@ func run() error {
 		churnCap   = flag.Int("churn-capacity", 0, "churn universe capacity (0 = 2n; grid: the full lattice)")
 		churnMin   = flag.Int("churn-min", 0, "refuse leaves below this node count (0 = default; with -shards: per shard)")
 		shardK     = flag.Int("shards", 1, "serve a partitioned fleet of this many shards (1 = single engine)")
-		replicaR   = flag.Int("replicas", 1, "serving replicas per shard (snapshot-shipped copies with hedged reads, health probes, breakers and failover; >1 implies fleet mode)")
+		replicaR   = flag.Int("replicas", 1, "serving replicas per shard (in-process snapshot-shipped copies with health probes, breakers and failover; >1 implies fleet mode)")
 		beacons    = flag.Int("beacons", 0, "cross-shard beacon count (0 = 2*ceil(log2 n)+4)")
 		inflight   = flag.Int("max-inflight", 1024, "admission limit on concurrent requests; beyond it requests are shed with 503 \"overloaded\" instead of queuing (0 = unbounded; /healthz and /metrics exempt)")
 		reqTimeout = flag.Duration("request-timeout", 10*time.Second, "once a request's first byte has arrived, the rest of it (head, and a Content-Length body on the connection loop) is due within this or the connection is closed (0 disables)")

@@ -386,14 +386,20 @@ func writeError(w http.ResponseWriter, err error) {
 	writeJSON(w, status, body)
 }
 
-// writeResult answers one query: its error through writeError, or 200
-// with the result.
-func writeResult(w http.ResponseWriter, res any, err error) {
+// writeAnswer answers one query: its error through writeError, or a 200
+// whose JSON body enc appends into pooled scratch — or, when the appender
+// refuses (an ok:false answer has an infinite upper bound), the 500
+// writeJSON answers with where encoding/json refuses the same value.
+func writeAnswer(w http.ResponseWriter, err error, enc func(b []byte) ([]byte, error)) {
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, res)
+	sc := batchPool.Get().(*batchScratch)
+	defer batchPool.Put(sc)
+	sc.body, err = enc(sc.body[:0])
+	sc.body = append(sc.body, '\n')
+	writeAppended(w, sc.body, err)
 }
 
 // writeInternalError reports a 500 with the internal code (build or
@@ -502,25 +508,16 @@ func (s *server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	if s.fleet != nil {
 		res, err := s.fleet.Estimate(u, v)
 		s.observeEstimate(res, err, start)
-		writeResult(w, res, err)
+		writeAnswer(w, err, func(b []byte) ([]byte, error) { return appendFleetEstimate(b, &res) })
 		return
 	}
 	res, err := s.engine.Estimate(u, v)
 	s.observeEstimate(shard.EstimateResult{EstimateResult: res}, err, start)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	sc := batchPool.Get().(*batchScratch)
-	defer batchPool.Put(sc)
-	sc.body, err = appendEstimateResult(sc.body[:0], &res)
-	sc.body = append(sc.body, '\n')
-	writeAppended(w, sc.body, err)
+	writeAnswer(w, err, func(b []byte) ([]byte, error) { return appendEstimateResult(b, &res) })
 }
 
 // writeAppended sends a 200 whose JSON body a handler appended into
-// pooled scratch — or, when the appender refused (an ok:false answer has
-// an infinite upper bound), the same 500 writeJSON answers with.
+// pooled scratch, or the appender's refusal as a 500.
 func writeAppended(w http.ResponseWriter, body []byte, err error) {
 	if err != nil {
 		writeInternalError(w, "encode response", err)
@@ -585,11 +582,14 @@ func (s *server) handleNearest(w http.ResponseWriter, r *http.Request) {
 	}
 	if s.fleet != nil {
 		res, err := s.fleet.Nearest(target)
-		writeResult(w, res, err)
+		writeAnswer(w, err, func(b []byte) ([]byte, error) {
+			b, err := appendNearestResult(b, &res.NearestResult)
+			return appendFleetTail(b, res.Shard, res.Epoch), err
+		})
 		return
 	}
 	res, err := s.engine.Nearest(target)
-	writeResult(w, res, err)
+	writeAnswer(w, err, func(b []byte) ([]byte, error) { return appendNearestResult(b, &res) })
 }
 
 func (s *server) handleRoute(w http.ResponseWriter, r *http.Request) {
@@ -606,11 +606,14 @@ func (s *server) handleRoute(w http.ResponseWriter, r *http.Request) {
 	}
 	if s.fleet != nil {
 		res, err := s.fleet.Route(src, dst)
-		writeResult(w, res, err)
+		writeAnswer(w, err, func(b []byte) ([]byte, error) {
+			b, err := appendRouteResult(b, &res.RouteResult)
+			return appendFleetTail(b, res.Shard, res.Epoch), err
+		})
 		return
 	}
 	res, err := s.engine.Route(src, dst)
-	writeResult(w, res, err)
+	writeAnswer(w, err, func(b []byte) ([]byte, error) { return appendRouteResult(b, &res) })
 }
 
 type snapshotRequest struct {

@@ -505,8 +505,9 @@ func (f *Fleet) probeAll() {
 		for _, rep := range rs.reps {
 			switch rep.brk.state.Load() {
 			case brkClosed:
+				gen := rep.brk.gen.Load()
 				if _, err := rep.b.Health(); err != nil && IsUnavailable(err) {
-					rs.fail(rep)
+					rs.fail(rep, gen)
 				}
 			default:
 				now := time.Now().UnixNano()
@@ -1190,10 +1191,11 @@ func (f *Fleet) shipLocked(unit *shardUnit, snap *oracle.Snapshot) {
 			}
 			buf = b.Bytes()
 		}
+		gen := rep.brk.gen.Load()
 		ver, err := rep.b.Ship(buf)
 		if err != nil {
 			if IsUnavailable(err) {
-				unit.reps.fail(rep)
+				unit.reps.fail(rep, gen)
 			}
 			continue
 		}

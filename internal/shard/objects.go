@@ -50,8 +50,14 @@ func (f *Fleet) initObjects() {
 }
 
 // ObjectsMetrics exposes the fleet's rings_objects_* registry for
-// /metrics composition.
-func (f *Fleet) ObjectsMetrics() *telemetry.Registry { return f.objMetrics.Reg }
+// /metrics composition. The object and replica gauges are brought up to
+// date here, on the scrape (ObjectStats sets them): objects may span
+// shards, so their count is a union over every directory — too much to
+// redo on each publish.
+func (f *Fleet) ObjectsMetrics() *telemetry.Registry {
+	f.ObjectStats()
+	return f.objMetrics.Reg
+}
 
 // objectReplicaCount sums obj's replicas across every shard directory.
 func (f *Fleet) objectReplicaCount(obj string) int {
@@ -60,22 +66,6 @@ func (f *Fleet) objectReplicaCount(obj string) int {
 		n += len(unit.dir.Replicas(obj))
 	}
 	return n
-}
-
-// refreshObjectGauges republishes the fleet-wide object/replica gauges
-// (objects may span shards; the union of names is the object count).
-func (f *Fleet) refreshObjectGauges() {
-	names := make(map[string]struct{})
-	replicas := 0
-	for _, unit := range f.shards {
-		st := unit.dir.Stats()
-		replicas += st.Replicas
-		for _, name := range unit.dir.Objects() {
-			names[name] = struct{}{}
-		}
-	}
-	f.objMetrics.Objects.Set(float64(len(names)))
-	f.objMetrics.Replicas.Set(float64(replicas))
 }
 
 // PublishObject places a replica of obj on global node g (owner-routed
@@ -94,7 +84,6 @@ func (f *Fleet) PublishObject(obj string, g int) (int, error) {
 	if n > prev { // an idempotent re-publish is a no-op, not an accepted op
 		f.objMetrics.Publishes.Inc()
 	}
-	f.refreshObjectGauges()
 	return f.objectReplicaCount(obj), nil
 }
 
@@ -118,7 +107,6 @@ func (f *Fleet) UnpublishObject(obj string, g int) (int, error) {
 		return 0, err
 	}
 	f.objMetrics.Unpublishes.Inc()
-	f.refreshObjectGauges()
 	return f.objectReplicaCount(obj), nil
 }
 
@@ -323,7 +311,6 @@ func (f *Fleet) repairObjectsLocked(unit *shardUnit, snap *oracle.Snapshot) {
 		}
 		f.objMetrics.Republishes.Inc()
 	}
-	f.refreshObjectGauges()
 }
 
 // ObjectStats is the fleet's object-layer self-report.
@@ -345,7 +332,9 @@ type ObjectStats struct {
 	PerShard []objects.Stats `json:"per_shard"`
 }
 
-// ObjectStats aggregates the object layer across shards.
+// ObjectStats aggregates the object layer across shards and publishes
+// the counts it took as the rings_objects / rings_objects_replicas
+// gauges.
 func (f *Fleet) ObjectStats() ObjectStats {
 	out := ObjectStats{
 		Ready:         true,
@@ -369,5 +358,7 @@ func (f *Fleet) ObjectStats() ObjectStats {
 		out.PerShard = append(out.PerShard, st)
 	}
 	out.Objects = len(names)
+	f.objMetrics.Objects.Set(float64(out.Objects))
+	f.objMetrics.Replicas.Set(float64(out.Replicas))
 	return out
 }

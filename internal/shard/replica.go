@@ -58,6 +58,11 @@ type breaker struct {
 	exp     atomic.Int32 // backoff doubling exponent
 	retryAt atomic.Int64 // unix nanos of the next allowed probe
 	opens   atomic.Int64 // cumulative closed->open transitions
+	// gen counts closes. A failure is charged only to the generation it
+	// was observed in (replicaSet.fail), so an attempt that hit a dead
+	// replica before its restart cannot reopen the breaker the prober
+	// has closed since.
+	gen atomic.Int64
 }
 
 // available reports whether queries may use the replica.
@@ -99,8 +104,9 @@ func (b *breaker) reopen(now int64, jitter uint64) {
 
 // close restores service after a successful probe + resync.
 func (b *breaker) close() {
-	b.state.Store(brkClosed)
+	b.gen.Add(1)
 	b.fails.Store(0)
+	b.state.Store(brkClosed)
 	b.exp.Store(0)
 }
 
@@ -217,15 +223,15 @@ func (r *replica) setState(state int32) {
 	r.stateG.Set(float64(state))
 }
 
-// replicaSet is one shard's replica roster plus the shared hedging
-// machinery.
+// replicaSet is one shard's replica roster plus the read machinery:
+// rotation, failover and — for a set behind a transport — hedging.
 type replicaSet struct {
 	reps   []*replica
 	cursor atomic.Int64 // rotates the first candidate for load spread
 	// hedgeAfter: >0 fixed hedge delay, <0 hedging disabled, 0 adaptive
-	// (p90 of the recent latency window, doubled).
+	// (p90 of the recent latency window, doubled). Read only when remote.
 	hedgeAfter time.Duration
-	remote     bool // any replica crosses a transport
+	remote     bool // any replica crosses a transport: reads are hedged
 	lat        latWindow
 	jstate     atomic.Uint64 // jitter stream state (splitmix64 counter)
 	m          *fleetMetrics
@@ -251,9 +257,14 @@ func newReplicaSet(f *Fleet, reps []*replica) *replicaSet {
 // nextJitter draws one value from the set's jitter stream.
 func (rs *replicaSet) nextJitter() uint64 { return splitmix64(rs.jstate.Add(0x9e3779b97f4a7c15)) }
 
-// fail records one transport failure against a replica, tripping its
-// breaker (and bumping the fleet epoch) when the threshold is crossed.
-func (rs *replicaSet) fail(rep *replica) {
+// fail records one transport failure against a replica, observed by a
+// call that read the breaker generation gen before it started, tripping
+// the breaker (and bumping the fleet epoch) when the threshold is
+// crossed. A failure from before the breaker last closed is dropped.
+func (rs *replicaSet) fail(rep *replica, gen int64) {
+	if gen != rep.brk.gen.Load() {
+		return
+	}
 	if rep.brk.onFailure(time.Now().UnixNano(), rs.nextJitter()) {
 		rs.m.breakerOpens.Inc()
 		rep.setState(brkOpen)
@@ -264,18 +275,11 @@ func (rs *replicaSet) fail(rep *replica) {
 func (rs *replicaSet) ok(rep *replica) { rep.brk.onSuccess() }
 
 // candidates returns the breaker-available replicas in rotated order
-// (the rotation spreads read load across healthy replicas).
-func (rs *replicaSet) candidates() []*replica {
-	if len(rs.reps) == 1 {
-		if !rs.reps[0].brk.available() {
-			return nil
-		}
-		return rs.reps
-	}
-	start := int(uint64(rs.cursor.Add(1)) % uint64(len(rs.reps)))
+// from first, for a read that will race them.
+func (rs *replicaSet) candidates(first int) []*replica {
 	out := make([]*replica, 0, len(rs.reps))
 	for i := range rs.reps {
-		rep := rs.reps[(start+i)%len(rs.reps)]
+		rep := rs.reps[(first+i)%len(rs.reps)]
 		if rep.brk.available() {
 			out = append(out, rep)
 		}
@@ -285,7 +289,7 @@ func (rs *replicaSet) candidates() []*replica {
 
 // hedgeDelay picks the latency-percentile trigger for the next hedged
 // read: twice the recent p90, clamped, or a transport-scale prior while
-// the window is empty.
+// the window is empty (only a set behind a transport hedges).
 func (rs *replicaSet) hedgeDelay() time.Duration {
 	if rs.hedgeAfter > 0 {
 		return rs.hedgeAfter
@@ -304,10 +308,7 @@ func (rs *replicaSet) hedgeDelay() time.Duration {
 		}
 		return d
 	}
-	if rs.remote {
-		return 20 * time.Millisecond
-	}
-	return 2 * time.Millisecond
+	return 20 * time.Millisecond
 }
 
 // rsTry runs one attempt against one replica: transport failures feed
@@ -316,11 +317,12 @@ func (rs *replicaSet) hedgeDelay() time.Duration {
 // is reported as errStaleReplica.
 func rsTry[T any](rs *replicaSet, rep *replica, want int64, fn func(Backend) (T, int64, error)) (T, error) {
 	var zero T
+	gen := rep.brk.gen.Load()
 	start := time.Now()
 	res, ver, err := fn(rep.b)
 	if err != nil {
 		if IsUnavailable(err) {
-			rs.fail(rep)
+			rs.fail(rep, gen)
 		}
 		return zero, err
 	}
@@ -333,45 +335,75 @@ func rsTry[T any](rs *replicaSet, rep *replica, want int64, fn func(Backend) (T,
 	return res, nil
 }
 
-// rsCall answers one query from the replica set: rotated candidate
-// order, failover past transport failures, and (when enabled and more
-// than one candidate is healthy) a hedged second read after the
-// latency-percentile trigger. A client error returns immediately; when
-// every candidate transport-fails the shard is down (ErrShardDown, no
-// silent local fallback); a stale-era answer with no healthy
-// alternative surfaces as errStaleReplica for the caller's remap loop.
+// rsCall answers one query from the replica set. Hedging belongs to a
+// transport that can stall: only a set with a replica behind one
+// (Backend.Remote) races a second read after the latency-percentile
+// trigger, and only while more than one candidate is healthy. Every
+// other read runs inline on the caller's goroutine — an in-process
+// replica cannot stall, and a twin on the same cores could not win the
+// race anyway: the replicas are walked in rotated order, the ones whose
+// breaker is not closed skipped in place, failing over past transport
+// failures. A client error returns immediately; when every candidate
+// transport-fails the shard is down (ErrShardDown, no silent local
+// fallback); a stale-era answer with no healthy alternative surfaces as
+// errStaleReplica for the caller's remap loop.
+//
+// A walk reads each breaker at its own instant, so one that passed over
+// a replica can find every replica unavailable although at every instant
+// one was serving (a replica closes again while the read is failing on
+// its twin, killed just after): the shard is declared down only when a
+// second walk agrees.
 func rsCall[T any](rs *replicaSet, want int64, fn func(Backend) (T, int64, error)) (T, error) {
+	res, skipped, err := rsWalk(rs, want, fn)
+	if skipped && errors.Is(err, ErrShardDown) {
+		res, _, err = rsWalk(rs, want, fn)
+	}
+	return res, err
+}
+
+// rsWalk is one pass of rsCall over the roster; skipped reports that it
+// passed over a replica whose breaker was not closed.
+func rsWalk[T any](rs *replicaSet, want int64, fn func(Backend) (T, int64, error)) (res T, skipped bool, err error) {
 	var zero T
-	cands := rs.candidates()
-	if len(cands) == 0 {
-		return zero, fmt.Errorf("shard: no replica available: %w", ErrShardDown)
-	}
-	if len(cands) == 1 || rs.hedgeAfter < 0 {
-		var lastErr error
-		sawStale := false
-		for i, rep := range cands {
-			res, err := rsTry(rs, rep, want, fn)
-			if err == nil {
-				return res, nil
-			}
-			if errors.Is(err, errStaleReplica) {
-				sawStale = true
-				continue
-			}
-			if !IsUnavailable(err) {
-				return zero, err
-			}
-			lastErr = err
-			if i+1 < len(cands) {
-				rs.m.failovers.Inc()
-			}
+	// The rotation spreads read load across healthy replicas.
+	first := int(uint64(rs.cursor.Add(1)) % uint64(len(rs.reps)))
+	if rs.remote && rs.hedgeAfter >= 0 {
+		if cands := rs.candidates(first); len(cands) > 1 {
+			res, err = rsHedged(rs, cands, want, fn)
+			return res, len(cands) < len(rs.reps), err
 		}
-		if sawStale {
-			return zero, errStaleReplica
-		}
-		return zero, fmt.Errorf("shard: %v: %w", lastErr, ErrShardDown)
 	}
-	return rsHedged(rs, cands, want, fn)
+	var lastErr error
+	sawStale, failedOver := false, false
+	for i := range rs.reps {
+		rep := rs.reps[(first+i)%len(rs.reps)]
+		if !rep.brk.available() {
+			skipped = true
+			continue
+		}
+		if failedOver {
+			rs.m.failovers.Inc()
+			failedOver = false
+		}
+		res, err := rsTry(rs, rep, want, fn)
+		switch {
+		case err == nil:
+			return res, skipped, nil
+		case errors.Is(err, errStaleReplica):
+			sawStale = true
+		case !IsUnavailable(err):
+			return zero, skipped, err
+		default:
+			lastErr, failedOver = err, true
+		}
+	}
+	switch {
+	case sawStale:
+		return zero, skipped, errStaleReplica
+	case lastErr == nil: // nothing was tried
+		return zero, skipped, fmt.Errorf("shard: no replica available: %w", ErrShardDown)
+	}
+	return zero, skipped, fmt.Errorf("shard: %v: %w", lastErr, ErrShardDown)
 }
 
 // rsHedged races candidates: the first launches immediately, the next

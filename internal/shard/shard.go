@@ -102,8 +102,10 @@ type Config struct {
 	// current by shipping on every commit, so any replica answers
 	// byte-identically.
 	Replicas int
-	// HedgeAfter is the hedged-read trigger: 0 adapts to twice the
-	// recent p90 latency, > 0 fixes the delay, < 0 disables hedging.
+	// HedgeAfter is the hedged-read trigger of a shard with a replica
+	// behind a transport (see Transport): 0 adapts to twice the recent
+	// p90 latency, > 0 fixes the delay, < 0 disables hedging. Shards
+	// whose replicas are all in-process never hedge.
 	HedgeAfter time.Duration
 	// ProbeInterval paces the background health prober (default 250ms).
 	ProbeInterval time.Duration
@@ -118,6 +120,9 @@ type Config struct {
 	// Transport, when set, wraps each replica's backend (fault-injection
 	// and chaos seam: e.g. a SimTransport endpoint with a fault plan, or
 	// an artificial-delay shim). The fleet's admin gate wraps outside it.
+	// Reads are hedged only on a shard where some wrapper reports
+	// `Remote() bool` true: a wrapper that can stall must declare it, or
+	// its shard answers inline and waits the stall out.
 	Transport func(shard, replica int, b Backend) Backend
 }
 

@@ -41,7 +41,8 @@ func NewHTTPBackend(baseURL string, client *http.Client) Backend {
 	return &httpBackend{base: baseURL, client: client}
 }
 
-// Remote marks the backend for the hedging latency model.
+// Remote marks the backend as crossing a network: its shard's reads are
+// hedged.
 func (b *httpBackend) Remote() bool { return true }
 
 // httpError reconstructs an error class from a non-200 response.

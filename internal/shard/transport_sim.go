@@ -191,8 +191,8 @@ type simBackend struct {
 	node int
 }
 
-// Remote marks the backend as crossing a (simulated) network, so the
-// hedging latency model starts from a remote-scale prior.
+// Remote marks the backend as crossing a (simulated) network: its
+// shard's reads are hedged.
 func (b *simBackend) Remote() bool { return true }
 
 func simCallAs[T any](b *simBackend, req any) (T, error) {

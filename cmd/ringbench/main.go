@@ -4,8 +4,11 @@
 //
 //	ringbench -exp all -seed 1
 //
-// Individual experiments: table1 table2 table3 tri dls sw-a sw-b
-// sw-single sw-ul substrates figure1 figure2 (comma-separated).
+// Individual experiments (comma-separated): substrates table1 table2
+// table3 tri dls sw-a sw-b sw-single sw-ul figure1 figure2, which 'all'
+// runs in that order, plus fault (the replicated fleet's kill window;
+// not part of 'all'). Serving performance is measured by ringperf
+// (go run ./bench), not here.
 package main
 
 import (
@@ -26,24 +29,42 @@ func main() {
 	}
 }
 
-// Flags consumed by the build experiment (package-level plain values so
-// the experiment table's uniform func(seed, quick) signature stays
-// intact and tests can call expBuild without flag parsing).
+// Flags the fault experiment reads (package-level plain values so the
+// experiment table's uniform func(seed, quick) signature stays intact
+// and tests can call expFault without flag parsing).
 var (
-	jsonOut      bool
-	benchOut     = "BENCH_build.json"
-	churnOut     = "BENCH_churn.json"
-	shardOut     = "BENCH_shard.json"
-	serveOut     = "BENCH_serve.json"
-	faultOut     = "BENCH_fault.json"
-	objectsOut   = "BENCH_objects.json"
-	baselinePath string
-	buildSizes   string
-	// benchBackend/benchWorkers mirror -backend/-workers into the build
-	// experiment's snapshot configs ("" means the oracle default, eager).
+	jsonOut  bool
+	faultOut = "BENCH_fault.json"
+	// benchBackend/benchWorkers mirror -backend/-workers into the fault
+	// experiment's fleet config ("" means the oracle default, eager).
 	benchBackend string
 	benchWorkers int
 )
+
+// paperOrder is what -exp all runs: E1-E10 and F1-F2 of DESIGN.md §3,
+// in EXPERIMENTS.md's order.
+var paperOrder = []string{
+	"substrates", "table1", "table2", "table3", "tri", "dls",
+	"sw-a", "sw-b", "sw-single", "sw-ul", "figure1", "figure2",
+}
+
+// experiments is the one experiment table: -exp resolves against it and
+// TestAllExperimentsQuick ranges over it.
+var experiments = map[string]func(seed int64, quick bool) error{
+	"fault":      expFault,
+	"table1":     expTable1,
+	"table2":     expTable2,
+	"table3":     expTable3,
+	"tri":        expTriangulation,
+	"dls":        expDistanceLabels,
+	"sw-a":       expSmallWorldA,
+	"sw-b":       expSmallWorldB,
+	"sw-single":  expSingleLink,
+	"sw-ul":      expULComparison,
+	"substrates": expSubstrates,
+	"figure1":    expFigure1,
+	"figure2":    expFigure2,
+}
 
 func run() error {
 	var (
@@ -51,17 +72,10 @@ func run() error {
 		seed    = flag.Int64("seed", 1, "base random seed")
 		quick   = flag.Bool("quick", false, "smaller instances (CI mode)")
 		backend = flag.String("backend", "eager", "ball-index backend: eager (parallel full sort) or lazy (memory-bounded)")
-		workers = flag.Int("workers", 0, "index build/scan parallelism (0 = GOMAXPROCS)")
+		workers = flag.Int("workers", 0, "index build/scan parallelism for every instance (0 = GOMAXPROCS)")
 	)
-	flag.BoolVar(&jsonOut, "json", false, "write machine-readable output (build experiment: BENCH_build.json)")
-	flag.StringVar(&benchOut, "benchout", benchOut, "output path for -json build rows")
-	flag.StringVar(&churnOut, "churnout", churnOut, "output path for -json churn rows")
-	flag.StringVar(&shardOut, "shardout", shardOut, "output path for -json shard rows")
-	flag.StringVar(&serveOut, "serveout", serveOut, "output path for -json serve rows")
-	flag.StringVar(&faultOut, "faultout", faultOut, "output path for -json fault rows")
-	flag.StringVar(&objectsOut, "objectsout", objectsOut, "output path for -json objects rows")
-	flag.StringVar(&baselinePath, "baseline", "", "bench baseline (build: BENCH_build.json, serve: BENCH_serve.json); fail if the gate-size measurement regressed >25%")
-	flag.StringVar(&buildSizes, "sizes", "", "comma-separated n values for -exp build (default 128,256,512,1024; quick: 128,256)")
+	flag.BoolVar(&jsonOut, "json", false, "fault experiment: also write its row as JSON to -faultout")
+	flag.StringVar(&faultOut, "faultout", faultOut, "output path for the -json fault row")
 	flag.Parse()
 
 	opts := metric.Options{Workers: *workers}
@@ -76,43 +90,16 @@ func run() error {
 	workload.SetIndexOptions(opts)
 	benchBackend, benchWorkers = *backend, *workers
 
-	all := map[string]func(int64, bool) error{
-		"build":      expBuild,
-		"churn":      expChurn,
-		"shard":      expShard,
-		"serve":      expServe,
-		"fault":      expFault,
-		"objects":    expObjects,
-		"table1":     expTable1,
-		"table2":     expTable2,
-		"table3":     expTable3,
-		"tri":        expTriangulation,
-		"dls":        expDistanceLabels,
-		"sw-a":       expSmallWorldA,
-		"sw-b":       expSmallWorldB,
-		"sw-single":  expSingleLink,
-		"sw-ul":      expULComparison,
-		"substrates": expSubstrates,
-		"figure1":    expFigure1,
-		"figure2":    expFigure2,
-	}
-	order := []string{
-		"substrates", "table1", "table2", "table3", "tri", "dls",
-		"sw-a", "sw-b", "sw-single", "sw-ul", "figure1", "figure2",
-	}
-
-	var names []string
-	if *exp == "all" {
-		names = order
-	} else {
+	names := paperOrder
+	if *exp != "all" {
 		names = strings.Split(*exp, ",")
 	}
 	for _, name := range names {
 		name = strings.TrimSpace(name)
-		f, ok := all[name]
+		f, ok := experiments[name]
 		if !ok {
-			valid := make([]string, 0, len(all))
-			for k := range all {
+			valid := make([]string, 0, len(experiments))
+			for k := range experiments {
 				valid = append(valid, k)
 			}
 			sort.Strings(valid)

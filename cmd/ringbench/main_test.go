@@ -4,26 +4,16 @@ import "testing"
 
 // TestAllExperimentsQuick runs every experiment in quick mode: the
 // harness is the artifact that regenerates the paper's tables, so it gets
-// the same regression protection as the library.
+// the same regression protection as the library. It ranges over the
+// experiment table itself, so a new experiment cannot be left untested.
 func TestAllExperimentsQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	experiments := map[string]func(int64, bool) error{
-		"build":      expBuild,
-		"shard":      expShard,
-		"table1":     expTable1,
-		"table2":     expTable2,
-		"table3":     expTable3,
-		"tri":        expTriangulation,
-		"dls":        expDistanceLabels,
-		"sw-a":       expSmallWorldA,
-		"sw-b":       expSmallWorldB,
-		"sw-single":  expSingleLink,
-		"sw-ul":      expULComparison,
-		"substrates": expSubstrates,
-		"figure1":    expFigure1,
-		"figure2":    expFigure2,
+	for _, name := range paperOrder {
+		if experiments[name] == nil {
+			t.Errorf("-exp all names %q, which is not in the experiment table", name)
+		}
 	}
 	for name, f := range experiments {
 		t.Run(name, func(t *testing.T) {

@@ -297,8 +297,7 @@ func run() error {
 	report := buildReport(results, h, *clients, elapsed)
 	// Duration-end server-side view: the engine's own latency histograms
 	// (microseconds, measured inside the serving path — no HTTP or
-	// client-loop overhead), keyed like the client-side endpoint rows so
-	// BENCH_serve.json and load runs report the same Summary shape. A
+	// client-loop overhead), keyed like the client-side endpoint rows. A
 	// stats failure degrades the report instead of failing a run whose
 	// queries all succeeded.
 	if srvLat, err := fetchServerLatencies(client, base); err != nil {

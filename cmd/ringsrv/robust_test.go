@@ -137,6 +137,9 @@ func testReplicaAdminAndDegradedHealth(t *testing.T, start startFunc) {
 	if resp.StatusCode != http.StatusServiceUnavailable || eb.Code != codeUnavailable {
 		t.Fatalf("dead shard over HTTP: status %d body %+v", resp.StatusCode, eb)
 	}
+	if eb.Error != shard.ErrShardDown.Error() {
+		t.Fatalf("dead shard over HTTP: error %q, want %q", eb.Error, shard.ErrShardDown)
+	}
 	// Shard 1 still answers.
 	getJSON(t, ts, "/estimate?u=1&v=3", http.StatusOK, &est)
 

@@ -98,7 +98,7 @@ type Scheme struct {
 }
 
 // Timings is the per-phase wall-clock breakdown of a label build (the
-// label rows of cmd/ringbench's BENCH_build.json).
+// label phases of oracle.BuildStats).
 type Timings struct {
 	// ZSets covers the Z-neighbor union pass.
 	ZSets time.Duration

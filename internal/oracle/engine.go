@@ -104,7 +104,6 @@ func (e *Engine) Swap(snap *Snapshot) *Snapshot {
 	e.metrics.swaps.Inc()
 	e.metrics.version.Set(float64(snap.Version))
 	e.metrics.setArena(snap.Flat)
-	e.metrics.swapUs.Observe(float64(time.Since(start)) / float64(time.Microsecond))
 	e.observe(EndpointSwap, start, nil)
 	if old == nil {
 		return nil

@@ -40,7 +40,6 @@ type engineMetrics struct {
 
 	version    *telemetry.Gauge
 	swaps      *telemetry.Counter
-	swapUs     *telemetry.Histogram
 	pinRetries *telemetry.Counter
 
 	// Where the served arena's bytes are (set at every swap).
@@ -88,8 +87,6 @@ func newEngineMetrics() *engineMetrics {
 		"Version of the currently served snapshot.")
 	m.swaps = reg.Counter("rings_engine_swaps_total",
 		"Snapshot swaps installed.")
-	m.swapUs = reg.Histogram("rings_engine_swap_us",
-		"Snapshot swap critical-section latency in microseconds.", latMinExp, latMaxExp)
 	m.pinRetries = reg.Counter("rings_engine_arena_pin_retries_total",
 		"Queries that lost the arena pin race and reloaded the engine state.")
 	m.arenaSections = reg.GaugeFamily("rings_arena_section_bytes",

@@ -121,8 +121,7 @@ type Config struct {
 	// errors). Router construction is the second most expensive artifact
 	// after labels.
 	SkipRouting bool
-	// RouteHops overrides the per-route hop budget (default 80·n, the
-	// routesim convention).
+	// RouteHops overrides the per-route hop budget (default 80·n).
 	RouteHops int
 }
 

@@ -62,7 +62,7 @@ type Snapshot struct {
 	// BuildElapsed is how long BuildSnapshot took.
 	BuildElapsed time.Duration
 	// Build is the per-phase build breakdown (what /snapshot and /stats
-	// report, and what cmd/ringbench's BENCH_build.json tracks).
+	// report, and what ringperf's oracle.build.* rows track).
 	Build BuildStats
 	// Perm, when non-nil, records that this snapshot serves a churned
 	// subset of a capacity-sized base workload: node u of the snapshot is

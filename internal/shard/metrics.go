@@ -21,8 +21,9 @@ type fleetMetrics struct {
 	// +Inf (a beacon vector hole — should be zero in a healthy fleet).
 	crossUnbounded *telemetry.Counter
 	// beaconWidth is the certificate width upper/lower of each
-	// cross-shard sandwich: the live version of BENCH_shard's stretch
-	// columns. Buckets 2^0 .. 2^8 (width 1 = exact, 256 = pathological).
+	// cross-shard sandwich: the live, certified side of ringperf's
+	// shard.cross_stretch_mean. Buckets 2^0 .. 2^8 (width 1 = exact,
+	// 256 = pathological).
 	beaconWidth *telemetry.Histogram
 	nodes       *telemetry.Gauge
 	shards      *telemetry.Gauge

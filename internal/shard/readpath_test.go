@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -409,5 +410,85 @@ func TestShardDownNeedsASecondLook(t *testing.T) {
 	}
 	if _, err := f.Estimate(u, v); !errors.Is(err, ErrShardDown) {
 		t.Fatalf("both replicas killed: %v, want ErrShardDown", err)
+	}
+}
+
+// TestShardDownSaysShardOnce: every way a fleet read can find a shard
+// down — every breaker open, an inline walk whose replicas all fail, a
+// hedged race whose replicas all fail — is ErrShardDown, on every read
+// endpoint, and its text carries the package prefix once: the sentinel's,
+// not one per layer that passed the failure along (a batch also names
+// which shard, "shard 0: ").
+func TestShardDownSaysShardOnce(t *testing.T) {
+	// gatesDown fails every call on shard 0 the way a killed replica's
+	// gate does, leaving the breakers closed so each replica is tried.
+	gatesDown := func(_ *testing.T, f *Fleet) {
+		for _, rep := range f.shards[0].reps.reps {
+			rep.gate.down.Store(true)
+		}
+	}
+	tr, err := NewSimTransport(2, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	cases := []struct {
+		name      string
+		transport func(s, r int, b Backend) Backend
+		down      func(t *testing.T, f *Fleet)
+		detail    bool // the last replica's failure follows the sentinel
+	}{
+		{name: "every breaker open", down: func(t *testing.T, f *Fleet) {
+			for r := 0; r < 2; r++ {
+				if err := f.KillReplica(0, r); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}},
+		{name: "inline walk", down: gatesDown, detail: true},
+		{name: "hedged race", down: gatesDown, detail: true,
+			transport: func(s, r int, b Backend) Backend {
+				if r != 1 {
+					return b
+				}
+				return tr.Wrap(s, b)
+			}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			f, err := NewFleet(quietProber(Config{
+				Oracle:           oracle.Config{Workload: "cube", N: 24, Seed: 5, MemberStride: 3},
+				Shards:           2,
+				Replicas:         2,
+				BreakerThreshold: 1 << 20,
+				Transport:        tc.transport,
+			}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			nodes := f.ShardNodes(0)
+			u, v := int(nodes[0]), int(nodes[1])
+			tc.down(t, f)
+			reads := map[string]func() error{
+				"estimate": func() error { _, err := f.Estimate(u, v); return err },
+				"batch":    func() error { _, err := f.EstimateBatch([]oracle.Pair{{U: u, V: v}}); return err },
+				"nearest":  func() error { _, err := f.Nearest(u); return err },
+				"route":    func() error { _, err := f.Route(u, v); return err },
+			}
+			for name, read := range reads {
+				err := read()
+				if !errors.Is(err, ErrShardDown) {
+					t.Fatalf("%s: %v, want ErrShardDown", name, err)
+				}
+				text := err.Error()
+				if !strings.Contains(text, ErrShardDown.Error()) || strings.Count(text, "shard: ") != 1 {
+					t.Errorf("%s: %q, want %q with the prefix said once", name, text, ErrShardDown.Error())
+				}
+				if tc.detail != strings.Contains(text, "administratively down") {
+					t.Errorf("%s: %q, want the last replica's failure as detail: %v", name, text, tc.detail)
+				}
+			}
+		})
 	}
 }

@@ -3,6 +3,7 @@ package shard
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -397,13 +398,20 @@ func rsWalk[T any](rs *replicaSet, want int64, fn func(Backend) (T, int64, error
 			lastErr, failedOver = err, true
 		}
 	}
-	switch {
-	case sawStale:
+	if sawStale {
 		return zero, skipped, errStaleReplica
-	case lastErr == nil: // nothing was tried
-		return zero, skipped, fmt.Errorf("shard: no replica available: %w", ErrShardDown)
 	}
-	return zero, skipped, fmt.Errorf("shard: %v: %w", lastErr, ErrShardDown)
+	return zero, skipped, shardDown(lastErr)
+}
+
+// shardDown is ErrShardDown with the last replica's failure as detail
+// (nil when every breaker was open and nothing was tried). The sentinel
+// says "shard:" for the whole message; the failure's own prefixes go.
+func shardDown(last error) error {
+	if last == nil {
+		return ErrShardDown
+	}
+	return fmt.Errorf("%w: %s", ErrShardDown, strings.ReplaceAll(last.Error(), "shard: ", ""))
 }
 
 // rsHedged races candidates: the first launches immediately, the next
@@ -467,10 +475,7 @@ func rsHedged[T any](rs *replicaSet, cands []*replica, want int64, fn func(Backe
 	if sawStale {
 		return zero, errStaleReplica
 	}
-	if lastErr == nil {
-		lastErr = errStaleReplica
-	}
-	return zero, fmt.Errorf("shard: %v: %w", lastErr, ErrShardDown)
+	return zero, shardDown(lastErr)
 }
 
 // latWindow is a fixed 32-slot ring of recent successful-call latencies

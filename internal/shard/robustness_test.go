@@ -433,8 +433,12 @@ func TestFleetSimPartitionFailover(t *testing.T) {
 	// runs, the breaker closes and the replica rejoins the roster.
 	plan.Heal(-1, 0)
 	waitReplica(t, f, 0, 1, "recovered", recovered)
-	if f.Epoch() <= epochOpen {
-		t.Fatal("epoch did not advance on recovery")
+	// resyncReplica closes the breaker, then advances the epoch (that
+	// order is deliberate): the roster can read recovered between the two.
+	for deadline := time.Now().Add(10 * time.Second); f.Epoch() <= epochOpen; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("epoch did not advance on recovery")
+		}
 	}
 	if f.Degraded() {
 		t.Fatalf("fleet still degraded after heal: %+v", f.ReplicaStatuses())

@@ -41,9 +41,9 @@
 //
 // cmd/ringsrv exposes the fleet over the same HTTP surface as the
 // single engine (-shards K), cmd/ringload drives mixed intra/cross
-// workloads against it, and cmd/ringbench's shard experiment tracks
-// intra vs cross latency, measured cross-shard stretch and K-way
-// aggregate throughput in BENCH_shard.json.
+// workloads against it, and ringperf's fleet-mixed workload (go run
+// ./bench) tracks intra vs cross latency and measured cross-shard
+// stretch in its shard.* rows.
 package shard
 
 import (

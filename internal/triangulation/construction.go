@@ -147,7 +147,7 @@ type Construction struct {
 }
 
 // Timings is the per-phase wall-clock breakdown of a construction build
-// (the substrate rows of cmd/ringbench's BENCH_build.json).
+// (the substrate phases of oracle.BuildStats).
 type Timings struct {
 	// Nets covers the sampler and nested net hierarchy.
 	Nets time.Duration

@@ -40,9 +40,9 @@ type GraphInstance struct {
 }
 
 // MetricSpec names one metric instance of the catalogue plus its
-// per-family size knobs. The CLIs (swquery, ringsrv) and the oracle
-// serving engine all select workloads through it, so "the same workload"
-// means the same thing everywhere.
+// per-family size knobs. cmd/ringsrv and the oracle serving engine both
+// select workloads through it, so "the same workload" means the same
+// thing everywhere.
 type MetricSpec struct {
 	// Name selects the family: grid | cube | expline | latency.
 	Name string

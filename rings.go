@@ -163,7 +163,7 @@ type OracleEngineOptions = oracle.EngineOptions
 
 // OracleBuildStats is the per-phase build breakdown attached to every
 // snapshot (index, nets, packings, rings, Z/T-sets, label fill, overlay,
-// router) — the BENCH_build.json row type.
+// router).
 type OracleBuildStats = oracle.BuildStats
 
 // BuildOracleSnapshot constructs every artifact the config asks for

@@ -41,7 +41,7 @@ func (s *server) handleFleetHealthz(w http.ResponseWriter) {
 		N:            s.fleet.N(),
 		Workload:     s.fleet.Name(),
 		Scheme:       snap.Config.Scheme,
-		Routing:      snap.Router != nil,
+		Routing:      snap.Routable(),
 		Overlay:      snap.Overlay != nil,
 		Shards:       s.fleet.K(),
 		Universe:     s.fleet.Universe(),

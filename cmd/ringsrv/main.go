@@ -142,7 +142,7 @@ func run() error {
 		backend    = flag.String("backend", "eager", "ball-index backend: eager | lazy")
 		workers    = flag.Int("workers", 0, "index build workers (0 = GOMAXPROCS)")
 		members    = flag.Int("members", 4, "overlay member stride (every k-th node)")
-		noRouting  = flag.Bool("no-routing", false, "skip the metric router (disables /route)")
+		noRouting  = flag.Bool("no-routing", false, "disable /route (saves the boot's router build; churn commits build a router only once a /route has been served)")
 		noOverlay  = flag.Bool("no-overlay", false, "skip the ring overlay (disables /nearest)")
 		shards     = flag.Int("cache-shards", 16, "estimate cache shards")
 		cacheCap   = flag.Int("cache-cap", 4096, "estimate cache entries per shard (-1 disables)")
@@ -305,7 +305,7 @@ func run() error {
 			snap = built
 			log.Printf("snapshot ready: %s n=%d build=%v routing=%v overlay=%v",
 				snap.Name, snap.N(), snap.BuildElapsed.Round(time.Millisecond),
-				snap.Router != nil, snap.Overlay != nil)
+				snap.Routable(), snap.Overlay != nil)
 		}
 	}
 

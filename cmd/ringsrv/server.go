@@ -213,6 +213,9 @@ func (s *server) persistShards(units []int) error {
 func (s *server) hydrate(fast *oracle.Snapshot) {
 	go func() {
 		full, err := fast.Hydrate()
+		if err == nil {
+			err = full.ForceRouter() // a boot forces the router, warm like cold
+		}
 		if err != nil {
 			log.Printf("hydrate %s: %v (continuing to serve estimates from the mapped arenas)", fast.Name, err)
 			return
@@ -224,7 +227,7 @@ func (s *server) hydrate(fast *oracle.Snapshot) {
 		}
 		s.engine.Swap(full)
 		s.objDir.SetSnapshot(full) // directory becomes ready with the index
-		log.Printf("hydrated %s: routing=%v overlay=%v", full.Name, full.Router != nil, full.Overlay != nil)
+		log.Printf("hydrated %s: routing=%v overlay=%v", full.Name, full.Routable(), full.Overlay != nil)
 	}()
 }
 
@@ -484,7 +487,7 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		N:            snap.N(),
 		Workload:     snap.Name,
 		Scheme:       snap.Config.Scheme,
-		Routing:      snap.Router != nil,
+		Routing:      snap.Routable(),
 		Overlay:      snap.Overlay != nil,
 		Objects:      s.objectsHealthBody(),
 		UptimeSec:    time.Since(s.start).Seconds(),

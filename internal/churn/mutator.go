@@ -10,7 +10,6 @@ import (
 	"rings/internal/nnsearch"
 	"rings/internal/oracle"
 	"rings/internal/par"
-	"rings/internal/routing"
 	"rings/internal/triangulation"
 	"rings/internal/workload"
 )
@@ -459,7 +458,7 @@ func (m *Mutator) buildState(prev *state, new2old, old2new []int32, ops []Op) (*
 		}
 	}
 
-	var overlaySec, routerSec float64
+	var overlaySec float64
 	if !cfg.SkipOverlay {
 		phase = time.Now()
 		overlay, err := nnsearch.New(frozen, oracle.OverlayMembers(n, cfg.MemberStride), nnsearch.DefaultConfig(cfg.Seed))
@@ -468,15 +467,6 @@ func (m *Mutator) buildState(prev *state, new2old, old2new []int32, ops []Op) (*
 		}
 		st.overlay = overlay
 		overlaySec = time.Since(phase).Seconds()
-	}
-	var router routing.Scheme
-	if !cfg.SkipRouting {
-		phase = time.Now()
-		router, err = routing.NewThm21Metric(frozen, cfg.Delta)
-		if err != nil {
-			return nil, nil, err
-		}
-		routerSec = time.Since(phase).Seconds()
 	}
 
 	sub := frozen.Space().(*metric.Subspace)
@@ -498,15 +488,12 @@ func (m *Mutator) buildState(prev *state, new2old, old2new []int32, ops []Op) (*
 		LabelFillSec:     fillSec,
 		LabelsTotalSec:   zSec + tSec + fillSec,
 		OverlaySec:       overlaySec,
-		RouterSec:        routerSec,
-		TotalSec:         elapsed.Seconds(),
 	}
 	art := oracle.Artifacts{
 		Idx:     frozen,
 		Tri:     st.tri,
 		Labels:  st.labels,
 		Overlay: st.overlay,
-		Router:  router,
 		Perm:    sub.BaseNodes(),
 		// The persisted capacity is the universe size, not the owned
 		// slice: Perm names global base ids, and a warm start must
@@ -522,6 +509,15 @@ func (m *Mutator) buildState(prev *state, new2old, old2new []int32, ops []Op) (*
 	}
 	if st.snap, err = oracle.AssembleSnapshot(cfg, m.name, art, elapsed, build); err != nil {
 		return nil, nil, err
+	}
+	// A commit inherits routing demand: the Theorem 2.1 tables (half of
+	// a commit's CPU at n = 512, garbage one commit later) are built
+	// before the swap only if the snapshot being replaced was routed on —
+	// never for the initial state — and otherwise left to the first /route.
+	if prev != nil {
+		if err := st.snap.InheritRouter(prev.snap); err != nil {
+			return nil, nil, err
+		}
 	}
 	return st, ost, nil
 }

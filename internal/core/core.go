@@ -29,6 +29,7 @@ import (
 	"rings/internal/bitio"
 	"rings/internal/metric"
 	"rings/internal/nets"
+	"rings/internal/par"
 )
 
 // Enum is a host enumeration: a fixed bijection between a set of node ids
@@ -156,13 +157,13 @@ func BuildNetRings(idx metric.BallIndex, h *nets.Hierarchy, radii []float64) (*C
 		ByNode: make([]Rings, n),
 		Radii:  append([]float64(nil), radii...),
 	}
-	for u := 0; u < n; u++ {
+	par.For(0, n, func(u int) {
 		rings := make(Rings, len(radii))
 		for j, r := range radii {
 			rings[j] = NewEnum(h.InBall(j, u, r))
 		}
 		c.ByNode[u] = rings
-	}
+	})
 	return c, nil
 }
 

@@ -1,9 +1,12 @@
 package objects_test
 
 import (
+	"bytes"
 	"errors"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"sort"
 	"testing"
 
@@ -169,9 +172,22 @@ func TestNotReadyFlatOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	flat := *snap
-	flat.Idx = nil
-	d := objects.New(&flat, objects.Config{})
+	// The flat-only form is what a warm start opens: the persisted arena,
+	// no ball index.
+	var buf bytes.Buffer
+	if _, err := snap.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "snap.bin")
+	if err := os.WriteFile(path, buf.Bytes(), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	flat, err := oracle.OpenSnapshotFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer flat.Close()
+	d := objects.New(flat, objects.Config{})
 	if d.Ready() {
 		t.Fatal("flat-only directory claims ready")
 	}

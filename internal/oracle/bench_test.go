@@ -161,11 +161,14 @@ func reportQPS(b *testing.B) {
 	}
 }
 
-// clone returns a copy of the snapshot sharing every immutable artifact,
-// so each benchmark engine can install "its own" snapshot (Swap assigns
-// Version, which must not be rewritten on a published snapshot).
+// clone returns a copy of the bench snapshot (beacons, no overlay, no
+// router) sharing every immutable artifact, so each benchmark engine can
+// install "its own" snapshot (Swap assigns Version, which must not be
+// rewritten on a published snapshot). Field by field: a Snapshot holds a
+// sync.Once and is not copyable.
 func (s *Snapshot) clone() *Snapshot {
-	cp := *s
-	cp.Version = 0
-	return &cp
+	return &Snapshot{
+		Config: s.Config, Name: s.Name, Idx: s.Idx, Tri: s.Tri,
+		BuildElapsed: s.BuildElapsed, Build: s.Build, Flat: s.Flat, n: s.n,
+	}
 }

@@ -40,7 +40,7 @@ func buildTestSnapshot(t testing.TB, seed int64) *Snapshot {
 func TestBuildSnapshotVariants(t *testing.T) {
 	snap := buildTestSnapshot(t, 1)
 	if snap.Scheme == nil || snap.Labels == nil || snap.Tri == nil ||
-		snap.Overlay == nil || snap.Router == nil {
+		snap.Overlay == nil || !snap.Routed() {
 		t.Fatal("labels config missing artifacts")
 	}
 	if snap.N() != 64 || snap.Name != "cube-n64" {
@@ -61,7 +61,7 @@ func TestBuildSnapshotVariants(t *testing.T) {
 	if lean.Scheme != nil || lean.Labels != nil {
 		t.Error("beacons config built labels anyway")
 	}
-	if lean.Overlay != nil || lean.Router != nil {
+	if lean.Overlay != nil || lean.Routable() {
 		t.Error("skip flags ignored")
 	}
 	if _, err := lean.Nearest(0); !errors.Is(err, ErrNoOverlay) {
@@ -230,7 +230,11 @@ func TestEngineNearestAndRouteMatchDirect(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := routing.Route(snap.Router, src, dst, 80*snap.N())
+		router, err := snap.Router()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := routing.Route(router, src, dst, 80*snap.N())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -359,7 +363,12 @@ func TestEngineConcurrentSwapByteIdentical(t *testing.T) {
 						return
 					}
 					snap := snaps[res.Version-1]
-					want, err := routing.Route(snap.Router, u, v, 80*snap.N())
+					router, err := snap.Router()
+					if err != nil {
+						fail(err)
+						return
+					}
+					want, err := routing.Route(router, u, v, 80*snap.N())
 					if err != nil {
 						fail(err)
 						return

@@ -113,7 +113,7 @@ func TestOpenSnapshotFileFlatOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fast.Flat == nil || fast.Labels != nil || fast.Idx != nil || fast.Overlay != nil || fast.Router != nil {
+	if fast.Flat == nil || fast.Labels != nil || fast.Idx != nil || fast.Overlay != nil || fast.Routable() {
 		t.Fatalf("flat-only open materialized derived artifacts: %+v", fast)
 	}
 	if mmapSupported && !fast.Flat.Mapped() {
@@ -167,7 +167,7 @@ func TestReadSnapshotV2FullRestore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if loaded.Idx == nil || loaded.Overlay == nil || loaded.Router == nil {
+	if loaded.Idx == nil || loaded.Overlay == nil || !loaded.Routable() {
 		t.Fatal("full restore missing derived artifacts")
 	}
 	if loaded.Labels != nil || loaded.Scheme != nil || loaded.Tri != nil || loaded.Flat.Mapped() {

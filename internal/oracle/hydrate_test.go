@@ -40,7 +40,7 @@ func TestHydrateServesTheArenaItWasHanded(t *testing.T) {
 		if full.Labels != nil || full.Scheme != nil || (full.Tri != nil) == labels {
 			t.Fatalf("%s: hydration built labels=%v scheme=%v tri=%v", cfg.Workload, full.Labels != nil, full.Scheme != nil, full.Tri != nil)
 		}
-		if full.Idx == nil || (full.Overlay == nil) != cfg.SkipOverlay || (full.Router == nil) != cfg.SkipRouting {
+		if full.Idx == nil || (full.Overlay == nil) != cfg.SkipOverlay || full.Routable() == cfg.SkipRouting {
 			t.Fatalf("%s: hydration missed a serving artifact", cfg.Workload)
 		}
 
@@ -173,7 +173,7 @@ func TestHydrateHeapCeiling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := par.Group(built.buildOverlay, built.buildRouter); err != nil {
+	if err := par.Group(built.buildOverlay, built.ForceRouter); err != nil {
 		t.Fatal(err)
 	}
 	budget := heapInuse() - before
@@ -190,6 +190,9 @@ func TestHydrateHeapCeiling(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer full.Close()
+	if err := full.ForceRouter(); err != nil { // as a warm boot does
+		t.Fatal(err)
+	}
 	growth := heapInuse() - before
 	if growth > budget+int64(arena)/2 {
 		t.Fatalf("restore grew HeapInuse by %d bytes; index + overlay + router alone take %d, the arena is %d", growth, budget, arena)

@@ -143,3 +143,15 @@ var (
 	mOpenErrors = telemetry.Default.Counter("rings_snapshot_open_errors_total",
 		"Snapshot opens or restores that failed.")
 )
+
+// Router build metrics live in telemetry.Default for the same reason: a
+// snapshot builds its router before any engine owns it, or long after.
+var (
+	mRouterBuilds = telemetry.Default.CounterFamily("rings_oracle_router_builds_total",
+		"Theorem 2.1 routers built, by who paid: a boot forcing it, a commit "+
+			"inheriting its predecessor's demand, or the first /route on a snapshot.",
+		"cause", routerCauseBoot, routerCauseCommit, routerCauseRequest)
+	mRouterBuildUs = telemetry.Default.Histogram("rings_oracle_router_build_us",
+		"Router build latency in microseconds (what a request-caused build makes its /route wait).",
+		latMinExp, latMaxExp)
+)

@@ -51,7 +51,6 @@ import (
 	"rings/internal/metric"
 	"rings/internal/nnsearch"
 	"rings/internal/par"
-	"rings/internal/routing"
 	"rings/internal/triangulation"
 	"rings/internal/workload"
 )
@@ -119,7 +118,9 @@ type Config struct {
 	SkipOverlay bool
 	// SkipRouting omits the Theorem 2.1 metric router (Route then
 	// errors). Router construction is the second most expensive artifact
-	// after labels.
+	// after labels; what the knob saves is the boot's build (and an
+	// inheriting commit's) — a snapshot nobody routes on builds none
+	// either way (see Snapshot.Router).
 	SkipRouting bool
 	// RouteHops overrides the per-route hop budget (default 80·n).
 	RouteHops int
@@ -273,7 +274,7 @@ func BuildSnapshotOver(cfg Config, space metric.Space, name string) (*Snapshot, 
 			return nil
 		},
 		snap.buildOverlay,
-		snap.buildRouter,
+		snap.ForceRouter, // a boot forces the router (finishBuild restamps the total)
 	)
 	if err != nil {
 		return nil, err
@@ -290,14 +291,15 @@ func BuildSnapshotOver(cfg Config, space metric.Space, name string) (*Snapshot, 
 		snap.Build.HostEnumsSec = lt.HostEnums.Seconds()
 		snap.Build.LabelFillSec = lt.Labels.Seconds()
 	}
-	snap.finishBuild(start)
 	// Pack the flat serving arenas last: a linear copy of the estimator
-	// payload, dwarfed by every phase above. The Engine's hot path reads
-	// these instead of the pointer structures, and the v2 persisted
-	// format is exactly their bytes.
+	// payload. The Engine's hot path reads these instead of the pointer
+	// structures, and the v2 persisted format is exactly their bytes.
+	phase := time.Now()
 	if snap.Flat, err = newFlatForSnapshot(snap); err != nil {
 		return nil, err
 	}
+	snap.Build.PackSec = time.Since(phase).Seconds()
+	snap.finishBuild(start)
 	return snap, nil
 }
 
@@ -382,22 +384,6 @@ func (s *Snapshot) buildOverlay() error {
 	}
 	s.Build.OverlaySec = time.Since(t0).Seconds()
 	s.setOverlay(overlay)
-	return nil
-}
-
-// buildRouter builds the Theorem 2.1 metric router over the index
-// (unless skipped), independent of every other phase like buildOverlay.
-func (s *Snapshot) buildRouter() error {
-	if s.Config.SkipRouting {
-		return nil
-	}
-	t0 := time.Now()
-	router, err := routing.NewThm21Metric(s.Idx, s.Config.Delta)
-	if err != nil {
-		return err
-	}
-	s.Build.RouterSec = time.Since(t0).Seconds()
-	s.setRouter(router, s.Config.RouteHops)
 	return nil
 }
 

@@ -321,11 +321,14 @@ func (s *Snapshot) Hydrate() (*Snapshot, error) {
 // HydrateOver is the one routine that turns an arena into a full
 // snapshot; every restore entry point (ReadSnapshot*, Hydrate, fleet
 // warm boots) ends here. It builds only what queries read — ball index,
-// overlay, router, and under SchemeBeacons the triangulation — around
-// the receiver's arena as is: no copy, no pointer labels, no ring
-// construction under SchemeLabels. The space is the caller's because a
-// fleet shard's (a subspace of the shared workload) is not regenerable
-// from its own Config.
+// overlay, and under SchemeBeacons the triangulation — around the
+// receiver's arena as is: no copy, no pointer labels, no ring
+// construction under SchemeLabels. The router is left to the rule on
+// Snapshot.Router: a warm boot calls ForceRouter on the result, a
+// replica installing a shipped snapshot InheritRouter, and a bare
+// ReadSnapshot leaves it to the first Route. The space is the caller's
+// because a fleet shard's (a subspace of the shared workload) is not
+// regenerable from its own Config.
 //
 // The result shares the receiver's FlatSnap and takes over its one
 // creation reference: swap it in WITHOUT closing the receiver (readers
@@ -344,7 +347,7 @@ func (s *Snapshot) HydrateOver(space metric.Space, name string) (*Snapshot, erro
 		return nil, err
 	}
 	full.LabelMeta, full.Perm, full.Capacity, full.Flat = s.LabelMeta, s.Perm, s.Capacity, s.Flat
-	tasks := []func() error{full.buildOverlay, full.buildRouter}
+	tasks := []func() error{full.buildOverlay}
 	if s.Flat.scheme == SchemeBeacons {
 		tasks = append(tasks, func() error {
 			_, err := full.buildTri(params)
@@ -363,11 +366,11 @@ func (s *Snapshot) HydrateOver(space metric.Space, name string) (*Snapshot, erro
 // file is mmapped (falling back to one bulk read where mmap is
 // unavailable), its checksums validated, and the returned snapshot
 // serves estimates directly from the file-backed arenas — no label
-// decode, no derived-artifact rebuild. The result is flat-only: Idx,
-// Overlay and Router are nil until the caller swaps in its Hydrate
-// result (which keeps serving this same mapping); Nearest/Route return
-// their usual sentinel errors meanwhile. A retired v1 file is refused
-// with ErrSnapshotV1. Callers must Close the returned snapshot — or the
+// decode, no derived-artifact rebuild. The result is flat-only: Idx and
+// Overlay are nil (and the snapshot not Routable) until the caller swaps
+// in its Hydrate result (which keeps serving this same mapping);
+// Nearest/Route return their usual sentinel errors meanwhile. A retired
+// v1 file is refused with ErrSnapshotV1. Callers must Close the returned snapshot — or the
 // hydrated one that took its arena over — once it has been swapped out
 // of every engine.
 func OpenSnapshotFile(path string) (*Snapshot, error) {

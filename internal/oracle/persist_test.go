@@ -90,7 +90,7 @@ func TestSnapshotPersistRoundTrip(t *testing.T) {
 				}
 			}
 		}
-		if snap.Router != nil {
+		if snap.Routable() {
 			for k := 0; k < 16; k++ {
 				src, dst := (k*7)%n, (k*13+5)%n
 				a, err1 := snap.Route(src, dst)

@@ -3,6 +3,8 @@ package oracle
 import (
 	"errors"
 	"fmt"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"rings/internal/bitio"
@@ -17,8 +19,8 @@ import (
 // SkipOverlay.
 var ErrNoOverlay = errors.New("oracle: snapshot has no nearest-neighbor overlay")
 
-// ErrNoRouter is returned by Route when the snapshot was built with
-// SkipRouting.
+// ErrNoRouter is returned by Route when the snapshot is not Routable:
+// built with SkipRouting, or flat-only (no ball index yet).
 var ErrNoRouter = errors.New("oracle: snapshot has no routing scheme")
 
 // ErrNodeRange marks a query naming a node id outside [0, N()) — under
@@ -32,7 +34,8 @@ var ErrNodeRange = errors.New("node id out of range")
 // by any number of goroutines, which is what makes the Engine's
 // lock-free reads sound. Fields are exported for inspection (and for
 // tests comparing engine answers against direct construction calls);
-// they must not be mutated after BuildSnapshot returns.
+// they must not be mutated after BuildSnapshot returns. A Snapshot holds
+// a sync.Once and must not be copied.
 type Snapshot struct {
 	// Config is the build recipe (defaults applied).
 	Config Config
@@ -56,9 +59,6 @@ type Snapshot struct {
 	Labels []*distlabel.Label
 	// Overlay is the Meridian-style ring overlay (nil under SkipOverlay).
 	Overlay *nnsearch.Overlay
-	// Router is the Theorem 2.1 metric routing scheme (nil under
-	// SkipRouting).
-	Router routing.Scheme
 	// BuildElapsed is how long BuildSnapshot took.
 	BuildElapsed time.Duration
 	// Build is the per-phase build breakdown (what /snapshot and /stats
@@ -92,9 +92,17 @@ type Snapshot struct {
 	// bounds-check queries.
 	n int
 
-	entry     int // overlay entry member (smallest member id)
-	nearHops  int
-	routeHops int
+	entry    int // overlay entry member (smallest member id)
+	nearHops int
+
+	// router memoizes the Theorem 2.1 metric routing scheme — a pure
+	// function of (Idx, Config.Delta), built at most once (see Router).
+	router struct {
+		once   sync.Once
+		scheme routing.Scheme
+		err    error
+		built  atomic.Bool
+	}
 }
 
 // Close releases the snapshot's hold on an mmap-backed flat arena (a
@@ -172,13 +180,88 @@ func (s *Snapshot) setOverlay(overlay *nnsearch.Overlay) {
 	s.nearHops = len(overlay.Members()) + 1
 }
 
-// setRouter installs the router plus the per-route hop budget.
-func (s *Snapshot) setRouter(router routing.Scheme, routeHops int) {
-	s.Router = router
-	s.routeHops = routeHops
-	if s.routeHops <= 0 {
-		s.routeHops = 80 * s.Idx.N()
+// Router build causes, the label of rings_oracle_router_builds_total.
+const (
+	routerCauseBoot    = "boot"    // a cold build or warm boot forced it
+	routerCauseCommit  = "commit"  // a commit inherited its predecessor's demand
+	routerCauseRequest = "request" // the first Route on the snapshot built it
+)
+
+// Routable reports whether Route can answer: the snapshot has its ball
+// index (it is not a flat-only warm start awaiting Hydrate) and its
+// recipe did not skip routing. Whether the router is built yet is Routed.
+func (s *Snapshot) Routable() bool { return s.Idx != nil && !s.Config.SkipRouting }
+
+// Routed reports whether the snapshot's router exists — a boot forced
+// it, a commit inherited it, or a Route asked for it. It is the demand a
+// successor commit inherits.
+func (s *Snapshot) Routed() bool { return s.router.built.Load() }
+
+// Router returns the Theorem 2.1 metric routing scheme over the
+// snapshot's index, building it on first use (concurrent callers share
+// one build). It is a pure function of (Idx, Config.Delta), so who builds
+// it only decides who waits: a boot forces it (BuildSnapshotOver and the
+// warm boots' ForceRouter, so a static server never routes on a cold
+// snapshot), a commit inherits demand (InheritRouter), and otherwise the
+// first Route pays — DESIGN.md §8. ErrNoRouter when not Routable.
+func (s *Snapshot) Router() (routing.Scheme, error) {
+	if !s.Routable() {
+		return nil, ErrNoRouter
 	}
+	return s.buildRouter(routerCauseRequest)
+}
+
+// ForceRouter is the boot half of the rule on Router: it builds the
+// router now, on a snapshot not yet published (no-op when not Routable).
+func (s *Snapshot) ForceRouter() error {
+	if !s.Routable() {
+		return nil
+	}
+	_, err := s.buildRouter(routerCauseBoot)
+	return err
+}
+
+// InheritRouter is the commit half: on a snapshot about to replace
+// prev, it builds the router now iff prev was Routed — a deployment that
+// routes keeps finding the router ready after every swap, one that does
+// not never pays for it.
+func (s *Snapshot) InheritRouter(prev *Snapshot) error {
+	if prev == nil || !prev.Routed() || !s.Routable() {
+		return nil
+	}
+	_, err := s.buildRouter(routerCauseCommit)
+	return err
+}
+
+// buildRouter is the memoized build; the first caller's cause counts.
+func (s *Snapshot) buildRouter(cause string) (routing.Scheme, error) {
+	s.router.once.Do(func() {
+		t0 := time.Now()
+		router, err := routing.NewThm21Metric(s.Idx, s.Config.Delta)
+		took := time.Since(t0)
+		mRouterBuilds.With(cause).Inc()
+		mRouterBuildUs.Observe(float64(took) / float64(time.Microsecond))
+		if cause != routerCauseRequest {
+			// Not published yet: the build is one more serial phase. A
+			// served snapshot's BuildStats may be in a /stats reader's
+			// hands, so a request's build shows in the histogram alone.
+			s.Build.RouterSec = took.Seconds()
+			s.extendBuild(took)
+		}
+		if err != nil {
+			s.router.err = err
+			return
+		}
+		s.router.scheme = router
+		s.router.built.Store(true)
+	})
+	return s.router.scheme, s.router.err
+}
+
+// extendBuild appends a serial phase to the build total.
+func (s *Snapshot) extendBuild(phase time.Duration) {
+	s.BuildElapsed += phase
+	s.Build.TotalSec = s.BuildElapsed.Seconds()
 }
 
 // Artifacts is the prebuilt-parts input of AssembleSnapshot.
@@ -188,7 +271,6 @@ type Artifacts struct {
 	Scheme  *distlabel.Scheme
 	Labels  []*distlabel.Label
 	Overlay *nnsearch.Overlay
-	Router  routing.Scheme
 	// LabelMeta must be set when Labels is (see Snapshot.LabelMeta).
 	LabelMeta LabelMeta
 	// Perm/Capacity identify a churned node subset (see Snapshot.Perm).
@@ -201,8 +283,9 @@ type Artifacts struct {
 // BuildSnapshot would, and packing the flat serving arenas. It is the
 // commit path of the churn engine — which repairs artifacts
 // incrementally and must still publish an ordinary, immutable Snapshot
-// (restores go through the arena path in persist.go instead). It fails
-// only when the estimator cannot be packed.
+// (restores go through the arena path in persist.go instead); the
+// router is the caller's InheritRouter away. It fails only when the
+// estimator cannot be packed.
 func AssembleSnapshot(cfg Config, name string, a Artifacts, elapsed time.Duration, build BuildStats) (*Snapshot, error) {
 	cfg = cfg.withDefaults()
 	snap := &Snapshot{
@@ -224,16 +307,17 @@ func AssembleSnapshot(cfg Config, name string, a Artifacts, elapsed time.Duratio
 	if a.Overlay != nil {
 		snap.setOverlay(a.Overlay)
 	}
-	if a.Router != nil {
-		snap.setRouter(a.Router, cfg.RouteHops)
-	}
-	// The pack is a linear copy of the label/beacon payload — cheap next
-	// to any build or repair that produced the artifacts. Packing at
-	// every assembly (including churn delta commits) keeps the invariant
-	// the Engine serves by: a snapshot always has its flat form (and with
-	// it its v2 persisted form).
+	// Packing at every assembly (including churn delta commits) keeps the
+	// invariant the Engine serves by: a snapshot always has its flat form
+	// (and with it its v2 persisted form). The pack is a build phase like
+	// any other — a quarter of a churn commit at n = 512 — so it is timed
+	// and the total (elapsed covers everything before it) extended by it.
+	t0 := time.Now()
 	var err error
 	snap.Flat, err = newFlatForSnapshot(snap)
+	pack := time.Since(t0)
+	snap.Build.PackSec = pack.Seconds()
+	snap.extendBuild(pack)
 	return snap, err
 }
 
@@ -266,8 +350,11 @@ type BuildStats struct {
 	LabelsTotalSec float64 `json:"labels_total_sec"`
 
 	OverlaySec float64 `json:"overlay_sec"`
-	RouterSec  float64 `json:"router_sec"`
-	TotalSec   float64 `json:"total_sec"`
+	// RouterSec is zero when the router was left to the first Route (see
+	// Snapshot.Router); PackSec is the flat-arena pack.
+	RouterSec float64 `json:"router_sec"`
+	PackSec   float64 `json:"pack_sec"`
+	TotalSec  float64 `json:"total_sec"`
 }
 
 // N reports the node count (flat-only snapshots know it too).
@@ -375,7 +462,7 @@ func (s *Snapshot) Nearest(target int) (NearestResult, error) {
 // Route simulates one packet under the snapshot's routing scheme and
 // reports the realized stretch.
 func (s *Snapshot) Route(src, dst int) (RouteResult, error) {
-	if s.Router == nil {
+	if !s.Routable() {
 		return RouteResult{}, ErrNoRouter
 	}
 	if err := s.checkNode("route", src); err != nil {
@@ -384,7 +471,15 @@ func (s *Snapshot) Route(src, dst int) (RouteResult, error) {
 	if err := s.checkNode("route", dst); err != nil {
 		return RouteResult{}, err
 	}
-	r, err := routing.Route(s.Router, src, dst, s.routeHops)
+	router, err := s.buildRouter(routerCauseRequest)
+	if err != nil {
+		return RouteResult{}, err
+	}
+	hops := s.Config.RouteHops
+	if hops <= 0 {
+		hops = 80 * s.n
+	}
+	r, err := routing.Route(router, src, dst, hops)
 	if err != nil {
 		return RouteResult{}, err
 	}

@@ -9,6 +9,7 @@ import (
 	"rings/internal/graph"
 	"rings/internal/metric"
 	"rings/internal/nets"
+	"rings/internal/par"
 )
 
 // Thm21 is the paper's Theorem 2.1 routing scheme: rings of neighbors
@@ -87,9 +88,9 @@ func NewThm21Metric(idx metric.BallIndex, delta float64) (*Thm21, error) {
 		return nil, err
 	}
 	neighbors := make([][]int, idx.N())
-	for u := 0; u < idx.N(); u++ {
+	par.For(0, idx.N(), func(u int) {
 		neighbors[u] = pre.rings.ByNode[u].Neighbors()
-	}
+	})
 	overlay, err := graph.OverlayFromNeighbors(idx, neighbors)
 	if err != nil {
 		return nil, err
@@ -210,56 +211,20 @@ func finishThm21(name string, g *graph.Graph, idx metric.BallIndex, delta float6
 		s.labels[t] = lab
 	}
 
-	// Translation tables ζ_uj and first-hop pointers.
+	// Translation tables ζ_uj and first-hop pointers: iteration u writes
+	// only slot u, so the loop runs over the worker pool.
 	s.zeta = make([][]*core.Table, n)
 	s.firstHop = make([][][]int32, n)
 	s.selfIdx = make([][]int32, n)
-	for u := 0; u < n; u++ {
-		s.zeta[u] = make([]*core.Table, levels-1)
-		s.firstHop[u] = make([][]int32, levels)
-		s.selfIdx[u] = make([]int32, levels)
-		for j := 0; j < levels; j++ {
-			ring := rings.Ring(u, j)
-			hops := make([]int32, ring.Size())
-			for a := 0; a < ring.Size(); a++ {
-				v := ring.Node(a)
-				if v == u {
-					hops[a] = -1
-					continue
-				}
-				e, err := oracle(u, v)
-				if err != nil {
-					return nil, err
-				}
-				hops[a] = int32(e)
-			}
-			s.firstHop[u][j] = hops
-			if self, ok := ring.IndexOf(u); ok {
-				s.selfIdx[u][j] = int32(self)
-			} else {
-				s.selfIdx[u][j] = -1
-			}
+	errs := make([]error, par.Workers(0, n))
+	par.ForWorker(0, n, func(w, u int) {
+		if errs[w] == nil {
+			errs[w] = s.fillNode(u, oracle)
 		}
-		for j := 0; j+1 < levels; j++ {
-			ring := rings.Ring(u, j)
-			next := rings.Ring(u, j+1)
-			widths := make([]int, ring.Size())
-			for a := 0; a < ring.Size(); a++ {
-				widths[a] = s.zoomRings[j+1][ring.Node(a)].Size()
-			}
-			table := core.NewTable(widths, next.Size())
-			for a := 0; a < ring.Size(); a++ {
-				f := ring.Node(a)
-				zr := s.zoomRings[j+1][f]
-				for b := 0; b < zr.Size(); b++ {
-					if m, ok := next.IndexOf(zr.Node(b)); ok {
-						if err := table.Set(a, b, m); err != nil {
-							return nil, err
-						}
-					}
-				}
-			}
-			s.zeta[u][j] = table
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
 		}
 	}
 
@@ -279,6 +244,59 @@ func finishThm21(name string, g *graph.Graph, idx metric.BallIndex, delta float6
 	s.jW = bitio.WidthFor(levels + 1)
 	s.doutW = bitio.WidthFor(g.MaxOutDegree())
 	return s, nil
+}
+
+// fillNode builds node u's first-hop pointers, self slots and ζ tables
+// from the rings and zoom rings (read-only by now).
+func (s *Thm21) fillNode(u int, oracle LinkOracle) error {
+	rings, levels := s.rings, s.hier.NumLevels()
+	s.zeta[u] = make([]*core.Table, levels-1)
+	s.firstHop[u] = make([][]int32, levels)
+	s.selfIdx[u] = make([]int32, levels)
+	for j := 0; j < levels; j++ {
+		ring := rings.Ring(u, j)
+		hops := make([]int32, ring.Size())
+		for a := 0; a < ring.Size(); a++ {
+			v := ring.Node(a)
+			if v == u {
+				hops[a] = -1
+				continue
+			}
+			e, err := oracle(u, v)
+			if err != nil {
+				return err
+			}
+			hops[a] = int32(e)
+		}
+		s.firstHop[u][j] = hops
+		if self, ok := ring.IndexOf(u); ok {
+			s.selfIdx[u][j] = int32(self)
+		} else {
+			s.selfIdx[u][j] = -1
+		}
+	}
+	for j := 0; j+1 < levels; j++ {
+		ring := rings.Ring(u, j)
+		next := rings.Ring(u, j+1)
+		widths := make([]int, ring.Size())
+		for a := 0; a < ring.Size(); a++ {
+			widths[a] = s.zoomRings[j+1][ring.Node(a)].Size()
+		}
+		table := core.NewTable(widths, next.Size())
+		for a := 0; a < ring.Size(); a++ {
+			f := ring.Node(a)
+			zr := s.zoomRings[j+1][f]
+			for b := 0; b < zr.Size(); b++ {
+				if m, ok := next.IndexOf(zr.Node(b)); ok {
+					if err := table.Set(a, b, m); err != nil {
+						return err
+					}
+				}
+			}
+		}
+		s.zeta[u][j] = table
+	}
+	return nil
 }
 
 // Name implements Scheme.

@@ -2,6 +2,8 @@ package routing
 
 import (
 	"math/rand"
+	"reflect"
+	"runtime"
 	"testing"
 
 	"rings/internal/graph"
@@ -144,3 +146,51 @@ func TestThm21HeaderRejectsForeign(t *testing.T) {
 type fakeHeader struct{}
 
 func (fakeHeader) Bits() int { return 0 }
+
+// TestThm21IdenticalAcrossWorkers pins the determinism the parallel
+// build relies on: the ring and ζ/first-hop loops write only slot u, so
+// one worker and four build the same tables, the same labels and the
+// same routes.
+func TestThm21IdenticalAcrossWorkers(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	idx := metric.NewIndex(metric.UniformCube(96, 2, 100, rng))
+	build := func(procs int) *Thm21 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		s, err := NewThm21Metric(idx, 0.5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	one, four := build(1), build(4)
+	for _, f := range []struct {
+		name string
+		a, b any
+	}{
+		{"rings", one.rings, four.rings},
+		{"zoom rings", one.zoomRings, four.zoomRings},
+		{"zeta", one.zeta, four.zeta},
+		{"first hops", one.firstHop, four.firstHop},
+		{"self slots", one.selfIdx, four.selfIdx},
+		{"labels", one.labels, four.labels},
+	} {
+		if !reflect.DeepEqual(f.a, f.b) {
+			t.Errorf("%s differ between 1 and 4 workers", f.name)
+		}
+	}
+	n := idx.N()
+	for q := 0; q < 200; q++ {
+		src, dst := rng.Intn(n), rng.Intn(n)
+		a, err := Route(one, src, dst, 50*n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := Route(four, src, dst, 50*n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(a, b) {
+			t.Fatalf("route(%d,%d): %+v with 1 worker, %+v with 4", src, dst, a, b)
+		}
+	}
+}

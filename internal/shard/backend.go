@@ -154,6 +154,11 @@ func (b *localBackend) Ship(data []byte) (int64, error) {
 		return 0, fmt.Errorf("shard: backend has no space resolver: %w", ErrUnsupported)
 	}
 	snap, err := oracle.ReadSnapshotFor(bytes.NewReader(data), b.name, b.spaceOf)
+	if err == nil {
+		// A shipped snapshot is a commit on this replica: it gets its router
+		// before the swap only if the one it replaces was routed on.
+		err = snap.InheritRouter(b.eng.Snapshot())
+	}
 	if err != nil {
 		return 0, err
 	}

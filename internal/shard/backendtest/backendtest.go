@@ -114,7 +114,7 @@ func Run(t *testing.T, h Harness) {
 	} else if _, err := b.Nearest(0); !errors.Is(err, oracle.ErrNoOverlay) {
 		t.Fatalf("Nearest without overlay: err = %v, want ErrNoOverlay", err)
 	}
-	if ref.Router != nil {
+	if ref.Routable() {
 		got, err := b.Route(0, n-1)
 		if err != nil {
 			t.Fatalf("Route(0,%d): %v", n-1, err)

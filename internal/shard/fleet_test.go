@@ -106,7 +106,7 @@ func requireIntraIdentity(t testing.TB, f *Fleet, s int, ref *oracle.Snapshot) {
 			}
 		}
 	}
-	if ref.Router == nil {
+	if !ref.Routable() {
 		return
 	}
 	rng := rand.New(rand.NewSource(int64(s) + 11))

@@ -70,6 +70,9 @@ func OpenFleet(cfg Config, snapBase string) (*Fleet, error) {
 			if err == nil && snap.Config.Scheme != cfg.Oracle.Scheme {
 				err = fmt.Errorf("snapshot scheme %q, fleet wants %q", snap.Config.Scheme, cfg.Oracle.Scheme)
 			}
+			if err == nil {
+				err = snap.ForceRouter() // a boot forces the router, warm like cold
+			}
 			if err != nil {
 				mapped.Close()
 				return fmt.Errorf("shard %d (%s): %w", s, path, err)

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"sort"
 	"sync/atomic"
@@ -41,28 +42,37 @@ type FlatSnap struct {
 
 	sections []flatSection
 
-	// SchemeLabels views. Per node u: Dists is dists[distOff[u]:distOff[u+1]],
-	// ZoomPsi is psi[psiOff[u]:psiOff[u+1]], and its translation-map groups
-	// (one per level) are group indices levOff[u]..levOff[u+1]. A group g
-	// holds its sorted x keys at xkeys[xkOff[g]:xkOff[g+1]]; key slot k
-	// names its Y-sorted (Y, Z) pairs by the span pair
-	// (s, e) = entSpan[2k], entSpan[2k+1]: they sit interleaved at
-	// ents[2s:2e]. Keys of a group whose lists are equal carry the same
-	// span — each distinct list of a group is stored once (saturated
-	// T-sets make every list of a group equal at lab scale).
+	// SchemeLabels views. Per node u: Dists is dists[distOff[u]:distOff[u+1]]
+	// and ZoomPsi is psi[psiOff[u]:psiOff[u+1]]. Its translation-map groups
+	// — one per level, as many as ψ pointers — are indexed like psi: level
+	// i of u is group g = psiOff[u]+i. A key of a map is a host index of
+	// u's own label, so group g's key set is a bitmap over [0, len(Dists)):
+	// W = ⌈len(Dists)/32⌉ words at keyBits[kbOff[u]+i*W:]. A key names the
+	// group's default span (s, e) = grpSpan[2g], grpSpan[2g+1] unless it is
+	// one of the group's exception keys xcKeys[xcOff[g]:xcOff[g+1]]
+	// (ascending), whose spans sit at xcSpan[2k], xcSpan[2k+1]. A span's
+	// Y-sorted (Y, Z) pairs sit interleaved at ents[2s:2e]; each distinct
+	// list of a group is stored once, and the default is the list most of
+	// its keys name (saturated T-sets make it every key's at lab scale).
+	// chain[3g:3g+3] is u's own zoom walk read ahead: the span of the key
+	// the walk stands on at level i, and the host it zooms to next (-1
+	// where the walk stops).
 	distOff []int32
 	dists   []float64
 	l0      []int32 // per-node Level0Count
 	zoom0   []int32
 	psiOff  []int32
 	psi     []int32
-	levOff  []int32
-	xkOff   []int32
-	xkeys   []int32
-	entSpan []int32
+	kbOff   []int32
+	keyBits []int32
+	grpSpan []int32
+	xcOff   []int32
+	xcKeys  []int32
+	xcSpan  []int32
+	chain   []int32
 	ents    []int32
-	// lists is countLists() of the finished arena (for the gauges).
-	lists int
+	// keys and lists are countKeys() of the finished arena (for the gauges).
+	keys, lists int
 
 	// SchemeBeacons views: node u's beacon set is ids bIDs[bOff[u]:bOff[u+1]]
 	// (ascending) with distances bDist over the same range.
@@ -151,32 +161,37 @@ const (
 	secZoom0   = "zoom0"
 	secPsiOff  = "psi_off"
 	secPsi     = "psi"
-	secLevOff  = "lev_off"
-	secXkOff   = "xk_off"
-	secXkeys   = "xkeys"
-	secEntSpan = "ent_span"
+	secKbOff   = "kb_off"
+	secKeyBits = "key_bits"
+	secGrpSpan = "grp_span"
+	secXcOff   = "xc_off"
+	secXcKeys  = "xc_keys"
+	secXcSpan  = "xc_span"
+	secChain   = "chain"
 	secEnts    = "ents"
 	secBOff    = "b_off"
 	secBIDs    = "b_ids"
 	secBDist   = "b_dist"
-
-	// secEntOffOld is the monotone per-key prefix table of the layout
-	// that stored every key's list separately. Its ents section means
-	// something else than today's, so a directory naming it is refused
-	// outright (ErrOldLayout) instead of being read under the new rules.
-	secEntOffOld = "ent_off"
 )
 
 // sectionNames lists every arena section, labels' then beacons'.
 var sectionNames = []string{
-	secDists, secDistOff, secL0, secZoom0, secPsiOff, secPsi, secLevOff,
-	secXkOff, secXkeys, secEntSpan, secEnts, secBOff, secBIDs, secBDist,
+	secDists, secDistOff, secL0, secZoom0, secPsiOff, secPsi, secKbOff,
+	secKeyBits, secGrpSpan, secXcOff, secXcKeys, secXcSpan, secChain, secEnts,
+	secBOff, secBIDs, secBDist,
 }
 
-// ErrOldLayout rejects a v2 snapshot whose arena predates shared entry
-// lists. No reader is kept for that layout: the file is a cache of a
+// retiredSections name the per-key tables of the two layouts before the
+// key bitmap: ent_off (every key's list stored separately) and ent_span
+// (every key naming its shared list). Their ents sections mean something
+// else than today's, so a directory naming either is refused outright
+// (ErrOldLayout) instead of being read under the new rules.
+var retiredSections = []string{"ent_off", "ent_span"}
+
+// ErrOldLayout rejects a v2 snapshot whose arena predates the key
+// bitmap. No reader is kept for those layouts: the file is a cache of a
 // deterministic build, so the remedy is to delete it.
-var ErrOldLayout = errors.New("oracle: snapshot written before shared entry lists; delete it to rebuild")
+var ErrOldLayout = errors.New("oracle: snapshot written in a retired arena layout; delete it to rebuild")
 
 // flatLayout accumulates the section directory while sizing the arena:
 // float64 sections first (keeping them 8-aligned from a 0-aligned base),
@@ -204,26 +219,39 @@ func alignedBytes(n int) []byte {
 }
 
 // bind constructs the typed views over buf from the section directory.
-// It validates section identity, alignment and bounds — this is the
-// entire "decode" of a v2 snapshot payload.
+// It validates section identity, kind, alignment and bounds — this is
+// the entire "decode" of a v2 snapshot payload.
 func (f *FlatSnap) bind() error {
-	i32 := func(s flatSection) ([]int32, error) {
-		if s.Off%4 != 0 || s.Off+4*s.Count > int64(len(f.buf)) {
+	for _, s := range f.sections {
+		if slices.Contains(retiredSections, s.Name) {
+			return ErrOldLayout
+		}
+	}
+	view := func(s flatSection, kind string, size int64) (unsafe.Pointer, error) {
+		if s.Kind != kind {
+			return nil, fmt.Errorf("oracle: flat section %s has kind %q, want %q", s.Name, s.Kind, kind)
+		}
+		if s.Off < 0 || s.Count < 0 || s.Off%size != 0 || s.Off > int64(len(f.buf)) || s.Count > (int64(len(f.buf))-s.Off)/size {
 			return nil, fmt.Errorf("oracle: flat section %s out of bounds (off %d count %d of %d bytes)", s.Name, s.Off, s.Count, len(f.buf))
 		}
 		if s.Count == 0 {
 			return nil, nil
 		}
-		return unsafe.Slice((*int32)(unsafe.Pointer(&f.buf[s.Off])), s.Count), nil
+		return unsafe.Pointer(&f.buf[s.Off]), nil
+	}
+	i32 := func(s flatSection) ([]int32, error) {
+		p, err := view(s, "i32", 4)
+		if p == nil {
+			return nil, err
+		}
+		return unsafe.Slice((*int32)(p), s.Count), nil
 	}
 	f64 := func(s flatSection) ([]float64, error) {
-		if s.Off%8 != 0 || s.Off+8*s.Count > int64(len(f.buf)) {
-			return nil, fmt.Errorf("oracle: flat section %s out of bounds (off %d count %d of %d bytes)", s.Name, s.Off, s.Count, len(f.buf))
+		p, err := view(s, "f64", 8)
+		if p == nil {
+			return nil, err
 		}
-		if s.Count == 0 {
-			return nil, nil
-		}
-		return unsafe.Slice((*float64)(unsafe.Pointer(&f.buf[s.Off])), s.Count), nil
+		return unsafe.Slice((*float64)(p), s.Count), nil
 	}
 	var err error
 	seen := make(map[string]bool, len(f.sections))
@@ -245,16 +273,20 @@ func (f *FlatSnap) bind() error {
 			f.psiOff, err = i32(s)
 		case secPsi:
 			f.psi, err = i32(s)
-		case secLevOff:
-			f.levOff, err = i32(s)
-		case secXkOff:
-			f.xkOff, err = i32(s)
-		case secXkeys:
-			f.xkeys, err = i32(s)
-		case secEntSpan:
-			f.entSpan, err = i32(s)
-		case secEntOffOld:
-			return ErrOldLayout
+		case secKbOff:
+			f.kbOff, err = i32(s)
+		case secKeyBits:
+			f.keyBits, err = i32(s)
+		case secGrpSpan:
+			f.grpSpan, err = i32(s)
+		case secXcOff:
+			f.xcOff, err = i32(s)
+		case secXcKeys:
+			f.xcKeys, err = i32(s)
+		case secXcSpan:
+			f.xcSpan, err = i32(s)
+		case secChain:
+			f.chain, err = i32(s)
 		case secEnts:
 			f.ents, err = i32(s)
 		case secBOff:
@@ -275,6 +307,10 @@ func (f *FlatSnap) bind() error {
 	// payloads run validate (see arenaSnapshot).
 	return nil
 }
+
+// keyWords is how many bitmap words one group of a label with nd host
+// distances takes.
+func keyWords(nd int) int { return (nd + 31) >> 5 }
 
 // validate checks the structural invariants the estimate path indexes
 // by, so a corrupt-but-checksum-passing header can never cause an
@@ -298,7 +334,7 @@ func (f *FlatSnap) validate() error {
 	}
 	switch f.scheme {
 	case SchemeLabels:
-		if len(f.zoom0) != f.n || len(f.l0) != f.n {
+		if f.n < 0 || len(f.zoom0) != f.n || len(f.l0) != f.n {
 			return fmt.Errorf("oracle: flat label arenas sized for %d nodes, want %d", len(f.zoom0), f.n)
 		}
 		if err := checkOff(secDistOff, f.distOff, f.n+1, len(f.dists)); err != nil {
@@ -307,32 +343,81 @@ func (f *FlatSnap) validate() error {
 		if err := checkOff(secPsiOff, f.psiOff, f.n+1, len(f.psi)); err != nil {
 			return err
 		}
-		groups := 0
-		if len(f.levOff) > 0 {
-			groups = int(f.levOff[len(f.levOff)-1])
-		}
-		if err := checkOff(secLevOff, f.levOff, f.n+1, groups); err != nil {
+		groups := len(f.psi)
+		if err := checkOff(secKbOff, f.kbOff, f.n+1, len(f.keyBits)); err != nil {
 			return err
 		}
-		if err := checkOff(secXkOff, f.xkOff, groups+1, len(f.xkeys)); err != nil {
+		if err := checkOff(secXcOff, f.xcOff, groups+1, len(f.xcKeys)); err != nil {
 			return err
+		}
+		for _, c := range []struct {
+			name      string
+			got, want int
+		}{
+			{secGrpSpan, len(f.grpSpan), 2 * groups},
+			{secXcSpan, len(f.xcSpan), 2 * len(f.xcKeys)},
+			{secChain, len(f.chain), 3 * groups},
+		} {
+			if c.got != c.want {
+				return fmt.Errorf("oracle: flat section %s has %d elements, want %d", c.name, c.got, c.want)
+			}
 		}
 		if len(f.ents)%2 != 0 {
 			return fmt.Errorf("oracle: flat ents length %d is odd", len(f.ents))
 		}
-		if len(f.entSpan) != 2*len(f.xkeys) {
-			return fmt.Errorf("oracle: flat section %s has %d bounds for %d keys", secEntSpan, len(f.entSpan), len(f.xkeys))
-		}
 		// Spans may repeat and need not be monotone, so each is bounded on
 		// its own.
 		nEnts := int32(len(f.ents) / 2)
-		for k := 0; k < len(f.xkeys); k++ {
-			start, end := f.entSpan[2*k], f.entSpan[2*k+1]
+		checkSpan := func(name string, i int, start, end int32) error {
 			if start < 0 || end < start || end > nEnts {
-				return fmt.Errorf("oracle: flat section %s key %d spans [%d, %d) outside [0, %d]", secEntSpan, k, start, end, nEnts)
+				return fmt.Errorf("oracle: flat section %s entry %d spans [%d, %d) outside [0, %d]", name, i, start, end, nEnts)
+			}
+			return nil
+		}
+		for g := 0; g < groups; g++ {
+			if err := checkSpan(secGrpSpan, g, f.grpSpan[2*g], f.grpSpan[2*g+1]); err != nil {
+				return err
+			}
+			if err := checkSpan(secChain, g, f.chain[3*g], f.chain[3*g+1]); err != nil {
+				return err
+			}
+		}
+		for k := range f.xcKeys {
+			if err := checkSpan(secXcSpan, k, f.xcSpan[2*k], f.xcSpan[2*k+1]); err != nil {
+				return err
+			}
+		}
+		for u := 0; u < f.n; u++ {
+			nd := int(f.distOff[u+1] - f.distOff[u])
+			w := keyWords(nd)
+			gLo, gHi := int(f.psiOff[u]), int(f.psiOff[u+1])
+			if got, want := int(f.kbOff[u+1]-f.kbOff[u]), (gHi-gLo)*w; got != want {
+				return fmt.Errorf("oracle: flat section %s gives node %d %d words, want %d", secKeyBits, u, got, want)
+			}
+			if tail := nd & 31; tail != 0 {
+				for i := 0; i < gHi-gLo; i++ {
+					if last := uint32(f.keyBits[int(f.kbOff[u])+(i+1)*w-1]); last>>tail != 0 {
+						return fmt.Errorf("oracle: flat section %s sets a key of node %d at or past its %d hosts", secKeyBits, u, nd)
+					}
+				}
+			}
+			for g := gLo; g < gHi; g++ {
+				if next := f.chain[3*g+2]; next < -1 || int(next) >= nd {
+					return fmt.Errorf("oracle: flat section %s zooms node %d to host %d of %d", secChain, u, next, nd)
+				}
+				prev := int32(-1)
+				for _, x := range f.xcKeys[f.xcOff[g]:f.xcOff[g+1]] {
+					if x <= prev || int(x) >= nd {
+						return fmt.Errorf("oracle: flat section %s key %d of node %d not ascending within [0, %d)", secXcKeys, x, u, nd)
+					}
+					prev = x
+				}
 			}
 		}
 	case SchemeBeacons:
+		if f.n < 0 {
+			return fmt.Errorf("oracle: flat beacon arenas for %d nodes", f.n)
+		}
 		if err := checkOff(secBOff, f.bOff, f.n+1, len(f.bIDs)); err != nil {
 			return err
 		}
@@ -345,26 +430,55 @@ func (f *FlatSnap) validate() error {
 	return nil
 }
 
-// countLists counts the entry lists the arena stores: a key whose span
-// begins at or past the end of every earlier one brought its own list,
-// a key sharing a list points back below that.
-func (f *FlatSnap) countLists() int {
-	lists, stored := 0, int32(0)
-	for k := 0; k < len(f.xkeys); k++ {
-		if start, end := f.entSpan[2*k], f.entSpan[2*k+1]; end > start && start >= stored {
-			lists++
-			stored = end
+// groupBits is the key bitmap of node u's level-i group.
+func (f *FlatSnap) groupBits(u, i int) []int32 {
+	w := keyWords(int(f.distOff[u+1] - f.distOff[u]))
+	at := int(f.kbOff[u]) + i*w
+	return f.keyBits[at : at+w]
+}
+
+// countKeys counts the arena's keys (set bits) and the entry lists it
+// stores: per group, the distinct non-empty spans its keys name — the
+// default one if some key is no exception, and the exceptions'.
+func (f *FlatSnap) countKeys() (keys, lists int) {
+	if f.scheme != SchemeLabels {
+		return 0, 0
+	}
+	var seen [][2]int32
+	for u := 0; u < f.n; u++ {
+		for i := 0; i < int(f.psiOff[u+1]-f.psiOff[u]); i++ {
+			g := int(f.psiOff[u]) + i
+			inGroup := 0
+			for _, word := range f.groupBits(u, i) {
+				inGroup += bits.OnesCount32(uint32(word))
+			}
+			keys += inGroup
+			xLo, xHi := int(f.xcOff[g]), int(f.xcOff[g+1])
+			seen = seen[:0]
+			if inGroup > xHi-xLo {
+				seen = append(seen, [2]int32{f.grpSpan[2*g], f.grpSpan[2*g+1]})
+			}
+			for k := xLo; k < xHi; k++ {
+				if span := [2]int32{f.xcSpan[2*k], f.xcSpan[2*k+1]}; !slices.Contains(seen, span) {
+					seen = append(seen, span)
+				}
+			}
+			for _, span := range seen {
+				if span[1] > span[0] {
+					lists++
+				}
+			}
 		}
 	}
-	return lists
+	return keys, lists
 }
 
 // listIndex places ζ entry lists in the ents section, each distinct list
 // of a group once: a list equal to one the current group already stored
-// gets that one's span instead of a second copy. Equality is by content —
-// slice identity (the builder's aliased identity keys) is only the
-// shortcut — so the arena bytes depend on nothing but what the labels
-// say, whichever way their lists happen to be held in memory.
+// is that one instead of a second copy. Equality is by content — slice
+// identity (the builder's aliased identity keys) is only the shortcut —
+// so the arena bytes depend on nothing but what the labels say, whichever
+// way their lists happen to be held in memory.
 type listIndex struct {
 	lists [][]distlabel.TransEntry // every stored list, in arena order
 	start []int32                  // start[i] is lists[i]'s first entry index in ents
@@ -381,18 +495,20 @@ func (ix *listIndex) nextGroup() {
 	ix.last = -1
 }
 
-// place returns the span of entries, storing the list first if the
-// current group holds no equal one. Empty lists take an empty span.
-func (ix *listIndex) place(entries []distlabel.TransEntry) (start, end int32) {
-	if len(entries) == 0 {
-		return int32(ix.ents), int32(ix.ents)
-	}
+// place returns the index of the stored list equal to entries (which
+// must not be empty), storing it first if the current group holds none.
+func (ix *listIndex) place(entries []distlabel.TransEntry) int32 {
 	at := ix.last
 	if at < 0 || &ix.lists[at][0] != &entries[0] || len(ix.lists[at]) != len(entries) {
 		at = ix.find(entries)
 	}
 	ix.last = at
-	return ix.start[at], ix.start[at] + int32(len(entries))
+	return at
+}
+
+// span is stored list at's span of entries.
+func (ix *listIndex) span(at int32) (start, end int32) {
+	return ix.start[at], ix.start[at] + int32(len(ix.lists[at]))
 }
 
 // find looks entries up by content among the current group's stored
@@ -421,55 +537,120 @@ func (ix *listIndex) find(entries []distlabel.TransEntry) int32 {
 	return at
 }
 
-// newFlatFromLabels packs Theorem 3.4 labels into the flat arenas. The
-// ζ-map keys are laid out sorted by x and each list Y-sorted as it
-// arrives from the builder — the exact fold order distlabel.Estimate's
-// harvest/lookup walk uses, so the flat answers are bit-identical; the
-// lists themselves are stored once per group and content (see listIndex).
+// newFlatFromLabels packs Theorem 3.4 labels into the flat arenas. Each
+// group's keys become bits; its lists are stored once per content (see
+// listIndex), Y-sorted as they arrive from the builder — the exact fold
+// order distlabel.Estimate's harvest/lookup walk uses, so the flat
+// answers are bit-identical. A key with an empty list is left out: the
+// pointer walk finds nothing under it either, and the wire codec drops it
+// the same way. The default span of a group is the list most of its keys
+// name (ties to the first in key order); only keys naming another list
+// are stored as exceptions.
 func newFlatFromLabels(labels []*distlabel.Label) (*FlatSnap, error) {
 	n := len(labels)
 	// Size pass.
-	var nDists, nPsi, nGroups, nKeys int
+	var nDists, nGroups, nWords int
 	for u, lab := range labels {
 		if lab == nil {
 			return nil, fmt.Errorf("oracle: flat pack: nil label %d", u)
 		}
 		if len(lab.Trans) != len(lab.ZoomPsi) {
-			// The estimate walk indexes Trans by ZoomPsi positions; the
-			// builder and wire decoder both emit equal lengths (IMax).
+			// Groups are indexed like psi; the builder and wire decoder
+			// both emit equal lengths (IMax).
 			return nil, fmt.Errorf("oracle: flat pack: label %d has %d trans levels for %d zoom pointers", u, len(lab.Trans), len(lab.ZoomPsi))
 		}
 		nDists += len(lab.Dists)
-		nPsi += len(lab.ZoomPsi)
 		nGroups += len(lab.Trans)
-		for _, lm := range lab.Trans {
-			nKeys += len(lm)
-		}
+		nWords += len(lab.Trans) * keyWords(len(lab.Dists))
 	}
-	// Placement pass: the sorted keys and their spans, in key-slot order.
-	// It runs before the arena exists because the arena's size is the
-	// number of entries that survive the sharing.
+	if c := max(nDists, 3*nGroups, nWords); c > math.MaxInt32 {
+		return nil, fmt.Errorf("oracle: flat pack: arena of %d elements exceeds the int32 offset space", c)
+	}
+	// Placement pass: bitmaps, spans and chains into scratch, because the
+	// arena's size is the number of entries and exceptions that survive
+	// the sharing.
 	ix := listIndex{head: make(map[uint64]int32)}
-	xkeys := make([]int32, 0, nKeys)
-	spans := make([]int32, 0, 2*nKeys)
-	for _, lab := range labels {
-		for _, lm := range lab.Trans {
+	keyBits := make([]int32, nWords)
+	grpSpan := make([]int32, 2*nGroups)
+	chain := make([]int32, 3*nGroups)
+	xcOff := make([]int32, nGroups+1)
+	var xcKeys, xcSpan, keys, ids, tally []int32
+	var byKey [][]distlabel.TransEntry // byKey[x] is the current group's list under key x
+	g, word := 0, 0
+	for u, lab := range labels {
+		nd := len(lab.Dists)
+		w := keyWords(nd)
+		if len(byKey) < nd {
+			byKey = make([][]distlabel.TransEntry, nd)
+		}
+		own := int32(lab.Zoom0) // the host u's own walk stands on
+		for i, lm := range lab.Trans {
 			ix.nextGroup()
-			first := len(xkeys)
-			for x := range lm {
-				xkeys = append(xkeys, x)
+			group := keyBits[word : word+w]
+			for x, entries := range lm {
+				if len(entries) == 0 {
+					continue
+				}
+				if x < 0 || int(x) >= nd {
+					return nil, fmt.Errorf("oracle: flat pack: label %d level %d has key %d outside its %d hosts", u, i, x, nd)
+				}
+				group[x>>5] |= int32(uint32(1) << (x & 31))
+				byKey[x] = entries
 			}
-			slices.Sort(xkeys[first:])
-			for _, x := range xkeys[first:] {
-				start, end := ix.place(lm[x])
-				spans = append(spans, start, end)
+			// The bitmap hands the keys back sorted.
+			first, ownList := int32(len(ix.lists)), int32(-1)
+			keys, ids = keys[:0], ids[:0]
+			for j, bitsJ := range group {
+				for rest := uint32(bitsJ); rest != 0; rest &= rest - 1 {
+					x := int32(j<<5 + bits.TrailingZeros32(rest))
+					at := ix.place(byKey[x])
+					keys, ids = append(keys, x), append(ids, at)
+					if x == own {
+						ownList = at
+					}
+				}
 			}
+			stored := len(ix.lists) - int(first)
+			tally = slices.Grow(tally[:0], stored)[:stored]
+			clear(tally)
+			def := int32(-1)
+			for _, at := range ids {
+				tally[at-first]++
+			}
+			for j, c := range tally {
+				if def < 0 || c > tally[def] {
+					def = int32(j)
+				}
+			}
+			if def >= 0 {
+				def += first
+				grpSpan[2*g], grpSpan[2*g+1] = ix.span(def)
+			}
+			for k, at := range ids {
+				if at != def {
+					s, e := ix.span(at)
+					xcKeys = append(xcKeys, keys[k])
+					xcSpan = append(xcSpan, s, e)
+				}
+			}
+			xcOff[g+1] = int32(len(xcKeys))
+			if ownList >= 0 {
+				chain[3*g], chain[3*g+1] = ix.span(ownList)
+			}
+			// A host past the label's end names no key: the walk would
+			// stop one level later having folded nothing more.
+			next := lab.Translate(i, int(own), lab.ZoomPsi[i])
+			if next >= nd {
+				next = -1
+			}
+			own = int32(next)
+			chain[3*g+2] = own
+			g++
+			word += w
 		}
 	}
-	for _, c := range []int{nDists, nPsi, nGroups, nKeys, ix.ents} {
-		if c > math.MaxInt32 {
-			return nil, fmt.Errorf("oracle: flat pack: arena of %d elements exceeds the int32 offset space", c)
-		}
+	if c := max(2*ix.ents, 2*len(xcKeys)); c > math.MaxInt32 {
+		return nil, fmt.Errorf("oracle: flat pack: arena of %d elements exceeds the int32 offset space", c)
 	}
 
 	var lay flatLayout
@@ -478,11 +659,14 @@ func newFlatFromLabels(labels []*distlabel.Label) (*FlatSnap, error) {
 	lay.add(secL0, "i32", n)
 	lay.add(secZoom0, "i32", n)
 	lay.add(secPsiOff, "i32", n+1)
-	lay.add(secPsi, "i32", nPsi)
-	lay.add(secLevOff, "i32", n+1)
-	lay.add(secXkOff, "i32", nGroups+1)
-	lay.add(secXkeys, "i32", nKeys)
-	lay.add(secEntSpan, "i32", 2*nKeys)
+	lay.add(secPsi, "i32", nGroups)
+	lay.add(secKbOff, "i32", n+1)
+	lay.add(secKeyBits, "i32", nWords)
+	lay.add(secGrpSpan, "i32", 2*nGroups)
+	lay.add(secXcOff, "i32", nGroups+1)
+	lay.add(secXcKeys, "i32", len(xcKeys))
+	lay.add(secXcSpan, "i32", len(xcSpan))
+	lay.add(secChain, "i32", 3*nGroups)
 	lay.add(secEnts, "i32", 2*ix.ents)
 
 	f := &FlatSnap{n: n, scheme: SchemeLabels, buf: alignedBytes(int(lay.off)), sections: lay.sections}
@@ -492,7 +676,7 @@ func newFlatFromLabels(labels []*distlabel.Label) (*FlatSnap, error) {
 	}
 
 	// Fill pass.
-	var dPos, pPos, gPos, kPos int
+	var dPos, pPos, wPos int
 	for u, lab := range labels {
 		f.distOff[u] = int32(dPos)
 		dPos += copy(f.dists[dPos:], lab.Dists)
@@ -500,19 +684,18 @@ func newFlatFromLabels(labels []*distlabel.Label) (*FlatSnap, error) {
 		f.zoom0[u] = int32(lab.Zoom0)
 		f.psiOff[u] = int32(pPos)
 		pPos += copy(f.psi[pPos:], lab.ZoomPsi)
-		f.levOff[u] = int32(gPos)
-		for _, lm := range lab.Trans {
-			f.xkOff[gPos] = int32(kPos)
-			gPos++
-			kPos += len(lm)
-		}
+		f.kbOff[u] = int32(wPos)
+		wPos += len(lab.Trans) * keyWords(len(lab.Dists))
 	}
 	f.distOff[n] = int32(dPos)
 	f.psiOff[n] = int32(pPos)
-	f.levOff[n] = int32(gPos)
-	f.xkOff[gPos] = int32(kPos)
-	copy(f.xkeys, xkeys)
-	copy(f.entSpan, spans)
+	f.kbOff[n] = int32(wPos)
+	copy(f.keyBits, keyBits)
+	copy(f.grpSpan, grpSpan)
+	copy(f.xcOff, xcOff)
+	copy(f.xcKeys, xcKeys)
+	copy(f.xcSpan, xcSpan)
+	copy(f.chain, chain)
 	ePos := 0
 	for _, l := range ix.lists {
 		for _, e := range l {
@@ -521,7 +704,7 @@ func newFlatFromLabels(labels []*distlabel.Label) (*FlatSnap, error) {
 			ePos += 2
 		}
 	}
-	f.lists = f.countLists()
+	f.keys, f.lists = f.countKeys()
 	return f, nil
 }
 
@@ -598,24 +781,32 @@ func (f *FlatSnap) materializeLabels() []*distlabel.Label {
 			Dists:       append([]float64(nil), f.dists[f.distOff[u]:f.distOff[u+1]]...),
 			ZoomPsi:     append([]int32(nil), f.psi[f.psiOff[u]:f.psiOff[u+1]]...),
 		}
-		gLo, gHi := int(f.levOff[u]), int(f.levOff[u+1])
-		lab.Trans = make([]distlabel.LevelMap, gHi-gLo)
-		for g := gLo; g < gHi; g++ {
+		lab.Trans = make([]distlabel.LevelMap, len(lab.ZoomPsi))
+		for i := range lab.Trans {
+			g := int(f.psiOff[u]) + i
 			clear(bySpan)
-			lm := make(distlabel.LevelMap, f.xkOff[g+1]-f.xkOff[g])
-			for k := int(f.xkOff[g]); k < int(f.xkOff[g+1]); k++ {
-				span := [2]int32{f.entSpan[2*k], f.entSpan[2*k+1]}
-				entries, ok := bySpan[span]
-				if !ok {
-					entries = make([]distlabel.TransEntry, 0, span[1]-span[0])
-					for e := int(span[0]); e < int(span[1]); e++ {
-						entries = append(entries, distlabel.TransEntry{Y: f.ents[2*e], Z: f.ents[2*e+1]})
+			lm := make(distlabel.LevelMap)
+			xc := int(f.xcOff[g])
+			for w, word := range f.groupBits(u, i) {
+				for rest := uint32(word); rest != 0; rest &= rest - 1 {
+					x := int32(w<<5 + bits.TrailingZeros32(rest))
+					span := [2]int32{f.grpSpan[2*g], f.grpSpan[2*g+1]}
+					if xc < int(f.xcOff[g+1]) && f.xcKeys[xc] == x {
+						span = [2]int32{f.xcSpan[2*xc], f.xcSpan[2*xc+1]}
+						xc++
 					}
-					bySpan[span] = entries
+					entries, ok := bySpan[span]
+					if !ok {
+						entries = make([]distlabel.TransEntry, 0, span[1]-span[0])
+						for e := int(span[0]); e < int(span[1]); e++ {
+							entries = append(entries, distlabel.TransEntry{Y: f.ents[2*e], Z: f.ents[2*e+1]})
+						}
+						bySpan[span] = entries
+					}
+					lm[x] = entries
 				}
-				lm[f.xkeys[k]] = entries
 			}
-			lab.Trans[g-gLo] = lm
+			lab.Trans[i] = lm
 		}
 		labels[u] = lab
 	}

@@ -98,67 +98,86 @@ func (f *FlatSnap) estimatePair(u, v int) (lower, upper float64, ok bool) {
 	return a.lower, a.upper, a.ok
 }
 
-// walk follows one zooming sequence — u's, or v's when fromV — keeping
-// the current zoom element's host index on both sides (hu in u's label,
-// hv in v's). Each level resolves the two host keys to their entry spans
-// once, harvests every commonly translatable virtual neighbor from the
-// spans, and finds the next zoom element in the same spans. Apart from
-// whose pointers it follows the walk is symmetric in u and v, so both
-// directions fold in (u, v) orientation.
+// walk follows one zooming sequence — u's, or v's when fromV — through
+// the labels of mine (whose sequence it is) and other. Mine's side is a
+// read: its chain holds, per level, the span of the key the walk stands
+// on and the host it zooms to next. Other's side keeps h, the current
+// zoom element's host index in other's label, tests h's bit in the
+// level's key bitmap, and finds the next zoom element in the span that
+// names. Each level harvests every commonly translatable virtual
+// neighbor from the two spans. Both directions fold in (u, v)
+// orientation.
 //
 //ringvet:hotpath
 func (f *FlatSnap) walk(a *flatAcc, harvested *[spanLevels]spanPair, u, v int, fromV bool) {
-	mine := u
+	mine, other := u, v
 	if fromV {
-		mine = v
+		mine, other = v, u
 	}
-	hu := f.zoom0[mine]
-	hv := hu // shared prefix: same index both sides
-	a.consider(hu, hv)
-	psi := f.psi[f.psiOff[mine]:f.psiOff[mine+1]]
-	gU, gV := int(f.levOff[u]), int(f.levOff[v])
+	h := f.zoom0[mine] // shared prefix: same index both sides
+	a.consider(h, h)
+	pLo, pHi := f.psiOff[mine], f.psiOff[mine+1]
+	psi := f.psi[pLo:pHi]
+	chain := f.chain[3*pLo : 3*pHi]
+	gO := int(f.psiOff[other])
 	// Labels of unequal depth stop at the shallower one, as the pointer
 	// walk does.
-	levels := min(len(psi), int(f.levOff[u+1])-gU, int(f.levOff[v+1])-gV)
+	levels := min(len(psi), int(f.psiOff[other+1])-gO)
+	words := keyWords(int(f.distOff[other+1] - f.distOff[other]))
+	kb := f.keyBits[f.kbOff[other]:f.kbOff[other+1]]
 	for i := 0; i < levels; i++ {
-		us, ue := f.span(gU+i, hu)
-		vs, ve := f.span(gV+i, hv)
-		p := spanPair{us, ue, vs, ve}
+		ms, me, next := chain[3*i], chain[3*i+1], chain[3*i+2]
+		os, oe := f.span(gO+i, kb[i*words:(i+1)*words], h)
+		p := spanPair{ms, me, os, oe}
+		if fromV {
+			p = spanPair{os, oe, ms, me}
+		}
 		if !fromV && i < spanLevels {
 			harvested[i] = p
 		}
 		if !fromV || i >= spanLevels || harvested[i] != p {
 			f.harvest(a, p)
 		}
-		hu, hv = f.zoomHost(us, ue, psi[i]), f.zoomHost(vs, ve, psi[i])
-		if hu < 0 || hv < 0 {
+		h = f.zoomHost(os, oe, psi[i])
+		if next < 0 || h < 0 {
 			return
 		}
-		a.consider(hu, hv)
+		if fromV {
+			a.consider(h, next)
+		} else {
+			a.consider(next, h)
+		}
 	}
 }
 
-// span resolves key x of group g (binary search over the group's sorted
-// keys) to the span [start, end) of its Y-sorted entries in ents; a key
-// the group does not have gets the empty span.
+// span resolves key x of group g, whose key bitmap is bits, to the span
+// [start, end) of its Y-sorted entries in ents: the group's default span
+// unless x is one of its exception keys (a binary search over a range
+// that is empty on every dataset in the tree). A key the group does not
+// have gets the empty span.
 //
 //ringvet:hotpath
-func (f *FlatSnap) span(g int, x int32) (start, end int32) {
-	keys := f.xkeys[f.xkOff[g]:f.xkOff[g+1]]
-	lo, hi := 0, len(keys)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if keys[mid] < x {
-			lo = mid + 1
-		} else {
-			hi = mid
+func (f *FlatSnap) span(g int, bits []int32, x int32) (start, end int32) {
+	if w := uint(x) >> 5; w >= uint(len(bits)) || uint32(bits[w])>>(uint(x)&31)&1 == 0 {
+		return 0, 0
+	}
+	if lo, hi := int(f.xcOff[g]), int(f.xcOff[g+1]); lo < hi {
+		keys := f.xcKeys[lo:hi]
+		i, j := 0, len(keys)
+		for i < j {
+			mid := int(uint(i+j) >> 1)
+			if keys[mid] < x {
+				i = mid + 1
+			} else {
+				j = mid
+			}
+		}
+		if i < len(keys) && keys[i] == x {
+			k := lo + i
+			return f.xcSpan[2*k], f.xcSpan[2*k+1]
 		}
 	}
-	if lo < len(keys) && keys[lo] == x {
-		k := int(f.xkOff[g]) + lo
-		return f.entSpan[2*k], f.entSpan[2*k+1]
-	}
-	return 0, 0
+	return f.grpSpan[2*g], f.grpSpan[2*g+1]
 }
 
 // zoomHost finds the Z of the entry with virtual index y in the span

@@ -192,21 +192,12 @@ type corruptCase struct {
 	errWant string // substring the error must contain ("" = any error)
 }
 
-// TestSnapshotV2CorruptionRejected is the S3 integrity table: framing
-// truncations, header and payload bit flips, and bogus structure all
-// fail loudly (never a silent misparse), through both the streaming
-// reader and the mmap open.
-func TestSnapshotV2CorruptionRejected(t *testing.T) {
-	snap := buildTestSnapshot(t, 25)
-	var buf bytes.Buffer
-	if _, err := snap.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	img := buf.Bytes()
+// corruptCases are the S3 integrity table over a valid v2 image:
+// framing truncations, header and payload bit flips, and bogus structure.
+func corruptCases(img []byte) []corruptCase {
 	hdrLen := int(binary.LittleEndian.Uint32(img[len(persistMagicV2):]))
 	payloadOff := int(v2PayloadOffset(hdrLen))
-
-	cases := []corruptCase{
+	return []corruptCase{
 		{"truncated-magic", func(b []byte) []byte { return b[:4] }, "magic"},
 		{"truncated-header-frame", func(b []byte) []byte { return b[:len(persistMagicV2)+6] }, "header frame"},
 		{"truncated-header", func(b []byte) []byte { return b[:len(persistMagicV2)+12+hdrLen/2] }, "header"},
@@ -236,6 +227,19 @@ func TestSnapshotV2CorruptionRejected(t *testing.T) {
 			return b
 		}, "not a snapshot file"},
 	}
+}
+
+// TestSnapshotV2CorruptionRejected: every corruptCases image fails
+// loudly (never a silent misparse), through both the streaming reader
+// and the mmap open.
+func TestSnapshotV2CorruptionRejected(t *testing.T) {
+	snap := buildTestSnapshot(t, 25)
+	var buf bytes.Buffer
+	if _, err := snap.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	img := buf.Bytes()
+	cases := corruptCases(img)
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			mutated := tc.mutate(append([]byte(nil), img...))

@@ -1,14 +1,23 @@
 package oracle
 
 import (
+	"maps"
 	"math"
+	"slices"
 	"testing"
 
 	"rings/internal/distlabel"
 )
 
+// keySpan resolves key x of node u's level-i group the way the walk
+// resolves other's side.
+func (f *FlatSnap) keySpan(u, i int, x int32) (start, end int32) {
+	return f.span(int(f.psiOff[u])+i, f.groupBits(u, i), x)
+}
+
 // visited replays one direction of the zoom walk (u's sequence, or v's
-// when fromV) and returns the span pair of each level it gets to harvest.
+// when fromV) searching both sides — no chain — and returns the span pair
+// of each level it gets to harvest.
 func (f *FlatSnap) visited(u, v int, fromV bool) []spanPair {
 	var out []spanPair
 	mine := u
@@ -18,11 +27,10 @@ func (f *FlatSnap) visited(u, v int, fromV bool) []spanPair {
 	hu := f.zoom0[mine]
 	hv := hu
 	psi := f.psi[f.psiOff[mine]:f.psiOff[mine+1]]
-	gU, gV := int(f.levOff[u]), int(f.levOff[v])
-	for i := 0; i < len(psi) && gU+i < int(f.levOff[u+1]) && gV+i < int(f.levOff[v+1]); i++ {
+	for i := 0; i < len(psi) && i < int(f.psiOff[u+1]-f.psiOff[u]) && i < int(f.psiOff[v+1]-f.psiOff[v]); i++ {
 		var p spanPair
-		p.us, p.ue = f.span(gU+i, hu)
-		p.vs, p.ve = f.span(gV+i, hv)
+		p.us, p.ue = f.keySpan(u, i, hu)
+		p.vs, p.ve = f.keySpan(v, i, hv)
 		out = append(out, p)
 		hu, hv = f.zoomHost(p.us, p.ue, psi[i]), f.zoomHost(p.vs, p.ve, psi[i])
 		if hu < 0 || hv < 0 {
@@ -32,15 +40,44 @@ func (f *FlatSnap) visited(u, v int, fromV bool) []spanPair {
 	return out
 }
 
+// TestChainIsTheSearchedWalk: every node's chain holds what searching its
+// own label along its zooming sequence finds — the span of each level's
+// key and the host it zooms to — up to where that search stops.
+func TestChainIsTheSearchedWalk(t *testing.T) {
+	for _, cfg := range flatConfigs() {
+		if cfg.Scheme == SchemeBeacons {
+			continue
+		}
+		snap, err := BuildSnapshot(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", cfg.Workload, err)
+		}
+		f := snap.Flat
+		for u := 0; u < f.n; u++ {
+			h := f.zoom0[u]
+			for i := 0; i < int(f.psiOff[u+1]-f.psiOff[u]) && h >= 0; i++ {
+				g := int(f.psiOff[u]) + i
+				s, e := f.keySpan(u, i, h)
+				next := f.zoomHost(s, e, f.psi[g])
+				if got := [3]int32(f.chain[3*g : 3*g+3]); got != [3]int32{s, e, next} {
+					t.Fatalf("%s: node %d level %d: chain %v, searched walk %v", cfg.Workload, u, i, got, [3]int32{s, e, next})
+				}
+				h = next
+			}
+		}
+	}
+}
+
 // TestWalkMeetsEveryKindOfLevel: the all-pairs identity test is only as
 // good as the levels its arenas put direction v→u through. Over
 // flatConfigs() that direction meets a level whose span pair direction
 // u→v already harvested (the skip), a level u→v harvested with another
-// pair (only where a group stores several lists) and a level u→v never
-// reached — and the benchmark-shaped arena, every group of which shares
-// one list, has the first and the last on its own.
+// pair (only where a group stores several lists, so some of its keys are
+// exceptions to its default span) and a level u→v never reached — and the
+// benchmark-shaped arena, every group of which shares one list, has the
+// first and the last on its own.
 func TestWalkMeetsEveryKindOfLevel(t *testing.T) {
-	type counts struct{ shared, several, repeated, other, unreached int }
+	type counts struct{ shared, several, exceptions, repeated, other, unreached int }
 	var total counts
 	for _, cfg := range flatConfigs() {
 		if cfg.Scheme == SchemeBeacons {
@@ -52,15 +89,22 @@ func TestWalkMeetsEveryKindOfLevel(t *testing.T) {
 		}
 		f := snap.Flat
 		var c counts
-		for g := 0; g+1 < len(f.xkOff); g++ {
-			lists := map[[2]int32]bool{}
-			for k := f.xkOff[g]; k < f.xkOff[g+1]; k++ {
-				lists[[2]int32{f.entSpan[2*k], f.entSpan[2*k+1]}] = true
-			}
-			if len(lists) == 1 {
-				c.shared++
-			} else if len(lists) > 1 {
-				c.several++
+		for u := 0; u < f.n; u++ {
+			for i := 0; i < int(f.psiOff[u+1]-f.psiOff[u]); i++ {
+				if !slices.ContainsFunc(f.groupBits(u, i), func(w int32) bool { return w != 0 }) {
+					continue
+				}
+				g := int(f.psiOff[u]) + i
+				lists := map[[2]int32]bool{{f.grpSpan[2*g], f.grpSpan[2*g+1]}: true}
+				for k := f.xcOff[g]; k < f.xcOff[g+1]; k++ {
+					lists[[2]int32{f.xcSpan[2*k], f.xcSpan[2*k+1]}] = true
+					c.exceptions++
+				}
+				if len(lists) == 1 {
+					c.shared++
+				} else {
+					c.several++
+				}
 			}
 		}
 		for u := 0; u < f.n; u++ {
@@ -84,41 +128,64 @@ func TestWalkMeetsEveryKindOfLevel(t *testing.T) {
 		}
 		total.shared += c.shared
 		total.several += c.several
+		total.exceptions += c.exceptions
 		total.repeated += c.repeated
 		total.other += c.other
 		total.unreached += c.unreached
 	}
-	if total.shared == 0 || total.several == 0 || total.repeated == 0 || total.other == 0 || total.unreached == 0 {
+	if total.shared == 0 || total.several == 0 || total.exceptions == 0 || total.repeated == 0 || total.other == 0 || total.unreached == 0 {
 		t.Errorf("over all configs: %+v, want every count positive", total)
 	}
 }
 
 // TestSkipComparesWholeSpans: in a hand-edited arena every other key of a
-// group keeps only the head of the list its neighbors share — same start,
-// earlier end, still valid — so the two directions meet span pairs that
-// agree in their starts alone. The flat walk must harvest those (only a
-// pair equal at both ends of both spans is a repeat) and answer exactly
-// what the pointer walk answers over the labels the arena materializes.
+// group is an exception whose span keeps only the head of the group's
+// default list — same start, earlier end, still valid — so the two
+// directions meet span pairs that agree in their starts alone. The flat
+// walk must harvest those (only a pair equal at both ends of both spans
+// is a repeat) and answer exactly what the pointer walk answers over the
+// labels the arena materializes.
 func TestSkipComparesWholeSpans(t *testing.T) {
 	snap, err := BuildSnapshot(Config{Workload: "latency", N: 64, Seed: 1, Delta: 0.5, Profile: ProfileTuned, SkipRouting: true, SkipOverlay: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := snap.Flat
+	// Every other key of a group gets the head of its list: those keys
+	// become the group's exceptions, sharing one separately stored list.
+	labels := unshared(snap.Labels)
+	for _, lab := range labels {
+		for _, lm := range lab.Trans {
+			keys := slices.Sorted(maps.Keys(lm))
+			for k := 1; k < len(keys); k += 2 {
+				if entries := lm[keys[k]]; len(entries) > 1 {
+					lm[keys[k]] = entries[:1]
+				}
+			}
+		}
+	}
+	f := pack(t, labels)
+	// Point each exception into the default list instead.
 	cut := 0
-	for k := 1; k < len(f.xkeys); k += 2 {
-		if s, e := f.entSpan[2*k], f.entSpan[2*k+1]; e-s > 1 && f.entSpan[2*k-2] == s {
-			f.entSpan[2*k+1] = s + 1
-			cut++
+	for g := 0; g < len(f.psi); g++ {
+		s, e := f.grpSpan[2*g], f.grpSpan[2*g+1]
+		for k := f.xcOff[g]; k < f.xcOff[g+1]; k++ {
+			xs, xe := f.xcSpan[2*k], f.xcSpan[2*k+1]
+			if e-s > 1 && xe-xs == 1 && f.ents[2*s] == f.ents[2*xs] && f.ents[2*s+1] == f.ents[2*xs+1] {
+				f.xcSpan[2*k], f.xcSpan[2*k+1] = s, s+1
+				if f.chain[3*g] == xs && f.chain[3*g+1] == xe {
+					f.chain[3*g], f.chain[3*g+1] = s, s+1
+				}
+				cut++
+			}
 		}
 	}
 	if cut == 0 {
-		t.Fatal("no key shares its list with its neighbor: nothing to cut")
+		t.Fatal("no exception holds the head of its group's default list: nothing to cut")
 	}
 	if err := f.validate(); err != nil {
 		t.Fatalf("edited arena does not validate: %v", err)
 	}
-	labels := f.materializeLabels()
+	labels = f.materializeLabels()
 	sameStart := 0
 	for u := 0; u < f.n; u++ {
 		for v := 0; v < f.n; v++ {

@@ -93,7 +93,7 @@ func newEngineMetrics() *engineMetrics {
 		"Bytes of the served flat arena, by section (0 for sections the served scheme has none of).",
 		"section", sectionNames...)
 	m.arenaKeys = reg.Gauge("rings_arena_keys",
-		"Translation-map key slots of the served arena (each names one entry list).")
+		"Translation-map keys of the served arena: set bits of its key bitmaps (each key names one entry list).")
 	m.arenaLists = reg.Gauge("rings_arena_distinct_lists",
 		"Entry lists the served arena stores; keys minus this many share a list with another key of their group.")
 	return m
@@ -108,7 +108,7 @@ func (m *engineMetrics) setArena(f *FlatSnap) {
 	for _, s := range f.sections {
 		m.arenaSections.With(s.Name).Set(float64(s.bytes()))
 	}
-	m.arenaKeys.Set(float64(len(f.xkeys)))
+	m.arenaKeys.Set(float64(f.keys))
 	m.arenaLists.Set(float64(f.lists))
 }
 

@@ -242,14 +242,35 @@ func readV2Envelope(br io.Reader) (persistHeaderV2, []byte, error) {
 			return hdr, nil, fmt.Errorf("oracle: snapshot v2 padding: %w", err)
 		}
 	}
-	payload := alignedBytes(int(hdr.PayloadLen))
-	if _, err := io.ReadFull(br, payload); err != nil {
+	payload, err := readAligned(br, hdr.PayloadLen)
+	if err != nil {
 		return hdr, nil, fmt.Errorf("oracle: snapshot v2 payload: %w", err)
 	}
 	if got := crc64.Checksum(payload, crcTable); got != hdr.PayloadCRC {
 		return hdr, nil, fmt.Errorf("oracle: snapshot v2 payload checksum mismatch (got %016x, want %016x)", got, hdr.PayloadCRC)
 	}
 	return hdr, payload, nil
+}
+
+// readAligned reads exactly n bytes into an 8-aligned buffer that grows
+// as the bytes arrive, so a header claiming more than the stream holds
+// cannot make the reader allocate what it claims.
+func readAligned(r io.Reader, n int64) ([]byte, error) {
+	const chunk = 4 << 20
+	buf := alignedBytes(int(min(n, chunk)))
+	have := 0
+	for {
+		m, err := io.ReadFull(r, buf[have:])
+		if have += m; err != nil {
+			return nil, err
+		}
+		if int64(have) == n {
+			return buf, nil
+		}
+		grown := alignedBytes(int(min(n, 2*int64(len(buf)))))
+		copy(grown, buf)
+		buf = grown
+	}
 }
 
 // arenaSnapshot binds and validates loaded arena bytes (mapping window
@@ -269,7 +290,7 @@ func arenaSnapshot(hdr persistHeaderV2, payload []byte, m *mapping) (*Snapshot, 
 		}
 		return nil, err
 	}
-	flat.lists = flat.countLists()
+	flat.keys, flat.lists = flat.countKeys()
 	return &Snapshot{
 		Config:    hdr.Config.withDefaults(),
 		Name:      hdr.Name,

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc64"
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -90,12 +92,12 @@ func TestArenaBytesAreAFunctionOfLabelContent(t *testing.T) {
 		if err := f.validate(); err != nil {
 			t.Fatalf("%s: built arena does not validate: %v", cfg.Workload, err)
 		}
-		if f.lists == 0 || f.lists >= len(f.xkeys) {
-			t.Fatalf("%s: %d stored lists for %d keys: nothing is shared", cfg.Workload, f.lists, len(f.xkeys))
+		if f.lists == 0 || f.lists >= f.keys {
+			t.Fatalf("%s: %d stored lists for %d keys: nothing is shared", cfg.Workload, f.lists, f.keys)
 		}
-		for k := range f.xkeys {
-			if s, e := f.entSpan[2*k], f.entSpan[2*k+1]; s < 0 || s >= e || int(e) > len(f.ents)/2 {
-				t.Fatalf("%s: key %d spans [%d, %d) outside the %d stored entries", cfg.Workload, k, s, e, len(f.ents)/2)
+		for g := 0; g < len(f.psi); g++ {
+			if s, e := f.grpSpan[2*g], f.grpSpan[2*g+1]; s < 0 || s > e || int(e) > len(f.ents)/2 {
+				t.Fatalf("%s: group %d spans [%d, %d) outside the %d stored entries", cfg.Workload, g, s, e, len(f.ents)/2)
 			}
 		}
 
@@ -127,11 +129,12 @@ func TestArenaBytesAreAFunctionOfLabelContent(t *testing.T) {
 	}
 }
 
-// TestArenaSizeBudget fails the build's tests when the sharing is lost:
-// the benchmark's dataset (latency, tuned, δ = 0.5) at n = 256 packs to
-// 3,103 B per node with it and 21,029 without.
+// TestArenaSizeBudget fails the build's tests when the sharing or the
+// key bitmap is lost: the benchmark's dataset (latency, tuned, δ = 0.5)
+// at n = 256 packs to 1,776 B per node (3,103 with a span per key, 21,029
+// with a list per key); the budget is that plus 10 %.
 func TestArenaSizeBudget(t *testing.T) {
-	const n, budget = 256, 4096
+	const n, budget = 256, 1954
 	snap, err := BuildSnapshot(Config{Workload: "latency", N: n, Seed: 1, Delta: 0.5, Scheme: SchemeLabels, Profile: ProfileTuned})
 	if err != nil {
 		t.Fatal(err)
@@ -141,29 +144,46 @@ func TestArenaSizeBudget(t *testing.T) {
 	}
 }
 
-// TestValidateRejectsBadSpans: a key may name any span inside ents, and
-// nothing else.
+// TestValidateRejectsBadSpans: a default, exception or chain span may
+// name any span inside ents and nothing else, a chain may zoom to a host
+// of its own label or -1, and a key bitmap sets no bit at or past its
+// label's hosts.
 func TestValidateRejectsBadSpans(t *testing.T) {
 	f := buildTestSnapshot(t, 43).Flat
 	nEnts := int32(len(f.ents) / 2)
+	g := len(f.psi) / 2
+	u := 0
+	for int(f.psiOff[u+1]) <= g {
+		u++
+	}
+	nd := f.distOff[u+1] - f.distOff[u]
+	bits := f.groupBits(u, g-int(f.psiOff[u]))
 	for _, tc := range []struct {
-		name       string
-		start, end int32
-		ok         bool
+		name string
+		at   []int32 // the elements to overwrite
+		to   []int32
+		ok   bool
 	}{
-		{"whole-section", 0, nEnts, true},
-		{"empty", nEnts, nEnts, true},
-		{"end-before-start", 5, 4, false},
-		{"end-past-ents", 0, nEnts + 1, false},
-		{"negative-start", -1, 3, false},
+		{"whole-section", f.grpSpan[2*g : 2*g+2], []int32{0, nEnts}, true},
+		{"empty", f.grpSpan[2*g : 2*g+2], []int32{nEnts, nEnts}, true},
+		{"end-before-start", f.grpSpan[2*g : 2*g+2], []int32{5, 4}, false},
+		{"end-past-ents", f.grpSpan[2*g : 2*g+2], []int32{0, nEnts + 1}, false},
+		{"negative-start", f.grpSpan[2*g : 2*g+2], []int32{-1, 3}, false},
+		{"chain-whole-section", f.chain[3*g : 3*g+2], []int32{0, nEnts}, true},
+		{"chain-end-past-ents", f.chain[3*g : 3*g+2], []int32{0, nEnts + 1}, false},
+		{"chain-stops", f.chain[3*g+2 : 3*g+3], []int32{-1}, true},
+		{"chain-last-host", f.chain[3*g+2 : 3*g+3], []int32{nd - 1}, true},
+		{"chain-past-hosts", f.chain[3*g+2 : 3*g+3], []int32{nd}, false},
+		{"chain-below-stop", f.chain[3*g+2 : 3*g+3], []int32{-2}, false},
+		{"last-key", bits[(nd-1)>>5 : (nd-1)>>5+1], []int32{bits[(nd-1)>>5] | int32(uint32(1)<<((nd-1)&31))}, true},
+		{"key-past-hosts", bits[len(bits)-1:], []int32{-1}, nd&31 == 0},
 	} {
-		k := len(f.xkeys) / 2
-		keep := [2]int32{f.entSpan[2*k], f.entSpan[2*k+1]}
-		f.entSpan[2*k], f.entSpan[2*k+1] = tc.start, tc.end
+		keep := slices.Clone(tc.at)
+		copy(tc.at, tc.to)
 		err := f.validate()
-		f.entSpan[2*k], f.entSpan[2*k+1] = keep[0], keep[1]
+		copy(tc.at, keep)
 		if (err == nil) != tc.ok {
-			t.Errorf("%s: span [%d, %d) of %d entries: validate = %v", tc.name, tc.start, tc.end, nEnts, err)
+			t.Errorf("%s: %v of %d entries, %d hosts: validate = %v", tc.name, tc.to, nEnts, nd, err)
 		}
 	}
 	if err := f.validate(); err != nil {
@@ -171,47 +191,52 @@ func TestValidateRejectsBadSpans(t *testing.T) {
 	}
 }
 
-// oldLayoutImage renames a v2 image's ent_span section to the retired
-// ent_off in place (the dropped letter becomes JSON whitespace, so
-// nothing moves) and recomputes the header checksum.
-func oldLayoutImage(t testing.TB, img []byte) []byte {
+// oldLayoutImage renames a v2 image's grp_span section to the retired
+// name in place (ent_span has its length; ent_off is one letter shorter,
+// which becomes JSON whitespace, so nothing moves) and recomputes the
+// header checksum.
+func oldLayoutImage(t testing.TB, img []byte, retired string) []byte {
 	t.Helper()
 	base := len(persistMagicV2)
 	hdr := img[base+v2HeaderPrefix : base+v2HeaderPrefix+int(binary.LittleEndian.Uint32(img[base:]))]
-	at := bytes.Index(hdr, []byte(`"name":"`+secEntSpan+`"`))
+	from := []byte(`"name":"` + secGrpSpan + `"`)
+	at := bytes.Index(hdr, from)
 	if at < 0 {
-		t.Fatal("image has no ent_span section to rename")
+		t.Fatal("image has no grp_span section to rename")
 	}
-	copy(hdr[at:], `"name": "`+secEntOffOld+`"`)
+	to := fmt.Sprintf(`"name":%*s`, len(from)-len(`"name":`), `"`+retired+`"`)
+	copy(hdr[at:], to)
 	binary.LittleEndian.PutUint64(img[base+4:], crc64.Checksum(hdr, crcTable))
 	return img
 }
 
-// TestOldLayoutRefusedByName: a file whose directory carries the
-// per-key ent_off table fails both readers with the one sentinel that
-// tells the operator what to do — by name, before anything indexes the
-// arena under the wrong rules.
+// TestOldLayoutRefusedByName: a file whose directory carries either
+// retired per-key table — ent_off, every key's list stored on its own, or
+// ent_span, every key naming its shared list — fails both readers with
+// the one sentinel that tells the operator what to do, by name, before
+// anything indexes the arena under the wrong rules.
 func TestOldLayoutRefusedByName(t *testing.T) {
 	snap := buildTestSnapshot(t, 45)
 	var buf bytes.Buffer
 	if _, err := snap.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	old := oldLayoutImage(t, buf.Bytes())
-
-	if _, err := ReadSnapshot(bytes.NewReader(old)); !errors.Is(err, ErrOldLayout) {
-		t.Fatalf("ReadSnapshot of an old-layout image: %v", err)
-	}
-	path := filepath.Join(t.TempDir(), "old.bin")
-	if err := os.WriteFile(path, old, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	_, err := OpenSnapshotFile(path)
-	if !errors.Is(err, ErrOldLayout) {
-		t.Fatalf("OpenSnapshotFile of an old-layout file: %v", err)
-	}
-	if want := "snapshot written before shared entry lists; delete it to rebuild"; !strings.Contains(err.Error(), want) {
-		t.Fatalf("error %q does not tell the operator %q", err, want)
+	for _, retired := range retiredSections {
+		old := oldLayoutImage(t, bytes.Clone(buf.Bytes()), retired)
+		if _, err := ReadSnapshot(bytes.NewReader(old)); !errors.Is(err, ErrOldLayout) {
+			t.Fatalf("ReadSnapshot of an image naming %s: %v", retired, err)
+		}
+		path := filepath.Join(t.TempDir(), "old.bin")
+		if err := os.WriteFile(path, old, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := OpenSnapshotFile(path)
+		if !errors.Is(err, ErrOldLayout) {
+			t.Fatalf("OpenSnapshotFile of a file naming %s: %v", retired, err)
+		}
+		if want := "retired arena layout; delete it to rebuild"; !strings.Contains(err.Error(), want) {
+			t.Fatalf("error %q does not tell the operator %q", err, want)
+		}
 	}
 }
 

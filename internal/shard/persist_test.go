@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc64"
 	"os"
 	"path/filepath"
@@ -138,34 +139,37 @@ func TestOpenFleetGuards(t *testing.T) {
 		t.Fatalf("scheme mismatch: %v", err)
 	}
 
-	// One shard file from before shared entry lists: its directory names
-	// the retired ent_off table, and the fleet refuses by that name.
+	// One shard file in either retired layout: its directory names the
+	// per-key ent_off or ent_span table, and the fleet refuses by that name.
 	path := SnapshotPath(base, cfg.Shards-1)
 	img, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(path, oldLayoutImage(t, img), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenFleet(cfg, base); !errors.Is(err, oracle.ErrOldLayout) {
-		t.Fatalf("old-layout shard file: %v", err)
+	for _, retired := range []string{"ent_off", "ent_span"} {
+		if err := os.WriteFile(path, oldLayoutImage(t, bytes.Clone(img), retired), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := OpenFleet(cfg, base); !errors.Is(err, oracle.ErrOldLayout) {
+			t.Fatalf("shard file naming %s: %v", retired, err)
+		}
 	}
 }
 
-// oldLayoutImage renames a v2 image's ent_span section to ent_off in
-// place (the dropped letter becomes JSON whitespace, so nothing moves)
-// and recomputes the header checksum: magic, u32 header length, u64
-// CRC-64/ECMA of the header, header.
-func oldLayoutImage(t testing.TB, img []byte) []byte {
+// oldLayoutImage renames a v2 image's grp_span section to the retired
+// name in place (a shorter name is padded with JSON whitespace, so
+// nothing moves) and recomputes the header checksum: magic, u32 header
+// length, u64 CRC-64/ECMA of the header, header.
+func oldLayoutImage(t testing.TB, img []byte, retired string) []byte {
 	t.Helper()
 	const magic = len("RINGSNAP2\n")
 	hdr := img[magic+12 : magic+12+int(binary.LittleEndian.Uint32(img[magic:]))]
-	at := bytes.Index(hdr, []byte(`"name":"ent_span"`))
+	from := `"name":"grp_span"`
+	at := bytes.Index(hdr, []byte(from))
 	if at < 0 {
-		t.Fatal("image has no ent_span section to rename")
+		t.Fatal("image has no grp_span section to rename")
 	}
-	copy(hdr[at:], `"name": "ent_off"`)
+	copy(hdr[at:], fmt.Sprintf(`"name":%*s`, len(from)-len(`"name":`), `"`+retired+`"`))
 	binary.LittleEndian.PutUint64(img[magic+4:], crc64.Checksum(hdr, crc64.MakeTable(crc64.ECMA)))
 	return img
 }

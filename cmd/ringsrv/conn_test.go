@@ -602,8 +602,13 @@ func TestLoopAllocations(t *testing.T) {
 // TestFleetLoopAllocations pins the same request against a replicated
 // in-process fleet (an intra-shard pair, so the answer comes through the
 // replica set): the inline read and the appended body leave it one
-// above the single engine's (3; 4 under -race). Hedged and marshalled it
-// was 12.
+// above the single engine's 2. Hedged and marshalled it was 12.
+//
+// Under -race the limit is 5. The detector's sync.Pool drops one Put in
+// four at random, so about a quarter of requests rebuild writeAnswer's
+// pooled scratch: the scratch itself and six growths of its body, seven
+// allocations. That is 3 + 7/4 on average, and AllocsPerRun's truncated
+// mean over 200 requests reads 4, or 5 about one run in eight.
 func TestFleetLoopAllocations(t *testing.T) {
 	fleet, err := shard.NewFleet(shard.Config{
 		Oracle:   oracle.Config{Workload: "cube", N: 48, Seed: 1, MemberStride: 3},
@@ -616,7 +621,11 @@ func TestFleetLoopAllocations(t *testing.T) {
 	defer fleet.Close()
 	got := estimateAllocations(t, "loop", newFleetServer(fleet, 1))
 	t.Logf("allocations per fleet GET /estimate through the loop: %.1f", got)
-	if got > 4 {
-		t.Errorf("a fleet GET /estimate allocates %.1f times per request, want at most 4", got)
+	limit := 3.0
+	if raceEnabled {
+		limit = 5
+	}
+	if got > limit {
+		t.Errorf("a fleet GET /estimate allocates %.1f times per request, want at most %.0f", got, limit)
 	}
 }

@@ -24,6 +24,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"rings/internal/bitio"
@@ -134,7 +135,8 @@ func (r Rings) Neighbors() []int {
 	for _, ring := range r {
 		all = append(all, ring.Nodes()...)
 	}
-	return NewEnum(all).Nodes()
+	slices.Sort(all)
+	return slices.Compact(all)
 }
 
 // Collection is a full rings-of-neighbors structure: per node, per level.
@@ -215,14 +217,20 @@ const Null = -1
 
 // NewTable allocates a rows x variable-width table filled with Null.
 // widths[a] is the number of b-values for outer index a.
+// The rows share one backing array.
 func NewTable(widths []int, targetSize int) *Table {
+	total := 0
+	for _, w := range widths {
+		total += w
+	}
+	arena := make([]int32, total)
+	for i := range arena {
+		arena[i] = Null
+	}
 	cells := make([][]int32, len(widths))
 	for a, w := range widths {
-		row := make([]int32, w)
-		for b := range row {
-			row[b] = Null
-		}
-		cells[a] = row
+		cells[a] = arena[:w:w]
+		arena = arena[w:]
 	}
 	return &Table{cells: cells, TargetSize: targetSize}
 }

@@ -84,27 +84,24 @@ func (zp ZParams) Qualifies(masks [][]bool, w int, d float64) bool {
 // scales t_k of B_u(t_k) ∩ G_jz(k), derived in one pass over each
 // node's sorted row (see the package doc for why testing the first
 // qualifying scale alone decides membership). Each Z_u comes out
-// sorted by node id.
+// sorted by node id, collected through a per-worker mark set: a dense
+// Z_u is read off its marks in id order instead of being sorted.
 func BuildZSets(cons *triangulation.Construction, workers int) [][]int {
 	idx := cons.Idx
 	n := idx.N()
 	zp := ZSetParams(cons)
 	masks := zp.Masks(cons)
 	zAll := make([][]int, n)
-	nw := par.Workers(workers, n)
-	zBuf := make([][]int, nw)
+	sets := make([]intset.Set, par.Workers(workers, n))
 	par.ForWorker(workers, n, func(w, u int) {
-		buf := zBuf[w][:0]
+		st := &sets[w]
+		st.Reset(n)
 		for _, nb := range idx.Sorted(u) {
 			if zp.Qualifies(masks, nb.Node, nb.Dist) {
-				buf = append(buf, nb.Node)
+				st.Add(nb.Node)
 			}
 		}
-		zBuf[w] = buf
-		out := make([]int, len(buf))
-		copy(out, buf)
-		sort.Ints(out)
-		zAll[u] = out
+		zAll[u] = st.Sorted()
 	})
 	return zAll
 }
@@ -141,12 +138,16 @@ func BuildXAll(cons *triangulation.Construction, workers int) [][]int {
 
 // BuildTSet computes one node's virtual neighbor set
 // T_u = X_u ∪ Z_u ∪ (∪_{v∈X_u} Z_v), sorted by id, through the caller's
-// scratch set.
+// scratch set. Once the union holds all n ids no further Z_v can add one,
+// so the remaining unions are skipped.
 func BuildTSet(xAll, zAll [][]int, u int, st *intset.Set, n int) []int {
 	st.Reset(n)
 	st.AddAll(xAll[u])
 	st.AddAll(zAll[u])
 	for _, v := range xAll[u] {
+		if st.Len() == n {
+			break
+		}
 		st.AddAll(zAll[v])
 	}
 	return st.Sorted()

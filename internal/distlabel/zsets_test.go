@@ -1,0 +1,86 @@
+package distlabel
+
+import (
+	"slices"
+	"testing"
+
+	"rings/internal/intset"
+	"rings/internal/triangulation"
+	"rings/internal/workload"
+)
+
+// sortedUnion is the reference every set builder is checked against:
+// concatenate, sort, drop duplicates.
+func sortedUnion(parts ...[]int) []int {
+	var all []int
+	for _, p := range parts {
+		all = append(all, p...)
+	}
+	slices.Sort(all)
+	return slices.Compact(all)
+}
+
+// TestSetBuildersMatchSortedUnion pins BuildXAll, BuildZSets and BuildTSet
+// (mark-array read-outs and the saturated-union stop) against the
+// sort-the-union reference on all four families at n = 256, under the
+// served tuned profile. Z_u is rebuilt from its definition, the union over
+// scales t_k of B_u(t_k) ∩ G_jz(k). The other families saturate every
+// T-set; expline keeps some unsaturated, so it must show both kinds and
+// the full union runs beside the stop.
+func TestSetBuildersMatchSortedUnion(t *testing.T) {
+	specs := []workload.MetricSpec{
+		{Name: "grid", Side: 16},
+		{Name: "cube", N: 256, Seed: 3},
+		{Name: "expline", N: 256, LogAspect: 60},
+		{Name: "latency", N: 256, Seed: 1},
+	}
+	for _, spec := range specs {
+		inst, err := workload.Metric(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cons, err := triangulation.NewConstructionParams(inst.Idx, triangulation.TunedParams(0.5/6, 2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := inst.Idx.N()
+		zp := ZSetParams(cons)
+		xAll, zAll := BuildXAll(cons, 2), BuildZSets(cons, 2)
+		var st intset.Set
+		full := 0
+		for u := 0; u < n; u++ {
+			if want := sortedUnion(cons.X[u]...); !slices.Equal(xAll[u], want) {
+				t.Fatalf("%s: X_%d = %v, want %v", inst.Name, u, xAll[u], want)
+			}
+			var zParts [][]int
+			for k, tk := range zp.Tks {
+				mask := cons.Nets.Mask(zp.Levels[k])
+				var part []int
+				for _, nb := range inst.Idx.Ball(u, tk) {
+					if mask[nb.Node] {
+						part = append(part, nb.Node)
+					}
+				}
+				zParts = append(zParts, part)
+			}
+			if want := sortedUnion(zParts...); !slices.Equal(zAll[u], want) {
+				t.Fatalf("%s: Z_%d = %v, want %v", inst.Name, u, zAll[u], want)
+			}
+			tParts := [][]int{xAll[u], zAll[u]}
+			for _, v := range xAll[u] {
+				tParts = append(tParts, zAll[v])
+			}
+			want := sortedUnion(tParts...)
+			if got := BuildTSet(xAll, zAll, u, &st, n); !slices.Equal(got, want) {
+				t.Fatalf("%s: T_%d = %v, want %v", inst.Name, u, got, want)
+			}
+			if len(want) == n {
+				full++
+			}
+		}
+		t.Logf("%s: %d of %d T-sets saturated", inst.Name, full, n)
+		if spec.Name == "expline" && (full == 0 || full == n) {
+			t.Errorf("%s: %d of %d T-sets saturated, want some of each", inst.Name, full, n)
+		}
+	}
+}

@@ -127,8 +127,10 @@ func GeometricGraph(space metric.Space, radius float64) (*Graph, error) {
 
 // OverlayFromNeighbors builds the directed overlay graph of a
 // routing-on-metrics scheme (Section 4.1): one edge u -> v, weighted
-// d(u,v), per overlay neighbor v of u. Duplicate neighbor entries are
-// collapsed; self-loops are dropped.
+// d(u,v), per overlay neighbor v of u. Each list must be strictly
+// ascending (sorted, duplicate-free); a self entry is dropped. Every
+// node's out-edges therefore come out in ascending To order, which is
+// what lets SearchEdge find an overlay link by binary search.
 func OverlayFromNeighbors(space metric.Space, neighbors [][]int) (*Graph, error) {
 	n := space.N()
 	if len(neighbors) != n {
@@ -136,12 +138,14 @@ func OverlayFromNeighbors(space metric.Space, neighbors [][]int) (*Graph, error)
 	}
 	g := New(n)
 	for u, list := range neighbors {
-		seen := make(map[int]bool, len(list))
-		for _, v := range list {
-			if v == u || seen[v] {
+		g.out[u] = make([]Edge, 0, len(list))
+		for i, v := range list {
+			if i > 0 && v <= list[i-1] {
+				return nil, fmt.Errorf("graph: neighbor list of %d not strictly ascending at %d", u, i)
+			}
+			if v == u {
 				continue
 			}
-			seen[v] = true
 			if err := g.AddEdge(u, v, space.Dist(u, v)); err != nil {
 				return nil, err
 			}

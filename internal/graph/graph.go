@@ -10,6 +10,7 @@ import (
 	"container/heap"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Edge is a directed, weighted edge.
@@ -91,6 +92,17 @@ func (g *Graph) EdgeIndex(u, v int) int {
 		}
 	}
 	return -1
+}
+
+// SearchEdge is EdgeIndex by binary search, for a node whose out-edges
+// ascend strictly by To — every node of an OverlayFromNeighbors graph.
+func (g *Graph) SearchEdge(u, v int) int {
+	out := g.out[u]
+	i, ok := slices.BinarySearchFunc(out, v, func(e Edge, v int) int { return e.To - v })
+	if !ok {
+		return -1
+	}
+	return i
 }
 
 type heapItem struct {

@@ -285,16 +285,36 @@ func TestOverlayFromNeighborsAndSymmetrize(t *testing.T) {
 		t.Fatal(err)
 	}
 	over, err := OverlayFromNeighbors(line, [][]int{
-		{1, 2, 1, 0}, // duplicate 1 and self-loop 0 dropped
+		{0, 1, 2}, // self-loop 0 dropped
 		{0},
 		{3},
-		{2},
+		{1, 2},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if over.OutDegree(0) != 2 {
-		t.Errorf("OutDegree(0) = %d, want 2 (dedup + self-loop drop)", over.OutDegree(0))
+		t.Errorf("OutDegree(0) = %d, want 2 (self-loop drop)", over.OutDegree(0))
+	}
+	// Out-edges ascend by To, and SearchEdge agrees with EdgeIndex on
+	// every (u, v), present or not.
+	for u := 0; u < over.N(); u++ {
+		out := over.Out(u)
+		for i := 1; i < len(out); i++ {
+			if out[i-1].To >= out[i].To {
+				t.Fatalf("out-edges of %d not ascending by To: %v", u, out)
+			}
+		}
+		for v := 0; v < over.N(); v++ {
+			if got, want := over.SearchEdge(u, v), over.EdgeIndex(u, v); got != want {
+				t.Fatalf("SearchEdge(%d,%d) = %d, EdgeIndex %d", u, v, got, want)
+			}
+		}
+	}
+	for _, bad := range [][]int{{2, 1}, {1, 1}} {
+		if _, err := OverlayFromNeighbors(line, [][]int{bad, nil, nil, nil}); err == nil {
+			t.Errorf("accepted neighbor list %v (not strictly ascending)", bad)
+		}
 	}
 	if over.Out(0)[0].Weight != 1 || over.Out(1)[0].Weight != 1 {
 		t.Error("overlay weights wrong")

@@ -10,12 +10,21 @@
 // O(len) reset (only the members touched are cleared), zero allocation
 // after warm-up when reused through a per-worker scratch buffer.
 //
+// A dense set comes out in id order without a sort: its mark array
+// already holds the members in that order, so Sorted reads them off with
+// one linear scan of the universe.
+//
 // MergeSorted complements it for the common case where the inputs are
 // already sorted: the canonical X/Y ring slices never need marking at
 // all, just a linear merge.
 package intset
 
 import "sort"
+
+// denseFactor sets the dense read-out's threshold: a set whose size times
+// denseFactor reaches the universe size is read off its mark array in id
+// order (O(n) scan), a sparser one is sorted (O(k log k)).
+const denseFactor = 8
 
 // Set is a reusable dense set over the universe [0, n). The zero value
 // is ready to use; Reset fixes the universe size and clears the set.
@@ -27,7 +36,7 @@ type Set struct {
 
 // Reset clears the set and (re)sizes the universe to n. Marks of the
 // previous members are cleared individually, so a reused Set pays O(len)
-// per generation, not O(n).
+// per generation, not O(n). Adding an id outside [0, n) panics.
 func (s *Set) Reset(n int) {
 	if cap(s.mark) < n {
 		s.mark = make([]bool, n)
@@ -37,7 +46,7 @@ func (s *Set) Reset(n int) {
 	for _, v := range s.members {
 		s.mark[v] = false
 	}
-	s.mark = s.mark[:cap(s.mark)]
+	s.mark = s.mark[:n]
 	s.members = s.members[:0]
 }
 
@@ -78,11 +87,22 @@ func (s *Set) Sorted() []int {
 	return out
 }
 
-// SortedMembers sorts the member list in place and returns it — the
-// zero-allocation variant of Sorted for callers that only need the
-// slice until the next Reset.
+// SortedMembers puts the member list in ascending order in place and
+// returns it — the zero-allocation variant of Sorted for callers that
+// only need the slice until the next Reset. A dense set is rewritten
+// from its mark array; a sparse one is sorted.
 func (s *Set) SortedMembers() []int {
-	sort.Ints(s.members)
+	if denseFactor*len(s.members) < len(s.mark) {
+		sort.Ints(s.members)
+		return s.members
+	}
+	k := 0
+	for v, in := range s.mark {
+		if in {
+			s.members[k] = v
+			k++
+		}
+	}
 	return s.members
 }
 

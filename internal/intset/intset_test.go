@@ -3,6 +3,7 @@ package intset
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -66,6 +67,41 @@ func TestSetResetGrows(t *testing.T) {
 	s.Add(99)
 	if got := s.Sorted(); !reflect.DeepEqual(got, []int{99}) {
 		t.Fatalf("after grow: %v", got)
+	}
+}
+
+// TestSortedAcrossDenseSwitch checks Sorted and SortedMembers against
+// sort.Ints of the members at set sizes straddling the dense read-out's
+// threshold (0, 1, threshold−1, threshold, threshold+1, n), for random
+// insertion orders, on a Set reused from generation to generation — so
+// each read-out also follows a dense Reset, including one to a smaller
+// universe.
+func TestSortedAcrossDenseSwitch(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var s Set
+	for _, n := range []int{64, 1000, 1024, 40} {
+		th := (n + denseFactor - 1) / denseFactor // smallest dense size
+		for _, k := range []int{0, 1, th - 1, th, th + 1, n} {
+			for rep := 0; rep < 3; rep++ {
+				s.Reset(n)
+				perm := rng.Perm(n)[:k]
+				for _, v := range perm {
+					s.Add(v)
+				}
+				s.AddAll(perm[:min(1, k)]) // a duplicate add changes nothing
+				want := append([]int(nil), perm...)
+				sort.Ints(want)
+				if got := s.Sorted(); !slices.Equal(got, want) {
+					t.Fatalf("n=%d k=%d: Sorted = %v, want %v", n, k, got, want)
+				}
+				if got := s.SortedMembers(); !slices.Equal(got, want) {
+					t.Fatalf("n=%d k=%d: SortedMembers = %v, want %v", n, k, got, want)
+				}
+				if got := s.Members(); !slices.Equal(got, want) {
+					t.Fatalf("n=%d k=%d: Members after the read-out = %v, want sorted", n, k, got)
+				}
+			}
+		}
 	}
 }
 

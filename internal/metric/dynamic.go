@@ -1,9 +1,10 @@
 package metric
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Subspace is an immutable restriction of a base space to a chosen node
@@ -57,7 +58,7 @@ func (s *Subspace) BaseOrder() []int {
 	for i := range order {
 		order[i] = i
 	}
-	sort.Slice(order, func(a, b int) bool { return s.nodes[order[a]] < s.nodes[order[b]] })
+	slices.SortFunc(order, func(a, b int) int { return cmp.Compare(s.nodes[a], s.nodes[b]) })
 	return order
 }
 
@@ -123,15 +124,15 @@ func (d *DynamicIndex) buildRow(u int) []Neighbor {
 	for v := 0; v < n; v++ {
 		row[v] = Neighbor{Node: v, Dist: d.dist(u, v)}
 	}
-	sort.Slice(row, func(i, j int) bool { return neighborLess(row[i], row[j]) })
+	slices.SortFunc(row, neighborCmp)
 	return row
 }
 
 // searchRow returns the insertion position of (dist, node) in row under
 // the total neighbor order.
 func searchRow(row []Neighbor, dist float64, node int) int {
-	key := Neighbor{Node: node, Dist: dist}
-	return sort.Search(len(row), func(i int) bool { return !neighborLess(row[i], key) })
+	p, _ := slices.BinarySearchFunc(row, Neighbor{Node: node, Dist: dist}, neighborCmp)
+	return p
 }
 
 // insertEntry inserts nb at its sorted position (in place; the row must

@@ -3,6 +3,7 @@ package metric
 import (
 	"iter"
 	"math"
+	"slices"
 	"sort"
 
 	"rings/internal/par"
@@ -132,19 +133,19 @@ func (ix *LazyIndex) kNearest(u, k int) []Neighbor {
 			siftUp(h, len(h)-1)
 			continue
 		}
-		if neighborLess(cand, h[0]) {
+		if neighborCmp(cand, h[0]) < 0 {
 			h[0] = cand
 			siftDown(h, 0)
 		}
 	}
-	sort.Slice(h, func(i, j int) bool { return neighborLess(h[i], h[j]) })
+	slices.SortFunc(h, neighborCmp)
 	return h
 }
 
 func siftUp(h []Neighbor, i int) {
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !neighborLess(h[parent], h[i]) {
+		if neighborCmp(h[parent], h[i]) >= 0 {
 			return
 		}
 		h[parent], h[i] = h[i], h[parent]
@@ -156,10 +157,10 @@ func siftDown(h []Neighbor, i int) {
 	for {
 		l, r := 2*i+1, 2*i+2
 		largest := i
-		if l < len(h) && neighborLess(h[largest], h[l]) {
+		if l < len(h) && neighborCmp(h[largest], h[l]) < 0 {
 			largest = l
 		}
-		if r < len(h) && neighborLess(h[largest], h[r]) {
+		if r < len(h) && neighborCmp(h[largest], h[r]) < 0 {
 			largest = r
 		}
 		if largest == i {

@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"iter"
 	"math"
+	"slices"
 	"sort"
 
 	"rings/internal/par"
@@ -51,15 +52,19 @@ type Neighbor struct {
 	Dist float64
 }
 
-// neighborLess is the total order every backend sorts by: ascending
+// neighborCmp is the total order every backend sorts by: ascending
 // distance, ties broken toward the smaller node id. Because the order is
 // total, the k-nearest prefix of a node is unique, which is what lets the
-// lazy backend return byte-identical answers to the eager one.
-func neighborLess(a, b Neighbor) bool {
-	if a.Dist != b.Dist {
-		return a.Dist < b.Dist
+// lazy backend return byte-identical answers to the eager one — and what
+// makes any correct sort of a row produce the same bytes.
+func neighborCmp(a, b Neighbor) int {
+	switch {
+	case a.Dist < b.Dist:
+		return -1
+	case a.Dist > b.Dist:
+		return 1
 	}
-	return a.Node < b.Node
+	return a.Node - b.Node
 }
 
 // BallIndex is the ball-query surface every construction in the paper is
@@ -239,7 +244,7 @@ func buildRow(space Space, u, n int) []Neighbor {
 	for v := 0; v < n; v++ {
 		row[v] = Neighbor{Node: v, Dist: space.Dist(u, v)}
 	}
-	sort.Slice(row, func(i, j int) bool { return neighborLess(row[i], row[j]) })
+	slices.SortFunc(row, neighborCmp)
 	return row
 }
 

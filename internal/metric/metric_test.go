@@ -3,6 +3,8 @@ package metric
 import (
 	"math"
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -106,6 +108,32 @@ func TestIndexSortedAgainstBruteForce(t *testing.T) {
 			}
 			if got := space.Dist(u, row[i].Node); got != row[i].Dist {
 				t.Fatalf("Sorted(%d)[%d] stored %v, space says %v", u, i, row[i].Dist, got)
+			}
+		}
+	}
+}
+
+// TestRowsMatchStableSortReference pins the eager rows against the
+// reference order built without neighborCmp: nodes in id order, stably
+// sorted by distance alone, so equal distances keep ascending ids. The
+// grid ties constantly.
+func TestRowsMatchStableSortReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	grid, err := NewGrid(9, 2, L1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, space := range []Space{grid, UniformCube(70, 2, 10, rng)} {
+		idx := NewIndex(space)
+		n := space.N()
+		for u := 0; u < n; u++ {
+			want := make([]Neighbor, n)
+			for v := range want {
+				want[v] = Neighbor{Node: v, Dist: space.Dist(u, v)}
+			}
+			sort.SliceStable(want, func(i, j int) bool { return want[i].Dist < want[j].Dist })
+			if got := idx.Sorted(u); !reflect.DeepEqual(got, want) {
+				t.Fatalf("row %d = %v, want %v", u, got, want)
 			}
 		}
 	}

@@ -157,6 +157,52 @@ func BenchmarkEstimateBatchFlat(b *testing.B) {
 	}
 }
 
+// BenchmarkBuildSnapshot measures the cold build of ringperf's
+// point-uniform server (latency, n = 1024, tuned, δ = 0.5, labels,
+// overlay and router; n = 256 under -short) and reports each phase's
+// ms/build from the snapshot's BuildStats. Labels, overlay and router
+// build concurrently, so the phases sum to more than total.
+func BenchmarkBuildSnapshot(b *testing.B) {
+	n := 1024
+	if testing.Short() {
+		n = 256
+	}
+	cfg := Config{
+		Workload: "latency", N: n, Seed: 1, Delta: 0.5,
+		Scheme: SchemeLabels, Profile: ProfileTuned,
+	}
+	phases := []struct {
+		name string
+		sec  func(BuildStats) float64
+	}{
+		{"index", func(s BuildStats) float64 { return s.IndexSec }},
+		{"construction", func(s BuildStats) float64 {
+			return s.NetsSec + s.RadiiSec + s.PackingsSec + s.RingsSec
+		}},
+		{"zsets", func(s BuildStats) float64 { return s.ZSetsSec }},
+		{"tsets", func(s BuildStats) float64 { return s.TSetsSec }},
+		{"hostenums", func(s BuildStats) float64 { return s.HostEnumsSec }},
+		{"fill", func(s BuildStats) float64 { return s.LabelFillSec }},
+		{"overlay", func(s BuildStats) float64 { return s.OverlaySec }},
+		{"router", func(s BuildStats) float64 { return s.RouterSec }},
+		{"pack", func(s BuildStats) float64 { return s.PackSec }},
+		{"total", func(s BuildStats) float64 { return s.TotalSec }},
+	}
+	sums := make([]float64, len(phases))
+	for i := 0; i < b.N; i++ {
+		snap, err := BuildSnapshot(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for p, ph := range phases {
+			sums[p] += ph.sec(snap.Build)
+		}
+	}
+	for p, ph := range phases {
+		b.ReportMetric(sums[p]*1e3/float64(b.N), ph.name+"-ms/build")
+	}
+}
+
 func reportQPS(b *testing.B) {
 	if sec := b.Elapsed().Seconds(); sec > 0 {
 		b.ReportMetric(float64(b.N)/sec, "queries/s")

@@ -18,9 +18,10 @@
 package packing
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 
 	"rings/internal/intset"
@@ -170,12 +171,11 @@ func NewWithOptions(idx metric.BallIndex, smp *measure.Sampler, eps float64, opt
 		}
 		return u
 	}
-	sort.Slice(order, func(i, j int) bool {
-		a, b := order[i], order[j]
-		if candidates[a].Radius != candidates[b].Radius {
-			return candidates[a].Radius < candidates[b].Radius
+	slices.SortFunc(order, func(a, b int) int {
+		if c := cmp.Compare(candidates[a].Radius, candidates[b].Radius); c != 0 {
+			return c
 		}
-		return key(a) < key(b)
+		return key(a) - key(b)
 	})
 	// Disjointness test. The default checks node-set overlap (the
 	// paper's "disjoint family" literally). Churn-stable mode uses the

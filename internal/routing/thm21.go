@@ -96,7 +96,7 @@ func NewThm21Metric(idx metric.BallIndex, delta float64) (*Thm21, error) {
 		return nil, err
 	}
 	oracle := func(u, v int) (int, error) {
-		e := overlay.EdgeIndex(u, v)
+		e := overlay.SearchEdge(u, v)
 		if e < 0 {
 			return 0, fmt.Errorf("thm21: overlay misses link %d->%d", u, v)
 		}
@@ -247,19 +247,22 @@ func finishThm21(name string, g *graph.Graph, idx metric.BallIndex, delta float6
 }
 
 // fillNode builds node u's first-hop pointers, self slots and ζ tables
-// from the rings and zoom rings (read-only by now).
+// from the rings and zoom rings (read-only by now). Every ring and zoom
+// ring enumerates its nodes in ascending id order, so a ζ row is one
+// merge walk of f's zoom ring against u's next ring.
 func (s *Thm21) fillNode(u int, oracle LinkOracle) error {
 	rings, levels := s.rings, s.hier.NumLevels()
 	s.zeta[u] = make([]*core.Table, levels-1)
 	s.firstHop[u] = make([][]int32, levels)
 	s.selfIdx[u] = make([]int32, levels)
 	for j := 0; j < levels; j++ {
-		ring := rings.Ring(u, j)
-		hops := make([]int32, ring.Size())
-		for a := 0; a < ring.Size(); a++ {
-			v := ring.Node(a)
+		nodes := rings.Ring(u, j).Nodes()
+		hops := make([]int32, len(nodes))
+		s.selfIdx[u][j] = -1
+		for a, v := range nodes {
 			if v == u {
 				hops[a] = -1
+				s.selfIdx[u][j] = int32(a)
 				continue
 			}
 			e, err := oracle(u, v)
@@ -269,25 +272,25 @@ func (s *Thm21) fillNode(u int, oracle LinkOracle) error {
 			hops[a] = int32(e)
 		}
 		s.firstHop[u][j] = hops
-		if self, ok := ring.IndexOf(u); ok {
-			s.selfIdx[u][j] = int32(self)
-		} else {
-			s.selfIdx[u][j] = -1
-		}
 	}
 	for j := 0; j+1 < levels; j++ {
-		ring := rings.Ring(u, j)
-		next := rings.Ring(u, j+1)
-		widths := make([]int, ring.Size())
-		for a := 0; a < ring.Size(); a++ {
-			widths[a] = s.zoomRings[j+1][ring.Node(a)].Size()
+		ring := rings.Ring(u, j).Nodes()
+		next := rings.Ring(u, j+1).Nodes()
+		widths := make([]int, len(ring))
+		for a, f := range ring {
+			widths[a] = s.zoomRings[j+1][f].Size()
 		}
-		table := core.NewTable(widths, next.Size())
-		for a := 0; a < ring.Size(); a++ {
-			f := ring.Node(a)
-			zr := s.zoomRings[j+1][f]
-			for b := 0; b < zr.Size(); b++ {
-				if m, ok := next.IndexOf(zr.Node(b)); ok {
+		table := core.NewTable(widths, len(next))
+		for a, f := range ring {
+			m := 0
+			for b, w := range s.zoomRings[j+1][f].Nodes() {
+				for m < len(next) && next[m] < w {
+					m++
+				}
+				if m == len(next) {
+					break
+				}
+				if next[m] == w {
 					if err := table.Set(a, b, m); err != nil {
 						return err
 					}

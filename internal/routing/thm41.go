@@ -72,7 +72,7 @@ func NewThm41Metric(idx metric.BallIndex, delta float64) (*Thm41, error) {
 		return nil, err
 	}
 	oracle := func(u, v int) (int, error) {
-		e := overlay.EdgeIndex(u, v)
+		e := overlay.SearchEdge(u, v)
 		if e < 0 {
 			return 0, fmt.Errorf("thm41: overlay misses link %d->%d", u, v)
 		}

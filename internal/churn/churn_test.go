@@ -228,9 +228,9 @@ func TestMutatorMaintainedSubstrate(t *testing.T) {
 				}
 			}
 		}
-		vs := virtualSets{identity: st.identity, expl: st.tExpl}
+		vs := distlabel.NewVirtualSets(st.identity, st.tExpl)
 		for u := 0; u < st.n; u++ {
-			nodes := vs.Nodes(u)
+			nodes := vs.Enum(u).Nodes()
 			// The maintained representation must enumerate exactly T_u.
 			var set []int
 			{

@@ -29,7 +29,7 @@ type state struct {
 	zAll        [][]int  // Z_u sorted by id
 	zOwned      []bool   // false: row shared with the previous state
 	xAll        [][]int  // ∪_i X_ui sorted by id
-	tExpl       [][]int  // explicit T_u; nil = identity [0..n)
+	tExpl       [][]int  // T_u sorted by id; nil when Z_u saturates (identity)
 	identity    []int    // shared [0..n) slice backing identity T-sets
 	maxT        int
 	level0Count int

@@ -80,45 +80,6 @@ func containsSorted(s []int, v int) bool {
 	return i < len(s) && s[i] == v
 }
 
-func identitySlice(n int) []int {
-	s := make([]int, n)
-	for i := range s {
-		s[i] = i
-	}
-	return s
-}
-
-// virtualSets backs distlabel.VirtualSet with the churn engine's T-set
-// representation: nil rows share one identity slice (ψ_u(w) = w), the
-// rest are explicit sorted lists.
-type virtualSets struct {
-	identity []int
-	expl     [][]int
-}
-
-func (v virtualSets) Nodes(x int) []int {
-	if v.expl[x] == nil {
-		return v.identity
-	}
-	return v.expl[x]
-}
-
-func (v virtualSets) Identity(x int) bool { return v.expl[x] == nil }
-
-func (v virtualSets) IndexOf(x, w int) (int, bool) {
-	if v.expl[x] == nil {
-		if w >= 0 && w < len(v.identity) {
-			return w, true
-		}
-		return 0, false
-	}
-	i := sort.SearchInts(v.expl[x], w)
-	if i < len(v.expl[x]) && v.expl[x][i] == w {
-		return i, true
-	}
-	return 0, false
-}
-
 // zEdit inserts or removes v in Z_u with copy-on-write: rows shared
 // with the previous state are cloned before the first edit, so the
 // previous commit's artifacts stay frozen.
@@ -149,7 +110,7 @@ func (m *Mutator) repairLabels(prev *state, st *state, new2old, old2new []int32,
 	nw := par.Workers(workers, n)
 	st.zp = distlabel.ZSetParams(cons)
 	st.zmasks = st.zp.Masks(cons)
-	st.identity = identitySlice(n)
+	st.identity = distlabel.IdentitySet(n)
 	st.level0Count = distlabel.Level0Count(cons)
 
 	full := prev == nil || prev.labels == nil ||
@@ -271,7 +232,7 @@ func (m *Mutator) repairLabels(prev *state, st *state, new2old, old2new []int32,
 			}
 		}
 		if rebuild {
-			st.tExpl[u] = distlabel.BuildTSet(st.xAll, st.zAll, u, &sets[w], n)
+			st.tExpl[u] = distlabel.BuildTSet(st.xAll, st.zAll, u, &sets[w], st.identity)
 			rebuilt[u] = true
 		} else {
 			st.tExpl[u] = prev.tExpl[o]
@@ -378,7 +339,7 @@ func (m *Mutator) repairLabels(prev *state, st *state, new2old, old2new []int32,
 			ost.DirtyRings++
 		}
 	}
-	vs := virtualSets{identity: st.identity, expl: st.tExpl}
+	vs := distlabel.NewVirtualSets(st.identity, st.tExpl)
 	scr := make([]*distlabel.LabelScratch, nw)
 	lvl0 := make([][]int, nw)
 	fsets := make([]intset.Set, nw)

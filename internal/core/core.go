@@ -36,27 +36,22 @@ import (
 // Enum is a host enumeration: a fixed bijection between a set of node ids
 // and the integers 0..Size()-1. The canonical order is ascending node id,
 // which makes enumerations of equal sets identical across hosts — the
-// property the paper uses for the shared level-0 enumeration.
+// property the paper uses for the shared level-0 enumeration. An
+// enumeration is its node list and nothing else: the list is one
+// ascending run, or (NewEnumOrdered) one per non-empty group, and
+// IndexOf binary-searches each run.
 type Enum struct {
 	nodes []int
-	index map[int]int32
+	// ends[k] is where run k ends, for every run but the last; nil for
+	// one run.
+	ends []int
 }
 
 // NewEnum builds an enumeration of the given nodes (deduplicated, sorted).
 func NewEnum(nodes []int) Enum {
-	uniq := append([]int(nil), nodes...)
-	sort.Ints(uniq)
-	out := uniq[:0]
-	for i, v := range uniq {
-		if i == 0 || v != uniq[i-1] {
-			out = append(out, v)
-		}
-	}
-	e := Enum{nodes: out, index: make(map[int]int32, len(out))}
-	for i, v := range out {
-		e.index[v] = int32(i)
-	}
-	return e
+	uniq := slices.Clone(nodes)
+	slices.Sort(uniq)
+	return Enum{nodes: slices.Compact(uniq)}
 }
 
 // NewEnumOrdered builds an enumeration from ordered groups: each group is
@@ -76,18 +71,26 @@ func NewEnumOrdered(groups ...[]int) Enum {
 
 // NewEnumOrderedSorted is NewEnumOrdered for groups that are already
 // sorted ascending (duplicates allowed) — the allocation-lean entry the
-// parallel label build uses with its merge-sorted scratch groups.
+// parallel label build uses with its merge-sorted scratch groups. A node
+// of a later group is a duplicate when the earlier runs hold it.
 func NewEnumOrderedSorted(groups ...[]int) Enum {
-	e := Enum{index: make(map[int]int32)}
+	total := 0
+	for _, g := range groups {
+		total += len(g)
+	}
+	e := Enum{nodes: make([]int, 0, total)}
 	for _, sorted := range groups {
+		start := len(e.nodes)
 		for i, v := range sorted {
 			if i > 0 && v == sorted[i-1] {
 				continue
 			}
-			if _, dup := e.index[v]; dup {
+			if _, dup := e.IndexOf(v); dup {
 				continue
 			}
-			e.index[v] = int32(len(e.nodes))
+			if start > 0 && len(e.nodes) == start {
+				e.ends = append(e.ends, start)
+			}
 			e.nodes = append(e.nodes, v)
 		}
 	}
@@ -97,13 +100,7 @@ func NewEnumOrderedSorted(groups ...[]int) Enum {
 // NewEnumFromSorted builds an enumeration from a slice that is already
 // sorted ascending and duplicate-free, taking ownership of it (no copy,
 // no sort). The caller must not modify nodes afterwards.
-func NewEnumFromSorted(nodes []int) Enum {
-	e := Enum{nodes: nodes, index: make(map[int]int32, len(nodes))}
-	for i, v := range nodes {
-		e.index[v] = int32(i)
-	}
-	return e
-}
+func NewEnumFromSorted(nodes []int) Enum { return Enum{nodes: nodes} }
 
 // Size reports the number of enumerated nodes.
 func (e Enum) Size() int { return len(e.nodes) }
@@ -114,15 +111,26 @@ func (e Enum) Node(i int) int { return e.nodes[i] }
 // Nodes returns the enumerated nodes in order (shared; do not modify).
 func (e Enum) Nodes() []int { return e.nodes }
 
-// IndexOf reports the enumeration index of a node.
+// IndexOf reports the enumeration index of a node: (0, false) when it is
+// not enumerated.
 func (e Enum) IndexOf(node int) (int, bool) {
-	i, ok := e.index[node]
-	return int(i), ok
+	start := 0
+	for k := 0; k <= len(e.ends); k++ {
+		end := len(e.nodes)
+		if k < len(e.ends) {
+			end = e.ends[k]
+		}
+		if i, ok := slices.BinarySearch(e.nodes[start:end], node); ok {
+			return start + i, true
+		}
+		start = end
+	}
+	return 0, false
 }
 
 // Contains reports whether the node is enumerated.
 func (e Enum) Contains(node int) bool {
-	_, ok := e.index[node]
+	_, ok := e.IndexOf(node)
 	return ok
 }
 

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -59,6 +61,58 @@ func TestEnumOrdered(t *testing.T) {
 		ib, _ := b.IndexOf(v)
 		if ia != ib {
 			t.Errorf("shared prefix index differs for %d: %d vs %d", v, ia, ib)
+		}
+	}
+}
+
+// TestEnumIndexMatchesMapReference: IndexOf and Contains answer what a
+// map built from Nodes() answers, for every constructor, over empty,
+// duplicate-laden and overlapping groups, for every id in and around the
+// enumerated range — absent and negative ids give (0, false).
+func TestEnumIndexMatchesMapReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	randGroup := func() []int {
+		g := make([]int, rng.Intn(12))
+		for i := range g {
+			g[i] = rng.Intn(30)
+		}
+		return g
+	}
+	enums := map[string]Enum{
+		"empty":                       NewEnum(nil),
+		"from-sorted-empty":           NewEnumFromSorted(nil),
+		"from-sorted":                 NewEnumFromSorted([]int{0, 3, 4, 9, 28}),
+		"ordered-no-groups":           NewEnumOrdered(),
+		"ordered-empty-groups":        NewEnumOrdered(nil, []int{}, nil),
+		"ordered-empty-middle-group":  NewEnumOrdered([]int{8, 3}, nil, []int{1, 9, 3}),
+		"ordered-later-group-all-dup": NewEnumOrdered([]int{5, 1, 5}, []int{1, 5, 5}, []int{0}),
+		"ordered-disjoint-descending": NewEnumOrdered([]int{20, 21}, []int{10, 11}, []int{0, 1}),
+	}
+	for k := 0; k < 200; k++ {
+		enums[fmt.Sprintf("random-%d", k)] = NewEnum(randGroup())
+		groups := make([][]int, rng.Intn(4))
+		for i := range groups {
+			groups[i] = randGroup()
+		}
+		enums[fmt.Sprintf("random-ordered-%d", k)] = NewEnumOrdered(groups...)
+	}
+	for name, e := range enums {
+		ref := make(map[int]int)
+		for i, v := range e.Nodes() {
+			if _, dup := ref[v]; dup {
+				t.Fatalf("%s: %d enumerated twice in %v", name, v, e.Nodes())
+			}
+			ref[v] = i
+		}
+		for v := -3; v < 34; v++ {
+			want, wantOK := ref[v]
+			got, ok := e.IndexOf(v)
+			if got != want || ok != wantOK {
+				t.Fatalf("%s %v: IndexOf(%d) = %d,%v, want %d,%v", name, e.Nodes(), v, got, ok, want, wantOK)
+			}
+			if e.Contains(v) != wantOK {
+				t.Fatalf("%s %v: Contains(%d) = %v", name, e.Nodes(), v, !wantOK)
+			}
 		}
 	}
 }

@@ -52,13 +52,14 @@ func (s *Scheme) LabelBits(u int) (int, error) {
 	countW := 32
 	for _, lm := range lab.Trans {
 		triples := 0
-		for _, entries := range lm {
+		for _, entries := range lm.Lists {
 			triples += len(entries)
 		}
 		if err := w.WriteBits(uint64(triples), countW); err != nil {
 			return 0, err
 		}
-		for x, entries := range lm {
+		for k, entries := range lm.Lists {
+			x := lm.Keys[k]
 			for _, e := range entries {
 				if err := w.WriteBits(uint64(x), hostW); err != nil {
 					return 0, err
@@ -85,7 +86,7 @@ func (s *Scheme) TransBits(u int) int {
 	bits := 0
 	for _, lm := range lab.Trans {
 		bits += 32 // triple count
-		for _, entries := range lm {
+		for _, entries := range lm.Lists {
 			bits += len(entries) * (2*hostW + psiW)
 		}
 	}

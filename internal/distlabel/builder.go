@@ -1,7 +1,9 @@
 package distlabel
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"rings/internal/core"
@@ -9,35 +11,52 @@ import (
 	"rings/internal/triangulation"
 )
 
-// VirtualSet provides the virtual enumerations ψ_v to the label filler:
-// Nodes(v) is T_v ascending by id, IndexOf(v, w) is ψ_v(w). The scheme
-// build backs it with materialized core.Enums; the churn engine backs it
-// with its maintained T-set representation (a shared identity slice for
-// the nodes whose Z-set saturates the space, explicit sorted lists for
-// the rest), so both produce bit-identical labels from one fill
-// implementation.
-type VirtualSet interface {
-	// Nodes returns T_v ascending by id (shared; do not modify).
-	Nodes(v int) []int
-	// IndexOf reports ψ_v(w).
-	IndexOf(v, w int) (int, bool)
-	// Identity reports whether ψ_v is the identity enumeration of the
-	// whole node set (T_v = {0..n-1}, ψ_v(w) = w). Every identity key of
-	// one level translates through the same list, which the filler emits
-	// once and the keys share; the entries themselves are what the
-	// per-entry searches would produce.
-	Identity(v int) bool
+// VirtualSets holds the virtual enumerations ψ_v of every node of an
+// n-node space: T_v ascending by id, ψ_v(w) the position of w in it. The
+// scheme build and the churn engine's repair hand the label filler the
+// same representation, so both produce bit-identical labels from one
+// fill implementation. A row is an explicit sorted list, the one shared
+// identity slice (what BuildTSet returns for a T-set holding all n ids),
+// or nil, which stands for that identity too (the churn engine's rows
+// for nodes whose Z-set saturates the space).
+type VirtualSets struct {
+	identity []int
+	rows     [][]int
 }
 
-// enumVirtualSet backs VirtualSet with materialized enumerations.
-type enumVirtualSet []core.Enum
+// IdentitySet returns the ids 0..n-1: the row every saturated T-set of an
+// n-node space shares.
+func IdentitySet(n int) []int {
+	s := make([]int, n)
+	for i := range s {
+		s[i] = i
+	}
+	return s
+}
 
-func (e enumVirtualSet) Nodes(v int) []int            { return e[v].Nodes() }
-func (e enumVirtualSet) IndexOf(v, w int) (int, bool) { return e[v].IndexOf(w) }
+// NewVirtualSets wraps one T-set row per node; identity is
+// IdentitySet(n). It keeps both slices (no copy).
+func NewVirtualSets(identity []int, rows [][]int) VirtualSets {
+	return VirtualSets{identity: identity, rows: rows}
+}
 
-// Identity: T_v is a set of ids below n enumerated ascending, so holding
-// all n of them makes ψ_v the identity.
-func (e enumVirtualSet) Identity(v int) bool { return e[v].Size() == len(e) }
+// Enum returns ψ_v (no copy, no index).
+func (vs VirtualSets) Enum(v int) core.Enum {
+	if vs.rows[v] == nil {
+		return core.NewEnumFromSorted(vs.identity)
+	}
+	return core.NewEnumFromSorted(vs.rows[v])
+}
+
+// Identity reports whether ψ_v is the identity enumeration of the whole
+// node set (T_v = {0..n-1}, ψ_v(w) = w): a set of ids below n held
+// ascending is that once it holds n of them. Every identity key of one
+// level translates through the same list, which the filler emits once
+// and the keys share; the entries themselves are what the per-entry
+// searches would produce.
+func (vs VirtualSets) Identity(v int) bool {
+	return vs.rows[v] == nil || len(vs.rows[v]) == len(vs.identity)
+}
 
 // Level0Count reports the size of the shared level-0 host prefix
 // |X_00 ∪ Y_00| (identical across nodes by the level-0 uniformization).
@@ -62,17 +81,21 @@ func BuildHostEnum(cons *triangulation.Construction, u int, set *intset.Set, lvl
 // not be shared across concurrent fills.
 type LabelScratch struct {
 	level, next []int
-	// nextZ[w] is w's host index when w is a next-level neighbor of the
-	// node being labeled, else -1. The mark array turns the ζ-map inner
-	// loop into a linear scan of ψ_v with zero hash lookups.
-	nextZ []int32
-	// entries accumulates one level's ζ entries (reused across levels
-	// and nodes: appends stop allocating once it reaches the high-water
-	// mark); meta records the per-x spans, which coincide for the keys
-	// that share a list. The persistent label gets one exact-size copy
-	// per level, so append-growth never memmoves label data twice.
-	entries []TransEntry
-	meta    []transMeta
+	// hostZ[w] is w's host index when w is in the host enumeration of the
+	// node being labeled, else -1; nextZ[w] is the same index when w is
+	// also a next-level neighbor. The mark arrays give every ring member
+	// its host index without a search, and turn the ζ-map inner loop into
+	// a linear scan of ψ_v. FillLabel leaves both all -1 on return.
+	hostZ, nextZ []int32
+	// entries accumulates one label's ζ entries (reused across nodes:
+	// appends stop allocating once it reaches the high-water mark); meta
+	// records the per-x spans, which coincide for the keys that share a
+	// list, and levelEnd[i] is where level i's records end in meta. The
+	// persistent label gets one exact-size copy of each, so append-growth
+	// never memmoves label data twice.
+	entries  []TransEntry
+	meta     []transMeta
+	levelEnd []int
 }
 
 type transMeta struct {
@@ -83,9 +106,9 @@ type transMeta struct {
 // NewLabelScratch allocates scratch for labeling nodes of an
 // n-node space.
 func NewLabelScratch(n int) *LabelScratch {
-	s := &LabelScratch{nextZ: make([]int32, n)}
+	s := &LabelScratch{hostZ: make([]int32, n), nextZ: make([]int32, n)}
 	for v := range s.nextZ {
-		s.nextZ[v] = -1
+		s.hostZ[v], s.nextZ[v] = -1, -1
 	}
 	return s
 }
@@ -96,27 +119,38 @@ func NewLabelScratch(n int) *LabelScratch {
 // engine's localized repair both call it, which is what makes "repair
 // only the dirty nodes" sound: a clean node's inputs being unchanged
 // implies the identical label bits.
-func FillLabel(cons *triangulation.Construction, u int, host core.Enum, level0Count int, vs VirtualSet, sc *LabelScratch) (*Label, error) {
+func FillLabel(cons *triangulation.Construction, u int, host core.Enum, level0Count int, vs VirtualSets, sc *LabelScratch) (*Label, error) {
+	for h, w := range host.Nodes() {
+		sc.hostZ[w] = int32(h)
+	}
+	lab, err := fillLabel(cons, u, host, level0Count, vs, sc)
+	for _, w := range host.Nodes() {
+		sc.hostZ[w], sc.nextZ[w] = -1, -1
+	}
+	return lab, err
+}
+
+func fillLabel(cons *triangulation.Construction, u int, host core.Enum, level0Count int, vs VirtualSets, sc *LabelScratch) (*Label, error) {
 	idx := cons.Idx
 	lab := &Label{
 		Level0Count: level0Count,
 		Dists:       make([]float64, host.Size()),
 		ZoomPsi:     make([]int32, cons.IMax),
 		Trans:       make([]LevelMap, cons.IMax),
-		hostNodes:   append([]int(nil), host.Nodes()...),
+		hostNodes:   host.Nodes(),
 	}
 	for h := 0; h < host.Size(); h++ {
 		lab.Dists[h] = idx.Dist(u, host.Node(h))
 	}
-	z0, ok := host.IndexOf(cons.Zoom[u][0])
-	if !ok || z0 >= level0Count {
+	z0 := int(sc.hostZ[cons.Zoom[u][0]])
+	if z0 < 0 || z0 >= level0Count {
 		return nil, fmt.Errorf("distlabel: f_%d,0 not in the shared level-0 prefix", u)
 	}
 	lab.Zoom0 = z0
 	for i := 0; i < cons.IMax; i++ {
 		f := cons.Zoom[u][i]
 		next := cons.Zoom[u][i+1]
-		psi, ok := vs.IndexOf(f, next)
+		psi, ok := vs.Enum(f).IndexOf(next)
 		if !ok {
 			return nil, fmt.Errorf("distlabel: claim 3.5(c) violated: f_(%d,%d)=%d not a virtual neighbor of f_(%d,%d)=%d",
 				u, i+1, next, u, i, f)
@@ -126,27 +160,27 @@ func FillLabel(cons *triangulation.Construction, u int, host core.Enum, level0Co
 	// Translation maps ζ_ui. The next-level neighbors are marked in a
 	// node-indexed scratch array carrying their host index; each v's
 	// entries then come from one linear scan of ψ_v's node list — the
-	// index in that list IS psi — with zero hash lookups in the hot pair
-	// loop, and entries emerge already sorted by Y. One backing array per
-	// level replaces per-x entry slices; the keys v whose ψ_v is the
+	// index in that list IS psi — with no search in the hot pair loop,
+	// and entries emerge already sorted by Y. One backing array per label
+	// replaces per-x entry slices; the keys v of a level whose ψ_v is the
 	// identity all translate through the same list (Y = the next-level
 	// neighbor's id), stored once and aliased by each of them.
+	sc.entries, sc.meta, sc.levelEnd = sc.entries[:0], sc.meta[:0], sc.levelEnd[:0]
 	for i := 0; i < cons.IMax; i++ {
 		sc.level = intset.MergeSorted(sc.level[:0], cons.X[u][i], cons.Y[u][i])
 		sc.next = intset.MergeSorted(sc.next[:0], cons.X[u][i+1], cons.Y[u][i+1])
 		for _, wNode := range sc.next {
-			z, ok := host.IndexOf(wNode)
-			if !ok {
+			z := sc.hostZ[wNode]
+			if z < 0 {
 				return nil, fmt.Errorf("distlabel: level-%d neighbor %d missing from host enum of %d", i+1, wNode, u)
 			}
-			sc.nextZ[wNode] = int32(z)
+			sc.nextZ[wNode] = z
 		}
-		sc.entries = sc.entries[:0]
-		sc.meta = sc.meta[:0]
+		lo := len(sc.meta)
 		idStart, idEnd := -1, -1 // the level's identity list, once emitted
 		for _, v := range sc.level {
-			x, ok := host.IndexOf(v)
-			if !ok {
+			x := sc.hostZ[v]
+			if x < 0 {
 				return nil, fmt.Errorf("distlabel: level-%d neighbor %d missing from host enum of %d", i, v, u)
 			}
 			first := len(sc.entries)
@@ -160,11 +194,11 @@ func FillLabel(cons *triangulation.Construction, u int, host core.Enum, level0Co
 					idStart, idEnd = first, len(sc.entries)
 				}
 				if idEnd > idStart {
-					sc.meta = append(sc.meta, transMeta{x: int32(x), start: int32(idStart), end: int32(idEnd)})
+					sc.meta = append(sc.meta, transMeta{x: x, start: int32(idStart), end: int32(idEnd)})
 				}
 				continue
 			}
-			tvNodes := vs.Nodes(v)
+			tvNodes := vs.rows[v]
 			if len(tvNodes) <= 8*len(sc.next) {
 				for psi, wNode := range tvNodes {
 					if z := sc.nextZ[wNode]; z >= 0 {
@@ -183,19 +217,25 @@ func FillLabel(cons *triangulation.Construction, u int, host core.Enum, level0Co
 				}
 			}
 			if len(sc.entries) > first {
-				sc.meta = append(sc.meta, transMeta{x: int32(x), start: int32(first), end: int32(len(sc.entries))})
+				sc.meta = append(sc.meta, transMeta{x: x, start: int32(first), end: int32(len(sc.entries))})
 			}
 		}
 		for _, wNode := range sc.next {
 			sc.nextZ[wNode] = -1
 		}
-		buf := make([]TransEntry, len(sc.entries))
-		copy(buf, sc.entries)
-		lm := make(LevelMap, len(sc.meta))
-		for _, m := range sc.meta {
-			lm[m.x] = buf[m.start:m.end:m.end]
-		}
-		lab.Trans[i] = lm
+		// sc.level ascends by node id, the keys by host index.
+		slices.SortFunc(sc.meta[lo:], func(a, b transMeta) int { return cmp.Compare(a.x, b.x) })
+		sc.levelEnd = append(sc.levelEnd, len(sc.meta))
+	}
+	buf := slices.Clone(sc.entries)
+	keys, lists := make([]int32, len(sc.meta)), make([][]TransEntry, len(sc.meta))
+	for k, m := range sc.meta {
+		keys[k], lists[k] = m.x, buf[m.start:m.end:m.end]
+	}
+	lo := 0
+	for i, hi := range sc.levelEnd {
+		lab.Trans[i] = LevelMap{Keys: keys[lo:hi:hi], Lists: lists[lo:hi:hi]}
+		lo = hi
 	}
 	return lab, nil
 }

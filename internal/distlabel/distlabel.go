@@ -32,6 +32,7 @@ package distlabel
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"rings/internal/core"
@@ -53,9 +54,22 @@ type TransEntry struct {
 	Z int32
 }
 
-// LevelMap is the translation map ζ_ui for one level: for each host index
-// x, a list of entries sorted by Y.
-type LevelMap map[int32][]TransEntry
+// LevelMap is the translation map ζ_ui for one level: Keys are host
+// indices x, strictly ascending, and Lists[k] is the list of entries
+// under Keys[k], sorted by Y. Keys that translate alike may share one
+// list.
+type LevelMap struct {
+	Keys  []int32
+	Lists [][]TransEntry
+}
+
+// Get returns the entries under host index x (nil when x is no key).
+func (lm LevelMap) Get(x int32) []TransEntry {
+	if k, ok := slices.BinarySearch(lm.Keys, x); ok {
+		return lm.Lists[k]
+	}
+	return nil
+}
 
 // Label is one node's distance label. It intentionally holds no global
 // node identifiers — all references are host-enumeration indices, virtual
@@ -89,8 +103,9 @@ type Scheme struct {
 	MaxT int
 
 	labels []*Label
-	// tEnums[u] is ψ_u (kept for verification and B.1 reuse).
-	tEnums []core.Enum
+	// tSets holds every ψ_u, each saturated one as the shared identity
+	// row (kept for verification and B.1 reuse).
+	tSets VirtualSets
 	// hostEnums[u] is ϕ_u.
 	hostEnums []core.Enum
 	// Timings records how long each label-build phase took.
@@ -153,7 +168,7 @@ func FromConstruction(cons *triangulation.Construction, delta float64) (*Scheme,
 		Delta:     delta,
 		Cons:      cons,
 		labels:    make([]*Label, n),
-		tEnums:    make([]core.Enum, n),
+		tSets:     NewVirtualSets(IdentitySet(n), make([][]int, n)),
 		hostEnums: make([]core.Enum, n),
 	}
 
@@ -168,10 +183,9 @@ func FromConstruction(cons *triangulation.Construction, delta float64) (*Scheme,
 	sets := make([]intset.Set, nw)
 	maxTs := make([]int, nw)
 	par.ForWorker(workers, n, func(w, u int) {
-		s.tEnums[u] = core.NewEnumFromSorted(BuildTSet(xAll, zAll, u, &sets[w], n))
-		if sz := s.tEnums[u].Size(); sz > maxTs[w] {
-			maxTs[w] = sz
-		}
+		row := BuildTSet(xAll, zAll, u, &sets[w], s.tSets.identity)
+		s.tSets.rows[u] = row
+		maxTs[w] = max(maxTs[w], len(row))
 	})
 	for _, m := range maxTs {
 		if m > s.MaxT {
@@ -195,13 +209,12 @@ func FromConstruction(cons *triangulation.Construction, delta float64) (*Scheme,
 	for w := range scr {
 		scr[w] = NewLabelScratch(n)
 	}
-	vs := enumVirtualSet(s.tEnums)
 	errs := make([]error, nw)
 	par.ForWorker(workers, n, func(w, u int) {
 		if errs[w] != nil {
 			return
 		}
-		lab, err := FillLabel(cons, u, s.hostEnums[u], level0Count, vs, scr[w])
+		lab, err := FillLabel(cons, u, s.hostEnums[u], level0Count, s.tSets, scr[w])
 		if err != nil {
 			errs[w] = err
 			return
@@ -221,7 +234,7 @@ func FromConstruction(cons *triangulation.Construction, delta float64) (*Scheme,
 func (s *Scheme) Label(u int) *Label { return s.labels[u] }
 
 // VirtualEnum exposes ψ_u (for Theorem B.1's reuse and for tests).
-func (s *Scheme) VirtualEnum(u int) core.Enum { return s.tEnums[u] }
+func (s *Scheme) VirtualEnum(u int) core.Enum { return s.tSets.Enum(u) }
 
 // HostEnum exposes ϕ_u (for Theorem B.1's reuse and for tests).
 func (s *Scheme) HostEnum(u int) core.Enum { return s.hostEnums[u] }

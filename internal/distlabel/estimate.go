@@ -98,7 +98,7 @@ func (l *Label) HostDist(h int) float64 {
 
 // lookup finds the Z of the entry with the given Y under key x.
 func lookup(lm LevelMap, x int32, y int32) int {
-	entries := lm[x]
+	entries := lm.Get(x)
 	i := sort.Search(len(entries), func(i int) bool { return entries[i].Y >= y })
 	if i < len(entries) && entries[i].Y == y {
 		return int(entries[i].Z)
@@ -110,7 +110,7 @@ func lookup(lm LevelMap, x int32, y int32) int {
 // same physical node f (host index a in the first map, b in the second)
 // and reports each commonly-translatable virtual neighbor.
 func harvest(ma, mb LevelMap, a, b int, consider func(x, y int)) {
-	ea, eb := ma[int32(a)], mb[int32(b)]
+	ea, eb := ma.Get(int32(a)), mb.Get(int32(b))
 	i, j := 0, 0
 	for i < len(ea) && j < len(eb) {
 		switch {

@@ -158,10 +158,10 @@ func TestIdentityKeysShareOneList(t *testing.T) {
 	for u := 0; u < g.N(); u++ {
 		for _, lm := range s.Label(u).Trans {
 			first := make(map[*TransEntry]bool)
-			for _, entries := range lm {
+			for _, entries := range lm.Lists {
 				first[&entries[0]] = true
 			}
-			keys += len(lm)
+			keys += len(lm.Keys)
 			lists += len(first)
 		}
 	}

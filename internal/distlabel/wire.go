@@ -1,8 +1,9 @@
 package distlabel
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"rings/internal/bitio"
 )
@@ -88,23 +89,17 @@ func (wr Wire) Encode(lab *Label) (buf []byte, bits int, err error) {
 	}
 	for _, lm := range lab.Trans {
 		triples := 0
-		for _, entries := range lm {
+		for _, entries := range lm.Lists {
 			triples += len(entries)
 		}
 		if err := w.WriteBits(uint64(triples), 32); err != nil {
 			return nil, 0, err
 		}
-		// Canonical order (ascending x, then the Y-sorted entry order):
-		// map iteration is randomized, and a wire form that depends on it
-		// would make the same label encode to different bytes on every
-		// call — the round-trip property tests assert byte-identity.
-		xs := make([]int32, 0, len(lm))
-		for x := range lm {
-			xs = append(xs, x)
-		}
-		sort.Slice(xs, func(a, b int) bool { return xs[a] < xs[b] })
-		for _, x := range xs {
-			for _, e := range lm[x] {
+		// Canonical order: ascending x (the key order), then the Y-sorted
+		// entry order.
+		for k, entries := range lm.Lists {
+			x := lm.Keys[k]
+			for _, e := range entries {
 				if err := w.WriteBits(uint64(x), hostW); err != nil {
 					return nil, 0, err
 				}
@@ -121,8 +116,15 @@ func (wr Wire) Encode(lab *Label) (buf []byte, bits int, err error) {
 }
 
 // Decode reconstructs a label from its wire form. The decoded label
-// answers Estimate queries; see the Wire doc about D−.
+// answers Estimate queries; see the Wire doc about D−. Every index is
+// checked against what it indexes: a host index (Zoom0, x, z) against
+// the label's host count, a virtual index (ZoomPsi, Y) against MaxT,
+// Zoom0 also against the shared prefix, and a level's triple count
+// against the keys and bits it could fill.
 func (wr Wire) Decode(buf []byte, bits int) (*Label, error) {
+	if bits < 0 || bits > 8*len(buf) {
+		return nil, fmt.Errorf("distlabel: %d bits in a %d-byte buffer", bits, len(buf))
+	}
 	r := bitio.NewReader(buf, bits)
 	hostSizeRaw, err := r.ReadBits(wireHostW)
 	if err != nil {
@@ -155,20 +157,36 @@ func (wr Wire) Decode(buf []byte, bits int) (*Label, error) {
 	if err != nil {
 		return nil, err
 	}
+	if z0 >= uint64(min(hostSize, wr.Level0Count)) {
+		return nil, fmt.Errorf("distlabel: zoom root %d outside the %d-host label's %d-host shared prefix", z0, hostSize, wr.Level0Count)
+	}
 	lab.Zoom0 = int(z0)
 	for i := range lab.ZoomPsi {
 		psi, err := r.ReadBits(psiW)
 		if err != nil {
 			return nil, err
 		}
+		if psi >= uint64(wr.MaxT) {
+			return nil, fmt.Errorf("distlabel: zoom pointer %d is %d, MaxT is %d", i, psi, wr.MaxT)
+		}
 		lab.ZoomPsi[i] = int32(psi)
 	}
+	type triple struct {
+		x int32
+		e TransEntry
+	}
+	var triples []triple
+	tripleW := uint64(2*hostW + psiW)
 	for level := 0; level < wr.IMax; level++ {
 		count, err := r.ReadBits(32)
 		if err != nil {
 			return nil, err
 		}
-		lm := LevelMap{}
+		// A key holds at most one entry per virtual index.
+		if count > uint64(hostSize)*uint64(wr.MaxT) || count*tripleW > uint64(r.Remaining()) {
+			return nil, fmt.Errorf("distlabel: level %d claims %d triples; %d hosts, MaxT %d and %d bits left hold fewer", level, count, hostSize, wr.MaxT, r.Remaining())
+		}
+		triples = triples[:0]
 		for k := uint64(0); k < count; k++ {
 			x, err := r.ReadBits(hostW)
 			if err != nil {
@@ -182,16 +200,26 @@ func (wr Wire) Decode(buf []byte, bits int) (*Label, error) {
 			if err != nil {
 				return nil, err
 			}
-			lm[int32(x)] = append(lm[int32(x)], TransEntry{Y: int32(y), Z: int32(z)})
-		}
-		// Restore the Y-sorted invariant lookup relies on.
-		for x := range lm {
-			entries := lm[x]
-			for i := 1; i < len(entries); i++ {
-				for j := i; j > 0 && entries[j].Y < entries[j-1].Y; j-- {
-					entries[j], entries[j-1] = entries[j-1], entries[j]
-				}
+			if x >= uint64(hostSize) || z >= uint64(hostSize) || y >= uint64(wr.MaxT) {
+				return nil, fmt.Errorf("distlabel: level %d triple (%d, %d, %d) outside %d hosts, MaxT %d", level, x, y, z, hostSize, wr.MaxT)
 			}
+			triples = append(triples, triple{int32(x), TransEntry{Y: int32(y), Z: int32(z)}})
+		}
+		// Group by key, each list Y-sorted as lookup needs; stable, so
+		// entries equal in (x, Y) keep their wire order.
+		slices.SortStableFunc(triples, func(a, b triple) int {
+			return cmp.Or(cmp.Compare(a.x, b.x), cmp.Compare(a.e.Y, b.e.Y))
+		})
+		entries := make([]TransEntry, len(triples))
+		var lm LevelMap
+		for start := 0; start < len(triples); {
+			end := start
+			for ; end < len(triples) && triples[end].x == triples[start].x; end++ {
+				entries[end] = triples[end].e
+			}
+			lm.Keys = append(lm.Keys, triples[start].x)
+			lm.Lists = append(lm.Lists, entries[start:end:end])
+			start = end
 		}
 		lab.Trans[level] = lm
 	}

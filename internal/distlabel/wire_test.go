@@ -70,7 +70,9 @@ func TestWireRoundtripStructure(t *testing.T) {
 			}
 		}
 		for level := range lab.Trans {
-			for x, entries := range lab.Trans[level] {
+			lm := lab.Trans[level]
+			for k, entries := range lm.Lists {
+				x := lm.Keys[k]
 				for _, e := range entries {
 					if gotZ := got.Translate(level, int(x), e.Y); gotZ != int(e.Z) {
 						t.Fatalf("node %d level %d: ζ(%d,%d) = %d after decode, want %d",

@@ -138,9 +138,11 @@ func BuildXAll(cons *triangulation.Construction, workers int) [][]int {
 
 // BuildTSet computes one node's virtual neighbor set
 // T_u = X_u ∪ Z_u ∪ (∪_{v∈X_u} Z_v), sorted by id, through the caller's
-// scratch set. Once the union holds all n ids no further Z_v can add one,
-// so the remaining unions are skipped.
-func BuildTSet(xAll, zAll [][]int, u int, st *intset.Set, n int) []int {
+// scratch set; identity is IdentitySet(n). Once the union holds all n ids
+// no further Z_v can add one, so the remaining unions are skipped and
+// the shared identity slice is returned instead of a copy of it.
+func BuildTSet(xAll, zAll [][]int, u int, st *intset.Set, identity []int) []int {
+	n := len(identity)
 	st.Reset(n)
 	st.AddAll(xAll[u])
 	st.AddAll(zAll[u])
@@ -149,6 +151,9 @@ func BuildTSet(xAll, zAll [][]int, u int, st *intset.Set, n int) []int {
 			break
 		}
 		st.AddAll(zAll[v])
+	}
+	if st.Len() == n {
+		return identity
 	}
 	return st.Sorted()
 }

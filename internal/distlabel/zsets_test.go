@@ -46,6 +46,7 @@ func TestSetBuildersMatchSortedUnion(t *testing.T) {
 		n := inst.Idx.N()
 		zp := ZSetParams(cons)
 		xAll, zAll := BuildXAll(cons, 2), BuildZSets(cons, 2)
+		identity := IdentitySet(n)
 		var st intset.Set
 		full := 0
 		for u := 0; u < n; u++ {
@@ -71,8 +72,14 @@ func TestSetBuildersMatchSortedUnion(t *testing.T) {
 				tParts = append(tParts, zAll[v])
 			}
 			want := sortedUnion(tParts...)
-			if got := BuildTSet(xAll, zAll, u, &st, n); !slices.Equal(got, want) {
+			got := BuildTSet(xAll, zAll, u, &st, identity)
+			if !slices.Equal(got, want) {
 				t.Fatalf("%s: T_%d = %v, want %v", inst.Name, u, got, want)
+			}
+			// A saturated row is the one shared identity slice; any other
+			// is an explicit list of its own.
+			if shared := &got[0] == &identity[0]; shared != (len(want) == n) {
+				t.Fatalf("%s: T_%d of %d ids shares the identity slice: %v", inst.Name, u, len(want), shared)
 			}
 			if len(want) == n {
 				full++

@@ -2,6 +2,7 @@ package oracle
 
 import (
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -161,7 +162,10 @@ func BenchmarkEstimateBatchFlat(b *testing.B) {
 // point-uniform server (latency, n = 1024, tuned, δ = 0.5, labels,
 // overlay and router; n = 256 under -short) and reports each phase's
 // ms/build from the snapshot's BuildStats. Labels, overlay and router
-// build concurrently, so the phases sum to more than total.
+// build concurrently, so the phases sum to more than total. It also
+// reports what the build allocates (alloc-MB/build) and what the last
+// snapshot holds live after a collection (live-MB, HeapInuse growth, the
+// figure TestColdBuildHeapCeiling bounds at n = 256).
 func BenchmarkBuildSnapshot(b *testing.B) {
 	n := 1024
 	if testing.Short() {
@@ -189,18 +193,32 @@ func BenchmarkBuildSnapshot(b *testing.B) {
 		{"total", func(s BuildStats) float64 { return s.TotalSec }},
 	}
 	sums := make([]float64, len(phases))
+	var ms runtime.MemStats
+	b.StopTimer()
+	before := heapInuse()
+	runtime.ReadMemStats(&ms)
+	allocated := ms.TotalAlloc
+	b.StartTimer()
+	var snap *Snapshot
 	for i := 0; i < b.N; i++ {
-		snap, err := BuildSnapshot(cfg)
-		if err != nil {
+		var err error
+		if snap, err = BuildSnapshot(cfg); err != nil {
 			b.Fatal(err)
 		}
 		for p, ph := range phases {
 			sums[p] += ph.sec(snap.Build)
 		}
 	}
+	b.StopTimer()
+	runtime.ReadMemStats(&ms)
+	allocated = ms.TotalAlloc - allocated
+	live := heapInuse() - before
+	runtime.KeepAlive(snap)
 	for p, ph := range phases {
 		b.ReportMetric(sums[p]*1e3/float64(b.N), ph.name+"-ms/build")
 	}
+	b.ReportMetric(float64(allocated)/(1<<20)/float64(b.N), "alloc-MB/build")
+	b.ReportMetric(float64(live)/(1<<20), "live-MB")
 }
 
 func reportQPS(b *testing.B) {

@@ -538,8 +538,9 @@ func (ix *listIndex) find(entries []distlabel.TransEntry) int32 {
 }
 
 // newFlatFromLabels packs Theorem 3.4 labels into the flat arenas. Each
-// group's keys become bits; its lists are stored once per content (see
-// listIndex), Y-sorted as they arrive from the builder — the exact fold
+// group's keys, read in their ascending order, become bits; its lists
+// are stored once per content (see listIndex), in key order and
+// Y-sorted as they arrive from the builder — the exact fold
 // order distlabel.Estimate's harvest/lookup walk uses, so the flat
 // answers are bit-identical. A key with an empty list is left out: the
 // pointer walk finds nothing under it either, and the wire codec drops it
@@ -575,39 +576,29 @@ func newFlatFromLabels(labels []*distlabel.Label) (*FlatSnap, error) {
 	chain := make([]int32, 3*nGroups)
 	xcOff := make([]int32, nGroups+1)
 	var xcKeys, xcSpan, keys, ids, tally []int32
-	var byKey [][]distlabel.TransEntry // byKey[x] is the current group's list under key x
 	g, word := 0, 0
 	for u, lab := range labels {
 		nd := len(lab.Dists)
 		w := keyWords(nd)
-		if len(byKey) < nd {
-			byKey = make([][]distlabel.TransEntry, nd)
-		}
 		own := int32(lab.Zoom0) // the host u's own walk stands on
 		for i, lm := range lab.Trans {
 			ix.nextGroup()
 			group := keyBits[word : word+w]
-			for x, entries := range lm {
+			first, ownList := int32(len(ix.lists)), int32(-1)
+			keys, ids = keys[:0], ids[:0]
+			for k, x := range lm.Keys {
+				entries := lm.Lists[k]
 				if len(entries) == 0 {
 					continue
 				}
-				if x < 0 || int(x) >= nd {
-					return nil, fmt.Errorf("oracle: flat pack: label %d level %d has key %d outside its %d hosts", u, i, x, nd)
+				if x < 0 || int(x) >= nd || (len(keys) > 0 && x <= keys[len(keys)-1]) {
+					return nil, fmt.Errorf("oracle: flat pack: label %d level %d has key %d out of order or outside its %d hosts", u, i, x, nd)
 				}
 				group[x>>5] |= int32(uint32(1) << (x & 31))
-				byKey[x] = entries
-			}
-			// The bitmap hands the keys back sorted.
-			first, ownList := int32(len(ix.lists)), int32(-1)
-			keys, ids = keys[:0], ids[:0]
-			for j, bitsJ := range group {
-				for rest := uint32(bitsJ); rest != 0; rest &= rest - 1 {
-					x := int32(j<<5 + bits.TrailingZeros32(rest))
-					at := ix.place(byKey[x])
-					keys, ids = append(keys, x), append(ids, at)
-					if x == own {
-						ownList = at
-					}
+				at := ix.place(entries)
+				keys, ids = append(keys, x), append(ids, at)
+				if x == own {
+					ownList = at
 				}
 			}
 			stored := len(ix.lists) - int(first)
@@ -785,7 +776,7 @@ func (f *FlatSnap) materializeLabels() []*distlabel.Label {
 		for i := range lab.Trans {
 			g := int(f.psiOff[u]) + i
 			clear(bySpan)
-			lm := make(distlabel.LevelMap)
+			var lm distlabel.LevelMap
 			xc := int(f.xcOff[g])
 			for w, word := range f.groupBits(u, i) {
 				for rest := uint32(word); rest != 0; rest &= rest - 1 {
@@ -803,7 +794,7 @@ func (f *FlatSnap) materializeLabels() []*distlabel.Label {
 						}
 						bySpan[span] = entries
 					}
-					lm[x] = entries
+					lm.Keys, lm.Lists = append(lm.Keys, x), append(lm.Lists, entries)
 				}
 			}
 			lab.Trans[i] = lm

@@ -1,7 +1,6 @@
 package oracle
 
 import (
-	"maps"
 	"math"
 	"slices"
 	"testing"
@@ -155,10 +154,9 @@ func TestSkipComparesWholeSpans(t *testing.T) {
 	labels := unshared(snap.Labels)
 	for _, lab := range labels {
 		for _, lm := range lab.Trans {
-			keys := slices.Sorted(maps.Keys(lm))
-			for k := 1; k < len(keys); k += 2 {
-				if entries := lm[keys[k]]; len(entries) > 1 {
-					lm[keys[k]] = entries[:1]
+			for k := 1; k < len(lm.Keys); k += 2 {
+				if entries := lm.Lists[k]; len(entries) > 1 {
+					lm.Lists[k] = entries[:1]
 				}
 			}
 		}

@@ -157,12 +157,6 @@ func TestHydrateHeapCeiling(t *testing.T) {
 	path := writeSnapshotV2File(t, t.TempDir(), cold)
 	arena := cold.Flat.Bytes()
 	cold = nil
-	heapInuse := func() int64 {
-		runtime.GC()
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		return int64(ms.HeapInuse)
-	}
 
 	before := heapInuse()
 	space, name, err := cfg.withDefaults().Spec().Space()
@@ -199,4 +193,35 @@ func TestHydrateHeapCeiling(t *testing.T) {
 	}
 	t.Logf("arena %d bytes, HeapInuse growth %d bytes, artifacts alone %d", arena, growth, budget)
 	runtime.KeepAlive(full)
+}
+
+// heapInuse reports HeapInuse after a collection: what is live.
+func heapInuse() int64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapInuse)
+}
+
+// TestColdBuildHeapCeiling bounds what a cold boot holds: an n = 256
+// build of ringperf's served dataset (latency, tuned, δ = 0.5, labels,
+// overlay and router), held alive across a collection, grew HeapInuse by
+// 7.5–8.0 MB (at most 8,396,800 bytes) once every enumeration, T-set and
+// ζ map became a sorted slice, and by 13.4 MB with an index map per
+// enumeration, a materialized T-set per node and a hash map per ζ level;
+// the ceiling is the largest measurement plus 10 %.
+func TestColdBuildHeapCeiling(t *testing.T) {
+	const ceiling = 8_396_800 * 11 / 10
+	cfg := Config{Workload: "latency", N: 256, Seed: 1, Delta: 0.5, Scheme: SchemeLabels, Profile: ProfileTuned}
+	before := heapInuse()
+	snap, err := BuildSnapshot(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	growth := heapInuse() - before
+	runtime.KeepAlive(snap)
+	t.Logf("cold build grew HeapInuse by %d bytes (%.1f MB)", growth, float64(growth)/(1<<20))
+	if growth > ceiling {
+		t.Fatalf("cold build grew HeapInuse by %d bytes, ceiling %d", growth, ceiling)
+	}
 }

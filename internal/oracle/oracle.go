@@ -118,8 +118,9 @@ type Config struct {
 	SkipOverlay bool
 	// SkipRouting omits the Theorem 2.1 metric router (Route then
 	// errors). The router is the largest phase of a cold build
-	// (BenchmarkBuildSnapshot, n = 1024 on 2 vCPUs: ~110 of ~250 ms
-	// wall, built beside the labels); what the knob saves is the boot's
+	// (BenchmarkBuildSnapshot, n = 1024 on 2 shared vCPUs: ~40 % of the
+	// wall, a median 124 of 313 ms over six runs, built beside the
+	// labels, which take ~80 ms); what the knob saves is the boot's
 	// build (and an inheriting commit's) — a snapshot nobody routes on
 	// builds none either way (see Snapshot.Router).
 	SkipRouting bool

@@ -36,9 +36,9 @@ func unshared(labels []*distlabel.Label) []*distlabel.Label {
 		cp := *lab
 		cp.Trans = make([]distlabel.LevelMap, len(lab.Trans))
 		for i, lm := range lab.Trans {
-			cp.Trans[i] = make(distlabel.LevelMap, len(lm))
-			for x, entries := range lm {
-				cp.Trans[i][x] = append([]distlabel.TransEntry(nil), entries...)
+			cp.Trans[i] = distlabel.LevelMap{Keys: slices.Clone(lm.Keys), Lists: make([][]distlabel.TransEntry, len(lm.Lists))}
+			for k, entries := range lm.Lists {
+				cp.Trans[i].Lists[k] = append([]distlabel.TransEntry(nil), entries...)
 			}
 		}
 		out[u] = &cp

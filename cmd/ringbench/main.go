@@ -6,9 +6,9 @@
 //
 // Individual experiments (comma-separated): substrates table1 table2
 // table3 tri dls sw-a sw-b sw-single sw-ul figure1 figure2, which 'all'
-// runs in that order, plus fault (the replicated fleet's kill window;
-// not part of 'all'). Serving performance is measured by ringperf
-// (go run ./bench), not here.
+// runs in that order. Serving performance is measured by ringperf
+// (go run ./bench), and replica failover by the shard package's tests,
+// not here.
 package main
 
 import (
@@ -29,18 +29,6 @@ func main() {
 	}
 }
 
-// Flags the fault experiment reads (package-level plain values so the
-// experiment table's uniform func(seed, quick) signature stays intact
-// and tests can call expFault without flag parsing).
-var (
-	jsonOut  bool
-	faultOut = "BENCH_fault.json"
-	// benchBackend/benchWorkers mirror -backend/-workers into the fault
-	// experiment's fleet config ("" means the oracle default, eager).
-	benchBackend string
-	benchWorkers int
-)
-
 // paperOrder is what -exp all runs: E1-E10 and F1-F2 of DESIGN.md §3,
 // in EXPERIMENTS.md's order.
 var paperOrder = []string{
@@ -51,7 +39,6 @@ var paperOrder = []string{
 // experiments is the one experiment table: -exp resolves against it and
 // TestAllExperimentsQuick ranges over it.
 var experiments = map[string]func(seed int64, quick bool) error{
-	"fault":      expFault,
 	"table1":     expTable1,
 	"table2":     expTable2,
 	"table3":     expTable3,
@@ -74,8 +61,6 @@ func run() error {
 		backend = flag.String("backend", "eager", "ball-index backend: eager (parallel full sort) or lazy (memory-bounded)")
 		workers = flag.Int("workers", 0, "index build/scan parallelism for every instance (0 = GOMAXPROCS)")
 	)
-	flag.BoolVar(&jsonOut, "json", false, "fault experiment: also write its row as JSON to -faultout")
-	flag.StringVar(&faultOut, "faultout", faultOut, "output path for the -json fault row")
 	flag.Parse()
 
 	opts := metric.Options{Workers: *workers}
@@ -88,7 +73,6 @@ func run() error {
 		return fmt.Errorf("unknown -backend %q (want eager or lazy)", *backend)
 	}
 	workload.SetIndexOptions(opts)
-	benchBackend, benchWorkers = *backend, *workers
 
 	names := paperOrder
 	if *exp != "all" {

@@ -602,7 +602,7 @@ func TestLoopAllocations(t *testing.T) {
 // TestFleetLoopAllocations pins the same request against a replicated
 // in-process fleet (an intra-shard pair, so the answer comes through the
 // replica set): the inline read and the appended body leave it one
-// above the single engine's 2. Hedged and marshalled it was 12.
+// above the single engine's 2.
 //
 // Under -race the limit is 5. The detector's sync.Pool drops one Put in
 // four at random, so about a quarter of requests rebuild writeAnswer's

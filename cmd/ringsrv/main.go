@@ -137,7 +137,6 @@ func run() error {
 		delta      = flag.Float64("delta", 0.5, "target approximation (0, 1]")
 		scheme     = flag.String("scheme", oracle.SchemeLabels, "estimator: labels | beacons")
 		profile    = flag.String("profile", oracle.ProfileTuned, "ring constants: paper | tuned")
-		ballFactor = flag.Float64("ballfactor", 2, "tuned-profile Y-ring reach")
 		verify     = flag.Bool("verify", false, "verify the triangulation after each build (O(n^2))")
 		backend    = flag.String("backend", "eager", "ball-index backend: eager | lazy")
 		workers    = flag.Int("workers", 0, "index build workers (0 = GOMAXPROCS)")
@@ -163,21 +162,20 @@ func run() error {
 	flag.Parse()
 
 	cfg := oracle.Config{
-		Workload:        *wl,
-		N:               *n,
-		Side:            *side,
-		LogAspect:       *logA,
-		Seed:            *seed,
-		Delta:           *delta,
-		Scheme:          *scheme,
-		Profile:         *profile,
-		TunedBallFactor: *ballFactor,
-		Verify:          *verify,
-		Backend:         *backend,
-		Workers:         *workers,
-		MemberStride:    *members,
-		SkipRouting:     *noRouting,
-		SkipOverlay:     *noOverlay,
+		Workload:     *wl,
+		N:            *n,
+		Side:         *side,
+		LogAspect:    *logA,
+		Seed:         *seed,
+		Delta:        *delta,
+		Scheme:       *scheme,
+		Profile:      *profile,
+		Verify:       *verify,
+		Backend:      *backend,
+		Workers:      *workers,
+		MemberStride: *members,
+		SkipRouting:  *noRouting,
+		SkipOverlay:  *noOverlay,
 	}
 
 	// serve finishes the boot of either mode: telemetry and limits,

@@ -3,67 +3,13 @@ package main
 import (
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 
 	"rings/internal/oracle"
 	"rings/internal/shard"
-	"rings/internal/shard/backendtest"
 )
-
-// TestHTTPBackendConformance runs the shared Backend conformance suite
-// against a real ringsrv server on loopback: the HTTP client backend
-// (internal/shard/transport_http.go) must return bit-for-bit the
-// answers of the snapshot the server serves, with faithful error
-// classes. This is the third leg of the suite (local and simnet legs
-// live in internal/shard; the HTTP leg lives here to keep the shard
-// package free of a ringsrv dependency).
-func TestHTTPBackendConformance(t *testing.T) { bothFrontends(t, testHTTPBackendConformance) }
-
-func testHTTPBackendConformance(t *testing.T, start startFunc) {
-	snap, err := oracle.BuildSnapshot(oracle.Config{
-		Workload:     "cube",
-		N:            40,
-		Seed:         5,
-		MemberStride: 4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	engine := oracle.NewEngine(snap, oracle.EngineOptions{})
-	ts := start(newServer(engine))
-	defer ts.Close()
-
-	backendtest.Run(t, backendtest.Harness{
-		Backend: shard.NewHTTPBackend(ts.URL, ts.Client()),
-		Ref:     snap,
-		// Ship stays nil: the ringsrv surface has no shipping endpoint,
-		// and the suite then asserts Ship fails loudly (ErrUnsupported).
-	})
-}
-
-// TestHTTPBackendUnavailable checks the transport-error mapping the
-// breaker depends on: a dead server and a 503 both classify as
-// ErrUnavailable, never as a client error.
-func TestHTTPBackendUnavailable(t *testing.T) {
-	dead := httptest.NewServer(http.NotFoundHandler())
-	dead.Close() // connection refused from here on
-	b := shard.NewHTTPBackend(dead.URL, nil)
-	if _, err := b.Estimate(0, 1); !shard.IsUnavailable(err) {
-		t.Fatalf("dead server: err = %v, want ErrUnavailable class", err)
-	}
-
-	overloaded := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: "shedding", Code: codeOverloaded})
-	}))
-	defer overloaded.Close()
-	b = shard.NewHTTPBackend(overloaded.URL, overloaded.Client())
-	if _, err := b.Estimate(0, 1); !shard.IsUnavailable(err) {
-		t.Fatalf("503 response: err = %v, want ErrUnavailable class", err)
-	}
-}
 
 // testReplicatedFleetServer builds a K=2, R=2 fleet with fast
 // recovery knobs behind the front-end under test.

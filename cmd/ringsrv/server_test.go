@@ -81,14 +81,16 @@ func testServerEndpoints(t *testing.T, start startFunc) {
 		t.Errorf("workload name %q", health.Workload)
 	}
 
-	var est oracle.EstimateResult
-	getJSON(t, ts, "/estimate?u=3&v=17", http.StatusOK, &est)
-	direct, err := engine.Snapshot().Estimate(3, 17)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if est.Lower != direct.Lower || est.Upper != direct.Upper || !est.OK || est.Version != 1 {
-		t.Fatalf("estimate over HTTP %+v vs direct %+v", est, direct)
+	for _, p := range [][2]int{{3, 17}, {0, 47}, {3, 3}} {
+		var est oracle.EstimateResult
+		getJSON(t, ts, fmt.Sprintf("/estimate?u=%d&v=%d", p[0], p[1]), http.StatusOK, &est)
+		direct, err := engine.Snapshot().Estimate(p[0], p[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if est.Lower != direct.Lower || est.Upper != direct.Upper || !est.OK || est.Version != 1 {
+			t.Fatalf("estimate %v over HTTP %+v vs direct %+v", p, est, direct)
+		}
 	}
 
 	var batch batchResponse
@@ -135,6 +137,15 @@ func testServerErrorStatuses(t *testing.T, start startFunc) {
 		getJSON(t, ts, path, http.StatusBadRequest, &body)
 		if body.Error == "" {
 			t.Errorf("%s: empty error body", path)
+		}
+	}
+	// A node id outside [0, n) is a client error with its machine code,
+	// never a 5xx a client would retry.
+	for _, path := range []string{"/estimate?u=-1&v=0", "/estimate?u=0&v=48", "/estimate?u=55&v=1"} {
+		var body errorBody
+		getJSON(t, ts, path, http.StatusBadRequest, &body)
+		if body.Code != codeOutOfRange {
+			t.Errorf("%s: code %q, want %q", path, body.Code, codeOutOfRange)
 		}
 	}
 

@@ -111,7 +111,9 @@ func (m *Mutator) repairLabels(prev *state, st *state, new2old, old2new []int32,
 	st.zp = distlabel.ZSetParams(cons)
 	st.zmasks = st.zp.Masks(cons)
 	st.identity = distlabel.IdentitySet(n)
-	st.level0Count = distlabel.Level0Count(cons)
+	if st.level0Count, err = distlabel.Level0Count(cons); err != nil {
+		return 0, 0, 0, err
+	}
 
 	full := prev == nil || prev.labels == nil ||
 		!st.zp.Equal(prev.zp) || cons.IMax != prev.cons.IMax

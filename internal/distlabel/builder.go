@@ -59,9 +59,22 @@ func (vs VirtualSets) Identity(v int) bool {
 }
 
 // Level0Count reports the size of the shared level-0 host prefix
-// |X_00 ∪ Y_00| (identical across nodes by the level-0 uniformization).
-func Level0Count(cons *triangulation.Construction) int {
-	return len(intset.MergeSorted(nil, cons.X[0][0], cons.Y[0][0]))
+// |X_00 ∪ Y_00| after checking that it is shared: every node's
+// X_u0 ∪ Y_u0 must equal node 0's. Both estimate walks read prefix host h
+// as the same node in every label, so one node whose level-0 set differs
+// would be served lower bounds above the true distance; its geometry is
+// refused instead, naming the node. O(n · prefix).
+func Level0Count(cons *triangulation.Construction) (int, error) {
+	prefix := intset.MergeSorted(nil, cons.X[0][0], cons.Y[0][0])
+	var lvl0 []int
+	for u := 1; u < cons.Idx.N(); u++ {
+		lvl0 = intset.MergeSorted(lvl0[:0], cons.X[u][0], cons.Y[u][0])
+		if !slices.Equal(lvl0, prefix) {
+			return 0, fmt.Errorf("distlabel: node %d's level-0 set X_u0 ∪ Y_u0 (%d ids) is not the shared prefix X_00 ∪ Y_00 (%d ids)",
+				u, len(lvl0), len(prefix))
+		}
+	}
+	return len(prefix), nil
 }
 
 // BuildHostEnum computes ϕ_u: the shared level-0 prefix first, then the

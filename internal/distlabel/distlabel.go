@@ -200,7 +200,10 @@ func FromConstruction(cons *triangulation.Construction, delta float64) (*Scheme,
 	par.ForWorker(workers, n, func(w, u int) {
 		s.hostEnums[u], lvl0Buf[w] = BuildHostEnum(cons, u, &sets[w], lvl0Buf[w])
 	})
-	level0Count := Level0Count(cons)
+	level0Count, err := Level0Count(cons)
+	if err != nil {
+		return nil, err
+	}
 	s.Timings.HostEnums = time.Since(start)
 
 	// Labels.

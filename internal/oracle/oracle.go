@@ -68,16 +68,20 @@ const (
 	// ProfilePaper uses the paper's worst-case ring constants.
 	ProfilePaper = "paper"
 	// ProfileTuned uses the lab-scale ring profile
-	// (triangulation.TunedParams): same δ', smaller rings, guarantee
-	// re-checked per instance when Config.Verify is set.
+	// (triangulation.TunedParams at Y reach tunedYReach): same δ',
+	// smaller rings, guarantee re-checked per instance when
+	// Config.Verify is set.
 	ProfileTuned = "tuned"
 )
+
+// tunedYReach is the tuned profile's Y-ring reach, in units of r_ui.
+const tunedYReach = 2
 
 // Config describes how to build one Snapshot: the workload, the
 // estimator scheme, and which artifacts to include. The zero value is
 // not useful; fill at least Workload and its size knob. Defaults applied
 // by BuildSnapshot: Delta 0.5, Scheme "labels", Profile "tuned",
-// TunedBallFactor 2, Backend "eager", MemberStride 4.
+// Backend "eager", MemberStride 4.
 type Config struct {
 	// Workload selects the metric family (grid|cube|expline|latency)
 	// with the same knobs as workload.MetricSpec.
@@ -94,8 +98,6 @@ type Config struct {
 	Scheme string
 	// Profile picks the ring constants: ProfilePaper or ProfileTuned.
 	Profile string
-	// TunedBallFactor is the Y-ring reach of the tuned profile.
-	TunedBallFactor float64
 	// Verify runs triangulation.VerifyAllPairs after the build (O(n²);
 	// recommended with ProfileTuned at small n, prohibitive at large n).
 	Verify bool
@@ -124,8 +126,6 @@ type Config struct {
 	// build (and an inheriting commit's) — a snapshot nobody routes on
 	// builds none either way (see Snapshot.Router).
 	SkipRouting bool
-	// RouteHops overrides the per-route hop budget (default 80·n).
-	RouteHops int
 }
 
 // WithDefaults returns the config with every unset knob resolved to its
@@ -142,9 +142,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Profile == "" {
 		c.Profile = ProfileTuned
-	}
-	if c.TunedBallFactor == 0 {
-		c.TunedBallFactor = 2
 	}
 	if c.Backend == "" {
 		c.Backend = "eager"
@@ -192,7 +189,7 @@ func (c Config) TriangulationParams() (triangulation.Params, error) {
 	case ProfilePaper:
 		params = triangulation.DefaultParams(c.Delta / 6)
 	case ProfileTuned:
-		params = triangulation.TunedParams(c.Delta/6, c.TunedBallFactor)
+		params = triangulation.TunedParams(c.Delta/6, tunedYReach)
 	default:
 		return triangulation.Params{}, fmt.Errorf("oracle: unknown profile %q (want paper|tuned)", c.Profile)
 	}

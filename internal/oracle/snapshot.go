@@ -475,11 +475,7 @@ func (s *Snapshot) Route(src, dst int) (RouteResult, error) {
 	if err != nil {
 		return RouteResult{}, err
 	}
-	hops := s.Config.RouteHops
-	if hops <= 0 {
-		hops = 80 * s.n
-	}
-	r, err := routing.Route(router, src, dst, hops)
+	r, err := routing.Route(router, src, dst, 80*s.n)
 	if err != nil {
 		return RouteResult{}, err
 	}

@@ -17,9 +17,9 @@ import (
 // pass through untouched and never mark a replica unhealthy.
 var ErrUnavailable = errors.New("shard: backend unavailable")
 
-// ErrUnsupported marks a Backend capability the implementation cannot
-// express (e.g. snapshot shipping over the plain HTTP surface). Callers
-// probe with errors.Is and degrade gracefully.
+// ErrUnsupported marks a Backend capability the implementation was built
+// without (e.g. Apply on a backend with no churn mutator). Callers probe
+// with errors.Is and degrade gracefully.
 var ErrUnsupported = errors.New("shard: operation unsupported by this backend")
 
 // ErrShardDown reports that every replica of a shard is unavailable:
@@ -44,8 +44,7 @@ type ApplyResult struct {
 	Version int64 `json:"version"`
 	// N is the post-commit node count.
 	N int `json:"n"`
-	// Perm is the post-commit membership (base ids in local order); nil
-	// when the backend cannot report it (plain HTTP surface).
+	// Perm is the post-commit membership (base ids in local order).
 	Perm []int32 `json:"perm,omitempty"`
 	// Repair is the label-repair accounting of the commit.
 	Repair churn.OpStats `json:"repair"`
@@ -54,9 +53,8 @@ type ApplyResult struct {
 // Backend is one shard endpoint as the fleet sees it: the query
 // surface in shard-local ids, the mutation path, snapshot shipping for
 // replication, and health. Implementations: the in-process engine
-// (newLocalBackend), a simnet endpoint behind injectable faults
-// (SimTransport), and a real HTTP client against the ringsrv surface
-// (NewHTTPBackend) — all three satisfy one conformance suite
+// (newLocalBackend) and a simnet endpoint behind injectable faults
+// (SimTransport) — both satisfy one conformance suite
 // (backendtest.Run).
 //
 // Transport failures must be reported as ErrUnavailable (wrapped);
@@ -75,7 +73,7 @@ type Backend interface {
 	Apply(ops []churn.Op) (ApplyResult, error)
 	// Ship installs a serialized v2 snapshot (Snapshot.WriteTo bytes) as
 	// the backend's new serving state and returns the engine version it
-	// was installed under. ErrUnsupported where the wire can't carry it.
+	// was installed under (ErrUnsupported without a space resolver).
 	Ship(data []byte) (int64, error)
 	// Stats returns the backend engine's self-report.
 	Stats() (oracle.EngineStats, error)

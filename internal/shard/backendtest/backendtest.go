@@ -1,7 +1,7 @@
 // Package backendtest is the shared conformance suite every
-// shard.Backend implementation must pass: the in-process backend, the
-// simnet transport, and the HTTP client against a real ringsrv server
-// all run the same checks. The gold standard is byte-identity — a
+// shard.Backend implementation must pass. It has two legs, the
+// in-process backend and the simnet transport, and both run the same
+// checks. The gold standard is byte-identity — a
 // conforming backend returns bit-for-bit the answers of the reference
 // snapshot it serves — plus faithful error classes, because failover
 // correctness rests on ErrNodeRange (client input) never being
@@ -25,8 +25,8 @@ type Harness struct {
 	// byte-identity (versions are compared within the backend, not
 	// against Ref: engines assign their own install versions).
 	Ref *oracle.Snapshot
-	// Ship, when non-nil, is a serialized v2 snapshot (WriteTo bytes)
-	// the suite installs via Backend.Ship; ShipRef is its ground truth.
+	// Ship is a serialized v2 snapshot (WriteTo bytes) the suite
+	// installs via Backend.Ship; ShipRef is its ground truth.
 	Ship    []byte
 	ShipRef *oracle.Snapshot
 }
@@ -157,38 +157,34 @@ func Run(t *testing.T, h Harness) {
 		t.Fatalf("Stats.Version = %d, Health.Version = %d", stats.Version, health.Version)
 	}
 
-	// Ship (capability-gated): installing a serialized snapshot bumps
-	// the engine version and serves the shipped bytes, bit-identical.
-	if h.Ship != nil {
-		newVer, err := b.Ship(h.Ship)
-		if err != nil {
-			t.Fatalf("Ship: %v", err)
-		}
-		if newVer <= health.Version {
-			t.Fatalf("Ship installed version %d, want > %d", newVer, health.Version)
-		}
-		sh, err := b.Health()
-		if err != nil {
-			t.Fatalf("Health after Ship: %v", err)
-		}
-		if sh.Version != newVer || sh.N != h.ShipRef.N() {
-			t.Fatalf("after Ship: health (v%d, n=%d), want (v%d, n=%d)",
-				sh.Version, sh.N, newVer, h.ShipRef.N())
-		}
-		m := h.ShipRef.N()
-		got, err := b.Estimate(0, m-1)
-		if err != nil {
-			t.Fatalf("Estimate after Ship: %v", err)
-		}
-		want, err := h.ShipRef.Estimate(0, m-1)
-		if err != nil {
-			t.Fatalf("ship-ref Estimate: %v", err)
-		}
-		if !bitsEqual(got.Lower, want.Lower) || !bitsEqual(got.Upper, want.Upper) {
-			t.Fatalf("post-Ship Estimate = (%v,%v), shipped reference (%v,%v) — shipping broke byte-identity",
-				got.Lower, got.Upper, want.Lower, want.Upper)
-		}
-	} else if _, err := b.Ship(nil); err == nil {
-		t.Fatal("Ship on a ship-less harness succeeded; want ErrUnsupported or a decode error")
+	// Ship: installing a serialized snapshot bumps the engine version
+	// and serves the shipped bytes, bit-identical.
+	newVer, err := b.Ship(h.Ship)
+	if err != nil {
+		t.Fatalf("Ship: %v", err)
+	}
+	if newVer <= health.Version {
+		t.Fatalf("Ship installed version %d, want > %d", newVer, health.Version)
+	}
+	sh, err := b.Health()
+	if err != nil {
+		t.Fatalf("Health after Ship: %v", err)
+	}
+	if sh.Version != newVer || sh.N != h.ShipRef.N() {
+		t.Fatalf("after Ship: health (v%d, n=%d), want (v%d, n=%d)",
+			sh.Version, sh.N, newVer, h.ShipRef.N())
+	}
+	m := h.ShipRef.N()
+	got, err := b.Estimate(0, m-1)
+	if err != nil {
+		t.Fatalf("Estimate after Ship: %v", err)
+	}
+	want, err := h.ShipRef.Estimate(0, m-1)
+	if err != nil {
+		t.Fatalf("ship-ref Estimate: %v", err)
+	}
+	if !bitsEqual(got.Lower, want.Lower) || !bitsEqual(got.Upper, want.Upper) {
+		t.Fatalf("post-Ship Estimate = (%v,%v), shipped reference (%v,%v) — shipping broke byte-identity",
+			got.Lower, got.Upper, want.Lower, want.Upper)
 	}
 }

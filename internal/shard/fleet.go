@@ -239,17 +239,12 @@ func (f *Fleet) buildReplicas(unit *shardUnit, s int, shardName string, ownedIDs
 		if f.cfg.Transport != nil {
 			b = f.cfg.Transport(s, idx, b)
 		}
-		remote := false
-		if rm, ok := b.(interface{ Remote() bool }); ok {
-			remote = rm.Remote()
-		}
 		g := &gate{inner: b}
 		rep := &replica{
 			shard:  s,
 			idx:    idx,
 			b:      g,
 			gate:   g,
-			remote: remote,
 			stateG: f.metrics.breakerState.With(replicaLabel(s, idx)),
 		}
 		rep.brk.cfg = breakerConfig{
@@ -414,7 +409,6 @@ type ReplicaStatus struct {
 	Current bool  `json:"current"`
 	// EngineVersion is the replica engine's own install counter.
 	EngineVersion int64 `json:"engine_version"`
-	Remote        bool  `json:"remote"`
 	BreakerOpens  int64 `json:"breaker_opens"`
 }
 
@@ -429,7 +423,6 @@ func (f *Fleet) ReplicaStatuses() []ReplicaStatus {
 				Replica:      rep.idx,
 				State:        brkName(rep.brk.state.Load()),
 				Down:         rep.gate.down.Load(),
-				Remote:       rep.remote,
 				BreakerOpens: rep.brk.opens.Load(),
 			}
 			if v := rep.vers.Load(); v != nil {
@@ -890,8 +883,8 @@ func (f *Fleet) batchShard(s int, pairs []oracle.Pair, idxs []int, out []Estimat
 	var mapErr error // a pair the mapping refused names itself; engine errors name the shard
 	results, st, err := remapCall(f.shards[s],
 		func(st *shardState) ([]oracle.Pair, error) {
-			// A fresh slice per attempt: a hedged read that lost the race may
-			// still be reading the previous attempt's.
+			// A fresh slice per attempt: a SimTransport call that timed out
+			// can still be read by its server after the retry has begun.
 			local := make([]oracle.Pair, len(idxs))
 			for j, i := range idxs {
 				l, err := localPair(st, pairs[i].U, pairs[i].V)
@@ -1340,9 +1333,12 @@ type FleetStats struct {
 	Requests int64 `json:"requests"`
 	Errors   int64 `json:"errors"`
 	// Robustness aggregation (PR 8).
-	Epoch        int64        `json:"epoch"`
-	Replicas     int          `json:"replicas"`
-	ReplicasDown int          `json:"replicas_down"`
+	Epoch        int64 `json:"epoch"`
+	Replicas     int   `json:"replicas"`
+	ReplicasDown int   `json:"replicas_down"`
+	// Hedges and HedgeWins always read 0: the fleet never hedges a
+	// read. They stay only because bench/replay.go reads them; ROADMAP
+	// item 1a deletes that read, and then these fields.
 	Hedges       int64        `json:"hedges"`
 	HedgeWins    int64        `json:"hedge_wins"`
 	Failovers    int64        `json:"failovers"`
@@ -1366,8 +1362,6 @@ func (f *Fleet) Stats() FleetStats {
 		Epoch:        f.epoch.Load(),
 		Replicas:     f.cfg.Replicas,
 		ReplicasDown: f.ReplicasDown(),
-		Hedges:       f.metrics.hedges.Value(),
-		HedgeWins:    f.metrics.hedgeWins.Value(),
 		Failovers:    f.metrics.failovers.Value(),
 		BreakerOpens: f.metrics.breakerOpens.Value(),
 		Resyncs:      f.metrics.resyncs.Value(),

@@ -29,10 +29,8 @@ type fleetMetrics struct {
 	shards      *telemetry.Gauge
 	beacons     *telemetry.Gauge
 
-	// Robustness series (PR 8): replica hedging, failover, breaker and
+	// Robustness series: replica failover, breaker and
 	// epoch-fencing instrumentation.
-	hedges       *telemetry.Counter
-	hedgeWins    *telemetry.Counter
 	failovers    *telemetry.Counter
 	breakerOpens *telemetry.Counter
 	resyncs      *telemetry.Counter
@@ -74,10 +72,6 @@ func newFleetMetrics(k, replicas int) *fleetMetrics {
 		"Shard count.")
 	m.beacons = reg.Gauge("rings_fleet_beacons",
 		"Landmark count of the cross-shard beacon tier.")
-	m.hedges = reg.Counter("rings_fleet_hedges_total",
-		"Hedged reads launched after the latency-percentile trigger.")
-	m.hedgeWins = reg.Counter("rings_fleet_hedge_wins_total",
-		"Hedged reads that answered before the primary attempt.")
 	m.failovers = reg.Counter("rings_fleet_failovers_total",
 		"Queries moved to another replica after a transport failure.")
 	m.breakerOpens = reg.Counter("rings_fleet_breaker_opens_total",

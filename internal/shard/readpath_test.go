@@ -14,8 +14,8 @@ import (
 	"rings/internal/simnet"
 )
 
-// The replica read path (rsCall): which reads are hedged, which run
-// inline, and what each costs.
+// The replica read path (rsCall): every read runs inline, fails over in
+// place, and costs what its walk costs.
 
 // quietProber parks the background prober for the length of a test, so
 // breaker transitions and link traffic are the reads' alone.
@@ -39,25 +39,29 @@ func waitGoroutines(t *testing.T, want int, what string) {
 	}
 }
 
-// TestHedgedReadWinsOverStalledLink: a shard with a replica behind a
-// transport hedges. With that replica's request link stalled and the
-// rotation starting on it, the read is answered by the hedge to the
-// in-process twin long before the stalled reply is due, counts one hedge
-// and one hedge win, and equals the shard snapshot's own answer; the
-// loser's late reply is dropped, and nothing is left running at Close.
-func TestHedgedReadWinsOverStalledLink(t *testing.T) {
-	const stall = 300 * time.Millisecond
+// TestStalledLinkFailsOverAfterTimeout: a read waits a stalled
+// transport out until the transport's own timeout fails the call, then
+// fails over in place. With replica 1's request link stalled and the
+// rotation starting on it, the read is answered by the in-process twin
+// after the timeout and long before the stalled reply is due, counts one
+// failover and opens no breaker, and equals the shard snapshot's own
+// answer; the late reply is dropped, and nothing is left running at
+// Close.
+func TestStalledLinkFailsOverAfterTimeout(t *testing.T) {
+	const (
+		timeout = 50 * time.Millisecond
+		stall   = 500 * time.Millisecond
+	)
 	baseline := runtime.NumGoroutine()
-	tr, err := NewSimTransport(2, 5*time.Second)
+	tr, err := NewSimTransport(2, timeout)
 	if err != nil {
 		t.Fatal(err)
 	}
 	f, err := NewFleet(quietProber(Config{
 		Oracle: oracle.Config{Workload: "cube", N: 24, Seed: 5, MemberStride: 3,
 			SkipRouting: true, SkipOverlay: true},
-		Shards:     2,
-		Replicas:   2,
-		HedgeAfter: time.Millisecond,
+		Shards:   2,
+		Replicas: 2,
 		Transport: func(s, r int, b Backend) Backend {
 			if r != 1 {
 				return b
@@ -86,22 +90,23 @@ func TestHedgedReadWinsOverStalledLink(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got.Lower != want.Lower || got.Upper != want.Upper || got.OK != want.OK || got.Version != want.Version {
-		t.Fatalf("hedged read answered %+v, the shard snapshot %+v", got.EstimateResult, want)
+		t.Fatalf("failed-over read answered %+v, the shard snapshot %+v", got.EstimateResult, want)
 	}
-	if elapsed >= stall {
-		t.Fatalf("the read took %v: it waited out the %v stall instead of being won by the hedge", elapsed, stall)
+	if elapsed < timeout || elapsed >= stall {
+		t.Fatalf("the read took %v, want at least the %v timeout and below the %v stall", elapsed, timeout, stall)
 	}
 	after := f.Stats()
-	if h, w := after.Hedges-before.Hedges, after.HedgeWins-before.HedgeWins; h != 1 || w != 1 {
-		t.Fatalf("hedges +%d, hedge wins +%d, want +1 and +1", h, w)
+	if d := after.Failovers - before.Failovers; d != 1 {
+		t.Fatalf("failovers +%d, want +1", d)
 	}
-	if after.Failovers != before.Failovers || after.BreakerOpens != before.BreakerOpens {
-		t.Fatalf("a stalled link is not a failure: %+v -> %+v", before, after)
+	if after.BreakerOpens != before.BreakerOpens {
+		t.Fatalf("one timeout opened a breaker: %+v -> %+v", before, after)
 	}
 
-	// The loser is still in flight. Its reply lands after the stall and
-	// is dropped: the attempt's goroutine exits, and the next read (which
-	// starts on the in-process replica) is answered as if it never was.
+	// The stalled request is still in flight. It reaches the server after
+	// the stall, and the reply is dropped: the caller has long gone, and
+	// the next read (which starts on the in-process replica) is answered
+	// as if it never was.
 	tr.Network().Quiesce()
 	if plan.Delayed() != 1 {
 		t.Fatalf("%d delayed messages, want the one stalled request", plan.Delayed())
@@ -110,16 +115,16 @@ func TestHedgedReadWinsOverStalledLink(t *testing.T) {
 	if err != nil || again.Lower != want.Lower || again.Upper != want.Upper {
 		t.Fatalf("read after the late reply: %+v, %v", again.EstimateResult, err)
 	}
-	if s := f.Stats(); s.Hedges != after.Hedges || s.HedgeWins != after.HedgeWins {
-		t.Fatalf("the late reply moved the hedge counters: %+v -> %+v", after, s)
+	if s := f.Stats(); s.Failovers != after.Failovers || s.BreakerOpens != after.BreakerOpens {
+		t.Fatalf("the late reply moved the failover counters: %+v -> %+v", after, s)
 	}
 	f.Close()
 	tr.Close()
 	waitGoroutines(t, baseline, "after Close")
 }
 
-// flakyBackend is an in-process wrapper (it does not declare Remote)
-// whose reads fail as a dead transport would while down is set.
+// flakyBackend is an in-process wrapper whose reads fail as a dead
+// transport would while down is set.
 type flakyBackend struct {
 	Backend
 	down *atomic.Bool
@@ -170,7 +175,7 @@ func mixedRead(f *Fleet, nodes []int32, i int) error {
 }
 
 // TestLocalReplicasAnswerInline: a fleet whose replicas are all
-// in-process never hedges and starts no goroutine for a read; a replica
+// in-process starts no goroutine for a read; a replica
 // that fails as unavailable is failed over in place — every read still
 // answered, each failed attempt one failover — until its breaker opens
 // at the threshold, after which it is skipped without being tried.
@@ -193,11 +198,6 @@ func TestLocalReplicasAnswerInline(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	for _, st := range f.ReplicaStatuses() {
-		if st.Remote {
-			t.Fatalf("replica (%d,%d) reports remote behind a wrapper that does not declare it", st.Shard, st.Replica)
-		}
-	}
 
 	goroutines := runtime.NumGoroutine()
 	for i := 0; i < 10000; i++ {
@@ -205,8 +205,8 @@ func TestLocalReplicasAnswerInline(t *testing.T) {
 			t.Fatalf("read %d: %v", i, err)
 		}
 	}
-	if st := f.Stats(); st.Hedges != 0 || st.HedgeWins != 0 || st.Failovers != 0 {
-		t.Fatalf("healthy in-process fleet: %d hedges, %d wins, %d failovers, want none", st.Hedges, st.HedgeWins, st.Failovers)
+	if st := f.Stats(); st.Failovers != 0 {
+		t.Fatalf("healthy in-process fleet: %d failovers, want none", st.Failovers)
 	}
 	if n := runtime.NumGoroutine(); n > goroutines {
 		t.Fatalf("%d goroutines after 10k inline reads, %d before", n, goroutines)
@@ -234,9 +234,9 @@ func TestLocalReplicasAnswerInline(t *testing.T) {
 			t.Fatalf("after %d failed attempts (threshold %d) the breaker is %s, want %s", st.Failovers, threshold, got, wantState)
 		}
 	}
-	if st := f.Stats(); st.Failovers != threshold || st.BreakerOpens != 1 || st.Hedges != 0 {
-		t.Fatalf("after 40 reads: %d failovers, %d breaker opens, %d hedges; want %d, 1, 0",
-			st.Failovers, st.BreakerOpens, st.Hedges, threshold)
+	if st := f.Stats(); st.Failovers != threshold || st.BreakerOpens != 1 {
+		t.Fatalf("after 40 reads: %d failovers, %d breaker opens; want %d, 1",
+			st.Failovers, st.BreakerOpens, threshold)
 	}
 }
 
@@ -306,8 +306,7 @@ func TestStaleFailureCannotReopenBreaker(t *testing.T) {
 
 // TestIntraEstimateAllocations pins what one intra-shard Fleet.Estimate
 // allocates on a replicated in-process fleet (a cache hit, so the walk is
-// not counted). The hedged path this replaced spent 8 here: a channel, a
-// timer, a goroutine and their closures.
+// not counted).
 func TestIntraEstimateAllocations(t *testing.T) {
 	f, err := NewFleet(quietProber(Config{
 		Oracle:   oracle.Config{Workload: "cube", N: 48, Seed: 9, MemberStride: 4},
@@ -414,8 +413,8 @@ func TestShardDownNeedsASecondLook(t *testing.T) {
 }
 
 // TestShardDownSaysShardOnce: every way a fleet read can find a shard
-// down — every breaker open, an inline walk whose replicas all fail, a
-// hedged race whose replicas all fail — is ErrShardDown, on every read
+// down — every breaker open, a walk whose replicas all fail — is
+// ErrShardDown, on every read
 // endpoint, and its text carries the package prefix once: the sentinel's,
 // not one per layer that passed the failure along (a batch also names
 // which shard, "shard 0: ").
@@ -427,16 +426,10 @@ func TestShardDownSaysShardOnce(t *testing.T) {
 			rep.gate.down.Store(true)
 		}
 	}
-	tr, err := NewSimTransport(2, 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr.Close()
 	cases := []struct {
-		name      string
-		transport func(s, r int, b Backend) Backend
-		down      func(t *testing.T, f *Fleet)
-		detail    bool // the last replica's failure follows the sentinel
+		name   string
+		down   func(t *testing.T, f *Fleet)
+		detail bool // the last replica's failure follows the sentinel
 	}{
 		{name: "every breaker open", down: func(t *testing.T, f *Fleet) {
 			for r := 0; r < 2; r++ {
@@ -446,13 +439,6 @@ func TestShardDownSaysShardOnce(t *testing.T) {
 			}
 		}},
 		{name: "inline walk", down: gatesDown, detail: true},
-		{name: "hedged race", down: gatesDown, detail: true,
-			transport: func(s, r int, b Backend) Backend {
-				if r != 1 {
-					return b
-				}
-				return tr.Wrap(s, b)
-			}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -461,7 +447,6 @@ func TestShardDownSaysShardOnce(t *testing.T) {
 				Shards:           2,
 				Replicas:         2,
 				BreakerThreshold: 1 << 20,
-				Transport:        tc.transport,
 			}))
 			if err != nil {
 				t.Fatal(err)

@@ -216,7 +216,6 @@ type replica struct {
 	gate       *gate
 	vers       atomic.Pointer[repVersions]
 	brk        breaker
-	remote     bool
 	stateG     *telemetry.Gauge // rings_fleet_breaker_state child
 }
 
@@ -225,33 +224,22 @@ func (r *replica) setState(state int32) {
 }
 
 // replicaSet is one shard's replica roster plus the read machinery:
-// rotation, failover and — for a set behind a transport — hedging.
+// rotation and failover, on the caller's goroutine.
 type replicaSet struct {
-	reps   []*replica
-	cursor atomic.Int64 // rotates the first candidate for load spread
-	// hedgeAfter: >0 fixed hedge delay, <0 hedging disabled, 0 adaptive
-	// (p90 of the recent latency window, doubled). Read only when remote.
-	hedgeAfter time.Duration
-	remote     bool // any replica crosses a transport: reads are hedged
-	lat        latWindow
-	jstate     atomic.Uint64 // jitter stream state (splitmix64 counter)
-	m          *fleetMetrics
-	epochBump  func() // fleet epoch advance (roster changed)
+	reps      []*replica
+	cursor    atomic.Int64  // rotates the first candidate for load spread
+	jstate    atomic.Uint64 // jitter stream state (splitmix64 counter)
+	m         *fleetMetrics
+	epochBump func() // fleet epoch advance (roster changed)
 }
 
 func newReplicaSet(f *Fleet, reps []*replica) *replicaSet {
 	rs := &replicaSet{
-		reps:       reps,
-		hedgeAfter: f.cfg.HedgeAfter,
-		m:          f.metrics,
-		epochBump:  func() { f.AdvanceEpoch() },
+		reps:      reps,
+		m:         f.metrics,
+		epochBump: func() { f.AdvanceEpoch() },
 	}
 	rs.jstate.Store(uint64(time.Now().UnixNano()))
-	for _, rep := range reps {
-		if rep.remote {
-			rs.remote = true
-		}
-	}
 	return rs
 }
 
@@ -275,51 +263,13 @@ func (rs *replicaSet) fail(rep *replica, gen int64) {
 
 func (rs *replicaSet) ok(rep *replica) { rep.brk.onSuccess() }
 
-// candidates returns the breaker-available replicas in rotated order
-// from first, for a read that will race them.
-func (rs *replicaSet) candidates(first int) []*replica {
-	out := make([]*replica, 0, len(rs.reps))
-	for i := range rs.reps {
-		rep := rs.reps[(first+i)%len(rs.reps)]
-		if rep.brk.available() {
-			out = append(out, rep)
-		}
-	}
-	return out
-}
-
-// hedgeDelay picks the latency-percentile trigger for the next hedged
-// read: twice the recent p90, clamped, or a transport-scale prior while
-// the window is empty (only a set behind a transport hedges).
-func (rs *replicaSet) hedgeDelay() time.Duration {
-	if rs.hedgeAfter > 0 {
-		return rs.hedgeAfter
-	}
-	const (
-		minDelay = 200 * time.Microsecond
-		maxDelay = 100 * time.Millisecond
-	)
-	if d := rs.lat.p90(); d > 0 {
-		d *= 2
-		if d < minDelay {
-			d = minDelay
-		}
-		if d > maxDelay {
-			d = maxDelay
-		}
-		return d
-	}
-	return 20 * time.Millisecond
-}
-
-// rsTry runs one attempt against one replica: transport failures feed
-// the breaker, successes feed the latency window, and an answer from
-// the wrong era (or a version the fleet didn't record for that era)
-// is reported as errStaleReplica.
+// rsTry runs one attempt against one replica: a transport failure
+// feeds the breaker, a success resets its failure count, and an answer
+// from the wrong era (or a version the fleet didn't record for that
+// era) is reported as errStaleReplica.
 func rsTry[T any](rs *replicaSet, rep *replica, want int64, fn func(Backend) (T, int64, error)) (T, error) {
 	var zero T
 	gen := rep.brk.gen.Load()
-	start := time.Now()
 	res, ver, err := fn(rep.b)
 	if err != nil {
 		if IsUnavailable(err) {
@@ -328,7 +278,6 @@ func rsTry[T any](rs *replicaSet, rep *replica, want int64, fn func(Backend) (T,
 		return zero, err
 	}
 	rs.ok(rep)
-	rs.lat.observe(time.Since(start))
 	v := rep.vers.Load()
 	if v == nil || v.era != want || ver != v.engine {
 		return zero, errStaleReplica
@@ -336,18 +285,16 @@ func rsTry[T any](rs *replicaSet, rep *replica, want int64, fn func(Backend) (T,
 	return res, nil
 }
 
-// rsCall answers one query from the replica set. Hedging belongs to a
-// transport that can stall: only a set with a replica behind one
-// (Backend.Remote) races a second read after the latency-percentile
-// trigger, and only while more than one candidate is healthy. Every
-// other read runs inline on the caller's goroutine — an in-process
-// replica cannot stall, and a twin on the same cores could not win the
-// race anyway: the replicas are walked in rotated order, the ones whose
-// breaker is not closed skipped in place, failing over past transport
-// failures. A client error returns immediately; when every candidate
-// transport-fails the shard is down (ErrShardDown, no silent local
-// fallback); a stale-era answer with no healthy alternative surfaces as
-// errStaleReplica for the caller's remap loop.
+// rsCall answers one query from the replica set, inline on the
+// caller's goroutine: the replicas are walked in rotated order, the
+// ones whose breaker is not closed skipped in place, failing over past
+// transport failures. A replica behind a transport that stalls is
+// waited out until the transport's own timeout turns the stall into a
+// failure, and the walk then fails over like any other. A client error
+// returns immediately; when every candidate transport-fails the shard
+// is down (ErrShardDown, no silent local fallback); a stale-era answer
+// with no healthy alternative surfaces as errStaleReplica for the
+// caller's remap loop.
 //
 // A walk reads each breaker at its own instant, so one that passed over
 // a replica can find every replica unavailable although at every instant
@@ -364,16 +311,10 @@ func rsCall[T any](rs *replicaSet, want int64, fn func(Backend) (T, int64, error
 
 // rsWalk is one pass of rsCall over the roster; skipped reports that it
 // passed over a replica whose breaker was not closed.
-func rsWalk[T any](rs *replicaSet, want int64, fn func(Backend) (T, int64, error)) (res T, skipped bool, err error) {
+func rsWalk[T any](rs *replicaSet, want int64, fn func(Backend) (T, int64, error)) (_ T, skipped bool, _ error) {
 	var zero T
 	// The rotation spreads read load across healthy replicas.
 	first := int(uint64(rs.cursor.Add(1)) % uint64(len(rs.reps)))
-	if rs.remote && rs.hedgeAfter >= 0 {
-		if cands := rs.candidates(first); len(cands) > 1 {
-			res, err = rsHedged(rs, cands, want, fn)
-			return res, len(cands) < len(rs.reps), err
-		}
-	}
 	var lastErr error
 	sawStale, failedOver := false, false
 	for i := range rs.reps {
@@ -412,120 +353,6 @@ func shardDown(last error) error {
 		return ErrShardDown
 	}
 	return fmt.Errorf("%w: %s", ErrShardDown, strings.ReplaceAll(last.Error(), "shard: ", ""))
-}
-
-// rsHedged races candidates: the first launches immediately, the next
-// launches when the hedge timer fires (a hedge) or when an attempt
-// transport-fails (a failover). First success wins; losers drain into
-// the buffered channel.
-func rsHedged[T any](rs *replicaSet, cands []*replica, want int64, fn func(Backend) (T, int64, error)) (T, error) {
-	var zero T
-	type outcome struct {
-		res    T
-		err    error
-		hedged bool
-	}
-	ch := make(chan outcome, len(cands))
-	launch := func(i int, hedged bool) {
-		rep := cands[i]
-		go func() {
-			res, err := rsTry(rs, rep, want, fn)
-			ch <- outcome{res: res, err: err, hedged: hedged}
-		}()
-	}
-	launch(0, false)
-	launched, inflight := 1, 1
-	timer := time.NewTimer(rs.hedgeDelay())
-	defer timer.Stop()
-	var lastErr error
-	sawStale := false
-	for inflight > 0 {
-		select {
-		case out := <-ch:
-			inflight--
-			switch {
-			case out.err == nil:
-				if out.hedged {
-					rs.m.hedgeWins.Inc()
-				}
-				return out.res, nil
-			case errors.Is(out.err, errStaleReplica):
-				sawStale = true
-			case !IsUnavailable(out.err):
-				return zero, out.err
-			default:
-				lastErr = out.err
-				if launched < len(cands) {
-					rs.m.failovers.Inc()
-					launch(launched, false)
-					launched++
-					inflight++
-				}
-			}
-		case <-timer.C:
-			if launched < len(cands) {
-				rs.m.hedges.Inc()
-				launch(launched, true)
-				launched++
-				inflight++
-				timer.Reset(rs.hedgeDelay())
-			}
-		}
-	}
-	if sawStale {
-		return zero, errStaleReplica
-	}
-	return zero, shardDown(lastErr)
-}
-
-// latWindow is a fixed 32-slot ring of recent successful-call latencies
-// feeding the adaptive hedge trigger. Lock-free, allocation-free
-// writes; reads copy the ring onto the stack.
-type latWindow struct {
-	slots [32]atomic.Int64 // nanoseconds
-	n     atomic.Int64
-}
-
-func (w *latWindow) observe(d time.Duration) {
-	if d <= 0 {
-		d = 1
-	}
-	i := w.n.Add(1) - 1
-	w.slots[i&31].Store(int64(d))
-}
-
-// p90 reports the 90th-percentile latency of the window (0 while
-// empty).
-func (w *latWindow) p90() time.Duration {
-	n := w.n.Load()
-	if n == 0 {
-		return 0
-	}
-	if n > 32 {
-		n = 32
-	}
-	var buf [32]int64
-	k := 0
-	for i := int64(0); i < n; i++ {
-		if v := w.slots[i].Load(); v > 0 {
-			buf[k] = v
-			k++
-		}
-	}
-	if k == 0 {
-		return 0
-	}
-	// Insertion sort: 32 elements max, no allocation.
-	for i := 1; i < k; i++ {
-		v := buf[i]
-		j := i - 1
-		for j >= 0 && buf[j] > v {
-			buf[j+1] = buf[j]
-			j--
-		}
-		buf[j+1] = v
-	}
-	return time.Duration(buf[k*9/10])
 }
 
 // splitmix64 is the finalizer feeding breaker jitter (the same mixer

@@ -377,7 +377,6 @@ func TestFleetSimPartitionFailover(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	waitReplica(t, f, 0, 1, "remote", func(st ReplicaStatus) bool { return st.Remote })
 
 	nodes := f.ShardNodes(0)
 	snap := f.ShardSnapshot(0)

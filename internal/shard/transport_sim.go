@@ -191,10 +191,6 @@ type simBackend struct {
 	node int
 }
 
-// Remote marks the backend as crossing a (simulated) network: its
-// shard's reads are hedged.
-func (b *simBackend) Remote() bool { return true }
-
 func simCallAs[T any](b *simBackend, req any) (T, error) {
 	res, err := b.t.call(b.node, req)
 	if err != nil {

@@ -56,7 +56,9 @@ type Params struct {
 	// in (0, 1/2).
 	DeltaPrime float64
 	// YBallFactor scales the Y-ring ball: radius = YBallFactor * r_ui.
-	// Paper: 12/δ'.
+	// Paper: 12/δ'. It must be at least 1: r_u0 is the diameter, so only
+	// then does every Y_u0 hold the whole level-0 net, the host prefix
+	// every distance label shares.
 	YBallFactor float64
 	// YScaleFactor scales the Y-ring net: scale = YScaleFactor * r_ui.
 	// Paper: δ'/4.
@@ -110,7 +112,8 @@ func DefaultParams(deltaPrime float64) Params {
 }
 
 // TunedParams returns a lab-scale profile: same δ', but Y-rings reach only
-// ballFactor*r_ui at net scale r_ui/4. Pair with VerifyAllPairs.
+// ballFactor*r_ui (at least 1) at net scale r_ui/4. Pair with
+// VerifyAllPairs.
 func TunedParams(deltaPrime, ballFactor float64) Params {
 	return Params{
 		DeltaPrime:   deltaPrime,
@@ -174,6 +177,10 @@ func NewConstructionParams(idx metric.BallIndex, params Params) (*Construction, 
 	}
 	if params.YBallFactor <= 0 || params.YScaleFactor <= 0 {
 		return nil, fmt.Errorf("triangulation: non-positive ring factors %+v", params)
+	}
+	if params.YBallFactor < 1 {
+		return nil, fmt.Errorf("triangulation: Y-ring reach %v < 1 does not cover the diameter r_u0, "+
+			"so the level-0 host prefix is not shared and lower <= d fails", params.YBallFactor)
 	}
 	n := idx.N()
 	if n < 2 {

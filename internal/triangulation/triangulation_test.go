@@ -83,6 +83,20 @@ func TestConstructionRejectsBadParams(t *testing.T) {
 	}
 }
 
+// TestConstructionRefusesShortYReach: a Y-ring reach below 1 does not
+// cover r_u0 (the diameter), so the labels' level-0 prefix would not be
+// shared and lower <= d would fail; the construction refuses it. Reach 1
+// is the shortest accepted.
+func TestConstructionRefusesShortYReach(t *testing.T) {
+	idx := gridIdx(t, 6)
+	if _, err := NewConstructionParams(idx, TunedParams(0.5/6, 0.75)); err == nil {
+		t.Fatal("accepted Y reach 0.75")
+	}
+	if _, err := NewConstructionParams(idx, TunedParams(0.5/6, 1)); err != nil {
+		t.Fatalf("refused Y reach 1: %v", err)
+	}
+}
+
 func verifyTriangulation(t *testing.T, idx metric.BallIndex, delta float64) PairStats {
 	t.Helper()
 	tri, err := New(idx, delta)

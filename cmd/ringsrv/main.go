@@ -1,11 +1,11 @@
 // Command ringsrv serves a distance oracle over HTTP/JSON: it builds
-// the paper's structures (Theorem 3.4 labels or Theorem 3.2 beacons, the
-// Meridian ring overlay, the Theorem 2.1 metric router) over a synthetic
+// the paper's structures (Theorem 3.4 labels, the Meridian ring
+// overlay, the Theorem 2.1 metric router) over a synthetic
 // workload once, then answers query traffic from an oracle.Engine with
 // lock-free snapshot reads and a sharded result cache.
 //
-//	ringsrv -workload latency -n 256 -scheme labels
-//	ringsrv -workload latency -n 4096 -scheme beacons -no-routing
+//	ringsrv -workload latency -n 256
+//	ringsrv -workload latency -n 2048 -no-routing
 //
 // Endpoints:
 //
@@ -135,9 +135,9 @@ func run() error {
 		logA       = flag.Float64("logaspect", 60, "log2 aspect ratio (expline)")
 		seed       = flag.Int64("seed", 1, "workload seed")
 		delta      = flag.Float64("delta", 0.5, "target approximation (0, 1]")
-		scheme     = flag.String("scheme", oracle.SchemeLabels, "estimator: labels | beacons")
+		scheme     = flag.String("scheme", oracle.SchemeLabels, "estimator: labels (the only one)")
 		profile    = flag.String("profile", oracle.ProfileTuned, "ring constants: paper | tuned")
-		verify     = flag.Bool("verify", false, "verify the triangulation after each build (O(n^2))")
+		verify     = flag.Bool("verify", false, "after each build, check every pair's served estimate: lower <= d <= upper <= (1+delta)*d (O(n^2))")
 		backend    = flag.String("backend", "eager", "ball-index backend: eager | lazy")
 		workers    = flag.Int("workers", 0, "index build workers (0 = GOMAXPROCS)")
 		members    = flag.Int("members", 4, "overlay member stride (every k-th node)")
@@ -176,6 +176,11 @@ func run() error {
 		MemberStride: *members,
 		SkipRouting:  *noRouting,
 		SkipOverlay:  *noOverlay,
+	}
+	// -scheme accepts only labels; the flag stays because bench/ passes
+	// it (ROADMAP item 1a).
+	if err := oracle.CheckScheme(cfg.WithDefaults().Scheme); err != nil {
+		return err
 	}
 
 	// serve finishes the boot of either mode: telemetry and limits,

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bufio"
 	"io"
 	"os"
 	"path/filepath"
@@ -19,10 +18,10 @@ import (
 //     domains (a /snapshot rebuild and a /join repair, or two shards)
 //     can never interleave bytes in one temp file and rename a corrupt
 //     snapshot over a good one.
-//   - The temp file is fsynced before the atomic rename, so a crash
-//     right after the rename can never leave a truncated file at the
-//     visible path — the warm-start path either sees the old complete
-//     snapshot or the new complete snapshot.
+//   - The temp file is fsynced before the atomic rename, and the
+//     directory after it, so a crash can never leave a truncated file at
+//     the visible path nor lose the rename — the warm-start path either
+//     sees the old complete snapshot or the new complete snapshot.
 //
 // Coalescing: callers take a generation ticket before blocking on mu.
 // The writer that holds the lock reads the latest snapshot and marks
@@ -65,11 +64,13 @@ func (p *persister) persist(current func() io.WriterTo) error {
 }
 
 // writeFileAtomic writes payload to a unique temp file in path's
-// directory, fsyncs it, and atomically renames it over path. On any
-// error the temp file is removed and path is left untouched — a
-// write-interrupted file is never visible at path.
+// directory, fsyncs it, atomically renames it over path and fsyncs the
+// directory, which is what makes the new name itself durable. On any
+// error before the rename the temp file is removed and path is left
+// untouched — a write-interrupted file is never visible at path.
 func writeFileAtomic(path string, payload io.WriterTo) error {
-	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
+	dir := filepath.Dir(path)
+	f, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
 	if err != nil {
 		return err
 	}
@@ -79,13 +80,9 @@ func writeFileAtomic(path string, payload io.WriterTo) error {
 		os.Remove(tmp)
 		return err
 	}
-	// WriteTo issues two small writes per label; buffering keeps a
-	// per-commit persist at a handful of syscalls instead of thousands.
-	bw := bufio.NewWriterSize(f, 1<<20)
-	if _, err := payload.WriteTo(bw); err != nil {
-		return fail(err)
-	}
-	if err := bw.Flush(); err != nil {
+	// A v2 snapshot's WriteTo is a handful of writes — the framing, then
+	// the whole arena in one — so it goes to the file unbuffered.
+	if _, err := payload.WriteTo(f); err != nil {
 		return fail(err)
 	}
 	if err := f.Sync(); err != nil {
@@ -99,5 +96,10 @@ func writeFileAtomic(path string, payload io.WriterTo) error {
 		os.Remove(tmp)
 		return err
 	}
-	return nil
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	return d.Sync()
 }

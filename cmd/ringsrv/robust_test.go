@@ -161,8 +161,17 @@ func testOverloadShedding(t *testing.T, start startFunc) {
 		t.Fatal(err)
 	}
 
-	// The slot is taken once shedding starts; poll until it does.
+	// Poll only once the /batch holds the slot. A poll holding it when
+	// the /batch is admitted would get the /batch shed instead — and that
+	// 503 never arrives, because net/http drains the unfinished chunked
+	// body before it answers — leaving nothing to shed the polls.
 	deadline := time.Now().Add(5 * time.Second)
+	for len(srv.inflight) != 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("the stalled /batch never took the one slot")
+		}
+		time.Sleep(time.Millisecond)
+	}
 	for {
 		resp, err := ts.Client().Get(ts.URL + "/estimate?u=0&v=1")
 		if err != nil {

@@ -3,8 +3,12 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"flag"
 	"fmt"
 	"net/http"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -164,6 +168,23 @@ func testServerErrorStatuses(t *testing.T, start startFunc) {
 	}
 }
 
+// TestRetiredSchemeFlagRefused: -scheme beacons makes run fail — so
+// ringsrv exit 1 — with ErrSchemeRetired before it builds or opens
+// anything, a snapshot file included.
+func TestRetiredSchemeFlagRefused(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "snap.bin")
+	savedFlags, savedArgs := flag.CommandLine, os.Args
+	t.Cleanup(func() { flag.CommandLine, os.Args = savedFlags, savedArgs })
+	flag.CommandLine = flag.NewFlagSet("ringsrv", flag.ContinueOnError)
+	os.Args = []string{"ringsrv", "-workload", "cube", "-n", "16", "-scheme", "beacons", "-snapshot-file", path}
+	if err := run(); !errors.Is(err, oracle.ErrSchemeRetired) {
+		t.Fatalf("ringsrv -scheme beacons: %v, want ErrSchemeRetired", err)
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("refused boot touched its snapshot file: %v", err)
+	}
+}
+
 func TestServerDisabledEndpointsAre501(t *testing.T) {
 	bothFrontends(t, testServerDisabledEndpointsAre501)
 }
@@ -173,7 +194,6 @@ func testServerDisabledEndpointsAre501(t *testing.T, start startFunc) {
 		Workload:    "cube",
 		N:           32,
 		Seed:        1,
-		Scheme:      oracle.SchemeBeacons,
 		SkipRouting: true,
 		SkipOverlay: true,
 	})

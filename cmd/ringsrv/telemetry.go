@@ -66,15 +66,6 @@ func (s *server) auditTrueDist(rec auditRecord) (float64, bool) {
 	return snap.Idx.Dist(rec.u, rec.v), true
 }
 
-// scheme names the estimator being served (every shard of a fleet builds
-// from the same recipe).
-func (s *server) scheme() string {
-	if s.fleet != nil {
-		return s.fleet.ShardSnapshot(0).Config.Scheme
-	}
-	return s.engine.Snapshot().Config.Scheme
-}
-
 // observeEstimate traces and audits one /estimate answer. A single
 // engine's answer arrives wrapped with the zero shard attribution.
 func (s *server) observeEstimate(res shard.EstimateResult, err error, start time.Time) {
@@ -92,7 +83,7 @@ func (s *server) observeEstimate(res shard.EstimateResult, err error, start time
 	rec := &telemetry.TraceRecord{
 		Time:      start,
 		Endpoint:  oracle.EndpointEstimate,
-		Scheme:    s.scheme(),
+		Scheme:    oracle.SchemeLabels,
 		LatencyUs: float64(time.Since(start)) / float64(time.Microsecond),
 	}
 	if err != nil {

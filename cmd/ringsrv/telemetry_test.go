@@ -194,17 +194,15 @@ func testTraceEndpoint(t *testing.T, start startFunc) {
 	getJSON(t, ts, "/debug/trace?n=bogus", http.StatusBadRequest, nil)
 }
 
-// TestAuditorBeacons drives a beacons-scheme engine with audit
-// sampling at 100% and requires every audited sandwich to contain the
-// exact distance.
-func TestAuditorBeacons(t *testing.T) { bothFrontends(t, testAuditorBeacons) }
+// TestAuditorLabels drives an engine with audit sampling at 100% and
+// requires every audited sandwich to contain the exact distance.
+func TestAuditorLabels(t *testing.T) { bothFrontends(t, testAuditorLabels) }
 
-func testAuditorBeacons(t *testing.T, start startFunc) {
+func testAuditorLabels(t *testing.T, start startFunc) {
 	snap, err := oracle.BuildSnapshot(oracle.Config{
 		Workload: "cube",
 		N:        64,
 		Seed:     3,
-		Scheme:   oracle.SchemeBeacons,
 	})
 	if err != nil {
 		t.Fatal(err)

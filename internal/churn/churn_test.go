@@ -3,6 +3,7 @@ package churn
 import (
 	"bytes"
 	"crypto/sha256"
+	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -115,14 +116,13 @@ func assertSnapshotsIdentical(t *testing.T, step int, got, want *oracle.Snapshot
 	}
 	for u := 0; u < n; u++ {
 		for v := 0; v < n; v++ {
-			ge, err1 := got.Estimate(u, v)
-			we, err2 := want.Estimate(u, v)
-			if (err1 == nil) != (err2 == nil) {
-				t.Fatalf("step %d: estimate(%d,%d) err %v vs %v", step, u, v, err1, err2)
+			ge, err := got.Estimate(u, v)
+			if err != nil {
+				t.Fatalf("step %d: estimate(%d,%d): %v", step, u, v, err)
 			}
-			ge.Version, we.Version = 0, 0
-			if ge != we {
-				t.Fatalf("step %d: estimate(%d,%d) %+v vs %+v", step, u, v, ge, we)
+			lo, up, ok := distlabel.Estimate(want.Labels[u], want.Labels[v])
+			if ge.Lower != lo || ge.Upper != up || ge.OK != ok {
+				t.Fatalf("step %d: estimate(%d,%d) %+v, reference pointer walk (%v, %v, %v)", step, u, v, ge, lo, up, ok)
 			}
 		}
 	}
@@ -310,13 +310,9 @@ func TestMutatorConcurrentReaders(t *testing.T) {
 					errc <- fmt.Errorf("reader %d: unknown version %d", r, res.Version)
 					return
 				}
-				want, err := snap.Estimate(u, v)
-				if err != nil {
-					errc <- err
-					return
-				}
-				if res.Lower != want.Lower || res.Upper != want.Upper || res.OK != want.OK {
-					errc <- fmt.Errorf("reader %d: answer from wrong era: %+v vs %+v", r, res, want)
+				lo, up, ok := distlabel.Estimate(snap.Labels[u], snap.Labels[v])
+				if res.Lower != lo || res.Upper != up || res.OK != ok {
+					errc <- fmt.Errorf("reader %d: answer from wrong era: %+v vs (%v, %v, %v)", r, res, lo, up, ok)
 					return
 				}
 				if tgt := rng.Intn(8); tgt%3 == 0 {
@@ -352,9 +348,15 @@ func TestMutatorConcurrentReaders(t *testing.T) {
 	}
 }
 
-// TestMutatorValidation covers the batch validator.
+// TestMutatorValidation covers the recipe check and the batch
+// validator.
 func TestMutatorValidation(t *testing.T) {
 	ocfg := oracle.Config{Workload: "cube", N: 16, Seed: 1, SkipRouting: true, SkipOverlay: true}
+	retired := ocfg
+	retired.Scheme = "beacons"
+	if _, err := NewMutator(Config{Oracle: retired, Capacity: 20}); !errors.Is(err, oracle.ErrSchemeRetired) {
+		t.Errorf("NewMutator under the retired beacons scheme: %v, want ErrSchemeRetired", err)
+	}
 	m, err := NewMutator(Config{Oracle: ocfg, Capacity: 20, MinNodes: 14})
 	if err != nil {
 		t.Fatal(err)

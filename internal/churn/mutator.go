@@ -21,9 +21,8 @@ type state struct {
 	n      int
 	frozen *frozenIndex
 	cons   *triangulation.Construction
-	tri    *triangulation.Triangulation
 
-	// Label-layer substrate (nil under SchemeBeacons).
+	// Label-layer substrate.
 	zp          distlabel.ZParams
 	zmasks      [][]bool // per scale, referencing cons's hierarchy
 	zAll        [][]int  // Z_u sorted by id
@@ -86,10 +85,8 @@ func NewMutator(cfg Config) (*Mutator, error) {
 	if err != nil {
 		return nil, err
 	}
-	switch cfg.Oracle.Scheme {
-	case oracle.SchemeLabels, oracle.SchemeBeacons:
-	default:
-		return nil, fmt.Errorf("churn: unknown scheme %q", cfg.Oracle.Scheme)
+	if err := oracle.CheckScheme(cfg.Oracle.Scheme); err != nil {
+		return nil, err
 	}
 	params, err := cfg.Oracle.TriangulationParams()
 	if err != nil {
@@ -439,23 +436,10 @@ func (m *Mutator) buildState(prev *state, new2old, old2new []int32, ops []Op) (*
 		return nil, nil, fmt.Errorf("churn: construction: %w", err)
 	}
 	st.cons = cons
-	var triSec float64
-	if cfg.Scheme == oracle.SchemeBeacons {
-		// Beacon maps are the estimator under SchemeBeacons; under
-		// SchemeLabels no query path ever reads them, so the churn
-		// commit skips the rebuild (delta snapshots then carry Tri=nil;
-		// estimates come from the repaired labels either way).
-		phase = time.Now()
-		st.tri = triangulation.FromConstruction(cons, cfg.Delta)
-		triSec = time.Since(phase).Seconds()
-	}
 
-	var zSec, tSec, fillSec float64
-	if cfg.Scheme == oracle.SchemeLabels {
-		zSec, tSec, fillSec, err = m.repairLabels(prev, st, new2old, old2new, ost)
-		if err != nil {
-			return nil, nil, err
-		}
+	zSec, tSec, fillSec, err := m.repairLabels(prev, st, new2old, old2new, ost)
+	if err != nil {
+		return nil, nil, err
 	}
 
 	var overlaySec float64
@@ -472,26 +456,24 @@ func (m *Mutator) buildState(prev *state, new2old, old2new []int32, ops []Op) (*
 	sub := frozen.Space().(*metric.Subspace)
 	elapsed := time.Since(start)
 	build := oracle.BuildStats{
-		N:                n,
-		Workload:         m.name,
-		Scheme:           cfg.Scheme,
-		Profile:          cfg.Profile,
-		Workers:          par.Workers(workers, n),
-		IndexSec:         indexSec,
-		NetsSec:          cons.Timings.Nets.Seconds(),
-		RadiiSec:         cons.Timings.Radii.Seconds(),
-		PackingsSec:      cons.Timings.Packings.Seconds(),
-		RingsSec:         cons.Timings.Rings.Seconds(),
-		TriangulationSec: triSec,
-		ZSetsSec:         zSec,
-		TSetsSec:         tSec,
-		LabelFillSec:     fillSec,
-		LabelsTotalSec:   zSec + tSec + fillSec,
-		OverlaySec:       overlaySec,
+		N:              n,
+		Workload:       m.name,
+		Scheme:         cfg.Scheme,
+		Profile:        cfg.Profile,
+		Workers:        par.Workers(workers, n),
+		IndexSec:       indexSec,
+		NetsSec:        cons.Timings.Nets.Seconds(),
+		RadiiSec:       cons.Timings.Radii.Seconds(),
+		PackingsSec:    cons.Timings.Packings.Seconds(),
+		RingsSec:       cons.Timings.Rings.Seconds(),
+		ZSetsSec:       zSec,
+		TSetsSec:       tSec,
+		LabelFillSec:   fillSec,
+		LabelsTotalSec: zSec + tSec + fillSec,
+		OverlaySec:     overlaySec,
 	}
 	art := oracle.Artifacts{
 		Idx:     frozen,
-		Tri:     st.tri,
 		Labels:  st.labels,
 		Overlay: st.overlay,
 		Perm:    sub.BaseNodes(),

@@ -7,12 +7,9 @@ import (
 	"testing"
 )
 
-// benchSnapshot is the n=4096 serving snapshot the throughput benchmarks
-// share. Theorem 3.4 labels are out of reach at this scale (their build
-// cost grows roughly cubically — see DESIGN.md §6), so the benchmark
-// serves Theorem 3.2 beacon estimates under the tuned ring profile,
-// which builds in seconds; that is also the configuration a large-n
-// ringsrv deployment would run.
+// benchSnapshot is the serving snapshot the throughput benchmarks share:
+// the dataset ringperf serves (latency, tuned, δ = 0.5, labels,
+// n = 1024), without overlay or router.
 var benchSnapshot struct {
 	once sync.Once
 	snap *Snapshot
@@ -23,10 +20,9 @@ func benchSnap(b *testing.B) *Snapshot {
 	benchSnapshot.once.Do(func() {
 		benchSnapshot.snap, benchSnapshot.err = BuildSnapshot(Config{
 			Workload:    "latency",
-			N:           4096,
+			N:           1024,
 			Seed:        1,
 			Delta:       0.5,
-			Scheme:      SchemeBeacons,
 			Profile:     ProfileTuned,
 			SkipOverlay: true,
 			SkipRouting: true,
@@ -47,9 +43,9 @@ func benchPairs(n, count int) []Pair {
 	return pairs
 }
 
-// BenchmarkEngineEstimate measures single-pair estimate throughput at
-// n = 4096, cache cold (caching disabled, every query computed from the
-// beacon sets) vs warm (default cache, working set pre-touched so every
+// BenchmarkEngineEstimate measures single-pair estimate throughput on
+// benchSnap, cache cold (caching disabled, every query a walk of the
+// flat arena) vs warm (default cache, working set pre-touched so every
 // query is a shard-lock + map hit). EXPERIMENTS.md §S1 records a run.
 func BenchmarkEngineEstimate(b *testing.B) {
 	snap := benchSnap(b)
@@ -227,14 +223,14 @@ func reportQPS(b *testing.B) {
 	}
 }
 
-// clone returns a copy of the bench snapshot (beacons, no overlay, no
-// router) sharing every immutable artifact, so each benchmark engine can
+// clone returns a copy of the bench snapshot (no overlay, no router)
+// sharing every immutable artifact, so each benchmark engine can
 // install "its own" snapshot (Swap assigns Version, which must not be
 // rewritten on a published snapshot). Field by field: a Snapshot holds a
 // sync.Once and is not copyable.
 func (s *Snapshot) clone() *Snapshot {
 	return &Snapshot{
-		Config: s.Config, Name: s.Name, Idx: s.Idx, Tri: s.Tri,
+		Config: s.Config, Name: s.Name, Idx: s.Idx,
 		BuildElapsed: s.BuildElapsed, Build: s.Build, Flat: s.Flat, n: s.n,
 	}
 }

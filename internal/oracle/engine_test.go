@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -39,7 +40,7 @@ func buildTestSnapshot(t testing.TB, seed int64) *Snapshot {
 
 func TestBuildSnapshotVariants(t *testing.T) {
 	snap := buildTestSnapshot(t, 1)
-	if snap.Scheme == nil || snap.Labels == nil || snap.Tri == nil ||
+	if snap.Scheme == nil || snap.Labels == nil || snap.Flat == nil ||
 		snap.Overlay == nil || !snap.Routed() {
 		t.Fatal("labels config missing artifacts")
 	}
@@ -51,15 +52,11 @@ func TestBuildSnapshotVariants(t *testing.T) {
 	}
 
 	cfg := testConfig(1)
-	cfg.Scheme = SchemeBeacons
 	cfg.SkipOverlay = true
 	cfg.SkipRouting = true
 	lean, err := BuildSnapshot(cfg)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if lean.Scheme != nil || lean.Labels != nil {
-		t.Error("beacons config built labels anyway")
 	}
 	if lean.Overlay != nil || lean.Routable() {
 		t.Error("skip flags ignored")
@@ -83,6 +80,27 @@ func TestBuildSnapshotVariants(t *testing.T) {
 		if _, err := BuildSnapshot(cfg); err == nil {
 			t.Errorf("invalid config %+v accepted", cfg)
 		}
+	}
+	cfg = testConfig(1)
+	cfg.Scheme = "beacons"
+	if _, err := BuildSnapshot(cfg); !errors.Is(err, ErrSchemeRetired) {
+		t.Errorf("BuildSnapshot under the retired beacons scheme: %v, want ErrSchemeRetired", err)
+	}
+}
+
+// TestVerifyChecksTheServedArena: Config.Verify checks the answers the
+// arena serves, so one perturbed arena distance fails it with an error
+// that names a pair. Node 0's first host distance is in the shared
+// level-0 prefix, which every pair (0, v) folds.
+func TestVerifyChecksTheServedArena(t *testing.T) {
+	snap := buildTestSnapshot(t, 1) // testConfig verifies the build
+	if snap.Build.VerifySec <= 0 {
+		t.Fatal("Verify set but no verification timed")
+	}
+	snap.Flat.dists[snap.Flat.distOff[0]] += 10 * snap.Idx.Diameter()
+	err := snap.verify()
+	if err == nil || !strings.Contains(err.Error(), "pair (0,") {
+		t.Fatalf("verify over a perturbed arena: %v, want an error naming a pair (0, v)", err)
 	}
 }
 
@@ -182,12 +200,9 @@ func TestEngineBatchMatchesSingles(t *testing.T) {
 		t.Fatalf("batch returned %d results for %d pairs", len(batch), len(pairs))
 	}
 	for i, p := range pairs {
-		direct, err := snap.Estimate(p.U, p.V)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !sameEstimate(batch[i], direct) {
-			t.Fatalf("batch[%d] = %+v, direct %+v", i, batch[i], direct)
+		lo, up, ok := distlabel.Estimate(snap.Labels[p.U], snap.Labels[p.V])
+		if !sameEstimate(batch[i], EstimateResult{U: p.U, V: p.V, Lower: lo, Upper: up, OK: ok}) {
+			t.Fatalf("batch[%d] = %+v, reference walk (%v, %v, %v)", i, batch[i], lo, up, ok)
 		}
 	}
 	if _, err := e.EstimateBatch([]Pair{{U: 0, V: snap.N()}}); err == nil {

@@ -6,17 +6,15 @@ import (
 	"math"
 	"math/bits"
 	"slices"
-	"sort"
 	"sync/atomic"
 	"unsafe"
 
 	"rings/internal/distlabel"
-	"rings/internal/triangulation"
 )
 
-// FlatSnap is the flat serving representation of a snapshot's estimator:
-// every label (host distances, zooming pointers, ζ-map triples) or beacon
-// vector packed into one contiguous arena with offset-index headers. The
+// FlatSnap is the flat serving representation of a snapshot's labels:
+// every label (host distances, zooming pointers, ζ-map triples) packed
+// into one contiguous arena with offset-index headers. The
 // hot read path walks int32/float64 views over that single allocation —
 // no pointer chasing, no map lookups, no per-query allocation — and the
 // persisted v2 snapshot format is exactly these arena bytes, so a warm
@@ -27,10 +25,9 @@ import (
 // Engine.Swap can never unmap the arena under an in-flight reader; heap
 // backed arenas skip the refcount entirely — the GC owns their lifetime.
 type FlatSnap struct {
-	n      int
-	scheme string // SchemeLabels or SchemeBeacons
-	buf    []byte // the one backing arena (heap slice or mmap window)
-	m      *mapping
+	n   int
+	buf []byte // the one backing arena (heap slice or mmap window)
+	m   *mapping
 	// refs counts the creation reference plus active reader pins; only
 	// meaningful for mmap-backed arenas. The last release unmaps.
 	refs   atomic.Int64
@@ -42,7 +39,7 @@ type FlatSnap struct {
 
 	sections []flatSection
 
-	// SchemeLabels views. Per node u: Dists is dists[distOff[u]:distOff[u+1]]
+	// Views. Per node u: Dists is dists[distOff[u]:distOff[u+1]]
 	// and ZoomPsi is psi[psiOff[u]:psiOff[u+1]]. Its translation-map groups
 	// — one per level, as many as ψ pointers — are indexed like psi: level
 	// i of u is group g = psiOff[u]+i. A key of a map is a host index of
@@ -73,12 +70,6 @@ type FlatSnap struct {
 	ents    []int32
 	// keys and lists are countKeys() of the finished arena (for the gauges).
 	keys, lists int
-
-	// SchemeBeacons views: node u's beacon set is ids bIDs[bOff[u]:bOff[u+1]]
-	// (ascending) with distances bDist over the same range.
-	bOff  []int32
-	bIDs  []int32
-	bDist []float64
 }
 
 // flatSection locates one typed array inside the arena. The section
@@ -169,16 +160,12 @@ const (
 	secXcSpan  = "xc_span"
 	secChain   = "chain"
 	secEnts    = "ents"
-	secBOff    = "b_off"
-	secBIDs    = "b_ids"
-	secBDist   = "b_dist"
 )
 
-// sectionNames lists every arena section, labels' then beacons'.
+// sectionNames lists every arena section.
 var sectionNames = []string{
 	secDists, secDistOff, secL0, secZoom0, secPsiOff, secPsi, secKbOff,
 	secKeyBits, secGrpSpan, secXcOff, secXcKeys, secXcSpan, secChain, secEnts,
-	secBOff, secBIDs, secBDist,
 }
 
 // retiredSections name the per-key tables of the two layouts before the
@@ -289,12 +276,6 @@ func (f *FlatSnap) bind() error {
 			f.chain, err = i32(s)
 		case secEnts:
 			f.ents, err = i32(s)
-		case secBOff:
-			f.bOff, err = i32(s)
-		case secBIDs:
-			f.bIDs, err = i32(s)
-		case secBDist:
-			f.bDist, err = f64(s)
 		default:
 			return fmt.Errorf("oracle: unknown flat section %q", s.Name)
 		}
@@ -332,100 +313,85 @@ func (f *FlatSnap) validate() error {
 		}
 		return nil
 	}
-	switch f.scheme {
-	case SchemeLabels:
-		if f.n < 0 || len(f.zoom0) != f.n || len(f.l0) != f.n {
-			return fmt.Errorf("oracle: flat label arenas sized for %d nodes, want %d", len(f.zoom0), f.n)
+	if f.n < 0 || len(f.zoom0) != f.n || len(f.l0) != f.n {
+		return fmt.Errorf("oracle: flat label arenas sized for %d nodes, want %d", len(f.zoom0), f.n)
+	}
+	if err := checkOff(secDistOff, f.distOff, f.n+1, len(f.dists)); err != nil {
+		return err
+	}
+	if err := checkOff(secPsiOff, f.psiOff, f.n+1, len(f.psi)); err != nil {
+		return err
+	}
+	groups := len(f.psi)
+	if err := checkOff(secKbOff, f.kbOff, f.n+1, len(f.keyBits)); err != nil {
+		return err
+	}
+	if err := checkOff(secXcOff, f.xcOff, groups+1, len(f.xcKeys)); err != nil {
+		return err
+	}
+	for _, c := range []struct {
+		name      string
+		got, want int
+	}{
+		{secGrpSpan, len(f.grpSpan), 2 * groups},
+		{secXcSpan, len(f.xcSpan), 2 * len(f.xcKeys)},
+		{secChain, len(f.chain), 3 * groups},
+	} {
+		if c.got != c.want {
+			return fmt.Errorf("oracle: flat section %s has %d elements, want %d", c.name, c.got, c.want)
 		}
-		if err := checkOff(secDistOff, f.distOff, f.n+1, len(f.dists)); err != nil {
+	}
+	if len(f.ents)%2 != 0 {
+		return fmt.Errorf("oracle: flat ents length %d is odd", len(f.ents))
+	}
+	// Spans may repeat and need not be monotone, so each is bounded on
+	// its own.
+	nEnts := int32(len(f.ents) / 2)
+	checkSpan := func(name string, i int, start, end int32) error {
+		if start < 0 || end < start || end > nEnts {
+			return fmt.Errorf("oracle: flat section %s entry %d spans [%d, %d) outside [0, %d]", name, i, start, end, nEnts)
+		}
+		return nil
+	}
+	for g := 0; g < groups; g++ {
+		if err := checkSpan(secGrpSpan, g, f.grpSpan[2*g], f.grpSpan[2*g+1]); err != nil {
 			return err
 		}
-		if err := checkOff(secPsiOff, f.psiOff, f.n+1, len(f.psi)); err != nil {
+		if err := checkSpan(secChain, g, f.chain[3*g], f.chain[3*g+1]); err != nil {
 			return err
 		}
-		groups := len(f.psi)
-		if err := checkOff(secKbOff, f.kbOff, f.n+1, len(f.keyBits)); err != nil {
+	}
+	for k := range f.xcKeys {
+		if err := checkSpan(secXcSpan, k, f.xcSpan[2*k], f.xcSpan[2*k+1]); err != nil {
 			return err
 		}
-		if err := checkOff(secXcOff, f.xcOff, groups+1, len(f.xcKeys)); err != nil {
-			return err
+	}
+	for u := 0; u < f.n; u++ {
+		nd := int(f.distOff[u+1] - f.distOff[u])
+		w := keyWords(nd)
+		gLo, gHi := int(f.psiOff[u]), int(f.psiOff[u+1])
+		if got, want := int(f.kbOff[u+1]-f.kbOff[u]), (gHi-gLo)*w; got != want {
+			return fmt.Errorf("oracle: flat section %s gives node %d %d words, want %d", secKeyBits, u, got, want)
 		}
-		for _, c := range []struct {
-			name      string
-			got, want int
-		}{
-			{secGrpSpan, len(f.grpSpan), 2 * groups},
-			{secXcSpan, len(f.xcSpan), 2 * len(f.xcKeys)},
-			{secChain, len(f.chain), 3 * groups},
-		} {
-			if c.got != c.want {
-				return fmt.Errorf("oracle: flat section %s has %d elements, want %d", c.name, c.got, c.want)
-			}
-		}
-		if len(f.ents)%2 != 0 {
-			return fmt.Errorf("oracle: flat ents length %d is odd", len(f.ents))
-		}
-		// Spans may repeat and need not be monotone, so each is bounded on
-		// its own.
-		nEnts := int32(len(f.ents) / 2)
-		checkSpan := func(name string, i int, start, end int32) error {
-			if start < 0 || end < start || end > nEnts {
-				return fmt.Errorf("oracle: flat section %s entry %d spans [%d, %d) outside [0, %d]", name, i, start, end, nEnts)
-			}
-			return nil
-		}
-		for g := 0; g < groups; g++ {
-			if err := checkSpan(secGrpSpan, g, f.grpSpan[2*g], f.grpSpan[2*g+1]); err != nil {
-				return err
-			}
-			if err := checkSpan(secChain, g, f.chain[3*g], f.chain[3*g+1]); err != nil {
-				return err
-			}
-		}
-		for k := range f.xcKeys {
-			if err := checkSpan(secXcSpan, k, f.xcSpan[2*k], f.xcSpan[2*k+1]); err != nil {
-				return err
-			}
-		}
-		for u := 0; u < f.n; u++ {
-			nd := int(f.distOff[u+1] - f.distOff[u])
-			w := keyWords(nd)
-			gLo, gHi := int(f.psiOff[u]), int(f.psiOff[u+1])
-			if got, want := int(f.kbOff[u+1]-f.kbOff[u]), (gHi-gLo)*w; got != want {
-				return fmt.Errorf("oracle: flat section %s gives node %d %d words, want %d", secKeyBits, u, got, want)
-			}
-			if tail := nd & 31; tail != 0 {
-				for i := 0; i < gHi-gLo; i++ {
-					if last := uint32(f.keyBits[int(f.kbOff[u])+(i+1)*w-1]); last>>tail != 0 {
-						return fmt.Errorf("oracle: flat section %s sets a key of node %d at or past its %d hosts", secKeyBits, u, nd)
-					}
-				}
-			}
-			for g := gLo; g < gHi; g++ {
-				if next := f.chain[3*g+2]; next < -1 || int(next) >= nd {
-					return fmt.Errorf("oracle: flat section %s zooms node %d to host %d of %d", secChain, u, next, nd)
-				}
-				prev := int32(-1)
-				for _, x := range f.xcKeys[f.xcOff[g]:f.xcOff[g+1]] {
-					if x <= prev || int(x) >= nd {
-						return fmt.Errorf("oracle: flat section %s key %d of node %d not ascending within [0, %d)", secXcKeys, x, u, nd)
-					}
-					prev = x
+		if tail := nd & 31; tail != 0 {
+			for i := 0; i < gHi-gLo; i++ {
+				if last := uint32(f.keyBits[int(f.kbOff[u])+(i+1)*w-1]); last>>tail != 0 {
+					return fmt.Errorf("oracle: flat section %s sets a key of node %d at or past its %d hosts", secKeyBits, u, nd)
 				}
 			}
 		}
-	case SchemeBeacons:
-		if f.n < 0 {
-			return fmt.Errorf("oracle: flat beacon arenas for %d nodes", f.n)
+		for g := gLo; g < gHi; g++ {
+			if next := f.chain[3*g+2]; next < -1 || int(next) >= nd {
+				return fmt.Errorf("oracle: flat section %s zooms node %d to host %d of %d", secChain, u, next, nd)
+			}
+			prev := int32(-1)
+			for _, x := range f.xcKeys[f.xcOff[g]:f.xcOff[g+1]] {
+				if x <= prev || int(x) >= nd {
+					return fmt.Errorf("oracle: flat section %s key %d of node %d not ascending within [0, %d)", secXcKeys, x, u, nd)
+				}
+				prev = x
+			}
 		}
-		if err := checkOff(secBOff, f.bOff, f.n+1, len(f.bIDs)); err != nil {
-			return err
-		}
-		if len(f.bDist) != len(f.bIDs) {
-			return fmt.Errorf("oracle: flat beacon arenas disagree: %d ids, %d distances", len(f.bIDs), len(f.bDist))
-		}
-	default:
-		return fmt.Errorf("oracle: flat snapshot has unknown scheme %q", f.scheme)
 	}
 	return nil
 }
@@ -441,9 +407,6 @@ func (f *FlatSnap) groupBits(u, i int) []int32 {
 // stores: per group, the distinct non-empty spans its keys name — the
 // default one if some key is no exception, and the exceptions'.
 func (f *FlatSnap) countKeys() (keys, lists int) {
-	if f.scheme != SchemeLabels {
-		return 0, 0
-	}
 	var seen [][2]int32
 	for u := 0; u < f.n; u++ {
 		for i := 0; i < int(f.psiOff[u+1]-f.psiOff[u]); i++ {
@@ -660,7 +623,7 @@ func newFlatFromLabels(labels []*distlabel.Label) (*FlatSnap, error) {
 	lay.add(secChain, "i32", 3*nGroups)
 	lay.add(secEnts, "i32", 2*ix.ents)
 
-	f := &FlatSnap{n: n, scheme: SchemeLabels, buf: alignedBytes(int(lay.off)), sections: lay.sections}
+	f := &FlatSnap{n: n, buf: alignedBytes(int(lay.off)), sections: lay.sections}
 	f.refs.Store(1)
 	if err := f.bind(); err != nil {
 		return nil, err
@@ -699,62 +662,15 @@ func newFlatFromLabels(labels []*distlabel.Label) (*FlatSnap, error) {
 	return f, nil
 }
 
-// newFlatFromTri packs Theorem 3.2 beacon sets into the flat arenas,
-// each node's beacons sorted ascending by id. Tri.Estimate folds min
-// and max over an unordered map; the sorted-intersection fold visits
-// exactly the same common-beacon set, so the extrema — and therefore
-// the answers — are bit-identical.
-func newFlatFromTri(tri *triangulation.Triangulation, n int) (*FlatSnap, error) {
-	total := 0
-	for u := 0; u < n; u++ {
-		total += len(tri.Beacons(u))
-	}
-	if total > math.MaxInt32 {
-		return nil, fmt.Errorf("oracle: flat pack: %d beacon entries exceed the int32 offset space", total)
-	}
-	var lay flatLayout
-	lay.add(secBDist, "f64", total)
-	lay.add(secBOff, "i32", n+1)
-	lay.add(secBIDs, "i32", total)
-
-	f := &FlatSnap{n: n, scheme: SchemeBeacons, buf: alignedBytes(int(lay.off)), sections: lay.sections}
-	f.refs.Store(1)
-	if err := f.bind(); err != nil {
-		return nil, err
-	}
-	pos := 0
-	var ids []int
-	for u := 0; u < n; u++ {
-		f.bOff[u] = int32(pos)
-		m := tri.Beacons(u)
-		ids = ids[:0]
-		for id := range m {
-			ids = append(ids, id)
-		}
-		sort.Ints(ids)
-		for _, id := range ids {
-			f.bIDs[pos] = int32(id)
-			f.bDist[pos] = m[id]
-			pos++
-		}
-	}
-	f.bOff[n] = int32(pos)
-	return f, nil
-}
-
-// newFlatForSnapshot builds the flat serving arenas for a snapshot's
-// estimator: labels when present, the triangulation's beacon sets
-// otherwise. Both BuildSnapshot and the churn engine's delta commits
-// run through this at assembly, so every served snapshot carries flat
+// newFlatForSnapshot builds the flat serving arena for a snapshot's
+// labels. Both BuildSnapshot and the churn engine's delta commits run
+// through this at assembly, so every served snapshot carries flat
 // arenas and the persisted v2 format is always available.
 func newFlatForSnapshot(s *Snapshot) (*FlatSnap, error) {
-	if s.Labels != nil {
-		return newFlatFromLabels(s.Labels)
+	if s.Labels == nil {
+		return nil, fmt.Errorf("oracle: snapshot has no labels to flatten")
 	}
-	if s.Tri != nil {
-		return newFlatFromTri(s.Tri, s.N())
-	}
-	return nil, fmt.Errorf("oracle: snapshot has no estimator to flatten")
+	return newFlatFromLabels(s.Labels)
 }
 
 // materializeLabels rebuilds pointer-form labels from the label arenas

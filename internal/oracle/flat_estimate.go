@@ -2,8 +2,8 @@ package oracle
 
 import "math"
 
-// ulpGuardFlat mirrors distlabel's and triangulation's lower-bound
-// discount; the flat path must fold exactly the same arithmetic.
+// ulpGuardFlat mirrors distlabel's lower-bound discount; the flat path
+// must fold exactly the same arithmetic.
 const ulpGuardFlat = 1e-13
 
 // spanLevels is how many levels of direction u→v's harvests direction
@@ -25,7 +25,7 @@ type flatAcc struct {
 }
 
 // fold takes one common neighbor's two distances into the sandwich — the
-// arithmetic of distlabel.Estimate's consider and of Tri.Estimate. The
+// arithmetic of distlabel.Estimate's consider. The
 // larger distance is picked by a plain compare, not math.Max (a call on
 // amd64): the two differ only when an operand is NaN, and then |da-db| is
 // NaN, so g is NaN and never stored, or when they are zeros of opposite
@@ -59,8 +59,7 @@ func (a *flatAcc) consider(hu, hv int32) {
 
 // estimatePair answers one pair from the flat arenas. Node ids must be
 // in range (the callers bounds-check). The answer is bit-identical to
-// distlabel.Estimate on the labels the arenas were packed from (or to
-// Tri.Estimate under SchemeBeacons).
+// distlabel.Estimate on the labels the arenas were packed from.
 //
 // distlabel.Estimate walks u's zooming sequence and then v's, and at
 // every level of each walk intersects ("harvests") the entry lists the
@@ -74,9 +73,6 @@ func (a *flatAcc) consider(hu, hv int32) {
 //
 //ringvet:hotpath
 func (f *FlatSnap) estimatePair(u, v int) (lower, upper float64, ok bool) {
-	if f.scheme == SchemeBeacons {
-		return f.estimateBeacons(u, v)
-	}
 	a := flatAcc{
 		du:    f.dists[f.distOff[u]:f.distOff[u+1]],
 		dv:    f.dists[f.distOff[v]:f.distOff[v+1]],
@@ -228,29 +224,4 @@ func (f *FlatSnap) harvest(a *flatAcc, p spanPair) {
 		iu -= 2 * less
 		iv += 2 + 2*less
 	}
-}
-
-// estimateBeacons intersects the two nodes' sorted beacon rows: the same
-// min/max fold as triangulation.Estimate over the same common-beacon
-// set (map iteration order cannot change an extremum, so the answers
-// are bit-identical).
-//
-//ringvet:hotpath
-func (f *FlatSnap) estimateBeacons(u, v int) (lower, upper float64, ok bool) {
-	a := flatAcc{upper: math.Inf(1)}
-	i, e := int(f.bOff[u]), int(f.bOff[u+1])
-	j, t := int(f.bOff[v]), int(f.bOff[v+1])
-	for i < e && j < t {
-		switch {
-		case f.bIDs[i] < f.bIDs[j]:
-			i++
-		case f.bIDs[i] > f.bIDs[j]:
-			j++
-		default:
-			a.fold(f.bDist[i], f.bDist[j])
-			i++
-			j++
-		}
-	}
-	return a.lower, a.upper, a.ok
 }

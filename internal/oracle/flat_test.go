@@ -5,17 +5,18 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
+
+	"rings/internal/distlabel"
 )
 
 // flatConfigs are the byte-identity subjects: all four workload
-// families under labels, the benchmark's dataset shape (latency, tuned,
-// δ = 0.5) at n = 256, plus the beacons scheme.
+// families, plus the benchmark's dataset shape (latency, tuned,
+// δ = 0.5) at n = 256.
 func flatConfigs() []Config {
 	return []Config{
 		{Workload: "grid", Side: 7, SkipRouting: true},
@@ -23,13 +24,13 @@ func flatConfigs() []Config {
 		{Workload: "expline", N: 40, LogAspect: 60, SkipRouting: true},
 		{Workload: "latency", N: 56, Seed: 13, MemberStride: 3},
 		{Workload: "latency", N: 256, Seed: 1, Delta: 0.5, Profile: ProfileTuned, SkipRouting: true, SkipOverlay: true},
-		{Workload: "cube", N: 48, Seed: 17, Scheme: SchemeBeacons, SkipRouting: true, SkipOverlay: true},
 	}
 }
 
 // TestFlatEstimateByteIdentical is the tentpole correctness property:
-// for every pair, the flat-arena walk returns bit-for-bit the same
-// bounds as the pointer-structure estimator it replaces.
+// for every pair, the served estimate (the flat-arena walk) returns
+// bit-for-bit the same bounds as distlabel.Estimate, the pointer-label
+// reference walk.
 func TestFlatEstimateByteIdentical(t *testing.T) {
 	for _, cfg := range flatConfigs() {
 		snap, err := BuildSnapshot(cfg)
@@ -42,16 +43,14 @@ func TestFlatEstimateByteIdentical(t *testing.T) {
 		n := snap.N()
 		for u := 0; u < n; u++ {
 			for v := 0; v < n; v++ {
-				want, err := snap.Estimate(u, v) // pointer path (Labels / Tri present)
+				lo, up, ok := distlabel.Estimate(snap.Labels[u], snap.Labels[v])
+				got, err := snap.Estimate(u, v)
 				if err != nil {
 					t.Fatal(err)
 				}
-				lo, up, ok := snap.Flat.estimatePair(u, v)
-				if ok != want.OK ||
-					math.Float64bits(lo) != math.Float64bits(want.Lower) ||
-					math.Float64bits(up) != math.Float64bits(want.Upper) {
-					t.Fatalf("%s: flat estimate(%d,%d) = (%v, %v, %v), pointer path (%v, %v, %v)",
-						cfg.Workload, u, v, lo, up, ok, want.Lower, want.Upper, want.OK)
+				if !sameEstimate(got, EstimateResult{U: u, V: v, Lower: lo, Upper: up, OK: ok}) {
+					t.Fatalf("%s: served estimate(%d,%d) = (%v, %v, %v), pointer walk (%v, %v, %v)",
+						cfg.Workload, u, v, got.Lower, got.Upper, got.OK, lo, up, ok)
 				}
 			}
 		}
@@ -125,15 +124,13 @@ func TestOpenSnapshotFileFlatOnly(t *testing.T) {
 	n := snap.N()
 	for u := 0; u < n; u += 3 {
 		for v := 0; v < n; v += 5 {
-			want, err := snap.Estimate(u, v)
-			if err != nil {
-				t.Fatal(err)
-			}
+			lo, up, ok := distlabel.Estimate(snap.Labels[u], snap.Labels[v])
+			want := EstimateResult{U: u, V: v, Lower: lo, Upper: up, OK: ok}
 			got, err := fast.Estimate(u, v)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !sameEstimate(got, EstimateResult{U: u, V: v, Lower: want.Lower, Upper: want.Upper, OK: want.OK}) {
+			if !sameEstimate(got, want) {
 				t.Fatalf("estimate(%d,%d) = %+v, want %+v", u, v, got, want)
 			}
 		}
@@ -170,16 +167,17 @@ func TestReadSnapshotV2FullRestore(t *testing.T) {
 	if loaded.Idx == nil || loaded.Overlay == nil || !loaded.Routable() {
 		t.Fatal("full restore missing derived artifacts")
 	}
-	if loaded.Labels != nil || loaded.Scheme != nil || loaded.Tri != nil || loaded.Flat.Mapped() {
+	if loaded.Labels != nil || loaded.Scheme != nil || loaded.Flat.Mapped() {
 		t.Fatal("restore of a labels stream built more than the arena's serving artifacts")
 	}
 	n := snap.N()
 	for u := 0; u < n; u += 2 {
 		for v := 1; v < n; v += 3 {
-			a, err1 := snap.Estimate(u, v)
-			b, err2 := loaded.Estimate(u, v)
-			if err1 != nil || err2 != nil || !sameEstimate(a, b) {
-				t.Fatalf("estimate(%d,%d): %+v/%v vs %+v/%v", u, v, a, err1, b, err2)
+			lo, up, ok := distlabel.Estimate(snap.Labels[u], snap.Labels[v])
+			want := EstimateResult{U: u, V: v, Lower: lo, Upper: up, OK: ok}
+			got, err := loaded.Estimate(u, v)
+			if err != nil || !sameEstimate(got, want) {
+				t.Fatalf("estimate(%d,%d): %+v/%v, pointer walk %+v", u, v, got, err, want)
 			}
 		}
 	}

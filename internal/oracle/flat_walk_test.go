@@ -44,9 +44,6 @@ func (f *FlatSnap) visited(u, v int, fromV bool) []spanPair {
 // key and the host it zooms to — up to where that search stops.
 func TestChainIsTheSearchedWalk(t *testing.T) {
 	for _, cfg := range flatConfigs() {
-		if cfg.Scheme == SchemeBeacons {
-			continue
-		}
 		snap, err := BuildSnapshot(cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", cfg.Workload, err)
@@ -79,9 +76,6 @@ func TestWalkMeetsEveryKindOfLevel(t *testing.T) {
 	type counts struct{ shared, several, exceptions, repeated, other, unreached int }
 	var total counts
 	for _, cfg := range flatConfigs() {
-		if cfg.Scheme == SchemeBeacons {
-			continue
-		}
 		snap, err := BuildSnapshot(cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", cfg.Workload, err)

@@ -2,7 +2,6 @@ package oracle
 
 import (
 	"bytes"
-	"math"
 	"os"
 	"runtime"
 	"testing"
@@ -12,12 +11,12 @@ import (
 )
 
 // TestHydrateServesTheArenaItWasHanded is the arena-only restore
-// property, on all four workload families and both schemes: hydration
-// adopts the opened mapping (no copy, no pointer labels, no unused
-// construction) and answers every pair bit-identically to the
-// pre-hydration snapshot, to the cold build's reference walk and — via
-// the on-demand helper — to the pointer walk over materialized labels;
-// re-persisting it reproduces the file.
+// property, on all four workload families: hydration adopts the opened
+// mapping (no copy, no pointer labels) and answers every pair
+// bit-identically to the pre-hydration snapshot, to the pointer walk over
+// the cold build's labels and — via the on-demand helper — to the
+// pointer walk over materialized labels; re-persisting it reproduces the
+// file.
 func TestHydrateServesTheArenaItWasHanded(t *testing.T) {
 	for _, cfg := range flatConfigs() {
 		cold, err := BuildSnapshot(cfg)
@@ -33,54 +32,45 @@ func TestHydrateServesTheArenaItWasHanded(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: hydrate: %v", cfg.Workload, err)
 		}
-		labels := cold.Config.Scheme == SchemeLabels
 		if full.Flat != fast.Flat || full.Flat.Mapped() != mmapSupported {
 			t.Fatalf("%s: hydration did not adopt the opened arena (mapped=%v)", cfg.Workload, full.Flat.Mapped())
 		}
-		if full.Labels != nil || full.Scheme != nil || (full.Tri != nil) == labels {
-			t.Fatalf("%s: hydration built labels=%v scheme=%v tri=%v", cfg.Workload, full.Labels != nil, full.Scheme != nil, full.Tri != nil)
+		if full.Labels != nil || full.Scheme != nil {
+			t.Fatalf("%s: hydration built labels=%v scheme=%v", cfg.Workload, full.Labels != nil, full.Scheme != nil)
 		}
 		if full.Idx == nil || (full.Overlay == nil) != cfg.SkipOverlay || full.Routable() == cfg.SkipRouting {
 			t.Fatalf("%s: hydration missed a serving artifact", cfg.Workload)
 		}
 
-		var pointer []*distlabel.Label
-		if labels {
-			if pointer, err = full.MaterializeLabels(); err != nil {
-				t.Fatal(err)
+		pointer, err := full.MaterializeLabels()
+		if err != nil {
+			t.Fatal(err)
+		}
+		coldWire, err1 := cold.LabelWire()
+		fullWire, err2 := full.LabelWire()
+		if err1 != nil || err2 != nil || coldWire != fullWire {
+			t.Fatalf("%s: LabelWire from LabelMeta %+v/%v, cold build %+v/%v", cfg.Workload, fullWire, err2, coldWire, err1)
+		}
+		for u, lab := range pointer {
+			a, abits, err1 := coldWire.Encode(cold.Labels[u])
+			b, bbits, err2 := fullWire.Encode(lab)
+			if err1 != nil || err2 != nil || abits != bbits || !bytes.Equal(a, b) {
+				t.Fatalf("%s: materialized label %d encodes differently from the built one", cfg.Workload, u)
 			}
-			coldWire, err1 := cold.LabelWire()
-			fullWire, err2 := full.LabelWire()
-			if err1 != nil || err2 != nil || coldWire != fullWire {
-				t.Fatalf("%s: LabelWire from LabelMeta %+v/%v, cold build %+v/%v", cfg.Workload, fullWire, err2, coldWire, err1)
-			}
-			for u, lab := range pointer {
-				a, abits, err1 := coldWire.Encode(cold.Labels[u])
-				b, bbits, err2 := fullWire.Encode(lab)
-				if err1 != nil || err2 != nil || abits != bbits || !bytes.Equal(a, b) {
-					t.Fatalf("%s: materialized label %d encodes differently from the built one", cfg.Workload, u)
-				}
-			}
-		} else if _, err := full.MaterializeLabels(); err == nil {
-			t.Fatalf("%s: beacons snapshot materialized labels", cfg.Workload)
 		}
 		n := cold.N()
 		for u := 0; u < n; u++ {
 			for v := 0; v < n; v++ {
-				want, err := cold.Estimate(u, v)
-				if err != nil {
-					t.Fatal(err)
-				}
+				lo, up, ok := distlabel.Estimate(cold.Labels[u], cold.Labels[v])
+				want := EstimateResult{U: u, V: v, Lower: lo, Upper: up, OK: ok}
 				pre, err1 := fast.Estimate(u, v)
 				got, err2 := full.Estimate(u, v)
 				if err1 != nil || err2 != nil || !sameEstimate(pre, want) || !sameEstimate(got, want) {
-					t.Fatalf("%s: estimate(%d,%d) fast %+v/%v full %+v/%v, cold %+v", cfg.Workload, u, v, pre, err1, got, err2, want)
+					t.Fatalf("%s: estimate(%d,%d) fast %+v/%v full %+v/%v, cold pointer walk %+v", cfg.Workload, u, v, pre, err1, got, err2, want)
 				}
-				if labels {
-					lo, up, ok := distlabel.Estimate(pointer[u], pointer[v])
-					if !sameEstimate(got, EstimateResult{U: u, V: v, Lower: lo, Upper: up, OK: ok}) {
-						t.Fatalf("%s: estimate(%d,%d) = %+v, pointer walk (%v, %v, %v)", cfg.Workload, u, v, got, lo, up, ok)
-					}
+				lo, up, ok = distlabel.Estimate(pointer[u], pointer[v])
+				if !sameEstimate(got, EstimateResult{U: u, V: v, Lower: lo, Upper: up, OK: ok}) {
+					t.Fatalf("%s: estimate(%d,%d) = %+v, materialized pointer walk (%v, %v, %v)", cfg.Workload, u, v, got, lo, up, ok)
 				}
 			}
 		}
@@ -100,41 +90,38 @@ func TestHydrateServesTheArenaItWasHanded(t *testing.T) {
 		if full.Flat.Mapped() {
 			t.Fatalf("%s: Close of the hydrated snapshot left the mapping alive", cfg.Workload)
 		}
-		if _, err := full.Estimate(0, 1); labels && mmapSupported && err == nil {
+		if _, err := full.Estimate(0, 1); mmapSupported && err == nil {
 			t.Fatalf("%s: estimate answered from an unmapped arena", cfg.Workload)
 		}
 	}
 }
 
-// TestEstimateDispatchesOnScheme guards the estimator choice: an
-// arena-only labels snapshot that also carries a triangulation must
-// still answer from its label arena, not from whichever pointer is set.
-func TestEstimateDispatchesOnScheme(t *testing.T) {
-	cold := buildTestSnapshot(t, 37)
-	var buf bytes.Buffer
-	if _, err := cold.WriteTo(&buf); err != nil {
-		t.Fatal(err)
+// TestEstimateWalksTheArena guards the one estimator path: a build-side
+// snapshot, which still holds its pointer labels, answers from its
+// arena. Its answers equal the pointer walk's until one arena distance
+// is perturbed; then the answers that fold that distance move.
+func TestEstimateWalksTheArena(t *testing.T) {
+	snap := buildTestSnapshot(t, 37)
+	want := make([]EstimateResult, snap.N())
+	for v := range want {
+		want[v], _ = snap.Estimate(0, v)
 	}
-	restored, err := ReadSnapshot(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	restored.Tri = cold.Tri
-	differ := 0
-	for u := 0; u < cold.N(); u++ {
-		for v := 0; v < cold.N(); v++ {
-			want, _ := cold.Estimate(u, v)
-			got, err := restored.Estimate(u, v)
-			if err != nil || !sameEstimate(got, want) {
-				t.Fatalf("estimate(%d,%d) = %+v/%v, labels answer %+v", u, v, got, err, want)
-			}
-			if lo, up, _ := cold.Tri.Estimate(u, v); math.Float64bits(lo) != math.Float64bits(want.Lower) || math.Float64bits(up) != math.Float64bits(want.Upper) {
-				differ++
-			}
+	snap.Flat.dists[snap.Flat.distOff[0]] += 10 * snap.Idx.Diameter()
+	moved := 0
+	for v := range want {
+		got, err := snap.Estimate(0, v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameEstimate(got, want[v]) {
+			moved++
+		}
+		if lo, up, ok := distlabel.Estimate(snap.Labels[0], snap.Labels[v]); !sameEstimate(want[v], EstimateResult{U: 0, V: v, Lower: lo, Upper: up, OK: ok}) {
+			t.Fatalf("estimate(0,%d) before the perturbation = %+v, pointer walk (%v, %v, %v)", v, want[v], lo, up, ok)
 		}
 	}
-	if differ == 0 {
-		t.Fatal("beacon and label estimates agree on every pair: the test cannot tell the estimators apart")
+	if moved == 0 {
+		t.Fatal("perturbing the arena moved no answer: Estimate did not read it")
 	}
 }
 

@@ -90,7 +90,7 @@ func newEngineMetrics() *engineMetrics {
 	m.pinRetries = reg.Counter("rings_engine_arena_pin_retries_total",
 		"Queries that lost the arena pin race and reloaded the engine state.")
 	m.arenaSections = reg.GaugeFamily("rings_arena_section_bytes",
-		"Bytes of the served flat arena, by section (0 for sections the served scheme has none of).",
+		"Bytes of the served flat arena, by section.",
 		"section", sectionNames...)
 	m.arenaKeys = reg.Gauge("rings_arena_keys",
 		"Translation-map keys of the served arena: set bits of its key bitmaps (each key names one entry list).")

@@ -7,7 +7,7 @@
 // the structures — distance labels (Theorem 3.4), triangulation beacon
 // sets (Theorem 3.2), Meridian-style ring overlays (Section 6), compact
 // routing tables (Theorem 2.1 on metrics) — in one CLI run. This package
-// *serves* them:
+// *serves* the labels, the overlay and the router:
 //
 //   - A Snapshot bundles every expensive-to-build artifact over one
 //     workload into a single immutable value. All query methods on a
@@ -32,18 +32,19 @@
 // (see AssembleSnapshot), and ReadSnapshot warm-starts one from disk;
 // future scaling work (sharding, replication) plugs in the same way.
 //
-// Estimator schemes. A Snapshot answers distance estimates either from
-// Theorem 3.4 labels ("labels", the paper's headline scheme — answers are
-// byte-identical to distlabel.Estimate on the same labels) or from the
-// Theorem 3.2 triangulation directly ("beacons"). Labels carry the full
-// zooming machinery; since the parallel allocation-lean build of
-// DESIGN.md §7 they are buildable at serving scale (~5 s at n = 2048
-// single-core under the tuned profile, EXPERIMENTS.md B2), and every
-// snapshot carries its per-phase BuildStats so the cost stays tracked.
-// Beacon estimates remain the cheap fallback for the largest instances.
+// One estimator is served: Theorem 3.4 labels, packed into the flat
+// arena every Snapshot carries (answers are byte-identical to
+// distlabel.Estimate on the same labels). Since the parallel
+// allocation-lean build of DESIGN.md §7 they are buildable at serving
+// scale (~5 s at n = 2048 single-core under the tuned profile,
+// EXPERIMENTS.md B2), and every snapshot carries its per-phase
+// BuildStats so the cost stays tracked. The Theorem 3.2 triangulation
+// is no longer a served scheme (ErrSchemeRetired); its construction
+// remains what the labels are built from.
 package oracle
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -55,13 +56,29 @@ import (
 	"rings/internal/workload"
 )
 
-// Estimator schemes for Config.Scheme.
-const (
-	// SchemeLabels serves estimates from Theorem 3.4 distance labels.
-	SchemeLabels = "labels"
-	// SchemeBeacons serves estimates from the Theorem 3.2 triangulation.
-	SchemeBeacons = "beacons"
-)
+// SchemeLabels is the one value Config.Scheme accepts besides "" (its
+// default): estimates come from Theorem 3.4 distance labels. The field
+// and the constant stay only because bench/ sets them (ROADMAP item 1a).
+const SchemeLabels = "labels"
+
+// ErrSchemeRetired refuses the Theorem 3.2 "beacons" scheme by name,
+// whether a Config asks for it or a snapshot header says it. No reader
+// is kept for beacon snapshots: the file is a cache of a deterministic
+// build, so the remedy is to rebuild it under labels.
+var ErrSchemeRetired = errors.New(`oracle: the "beacons" scheme is retired; labels are the one served estimator (delete a beacons snapshot file to rebuild)`)
+
+// CheckScheme accepts SchemeLabels (what Config.WithDefaults makes of
+// ""), refuses the retired "beacons" with ErrSchemeRetired, and names
+// any other value as unknown.
+func CheckScheme(scheme string) error {
+	switch scheme {
+	case SchemeLabels:
+		return nil
+	case "beacons":
+		return ErrSchemeRetired
+	}
+	return fmt.Errorf("oracle: unknown scheme %q (want labels)", scheme)
+}
 
 // Construction profiles for Config.Profile.
 const (
@@ -77,8 +94,8 @@ const (
 // tunedYReach is the tuned profile's Y-ring reach, in units of r_ui.
 const tunedYReach = 2
 
-// Config describes how to build one Snapshot: the workload, the
-// estimator scheme, and which artifacts to include. The zero value is
+// Config describes how to build one Snapshot: the workload, the ring
+// constants, and which artifacts to include. The zero value is
 // not useful; fill at least Workload and its size knob. Defaults applied
 // by BuildSnapshot: Delta 0.5, Scheme "labels", Profile "tuned",
 // Backend "eager", MemberStride 4.
@@ -91,15 +108,18 @@ type Config struct {
 	LogAspect float64
 	Seed      int64
 
-	// Delta is the target approximation (0, 1] for labels, beacons and
-	// the router.
+	// Delta is the target approximation (0, 1] for the labels and the
+	// router.
 	Delta float64
-	// Scheme picks the estimator: SchemeLabels or SchemeBeacons.
+	// Scheme names the estimator; only SchemeLabels is accepted (see
+	// CheckScheme).
 	Scheme string
 	// Profile picks the ring constants: ProfilePaper or ProfileTuned.
 	Profile string
-	// Verify runs triangulation.VerifyAllPairs after the build (O(n²);
-	// recommended with ProfileTuned at small n, prohibitive at large n).
+	// Verify checks, after the build, every pair's served answer against
+	// the exact distance: lower ≤ d ≤ upper and upper ≤ (1+δ)·d (O(n²)
+	// arena walks; recommended with ProfileTuned at small n, prohibitive
+	// at large n).
 	Verify bool
 	// RefCount, when non-zero, pins the construction's mass
 	// normalization and level count to a fixed reference node count (see
@@ -239,7 +259,7 @@ func BuildSnapshotOver(cfg Config, space metric.Space, name string) (*Snapshot, 
 		return nil, err
 	}
 	cfg, n := snap.Config, snap.n
-	cons, err := snap.buildTri(params)
+	cons, err := triangulation.NewConstructionParams(snap.Idx, params)
 	if err != nil {
 		return nil, err
 	}
@@ -251,9 +271,6 @@ func BuildSnapshotOver(cfg Config, space metric.Space, name string) (*Snapshot, 
 	// behind the label build, the dominant cost at serving scale.
 	err = par.Group(
 		func() error {
-			if cfg.Scheme != SchemeLabels {
-				return nil // SchemeBeacons: estimates come straight from snap.Tri.
-			}
 			t0 := time.Now()
 			scheme, err := distlabel.FromConstruction(cons, cfg.Delta)
 			if err != nil {
@@ -283,13 +300,11 @@ func BuildSnapshotOver(cfg Config, space metric.Space, name string) (*Snapshot, 
 	snap.Build.RadiiSec = cons.Timings.Radii.Seconds()
 	snap.Build.PackingsSec = cons.Timings.Packings.Seconds()
 	snap.Build.RingsSec = cons.Timings.Rings.Seconds()
-	if snap.Scheme != nil {
-		lt := snap.Scheme.Timings
-		snap.Build.ZSetsSec = lt.ZSets.Seconds()
-		snap.Build.TSetsSec = lt.TSets.Seconds()
-		snap.Build.HostEnumsSec = lt.HostEnums.Seconds()
-		snap.Build.LabelFillSec = lt.Labels.Seconds()
-	}
+	lt := snap.Scheme.Timings
+	snap.Build.ZSetsSec = lt.ZSets.Seconds()
+	snap.Build.TSetsSec = lt.TSets.Seconds()
+	snap.Build.HostEnumsSec = lt.HostEnums.Seconds()
+	snap.Build.LabelFillSec = lt.Labels.Seconds()
 	// Pack the flat serving arenas last: a linear copy of the estimator
 	// payload. The Engine's hot path reads these instead of the pointer
 	// structures, and the v2 persisted format is exactly their bytes.
@@ -298,6 +313,13 @@ func BuildSnapshotOver(cfg Config, space metric.Space, name string) (*Snapshot, 
 		return nil, err
 	}
 	snap.Build.PackSec = time.Since(phase).Seconds()
+	if cfg.Verify {
+		phase = time.Now()
+		if err := snap.verify(); err != nil {
+			return nil, err
+		}
+		snap.Build.VerifySec = time.Since(phase).Seconds()
+	}
 	snap.finishBuild(start)
 	return snap, nil
 }
@@ -318,10 +340,8 @@ func indexSnapshot(cfg Config, space metric.Space, name string) (*Snapshot, tria
 	if err != nil {
 		return nil, params, err
 	}
-	switch cfg.Scheme {
-	case SchemeLabels, SchemeBeacons:
-	default:
-		return nil, params, fmt.Errorf("oracle: unknown scheme %q (want labels|beacons)", cfg.Scheme)
+	if err := CheckScheme(cfg.Scheme); err != nil {
+		return nil, params, err
 	}
 
 	phase := time.Now()
@@ -349,24 +369,32 @@ func indexSnapshot(cfg Config, space metric.Space, name string) (*Snapshot, tria
 	}, params, nil
 }
 
-// buildTri runs the ring construction and derives the Theorem 3.2
-// triangulation from it (verified when the recipe asks).
-func (s *Snapshot) buildTri(params triangulation.Params) (*triangulation.Construction, error) {
-	cons, err := triangulation.NewConstructionParams(s.Idx, params)
-	if err != nil {
-		return nil, err
-	}
-	phase := time.Now()
-	s.Tri = triangulation.FromConstruction(cons, s.Config.Delta)
-	s.Build.TriangulationSec = time.Since(phase).Seconds()
-	if s.Config.Verify {
-		phase = time.Now()
-		if _, err := s.Tri.VerifyAllPairs(); err != nil {
-			return nil, fmt.Errorf("oracle: triangulation verification: %w", err)
+// verify checks every pair u < v of the served answer — the arena walk
+// Estimate runs — against the exact distance: lower ≤ d ≤ upper, and
+// upper ≤ (1+δ)·d, each to a relative 1e-9. The error names the first
+// failing pair in (u, v) order.
+func (s *Snapshot) verify() error {
+	errs := make([]error, s.n)
+	par.For(par.Workers(s.Config.Workers, s.n), s.n, func(u int) {
+		for v := u + 1; v < s.n; v++ {
+			res, err := s.Estimate(u, v)
+			if err != nil {
+				errs[u] = err
+				return
+			}
+			d := s.Idx.Dist(u, v)
+			if !res.OK || res.Lower > d*(1+1e-9) || res.Upper < d*(1-1e-9) || res.Upper > (1+s.Config.Delta)*d*(1+1e-9) {
+				errs[u] = fmt.Errorf("oracle: verify: pair (%d,%d) served [%v, %v] (ok=%v), want lower ≤ d = %v ≤ upper ≤ (1+%v)·d", u, v, res.Lower, res.Upper, res.OK, d, s.Config.Delta)
+				return
+			}
 		}
-		s.Build.VerifySec = time.Since(phase).Seconds()
+	})
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
 	}
-	return cons, nil
+	return nil
 }
 
 // buildOverlay builds the Meridian overlay over the index (unless

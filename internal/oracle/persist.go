@@ -13,7 +13,6 @@ import (
 	"unsafe"
 
 	"rings/internal/metric"
-	"rings/internal/par"
 	"rings/internal/workload"
 )
 
@@ -40,6 +39,8 @@ var crcTable = crc64.MakeTable(crc64.ECMA)
 // corruption-evident. Endian records the writer's byte order — the
 // payload is raw host-order arrays; a reader on the other byte order
 // gets a clear versioned error instead of silently misparsed data.
+// Scheme is always SchemeLabels; a reader refuses the retired "beacons"
+// by name (ErrSchemeRetired).
 type persistHeaderV2 struct {
 	Config     Config        `json:"config"`
 	Name       string        `json:"name"`
@@ -108,7 +109,7 @@ func (s *Snapshot) writeToV2(w io.Writer) (int64, error) {
 		Capacity:   s.Capacity,
 		Perm:       s.Perm,
 		LabelMeta:  s.LabelMeta,
-		Scheme:     s.Flat.scheme,
+		Scheme:     SchemeLabels,
 		Endian:     hostEndian(),
 		Sections:   s.Flat.sections,
 		PayloadLen: int64(len(s.Flat.buf)),
@@ -278,9 +279,12 @@ func readAligned(r io.Reader, n int64) ([]byte, error) {
 // OpenSnapshotFile serves at once and what HydrateOver starts from.
 // Ownership of m passes to the snapshot; on error it is unmapped.
 func arenaSnapshot(hdr persistHeaderV2, payload []byte, m *mapping) (*Snapshot, error) {
-	flat := &FlatSnap{n: hdr.N, scheme: hdr.Scheme, buf: payload, m: m, sections: hdr.Sections}
+	flat := &FlatSnap{n: hdr.N, buf: payload, m: m, sections: hdr.Sections}
 	flat.refs.Store(1)
-	err := flat.bind()
+	err := CheckScheme(hdr.Scheme)
+	if err == nil {
+		err = flat.bind()
+	}
 	if err == nil {
 		err = flat.validate()
 	}
@@ -341,10 +345,9 @@ func (s *Snapshot) Hydrate() (*Snapshot, error) {
 
 // HydrateOver is the one routine that turns an arena into a full
 // snapshot; every restore entry point (ReadSnapshot*, Hydrate, fleet
-// warm boots) ends here. It builds only what queries read — ball index,
-// overlay, and under SchemeBeacons the triangulation — around the
-// receiver's arena as is: no copy, no pointer labels, no ring
-// construction under SchemeLabels. The router is left to the rule on
+// warm boots) ends here. It builds only what queries read — ball index
+// and overlay — around the receiver's arena as is: no copy, no pointer
+// labels, no ring construction. The router is left to the rule on
 // Snapshot.Router: a warm boot calls ForceRouter on the result, a
 // replica installing a shipped snapshot InheritRouter, and a bare
 // ReadSnapshot leaves it to the first Route. The space is the caller's
@@ -363,19 +366,12 @@ func (s *Snapshot) HydrateOver(space metric.Space, name string) (*Snapshot, erro
 	if space.N() != s.n {
 		return nil, fmt.Errorf("oracle: snapshot holds %d nodes, its space has %d", s.n, space.N())
 	}
-	full, params, err := indexSnapshot(s.Config, space, name)
+	full, _, err := indexSnapshot(s.Config, space, name)
 	if err != nil {
 		return nil, err
 	}
 	full.LabelMeta, full.Perm, full.Capacity, full.Flat = s.LabelMeta, s.Perm, s.Capacity, s.Flat
-	tasks := []func() error{full.buildOverlay}
-	if s.Flat.scheme == SchemeBeacons {
-		tasks = append(tasks, func() error {
-			_, err := full.buildTri(params)
-			return err
-		})
-	}
-	if err := par.Group(tasks...); err != nil {
+	if err := full.buildOverlay(); err != nil {
 		return nil, err
 	}
 	full.finishBuild(start)

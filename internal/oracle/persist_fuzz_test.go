@@ -50,7 +50,13 @@ func resealPayload(img []byte) []byte {
 	if hdr.PayloadLen < 0 || off > int64(len(img)) || hdr.PayloadLen > int64(len(img))-off {
 		return nil
 	}
-	payload := img[off : off+hdr.PayloadLen]
+	return reframe(hdr, img[off:off+hdr.PayloadLen])
+}
+
+// reframe encodes a v2 image of hdr and payload, both checksums
+// recomputed (nil when the header does not marshal).
+func reframe(hdr persistHeaderV2, payload []byte) []byte {
+	base := len(persistMagicV2)
 	hdr.PayloadCRC = crc64.Checksum(payload, crcTable)
 	hdrBuf, err := json.Marshal(hdr)
 	if err != nil {
@@ -124,6 +130,7 @@ func FuzzReadSnapshot(f *testing.F) {
 	for _, retired := range retiredSections {
 		f.Add(oldLayoutImage(f, bytes.Clone(img), retired))
 	}
+	f.Add(beaconsImage(f, img))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		decodeAndServe(t, data)
 		decodeAndServe(t, resealHeader(bytes.Clone(data)))

@@ -2,20 +2,21 @@ package oracle
 
 import (
 	"bytes"
+	"errors"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"rings/internal/distlabel"
 )
 
-// persistConfigs are the round-trip subjects: every workload family,
-// labels and beacons schemes.
+// persistConfigs are the round-trip subjects: every workload family.
 func persistConfigs() []Config {
 	return []Config{
 		{Workload: "cube", N: 48, Seed: 3, MemberStride: 4},
 		{Workload: "latency", N: 48, Seed: 5, MemberStride: 3},
 		{Workload: "expline", N: 32, LogAspect: 40, SkipRouting: true},
 		{Workload: "grid", Side: 6, SkipRouting: true},
-		{Workload: "cube", N: 40, Seed: 7, Scheme: SchemeBeacons, SkipRouting: true, SkipOverlay: true},
 	}
 }
 
@@ -52,32 +53,27 @@ func TestSnapshotPersistRoundTrip(t *testing.T) {
 		}
 
 		n := snap.N()
-		if snap.Labels != nil {
-			// Loaded estimates must equal direct estimates on the decoded
-			// labels — the snapshot adds nothing beyond the file content.
-			decoded, err := loaded.MaterializeLabels()
-			if err != nil {
-				t.Fatal(err)
-			}
-			for u := 0; u < n; u++ {
-				for v := 0; v < n; v += 3 {
-					got, err := loaded.Estimate(u, v)
-					if err != nil {
-						t.Fatal(err)
-					}
-					lo, up, ok := distlabel.Estimate(decoded[u], decoded[v])
-					if got.Lower != lo || got.Upper != up || got.OK != ok {
-						t.Fatalf("%s: estimate(%d,%d) diverges from decoded labels", cfg.Workload, u, v)
-					}
-					// Wire semantics keep the upper bound a true upper bound
-					// relative to the exact builder's estimate.
-					exact, err := snap.Estimate(u, v)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if exact.OK && ok && got.Upper < exact.Upper*(1-1e-9) {
-						t.Fatalf("%s: decoded upper %v below exact %v", cfg.Workload, got.Upper, exact.Upper)
-					}
+		// Loaded estimates must equal direct estimates on the decoded
+		// labels — the snapshot adds nothing beyond the file content.
+		decoded, err := loaded.MaterializeLabels()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for u := 0; u < n; u++ {
+			for v := 0; v < n; v += 3 {
+				got, err := loaded.Estimate(u, v)
+				if err != nil {
+					t.Fatal(err)
+				}
+				lo, up, ok := distlabel.Estimate(decoded[u], decoded[v])
+				if got.Lower != lo || got.Upper != up || got.OK != ok {
+					t.Fatalf("%s: estimate(%d,%d) diverges from decoded labels", cfg.Workload, u, v)
+				}
+				// Wire semantics keep the upper bound a true upper bound
+				// relative to the exact builder's estimate.
+				_, exact, exactOK := distlabel.Estimate(snap.Labels[u], snap.Labels[v])
+				if exactOK && ok && got.Upper < exact*(1-1e-9) {
+					t.Fatalf("%s: decoded upper %v below exact %v", cfg.Workload, got.Upper, exact)
 				}
 			}
 		}
@@ -113,5 +109,40 @@ func TestSnapshotPersistRejectsGarbage(t *testing.T) {
 	}
 	if _, err := ReadSnapshot(bytes.NewReader([]byte(persistMagicV2 + "\xff\xff\xff"))); err == nil {
 		t.Fatal("truncated v2 header accepted")
+	}
+}
+
+// beaconsImage re-frames a v2 image (not modified) under a header that
+// says the retired "beacons" scheme, in its recipe and as the arena's
+// scheme: what a beacons build persisted, checksums intact.
+func beaconsImage(t testing.TB, img []byte) []byte {
+	t.Helper()
+	hdr, payload, err := readV2Envelope(bytes.NewReader(img[len(persistMagicV2):]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hdr.Scheme, hdr.Config.Scheme = "beacons", "beacons"
+	return reframe(hdr, payload)
+}
+
+// TestRetiredSchemeImageRefused: a v2 file whose header says "beacons"
+// fails both readers with ErrSchemeRetired, before its arena is read
+// under the labels rules.
+func TestRetiredSchemeImageRefused(t *testing.T) {
+	snap := buildTestSnapshot(t, 47)
+	var buf bytes.Buffer
+	if _, err := snap.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	img := beaconsImage(t, buf.Bytes())
+	if _, err := ReadSnapshot(bytes.NewReader(img)); !errors.Is(err, ErrSchemeRetired) {
+		t.Fatalf("ReadSnapshot of a beacons image: %v, want ErrSchemeRetired", err)
+	}
+	path := filepath.Join(t.TempDir(), "beacons.bin")
+	if err := os.WriteFile(path, img, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenSnapshotFile(path); !errors.Is(err, ErrSchemeRetired) {
+		t.Fatalf("OpenSnapshotFile of a beacons image: %v, want ErrSchemeRetired", err)
 	}
 }

@@ -81,9 +81,6 @@ func pack(t testing.TB, labels []*distlabel.Label) *FlatSnap {
 // dists section and then shown to be a fixed point of wire → pack).
 func TestArenaBytesAreAFunctionOfLabelContent(t *testing.T) {
 	for _, cfg := range flatConfigs() {
-		if cfg.Scheme == SchemeBeacons {
-			continue
-		}
 		snap, err := BuildSnapshot(cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", cfg.Workload, err)

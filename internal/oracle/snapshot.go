@@ -12,7 +12,6 @@ import (
 	"rings/internal/metric"
 	"rings/internal/nnsearch"
 	"rings/internal/routing"
-	"rings/internal/triangulation"
 )
 
 // ErrNoOverlay is returned by Nearest when the snapshot was built with
@@ -46,15 +45,11 @@ type Snapshot struct {
 	Version int64
 	// Idx is the ball index over the workload's space.
 	Idx metric.BallIndex
-	// Tri is the Theorem 3.2 triangulation: always on a cold build (it
-	// shares its construction with the labels), on a restored snapshot
-	// only under SchemeBeacons, where it is the estimator.
-	Tri *triangulation.Triangulation
 	// Scheme and Labels are the Theorem 3.4 labeling in pointer form,
-	// carried by build-side snapshots only (both nil under SchemeBeacons
-	// and on every restored snapshot, which serves from Flat alone — see
-	// MaterializeLabels). Scheme is the full build object, nil on churn
-	// deltas; when present, Labels[u] == Scheme.Label(u).
+	// carried by build-side snapshots only (both nil on every restored
+	// snapshot — see MaterializeLabels). No query reads them: Estimate
+	// walks Flat. Scheme is the full build object, nil on churn deltas;
+	// when present, Labels[u] == Scheme.Label(u).
 	Scheme *distlabel.Scheme
 	Labels []*distlabel.Label
 	// Overlay is the Meridian-style ring overlay (nil under SkipOverlay).
@@ -73,16 +68,15 @@ type Snapshot struct {
 	// Capacity is the base-workload size behind Perm (0 when Perm is nil).
 	Capacity int
 
-	// LabelMeta carries the scheme-wide label constants (zero under
-	// SchemeBeacons). It exists so snapshots whose labels did not come
-	// from a live *distlabel.Scheme — churn deltas, restores — can
-	// still derive a Wire codec.
+	// LabelMeta carries the scheme-wide label constants. It exists so
+	// snapshots whose labels did not come from a live *distlabel.Scheme
+	// — churn deltas, restores — can still derive a Wire codec.
 	LabelMeta LabelMeta
 
-	// Flat is the arena-packed serving form of the estimator (labels or
-	// beacon sets). Every assembled snapshot carries it; the Engine's
-	// hot path reads it instead of the pointer structures, and the v2
-	// persisted format is exactly its bytes. A snapshot opened via
+	// Flat is the arena-packed serving form of the labels. Every
+	// assembled snapshot carries it; every estimate reads it instead of
+	// the pointer labels, and the v2 persisted format is exactly its
+	// bytes. A snapshot opened via
 	// OpenSnapshotFile carries ONLY Flat (plus config/meta): estimates
 	// work immediately, Nearest/Route/Idx-dependent calls need Hydrate,
 	// whose result shares this same arena.
@@ -123,22 +117,12 @@ type LabelMeta struct {
 	Level0Count int `json:"level0_count"`
 }
 
-// scheme reports which estimator the snapshot answers from: the one its
-// arena encodes (what the Engine serves), else the build recipe's.
-func (s *Snapshot) scheme() string {
-	if s.Flat != nil {
-		return s.Flat.scheme
-	}
-	return s.Config.Scheme
-}
-
 // LabelWire derives the serialization context of the snapshot's labels
 // — the same context Scheme.Wire would return for the scheme that
 // (conceptually) produced them — from LabelMeta and the index alone,
-// resident pointer labels or not. It errors under SchemeBeacons and
-// before hydration.
+// resident pointer labels or not. It errors before hydration.
 func (s *Snapshot) LabelWire() (distlabel.Wire, error) {
-	if s.scheme() != SchemeLabels || s.Idx == nil {
+	if s.Idx == nil {
 		return distlabel.Wire{}, fmt.Errorf("oracle: snapshot has no labels to serialize")
 	}
 	codec, err := bitio.NewDistCodec(s.Idx.MinDistance(), s.Idx.Diameter(), s.Config.Delta/6)
@@ -161,7 +145,7 @@ func (s *Snapshot) MaterializeLabels() ([]*distlabel.Label, error) {
 	if s.Labels != nil {
 		return s.Labels, nil
 	}
-	if s.scheme() != SchemeLabels || s.Flat == nil {
+	if s.Flat == nil {
 		return nil, fmt.Errorf("oracle: snapshot has no labels to materialize")
 	}
 	if !s.Flat.pin() {
@@ -267,7 +251,6 @@ func (s *Snapshot) extendBuild(phase time.Duration) {
 // Artifacts is the prebuilt-parts input of AssembleSnapshot.
 type Artifacts struct {
 	Idx     metric.BallIndex
-	Tri     *triangulation.Triangulation
 	Scheme  *distlabel.Scheme
 	Labels  []*distlabel.Label
 	Overlay *nnsearch.Overlay
@@ -285,14 +268,13 @@ type Artifacts struct {
 // incrementally and must still publish an ordinary, immutable Snapshot
 // (restores go through the arena path in persist.go instead); the
 // router is the caller's InheritRouter away. It fails only when the
-// estimator cannot be packed.
+// labels cannot be packed.
 func AssembleSnapshot(cfg Config, name string, a Artifacts, elapsed time.Duration, build BuildStats) (*Snapshot, error) {
 	cfg = cfg.withDefaults()
 	snap := &Snapshot{
 		Config:       cfg,
 		Name:         name,
 		Idx:          a.Idx,
-		Tri:          a.Tri,
 		Scheme:       a.Scheme,
 		Labels:       a.Labels,
 		LabelMeta:    a.LabelMeta,
@@ -340,6 +322,9 @@ type BuildStats struct {
 	PackingsSec float64 `json:"packings_sec"`
 	RingsSec    float64 `json:"rings_sec"`
 
+	// TriangulationSec always reads 0: no build derives the Theorem 3.2
+	// triangulation any more. It stays only because bench/ reads it
+	// (ROADMAP item 1a).
 	TriangulationSec float64 `json:"triangulation_sec"`
 	VerifySec        float64 `json:"verify_sec"`
 
@@ -404,11 +389,9 @@ func (s *Snapshot) checkNode(kind string, u int) error {
 }
 
 // Estimate answers one distance estimate directly from the snapshot's
-// estimator, bypassing any cache. The scheme picks the estimator, not
-// which pointers happen to be set: a build-side snapshot answers with
-// the reference walk — exactly distlabel.Estimate(Labels[u], Labels[v])
-// under SchemeLabels, Tri.Estimate(u, v) under SchemeBeacons — and an
-// arena-only one from the pinned arena, bit-identical by construction.
+// flat arena, bypassing any cache: the walk the Engine serves, on every
+// snapshot alike (built, assembled, opened or restored), bit-identical
+// to distlabel.Estimate on the labels it was packed from.
 func (s *Snapshot) Estimate(u, v int) (EstimateResult, error) {
 	if err := s.checkNode("estimate", u); err != nil {
 		return EstimateResult{}, err
@@ -416,21 +399,15 @@ func (s *Snapshot) Estimate(u, v int) (EstimateResult, error) {
 	if err := s.checkNode("estimate", v); err != nil {
 		return EstimateResult{}, err
 	}
-	res := EstimateResult{U: u, V: v, Version: s.Version}
-	switch scheme := s.scheme(); {
-	case scheme == SchemeLabels && s.Labels != nil:
-		res.Lower, res.Upper, res.OK = distlabel.Estimate(s.Labels[u], s.Labels[v])
-	case scheme == SchemeBeacons && s.Tri != nil:
-		res.Lower, res.Upper, res.OK = s.Tri.Estimate(u, v)
-	case s.Flat == nil:
+	if s.Flat == nil {
 		return EstimateResult{}, fmt.Errorf("oracle: snapshot has no estimator")
-	default:
-		if !s.Flat.pin() {
-			return EstimateResult{}, errArenaClosed
-		}
-		res.Lower, res.Upper, res.OK = s.Flat.estimatePair(u, v)
-		s.Flat.unpin()
 	}
+	if !s.Flat.pin() {
+		return EstimateResult{}, errArenaClosed
+	}
+	res := EstimateResult{U: u, V: v, Version: s.Version}
+	res.Lower, res.Upper, res.OK = s.Flat.estimatePair(u, v)
+	s.Flat.unpin()
 	return res, nil
 }
 

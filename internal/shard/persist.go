@@ -67,9 +67,6 @@ func OpenFleet(cfg Config, snapBase string) (*Fleet, error) {
 			}
 			shardName := fmt.Sprintf("%s/shard%d-of-%d", name, s, cfg.Shards)
 			snap, err := mapped.HydrateOver(metric.NewSubspace(base, owned[s]), shardName)
-			if err == nil && snap.Config.Scheme != cfg.Oracle.Scheme {
-				err = fmt.Errorf("snapshot scheme %q, fleet wants %q", snap.Config.Scheme, cfg.Oracle.Scheme)
-			}
 			if err == nil {
 				err = snap.ForceRouter() // a boot forces the router, warm like cold
 			}

@@ -133,10 +133,10 @@ func TestOpenFleetGuards(t *testing.T) {
 	}
 	base := filepath.Join(t.TempDir(), "fleet.snap")
 	persistFleetFiles(t, built, base)
-	mismatch := cfg
-	mismatch.Oracle.Scheme = oracle.SchemeBeacons
-	if _, err := OpenFleet(mismatch, base); err == nil || !strings.Contains(err.Error(), "scheme") {
-		t.Fatalf("scheme mismatch: %v", err)
+	retiredScheme := cfg
+	retiredScheme.Oracle.Scheme = "beacons"
+	if _, err := OpenFleet(retiredScheme, base); !errors.Is(err, oracle.ErrSchemeRetired) {
+		t.Fatalf("warm boot under the retired beacons scheme: %v", err)
 	}
 
 	// One shard file in either retired layout: its directory names the

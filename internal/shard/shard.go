@@ -123,6 +123,9 @@ type Config struct {
 
 func (c Config) withDefaults() (Config, error) {
 	c.Oracle = c.Oracle.WithDefaults()
+	if err := oracle.CheckScheme(c.Oracle.Scheme); err != nil {
+		return c, err
+	}
 	if c.Shards < 1 {
 		return c, fmt.Errorf("shard: %d shards, want >= 1", c.Shards)
 	}

@@ -144,12 +144,12 @@ func NewNearestNeighborOverlay(idx Index, members []int, seed int64) (*NearestNe
 	return nnsearch.New(idx, members, nnsearch.DefaultConfig(seed))
 }
 
-// OracleConfig describes one serving snapshot: workload, estimator
-// scheme (labels/beacons), profile and artifact toggles.
+// OracleConfig describes one serving snapshot: workload, profile and
+// artifact toggles.
 type OracleConfig = oracle.Config
 
 // OracleSnapshot is an immutable bundle of serving artifacts (labels,
-// beacons, ring overlay, router) over one workload.
+// ring overlay, router) over one workload.
 type OracleSnapshot = oracle.Snapshot
 
 // OracleEngine is the concurrency-safe query layer: lock-free snapshot

@@ -484,7 +484,7 @@ func testUnboundedAnswerIsA500NotATruncated200(t *testing.T, start startFunc) {
 		t.Fatal(err)
 	}
 	disjoint := func() *distlabel.Label { return &distlabel.Label{Zoom0: -1} }
-	snap, err := oracle.AssembleSnapshot(oracle.Config{Scheme: oracle.SchemeLabels, SkipOverlay: true, SkipRouting: true}, "disjoint-n2",
+	snap, err := oracle.AssembleSnapshot(oracle.Config{Scheme: oracle.SchemeLabels, SkipOverlay: true}, "disjoint-n2",
 		oracle.Artifacts{Idx: metric.NewIndex(space), Labels: []*distlabel.Label{disjoint(), disjoint()}}, 0, oracle.BuildStats{})
 	if err != nil {
 		t.Fatal(err)

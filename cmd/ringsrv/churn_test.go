@@ -17,7 +17,7 @@ import (
 func testChurnServer(t *testing.T, start startFunc) (*server, *testServer, *churn.Mutator) {
 	t.Helper()
 	m, err := churn.NewMutator(churn.Config{
-		Oracle:   oracle.Config{Workload: "cube", N: 32, Seed: 1, SkipRouting: true},
+		Oracle:   oracle.Config{Workload: "cube", N: 32, Seed: 1},
 		MinNodes: 16,
 	})
 	if err != nil {

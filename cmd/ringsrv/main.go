@@ -5,7 +5,7 @@
 // lock-free snapshot reads and a sharded result cache.
 //
 //	ringsrv -workload latency -n 256
-//	ringsrv -workload latency -n 2048 -no-routing
+//	ringsrv -workload latency -n 1024 -snapshot-file latency.snap
 //
 // Endpoints:
 //
@@ -80,13 +80,14 @@
 // With -snapshot-file the server persists the snapshot on every swap
 // and warm-starts from the file on boot, skipping the label build and
 // serving from the mapped file itself (a warm boot never rewrites it).
-// A file this binary cannot serve — the retired v1 format, an arena
-// written before shared entry lists, a failed checksum — stops the boot
-// with an error naming the problem; the server never cold-builds over a
-// file it could not read. Combining the two flags, the churn engine
-// still persists every committed delta (a plain server can warm-start
-// from it, churned membership included) but itself always boots fresh:
-// the file holds the served arena, not the repair state (rings, Z-sets,
+// A file this binary cannot serve (v1, a pre-shared-lists arena, a bad
+// checksum) or built under another value of a recipe flag the operator
+// set (-workload, its size knobs, -seed, -delta, -profile, -members,
+// -no-overlay) stops the boot with an error naming the problem, never a
+// cold build over it. Combining the two flags, the churn engine still
+// persists every committed delta (a plain server can warm-start from
+// it, churned membership included) but itself always boots fresh: the
+// file holds the served arena, not the repair state (rings, Z-sets,
 // virtual sets) the byte-identity contract is kept on.
 //
 // Observability: /metrics exposes every layer's counters and
@@ -141,7 +142,6 @@ func run() error {
 		backend    = flag.String("backend", "eager", "ball-index backend: eager | lazy")
 		workers    = flag.Int("workers", 0, "index build workers (0 = GOMAXPROCS)")
 		members    = flag.Int("members", 4, "overlay member stride (every k-th node)")
-		noRouting  = flag.Bool("no-routing", false, "disable /route (saves the boot's router build; churn commits build a router only once a /route has been served)")
 		noOverlay  = flag.Bool("no-overlay", false, "skip the ring overlay (disables /nearest)")
 		shards     = flag.Int("cache-shards", 16, "estimate cache shards")
 		cacheCap   = flag.Int("cache-cap", 4096, "estimate cache entries per shard (-1 disables)")
@@ -160,6 +160,8 @@ func run() error {
 		pprofOn    = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 	)
 	flag.Parse()
+	set := map[string]bool{} // the flags the operator set
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
 
 	cfg := oracle.Config{
 		Workload:     *wl,
@@ -174,7 +176,6 @@ func run() error {
 		Backend:      *backend,
 		Workers:      *workers,
 		MemberStride: *members,
-		SkipRouting:  *noRouting,
 		SkipOverlay:  *noOverlay,
 	}
 	// -scheme accepts only labels; the flag stays because bench/ passes
@@ -277,13 +278,17 @@ func run() error {
 		switch {
 		case err == nil:
 			log.Printf("warm-starting from %s", *snapFile)
-			// O(header) open: the file is mmapped and served immediately
-			// (estimates only); hydration builds index, overlay and router
-			// around the same mapping in the background and swaps them in.
-			// A file this binary cannot serve (retired v1 format, pre-PR-13
-			// arena layout, corruption) is an error, never a cold build
-			// over it.
+			// O(header) open: the mapped file serves estimates at once, and
+			// hydration builds index and overlay around it in the background.
+			// A file this binary cannot serve (v1, pre-PR-13 layout, corrupt)
+			// or built under another value of a recipe flag the operator set
+			// is an error, never a cold build over it.
 			loaded, rerr := oracle.OpenSnapshotFile(*snapFile)
+			if rerr == nil {
+				if rerr = loaded.CheckRecipe(cfg, func(knob string) bool { return set[knob] }); rerr != nil {
+					loaded.Close()
+				}
+			}
 			if rerr != nil {
 				return fmt.Errorf("warm start from %s: %w", *snapFile, rerr)
 			}

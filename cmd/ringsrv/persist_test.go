@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"errors"
+	"flag"
 	"io"
 	"os"
 	"path/filepath"
@@ -21,7 +22,6 @@ func persistTestServer(t *testing.T, path string) *server {
 		Workload:    "cube",
 		N:           24,
 		Seed:        1,
-		SkipRouting: true,
 		SkipOverlay: true,
 	})
 	if err != nil {
@@ -193,7 +193,7 @@ func TestInterruptedWriteNeverVisible(t *testing.T) {
 // to end.
 func TestFleetPersistAndWarmBoot(t *testing.T) {
 	cfg := shard.Config{
-		Oracle: oracle.Config{Workload: "cube", N: 24, Seed: 2, SkipRouting: true, SkipOverlay: true},
+		Oracle: oracle.Config{Workload: "cube", N: 24, Seed: 2, SkipOverlay: true},
 		Shards: 2,
 	}
 	fleet, err := shard.NewFleet(cfg)
@@ -303,6 +303,56 @@ func TestHydrateFromUpgradesFlatOnlyBoot(t *testing.T) {
 	if err != nil || a.Lower != b.Lower || a.Upper != b.Upper {
 		t.Fatalf("hydrated estimate diverged: %+v vs %+v (%v)", a, b, err)
 	}
+}
+
+// TestWarmBootRefusesAnotherRecipe: a warm boot whose recipe flags name
+// another dataset or served structure than its file holds fails — so
+// ringsrv exits 1 — with the field named, and leaves the file alone.
+// Matching recipe flags, flags outside the recipe and no flags at all
+// pass the check: those boots fail only later, to listen on an address
+// no listener takes.
+func TestWarmBootRefusesAnotherRecipe(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "snap.bin")
+	snap, err := oracle.BuildSnapshot(oracle.Config{Workload: "cube", N: 24, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newServer(oracle.NewEngine(snap, oracle.EngineOptions{}))
+	s.enablePersist(path)
+	if err := s.persistCurrent(); err != nil {
+		t.Fatal(err)
+	}
+	before := statFile(t, path)
+	boot := func(args ...string) error {
+		savedFlags, savedArgs := flag.CommandLine, os.Args
+		defer func() { flag.CommandLine, os.Args = savedFlags, savedArgs }()
+		flag.CommandLine = flag.NewFlagSet("ringsrv", flag.ContinueOnError)
+		os.Args = append([]string{"ringsrv", "-addr", "127.0.0.1:-1", "-snapshot-file", path}, args...)
+		return run()
+	}
+	for field, args := range map[string][]string{
+		"Workload":     {"-workload", "latency"},
+		"N":            {"-workload", "cube", "-n", "32"},
+		"Seed":         {"-seed", "2"},
+		"Delta":        {"-delta", "0.25"},
+		"Profile":      {"-profile", "paper"},
+		"MemberStride": {"-members", "2"},
+		"SkipOverlay":  {"-no-overlay"},
+	} {
+		if err := boot(args...); err == nil || !strings.Contains(err.Error(), field+" = ") {
+			t.Errorf("warm boot with %v: %v, want the %s mismatch named", args, err, field)
+		}
+	}
+	for _, args := range [][]string{
+		nil,
+		{"-workload", "cube", "-n", "24", "-seed", "1", "-delta", "0.5", "-profile", "tuned", "-members", "4"},
+		{"-workers", "1", "-backend", "lazy", "-verify"},
+	} {
+		if err := boot(args...); err == nil || !strings.Contains(err.Error(), "listen") {
+			t.Errorf("warm boot with %v: %v, want it past the recipe check", args, err)
+		}
+	}
+	assertUntouched(t, path, before)
 }
 
 // TestWarmStartRejectsTruncatedSnapshot: a file cut short (the crash

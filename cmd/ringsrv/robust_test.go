@@ -16,7 +16,7 @@ import (
 func testReplicatedFleetServer(t *testing.T, start startFunc) (*shard.Fleet, *testServer) {
 	t.Helper()
 	fleet, err := shard.NewFleet(shard.Config{
-		Oracle:            oracle.Config{Workload: "cube", N: 24, Seed: 5, MemberStride: 3, SkipRouting: true, SkipOverlay: true},
+		Oracle:            oracle.Config{Workload: "cube", N: 24, Seed: 5, MemberStride: 3, SkipOverlay: true},
 		Shards:            2,
 		Replicas:          2,
 		ProbeInterval:     2 * time.Millisecond,

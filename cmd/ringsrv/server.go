@@ -203,19 +203,16 @@ func (s *server) persistShards(units []int) error {
 	return nil
 }
 
-// hydrate upgrades a flat-only warm start in the background: index,
-// overlay and router are built around the already-open, already-verified
-// arena (no second read of the file) and swapped in, bringing /nearest
-// and /route online. The full snapshot adopts fast's mapping, so fast is
-// not closed here — Engine.Rebuild closes whichever snapshot it swaps
-// out. The swap is skipped if a rebuild already replaced fast;
+// hydrate upgrades a flat-only warm start in the background: index and
+// overlay are built around the already-open, already-verified arena (no
+// second read of the file) and swapped in, bringing /nearest and /route
+// online (the first /route builds the router). The full snapshot adopts
+// fast's mapping, so fast is not closed here — Engine.Rebuild closes
+// whichever snapshot it swaps out. The swap is skipped if a rebuild already replaced fast;
 // rebuildMu makes that check-and-swap atomic against /snapshot.
 func (s *server) hydrate(fast *oracle.Snapshot) {
 	go func() {
 		full, err := fast.Hydrate()
-		if err == nil {
-			err = full.ForceRouter() // a boot forces the router, warm like cold
-		}
 		if err != nil {
 			log.Printf("hydrate %s: %v (continuing to serve estimates from the mapped arenas)", fast.Name, err)
 			return

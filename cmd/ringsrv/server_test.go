@@ -194,7 +194,6 @@ func testServerDisabledEndpointsAre501(t *testing.T, start startFunc) {
 		Workload:    "cube",
 		N:           32,
 		Seed:        1,
-		SkipRouting: true,
 		SkipOverlay: true,
 	})
 	if err != nil {
@@ -204,7 +203,6 @@ func testServerDisabledEndpointsAre501(t *testing.T, start startFunc) {
 	defer ts.Close()
 
 	getJSON(t, ts, "/nearest?target=1", http.StatusNotImplemented, nil)
-	getJSON(t, ts, "/route?src=0&dst=1", http.StatusNotImplemented, nil)
 	// Estimates still flow.
 	var est oracle.EstimateResult
 	getJSON(t, ts, "/estimate?u=0&v=1", http.StatusOK, &est)
@@ -213,8 +211,8 @@ func testServerDisabledEndpointsAre501(t *testing.T, start startFunc) {
 	}
 	var health healthBody
 	getJSON(t, ts, "/healthz", http.StatusOK, &health)
-	if health.Routing || health.Overlay {
-		t.Errorf("healthz advertises disabled endpoints: %+v", health)
+	if health.Overlay {
+		t.Errorf("healthz advertises the disabled /nearest: %+v", health)
 	}
 }
 
@@ -302,7 +300,8 @@ func testServerConcurrentQueriesDuringRebuild(t *testing.T, start startFunc) {
 // TestServerExposesBuildStats: the per-phase build breakdown of the
 // served snapshot travels through both /stats and /snapshot, and the
 // /snapshot response describes the snapshot it just built (a fresh
-// breakdown, not the old one).
+// breakdown, not the old one). A boot builds no router, so its phase
+// reads 0.
 func TestServerExposesBuildStats(t *testing.T) { bothFrontends(t, testServerExposesBuildStats) }
 
 func testServerExposesBuildStats(t *testing.T, start startFunc) {
@@ -316,8 +315,11 @@ func testServerExposesBuildStats(t *testing.T, start startFunc) {
 	if b.N != 48 || b.Scheme != oracle.SchemeLabels || b.Workers < 1 {
 		t.Fatalf("stats.build = %+v", b)
 	}
-	if b.TotalSec <= 0 || b.LabelsTotalSec <= 0 || b.OverlaySec <= 0 || b.RouterSec <= 0 {
+	if b.TotalSec <= 0 || b.LabelsTotalSec <= 0 || b.OverlaySec <= 0 {
 		t.Fatalf("stats.build phases not populated: %+v", b)
+	}
+	if b.RouterSec != 0 {
+		t.Fatalf("stats.build router_sec = %v; no boot builds the router", b.RouterSec)
 	}
 	if sum := b.ZSetsSec + b.TSetsSec + b.HostEnumsSec + b.LabelFillSec; sum <= 0 || sum > b.LabelsTotalSec {
 		t.Fatalf("label sub-phases %v inconsistent with total %v", sum, b.LabelsTotalSec)

@@ -45,10 +45,9 @@
 // recompute of the affected layer, which is slower but bit-equal, and
 // counts the fallback in its stats.
 //
-// The router (Theorem 2.1) has no localized form here: when the config
-// includes routing, it is rebuilt per commit (documented cost; the
-// serving-scale churn configuration disables it, as EXPERIMENTS.md C1
-// discusses).
+// The router (Theorem 2.1) has no localized form here: a commit rebuilds
+// it from scratch, and only when the snapshot it replaces was routed on
+// (oracle.Snapshot.InheritRouter); otherwise the first /route builds it.
 package churn
 
 import (

@@ -206,7 +206,7 @@ func TestMutatorByteIdentity(t *testing.T) {
 // op of a mixed trace — the internal invariant the label byte-identity
 // rests on.
 func TestMutatorMaintainedSubstrate(t *testing.T) {
-	ocfg := oracle.Config{Workload: "latency", N: 36, Seed: 9, SkipRouting: true, SkipOverlay: true}
+	ocfg := oracle.Config{Workload: "latency", N: 36, Seed: 9, SkipOverlay: true}
 	m, err := NewMutator(Config{Oracle: ocfg})
 	if err != nil {
 		t.Fatal(err)
@@ -268,7 +268,7 @@ func TestMutatorMaintainedSubstrate(t *testing.T) {
 // each answer is consistent with the snapshot version it reports —
 // run under -race this also proves the delta-swap publication is sound.
 func TestMutatorConcurrentReaders(t *testing.T) {
-	ocfg := oracle.Config{Workload: "latency", N: 40, Seed: 3, MemberStride: 3, SkipRouting: true}
+	ocfg := oracle.Config{Workload: "latency", N: 40, Seed: 3, MemberStride: 3}
 	m, err := NewMutator(Config{Oracle: ocfg})
 	if err != nil {
 		t.Fatal(err)
@@ -351,7 +351,7 @@ func TestMutatorConcurrentReaders(t *testing.T) {
 // TestMutatorValidation covers the recipe check and the batch
 // validator.
 func TestMutatorValidation(t *testing.T) {
-	ocfg := oracle.Config{Workload: "cube", N: 16, Seed: 1, SkipRouting: true, SkipOverlay: true}
+	ocfg := oracle.Config{Workload: "cube", N: 16, Seed: 1, SkipOverlay: true}
 	retired := ocfg
 	retired.Scheme = "beacons"
 	if _, err := NewMutator(Config{Oracle: retired, Capacity: 20}); !errors.Is(err, oracle.ErrSchemeRetired) {
@@ -390,7 +390,7 @@ func TestMutatorValidation(t *testing.T) {
 // TestWireHashStability guards the hash helper itself (same snapshot
 // twice -> same hash; the canonical wire encoding is deterministic).
 func TestWireHashStability(t *testing.T) {
-	ocfg := oracle.Config{Workload: "cube", N: 24, Seed: 2, SkipRouting: true, SkipOverlay: true}
+	ocfg := oracle.Config{Workload: "cube", N: 24, Seed: 2, SkipOverlay: true}
 	m, err := NewMutator(Config{Oracle: ocfg})
 	if err != nil {
 		t.Fatal(err)

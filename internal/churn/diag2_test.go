@@ -18,7 +18,7 @@ func TestDiagRepairProfile(t *testing.T) {
 	if s := os.Getenv("CHURN_DIAG_N"); s != "" {
 		fmt.Sscanf(s, "%d", &n)
 	}
-	ocfg := oracle.Config{Workload: "latency", N: n, Seed: 1, SkipRouting: true}
+	ocfg := oracle.Config{Workload: "latency", N: n, Seed: 1}
 	m, err := NewMutator(Config{Oracle: ocfg})
 	if err != nil {
 		t.Fatal(err)

@@ -10,7 +10,7 @@ import (
 // routerBuilds reads rings_oracle_router_builds_total, all causes summed.
 func routerBuilds() int64 {
 	f := telemetry.Default.CounterFamily("rings_oracle_router_builds_total", "", "cause")
-	return f.With("boot").Value() + f.With("commit").Value() + f.With("request").Value()
+	return f.With("commit").Value() + f.With("request").Value()
 }
 
 // TestCommitInheritsRoutingDemand pins who builds a commit's router.

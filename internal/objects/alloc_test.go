@@ -16,7 +16,7 @@ import (
 // allocation (which scales with N) trips it immediately.
 func TestLookupSteadyStateAllocs(t *testing.T) {
 	snap, err := oracle.BuildSnapshot(oracle.Config{
-		Workload: "latency", N: 60, Seed: 3, MemberStride: 3, SkipRouting: true,
+		Workload: "latency", N: 60, Seed: 3, MemberStride: 3,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -20,10 +20,10 @@ import (
 // scale.
 func staticFamilies() []oracle.Config {
 	return []oracle.Config{
-		{Workload: "latency", N: 40, Seed: 3, MemberStride: 3, SkipRouting: true},
-		{Workload: "cube", N: 36, Seed: 5, MemberStride: 4, SkipRouting: true},
-		{Workload: "expline", N: 32, LogAspect: 40, MemberStride: 4, SkipRouting: true},
-		{Workload: "grid", Side: 6, MemberStride: 5, SkipRouting: true},
+		{Workload: "latency", N: 40, Seed: 3, MemberStride: 3},
+		{Workload: "cube", N: 36, Seed: 5, MemberStride: 4},
+		{Workload: "expline", N: 32, LogAspect: 40, MemberStride: 4},
+		{Workload: "grid", Side: 6, MemberStride: 5},
 	}
 }
 
@@ -117,7 +117,7 @@ func TestLookupExactStatic(t *testing.T) {
 // publish, machine-distinguishable errors, object deletion on the last
 // unpublish.
 func TestPublishUnpublishSemantics(t *testing.T) {
-	snap, err := oracle.BuildSnapshot(oracle.Config{Workload: "cube", N: 16, Seed: 2, SkipRouting: true})
+	snap, err := oracle.BuildSnapshot(oracle.Config{Workload: "cube", N: 16, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestPublishUnpublishSemantics(t *testing.T) {
 // flat-only snapshot (no ball index yet) refuses object operations with
 // ErrNotReady.
 func TestNotReadyFlatOnly(t *testing.T) {
-	snap, err := oracle.BuildSnapshot(oracle.Config{Workload: "cube", N: 12, Seed: 4, SkipRouting: true})
+	snap, err := oracle.BuildSnapshot(oracle.Config{Workload: "cube", N: 12, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,8 +211,8 @@ func TestNotReadyFlatOnly(t *testing.T) {
 // -short).
 func goldFamilies(short bool) []oracle.Config {
 	cfgs := []oracle.Config{
-		{Workload: "grid", Side: 6, MemberStride: 5, SkipRouting: true, SkipOverlay: true},
-		{Workload: "cube", N: 24, Seed: 5, MemberStride: 4, SkipRouting: true, SkipOverlay: true},
+		{Workload: "grid", Side: 6, MemberStride: 5, SkipOverlay: true},
+		{Workload: "cube", N: 24, Seed: 5, MemberStride: 4, SkipOverlay: true},
 	}
 	if short {
 		cfgs = cfgs[:1]

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 )
 
 // benchSnapshot is the serving snapshot the throughput benchmarks share:
@@ -25,7 +26,6 @@ func benchSnap(b *testing.B) *Snapshot {
 			Delta:       0.5,
 			Profile:     ProfileTuned,
 			SkipOverlay: true,
-			SkipRouting: true,
 		})
 	})
 	if benchSnapshot.err != nil {
@@ -123,7 +123,7 @@ func BenchmarkEstimateBatchFlat(b *testing.B) {
 	snap, err := BuildSnapshot(Config{
 		Workload: "latency", N: 1024, Seed: 1, Delta: 0.5,
 		Scheme: SchemeLabels, Profile: ProfileTuned,
-		SkipOverlay: true, SkipRouting: true,
+		SkipOverlay: true,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -155,13 +155,15 @@ func BenchmarkEstimateBatchFlat(b *testing.B) {
 }
 
 // BenchmarkBuildSnapshot measures the cold build of ringperf's
-// point-uniform server (latency, n = 1024, tuned, δ = 0.5, labels,
-// overlay and router; n = 256 under -short) and reports each phase's
-// ms/build from the snapshot's BuildStats. Labels, overlay and router
-// build concurrently, so the phases sum to more than total. It also
-// reports what the build allocates (alloc-MB/build) and what the last
-// snapshot holds live after a collection (live-MB, HeapInuse growth, the
-// figure TestColdBuildHeapCeiling bounds at n = 256).
+// point-uniform server (latency, n = 1024, tuned, δ = 0.5, labels and
+// overlay; n = 256 under -short) and reports each phase's ms/build from
+// the snapshot's BuildStats. Labels and overlay build concurrently, so
+// the phases sum to more than total. It also reports what the build
+// allocates (alloc-MB/build) and what the last snapshot holds live after
+// a collection (live-MB, HeapInuse growth, the figure
+// TestColdBuildHeapCeiling bounds at n = 256). No build makes the
+// router, so router-ms/first-route times one Router call on the last
+// snapshot, after those figures: the wait of its first /route.
 func BenchmarkBuildSnapshot(b *testing.B) {
 	n := 1024
 	if testing.Short() {
@@ -184,7 +186,6 @@ func BenchmarkBuildSnapshot(b *testing.B) {
 		{"hostenums", func(s BuildStats) float64 { return s.HostEnumsSec }},
 		{"fill", func(s BuildStats) float64 { return s.LabelFillSec }},
 		{"overlay", func(s BuildStats) float64 { return s.OverlaySec }},
-		{"router", func(s BuildStats) float64 { return s.RouterSec }},
 		{"pack", func(s BuildStats) float64 { return s.PackSec }},
 		{"total", func(s BuildStats) float64 { return s.TotalSec }},
 	}
@@ -209,7 +210,11 @@ func BenchmarkBuildSnapshot(b *testing.B) {
 	runtime.ReadMemStats(&ms)
 	allocated = ms.TotalAlloc - allocated
 	live := heapInuse() - before
-	runtime.KeepAlive(snap)
+	t0 := time.Now()
+	if _, err := snap.Router(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportMetric(float64(time.Since(t0).Microseconds())/1e3, "router-ms/first-route")
 	for p, ph := range phases {
 		b.ReportMetric(sums[p]*1e3/float64(b.N), ph.name+"-ms/build")
 	}

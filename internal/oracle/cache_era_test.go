@@ -20,7 +20,7 @@ func TestCacheEraIsolation(t *testing.T) {
 	// wrong (lower, upper) pair for the reported version.
 	snaps := make([]*Snapshot, 0, 6)
 	for seed := int64(1); seed <= 6; seed++ {
-		cfg := Config{Workload: "cube", N: 48, Seed: seed, SkipRouting: true, SkipOverlay: true}
+		cfg := Config{Workload: "cube", N: 48, Seed: seed, SkipOverlay: true}
 		snap, err := BuildSnapshot(cfg)
 		if err != nil {
 			t.Fatal(err)

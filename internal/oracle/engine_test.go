@@ -41,8 +41,11 @@ func buildTestSnapshot(t testing.TB, seed int64) *Snapshot {
 func TestBuildSnapshotVariants(t *testing.T) {
 	snap := buildTestSnapshot(t, 1)
 	if snap.Scheme == nil || snap.Labels == nil || snap.Flat == nil ||
-		snap.Overlay == nil || !snap.Routed() {
+		snap.Overlay == nil || !snap.Routable() {
 		t.Fatal("labels config missing artifacts")
+	}
+	if snap.Routed() || snap.Build.RouterSec != 0 {
+		t.Fatalf("a cold build built the router (%v s); the first Route builds it", snap.Build.RouterSec)
 	}
 	if snap.N() != 64 || snap.Name != "cube-n64" {
 		t.Fatalf("snapshot identity: n=%d name=%q", snap.N(), snap.Name)
@@ -53,19 +56,15 @@ func TestBuildSnapshotVariants(t *testing.T) {
 
 	cfg := testConfig(1)
 	cfg.SkipOverlay = true
-	cfg.SkipRouting = true
 	lean, err := BuildSnapshot(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lean.Overlay != nil || lean.Routable() {
-		t.Error("skip flags ignored")
+	if lean.Overlay != nil {
+		t.Error("SkipOverlay ignored")
 	}
 	if _, err := lean.Nearest(0); !errors.Is(err, ErrNoOverlay) {
 		t.Errorf("Nearest without overlay: %v", err)
-	}
-	if _, err := lean.Route(0, 1); !errors.Is(err, ErrNoRouter) {
-		t.Errorf("Route without router: %v", err)
 	}
 
 	for _, bad := range []func(*Config){

@@ -19,11 +19,11 @@ import (
 // δ = 0.5) at n = 256.
 func flatConfigs() []Config {
 	return []Config{
-		{Workload: "grid", Side: 7, SkipRouting: true},
+		{Workload: "grid", Side: 7},
 		{Workload: "cube", N: 56, Seed: 11, MemberStride: 4},
-		{Workload: "expline", N: 40, LogAspect: 60, SkipRouting: true},
+		{Workload: "expline", N: 40, LogAspect: 60},
 		{Workload: "latency", N: 56, Seed: 13, MemberStride: 3},
-		{Workload: "latency", N: 256, Seed: 1, Delta: 0.5, Profile: ProfileTuned, SkipRouting: true, SkipOverlay: true},
+		{Workload: "latency", N: 256, Seed: 1, Delta: 0.5, Profile: ProfileTuned, SkipOverlay: true},
 	}
 }
 

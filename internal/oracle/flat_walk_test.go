@@ -139,7 +139,7 @@ func TestWalkMeetsEveryKindOfLevel(t *testing.T) {
 // is a repeat) and answer exactly what the pointer walk answers over the
 // labels the arena materializes.
 func TestSkipComparesWholeSpans(t *testing.T) {
-	snap, err := BuildSnapshot(Config{Workload: "latency", N: 64, Seed: 1, Delta: 0.5, Profile: ProfileTuned, SkipRouting: true, SkipOverlay: true})
+	snap, err := BuildSnapshot(Config{Workload: "latency", N: 64, Seed: 1, Delta: 0.5, Profile: ProfileTuned, SkipOverlay: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"rings/internal/distlabel"
-	"rings/internal/par"
 )
 
 // TestHydrateServesTheArenaItWasHanded is the arena-only restore
@@ -38,8 +37,11 @@ func TestHydrateServesTheArenaItWasHanded(t *testing.T) {
 		if full.Labels != nil || full.Scheme != nil {
 			t.Fatalf("%s: hydration built labels=%v scheme=%v", cfg.Workload, full.Labels != nil, full.Scheme != nil)
 		}
-		if full.Idx == nil || (full.Overlay == nil) != cfg.SkipOverlay || full.Routable() == cfg.SkipRouting {
+		if full.Idx == nil || (full.Overlay == nil) != cfg.SkipOverlay || !full.Routable() {
 			t.Fatalf("%s: hydration missed a serving artifact", cfg.Workload)
+		}
+		if full.Routed() {
+			t.Fatalf("%s: hydration built the router; the first Route builds it", cfg.Workload)
 		}
 
 		pointer, err := full.MaterializeLabels()
@@ -127,8 +129,8 @@ func TestEstimateWalksTheArena(t *testing.T) {
 
 // TestHydrateHeapCeiling bounds what a warm start holds beyond the
 // mapping by what it has to build: the restore of an n=256 labels
-// snapshot may grow the heap by no more than index + overlay + router
-// built on their own over the same space, plus half the arena's size as
+// snapshot may grow the heap by no more than index + overlay built on
+// their own over the same space, plus half the arena's size as
 // measurement slack — a second copy of the arena, or pointer labels
 // (larger still), does not fit in that.
 func TestHydrateHeapCeiling(t *testing.T) {
@@ -154,7 +156,7 @@ func TestHydrateHeapCeiling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := par.Group(built.buildOverlay, built.ForceRouter); err != nil {
+	if err := built.buildOverlay(); err != nil {
 		t.Fatal(err)
 	}
 	budget := heapInuse() - before
@@ -171,12 +173,9 @@ func TestHydrateHeapCeiling(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer full.Close()
-	if err := full.ForceRouter(); err != nil { // as a warm boot does
-		t.Fatal(err)
-	}
 	growth := heapInuse() - before
 	if growth > budget+int64(arena)/2 {
-		t.Fatalf("restore grew HeapInuse by %d bytes; index + overlay + router alone take %d, the arena is %d", growth, budget, arena)
+		t.Fatalf("restore grew HeapInuse by %d bytes; index + overlay alone take %d, the arena is %d", growth, budget, arena)
 	}
 	t.Logf("arena %d bytes, HeapInuse growth %d bytes, artifacts alone %d", arena, growth, budget)
 	runtime.KeepAlive(full)
@@ -191,14 +190,16 @@ func heapInuse() int64 {
 }
 
 // TestColdBuildHeapCeiling bounds what a cold boot holds: an n = 256
-// build of ringperf's served dataset (latency, tuned, δ = 0.5, labels,
-// overlay and router), held alive across a collection, grew HeapInuse by
-// 7.5–8.0 MB (at most 8,396,800 bytes) once every enumeration, T-set and
-// ζ map became a sorted slice, and by 13.4 MB with an index map per
-// enumeration, a materialized T-set per node and a hash map per ζ level;
-// the ceiling is the largest measurement plus 10 %.
+// build of ringperf's served dataset (latency, tuned, δ = 0.5, labels
+// and overlay; no boot builds the router), held alive across a
+// collection, grew HeapInuse by 4.4–5.9 MB (at most 5,890,048 bytes, at
+// -cpu 1 to 16 on a 2-vCPU host; more workers hold a little more). It
+// grew by 7.4–8.8 MB while a boot still built the router, and by
+// 13.4 MB with an index map per enumeration, a materialized T-set per
+// node and a hash map per ζ level; the ceiling is the largest
+// measurement plus 10 %.
 func TestColdBuildHeapCeiling(t *testing.T) {
-	const ceiling = 8_396_800 * 11 / 10
+	const ceiling = 5_890_048 * 11 / 10
 	cfg := Config{Workload: "latency", N: 256, Seed: 1, Delta: 0.5, Scheme: SchemeLabels, Profile: ProfileTuned}
 	before := heapInuse()
 	snap, err := BuildSnapshot(cfg)

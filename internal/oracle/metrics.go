@@ -148,9 +148,9 @@ var (
 // snapshot builds its router before any engine owns it, or long after.
 var (
 	mRouterBuilds = telemetry.Default.CounterFamily("rings_oracle_router_builds_total",
-		"Theorem 2.1 routers built, by who paid: a boot forcing it, a commit "+
-			"inheriting its predecessor's demand, or the first /route on a snapshot.",
-		"cause", routerCauseBoot, routerCauseCommit, routerCauseRequest)
+		"Theorem 2.1 routers built, by who paid: a commit inheriting its "+
+			"predecessor's demand, or the first /route on a snapshot.",
+		"cause", routerCauseCommit, routerCauseRequest)
 	mRouterBuildUs = telemetry.Default.Histogram("rings_oracle_router_build_us",
 		"Router build latency in microseconds (what a request-caused build makes its /route wait).",
 		latMinExp, latMaxExp)

@@ -98,24 +98,25 @@ const tunedYReach = 2
 // constants, and which artifacts to include. The zero value is
 // not useful; fill at least Workload and its size knob. Defaults applied
 // by BuildSnapshot: Delta 0.5, Scheme "labels", Profile "tuned",
-// Backend "eager", MemberStride 4.
+// Backend "eager", MemberStride 4. The fields tagged recipe decide what a
+// snapshot serves (see CheckRecipe); a tag names the knob's ringsrv flag.
 type Config struct {
 	// Workload selects the metric family (grid|cube|expline|latency)
 	// with the same knobs as workload.MetricSpec.
-	Workload  string
-	N         int
-	Side      int
-	LogAspect float64
-	Seed      int64
+	Workload  string  `recipe:"workload"`
+	N         int     `recipe:"n"`
+	Side      int     `recipe:"side"`
+	LogAspect float64 `recipe:"logaspect"`
+	Seed      int64   `recipe:"seed"`
 
 	// Delta is the target approximation (0, 1] for the labels and the
 	// router.
-	Delta float64
+	Delta float64 `recipe:"delta"`
 	// Scheme names the estimator; only SchemeLabels is accepted (see
 	// CheckScheme).
 	Scheme string
 	// Profile picks the ring constants: ProfilePaper or ProfileTuned.
-	Profile string
+	Profile string `recipe:"profile"`
 	// Verify checks, after the build, every pair's served answer against
 	// the exact distance: lower ≤ d ≤ upper and upper ≤ (1+δ)·d (O(n²)
 	// arena walks; recommended with ProfileTuned at small n, prohibitive
@@ -135,17 +136,9 @@ type Config struct {
 
 	// MemberStride makes every stride-th node an overlay member (1 =
 	// every node). The overlay serves /nearest.
-	MemberStride int
+	MemberStride int `recipe:"members"`
 	// SkipOverlay omits the Meridian overlay (Nearest then errors).
-	SkipOverlay bool
-	// SkipRouting omits the Theorem 2.1 metric router (Route then
-	// errors). The router is the largest phase of a cold build
-	// (BenchmarkBuildSnapshot, n = 1024 on 2 shared vCPUs: ~40 % of the
-	// wall, a median 124 of 313 ms over six runs, built beside the
-	// labels, which take ~80 ms); what the knob saves is the boot's
-	// build (and an inheriting commit's) — a snapshot nobody routes on
-	// builds none either way (see Snapshot.Router).
-	SkipRouting bool
+	SkipOverlay bool `recipe:"no-overlay"`
 }
 
 // WithDefaults returns the config with every unset knob resolved to its
@@ -265,10 +258,9 @@ func BuildSnapshotOver(cfg Config, space metric.Space, name string) (*Snapshot, 
 	}
 
 	// The remaining artifacts are independent of each other — labels read
-	// only the construction, the overlay and router only the index — so
-	// they build concurrently. Each phase is itself parallel over the
-	// worker pool; overlapping them additionally hides the shorter phases
-	// behind the label build, the dominant cost at serving scale.
+	// only the construction, the overlay only the index — so they build
+	// concurrently, each parallel over the worker pool; the label build
+	// hides the overlay. No router: the first Route builds it.
 	err = par.Group(
 		func() error {
 			t0 := time.Now()
@@ -290,7 +282,6 @@ func BuildSnapshotOver(cfg Config, space metric.Space, name string) (*Snapshot, 
 			return nil
 		},
 		snap.buildOverlay,
-		snap.ForceRouter, // a boot forces the router (finishBuild restamps the total)
 	)
 	if err != nil {
 		return nil, err

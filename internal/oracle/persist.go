@@ -9,6 +9,7 @@ import (
 	"hash/crc64"
 	"io"
 	"os"
+	"reflect"
 	"time"
 	"unsafe"
 
@@ -348,9 +349,9 @@ func (s *Snapshot) Hydrate() (*Snapshot, error) {
 // warm boots) ends here. It builds only what queries read — ball index
 // and overlay — around the receiver's arena as is: no copy, no pointer
 // labels, no ring construction. The router is left to the rule on
-// Snapshot.Router: a warm boot calls ForceRouter on the result, a
-// replica installing a shipped snapshot InheritRouter, and a bare
-// ReadSnapshot leaves it to the first Route. The space is the caller's
+// Snapshot.Router: the first Route on the result builds it, or
+// InheritRouter when a replica installs a shipped snapshot in place of
+// a routed one. The space is the caller's
 // because a fleet shard's (a subspace of the shared workload) is not
 // regenerable from its own Config.
 //
@@ -399,6 +400,20 @@ func OpenSnapshotFile(path string) (*Snapshot, error) {
 		observeOpen(mode, start)
 	}
 	return snap, err
+}
+
+// CheckRecipe refuses a restored snapshot built under another recipe: it
+// names the first recipe field (Config's tagged ones) whose knob asked
+// reports and on which s.Config and want, defaults applied, differ.
+func (s *Snapshot) CheckRecipe(want Config, asked func(knob string) bool) error {
+	have, w := reflect.ValueOf(s.Config), reflect.ValueOf(want.withDefaults())
+	for i := range have.NumField() {
+		f := have.Type().Field(i)
+		if knob := f.Tag.Get("recipe"); knob != "" && asked(knob) && have.Field(i).Interface() != w.Field(i).Interface() {
+			return fmt.Errorf("oracle: snapshot was built with %s = %v, not the %v asked for (delete the file to rebuild it)", f.Name, have.Field(i), w.Field(i))
+		}
+	}
+	return nil
 }
 
 // observeOpen records one completed open or restore under its mode.

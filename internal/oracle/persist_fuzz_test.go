@@ -56,12 +56,17 @@ func resealPayload(img []byte) []byte {
 // reframe encodes a v2 image of hdr and payload, both checksums
 // recomputed (nil when the header does not marshal).
 func reframe(hdr persistHeaderV2, payload []byte) []byte {
-	base := len(persistMagicV2)
 	hdr.PayloadCRC = crc64.Checksum(payload, crcTable)
 	hdrBuf, err := json.Marshal(hdr)
 	if err != nil {
 		return nil
 	}
+	return frameV2(hdrBuf, payload)
+}
+
+// frameV2 frames header bytes and a payload as a v2 image.
+func frameV2(hdrBuf, payload []byte) []byte {
+	base := len(persistMagicV2)
 	out := append([]byte(persistMagicV2), make([]byte, v2HeaderPrefix)...)
 	binary.LittleEndian.PutUint32(out[base:], uint32(len(hdrBuf)))
 	binary.LittleEndian.PutUint64(out[base+4:], crc64.Checksum(hdrBuf, crcTable))

@@ -2,6 +2,7 @@ package oracle
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
@@ -15,8 +16,8 @@ func persistConfigs() []Config {
 	return []Config{
 		{Workload: "cube", N: 48, Seed: 3, MemberStride: 4},
 		{Workload: "latency", N: 48, Seed: 5, MemberStride: 3},
-		{Workload: "expline", N: 32, LogAspect: 40, SkipRouting: true},
-		{Workload: "grid", Side: 6, SkipRouting: true},
+		{Workload: "expline", N: 32, LogAspect: 40},
+		{Workload: "grid", Side: 6},
 	}
 }
 
@@ -109,6 +110,48 @@ func TestSnapshotPersistRejectsGarbage(t *testing.T) {
 	}
 	if _, err := ReadSnapshot(bytes.NewReader([]byte(persistMagicV2 + "\xff\xff\xff"))); err == nil {
 		t.Fatal("truncated v2 header accepted")
+	}
+}
+
+// TestSkipRoutingHeaderStillRoutes: the v2 header's config lost one key,
+// "SkipRouting", with the knob. A file whose header still has it — here
+// set, as a -no-routing boot wrote it — opens, hydrates and routes: the
+// key is ignored, and the arena bytes are the ones written.
+func TestSkipRoutingHeaderStillRoutes(t *testing.T) {
+	snap := buildTestSnapshot(t, 49)
+	var buf bytes.Buffer
+	if _, err := snap.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	img := buf.Bytes()
+	hdrLen := int(binary.LittleEndian.Uint32(img[len(persistMagicV2):]))
+	hdr := img[len(persistMagicV2)+v2HeaderPrefix:][:hdrLen]
+	if bytes.Contains(hdr, []byte("SkipRouting")) {
+		t.Fatalf("header still writes SkipRouting: %s", hdr)
+	}
+	old := bytes.Replace(hdr, []byte(`"config":{`), []byte(`"config":{"SkipRouting":true,`), 1)
+	path := filepath.Join(t.TempDir(), "parent.bin")
+	if err := os.WriteFile(path, frameV2(old, img[v2PayloadOffset(hdrLen):]), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	flat, err := OpenSnapshotFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := flat.Hydrate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer full.Close()
+	if !bytes.Equal(full.Flat.buf, snap.Flat.buf) {
+		t.Fatal("arena bytes differ from the ones written")
+	}
+	got, err := full.Route(0, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want, _ := snap.Route(0, 5); got.Length != want.Length || got.Hops != want.Hops {
+		t.Fatalf("route(0,5) = %+v, the written snapshot's %+v", got, want)
 	}
 }
 

@@ -1,7 +1,6 @@
 package oracle
 
 import (
-	"bytes"
 	"errors"
 	"reflect"
 	"sync"
@@ -10,44 +9,23 @@ import (
 	"rings/internal/routing"
 )
 
-// unrouted returns snap as a commit publishes it when nobody has asked
-// for a route: restored around its own arena bytes, router left to the
-// first Route.
-func unrouted(t *testing.T, snap *Snapshot) *Snapshot {
-	t.Helper()
-	var buf bytes.Buffer
-	if _, err := snap.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	fresh, err := ReadSnapshot(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !fresh.Routable() || fresh.Routed() {
-		t.Fatalf("restored snapshot: routable=%v routed=%v, want a router that is yet to be built", fresh.Routable(), fresh.Routed())
-	}
-	return fresh
-}
-
-func routerBuilds() (boot, commit, request int64) {
-	return mRouterBuilds.With(routerCauseBoot).Value(),
-		mRouterBuilds.With(routerCauseCommit).Value(),
-		mRouterBuilds.With(routerCauseRequest).Value()
+func routerBuilds() (commit, request int64) {
+	return mRouterBuilds.With(routerCauseCommit).Value(), mRouterBuilds.With(routerCauseRequest).Value()
 }
 
 // TestRouterBuiltOnceByConcurrentRoutes: sixteen goroutines route on a
-// snapshot whose router nobody has built. One of them builds it, all of
+// cold build, whose router nobody has built. One of them builds it, all of
 // them answer exactly what routing.Route answers on a router built
 // directly over the same index, and the build is counted once, as a
 // request's. Run with -race -count=10.
 func TestRouterBuiltOnceByConcurrentRoutes(t *testing.T) {
-	snap := unrouted(t, buildTestSnapshot(t, 5))
+	snap := buildTestSnapshot(t, 5)
 	ref, err := routing.NewThm21Metric(snap.Idx, snap.Config.Delta)
 	if err != nil {
 		t.Fatal(err)
 	}
 	n := snap.N()
-	boot0, commit0, request0 := routerBuilds()
+	commit0, request0 := routerBuilds()
 	var wg sync.WaitGroup
 	for g := 0; g < 16; g++ {
 		wg.Add(1)
@@ -73,10 +51,10 @@ func TestRouterBuiltOnceByConcurrentRoutes(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	boot, commit, request := routerBuilds()
-	if boot != boot0 || commit != commit0 || request != request0+1 {
-		t.Fatalf("router builds moved by boot %d, commit %d, request %d; want exactly one, a request's",
-			boot-boot0, commit-commit0, request-request0)
+	commit, request := routerBuilds()
+	if commit != commit0 || request != request0+1 {
+		t.Fatalf("router builds moved by commit %d, request %d; want exactly one, a request's",
+			commit-commit0, request-request0)
 	}
 	if !snap.Routed() {
 		t.Fatal("snapshot not routed after answering routes")
@@ -87,16 +65,10 @@ func TestRouterBuiltOnceByConcurrentRoutes(t *testing.T) {
 }
 
 // TestRoutableIsWhereRouteAnswers: Routable is false exactly where Route
-// answers ErrNoRouter — a recipe that skips routing, and a flat-only
-// warm start before its hydrate — built router or not.
+// answers ErrNoRouter — a flat-only warm start before its hydrate. No
+// boot builds the router; the first Route on a Routable snapshot does.
 func TestRoutableIsWhereRouteAnswers(t *testing.T) {
 	built := buildTestSnapshot(t, 7)
-	cfg := testConfig(7)
-	cfg.SkipRouting = true
-	skipped, err := BuildSnapshot(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
 	flat, err := OpenSnapshotFile(writeSnapshotV2File(t, t.TempDir(), built))
 	if err != nil {
 		t.Fatal(err)
@@ -110,34 +82,32 @@ func TestRoutableIsWhereRouteAnswers(t *testing.T) {
 		name     string
 		snap     *Snapshot
 		routable bool
-		routed   bool
 	}{
-		{"cold build", built, true, true},
-		{"-no-routing", skipped, false, false},
-		{"flat-only warm start", flat, false, false},
-		{"hydrated, before the boot forces it", hydrated, true, false},
+		{"cold build", built, true},
+		{"flat-only warm start", flat, false},
+		{"hydrated", hydrated, true},
 	} {
-		if tc.snap.Routable() != tc.routable || tc.snap.Routed() != tc.routed {
-			t.Errorf("%s: routable=%v routed=%v, want %v %v", tc.name, tc.snap.Routable(), tc.snap.Routed(), tc.routable, tc.routed)
+		if tc.snap.Routable() != tc.routable || tc.snap.Routed() {
+			t.Errorf("%s: routable=%v routed=%v, want %v and no router yet", tc.name, tc.snap.Routable(), tc.snap.Routed(), tc.routable)
 		}
 		_, err := tc.snap.Route(0, 1)
 		if noRouter := errors.Is(err, ErrNoRouter); noRouter == tc.routable || (tc.routable && err != nil) {
 			t.Errorf("%s: Route err = %v with routable=%v", tc.name, err, tc.routable)
 		}
-		if err := tc.snap.ForceRouter(); err != nil || tc.snap.Routed() != tc.routable {
-			t.Errorf("%s: ForceRouter err = %v, routed=%v", tc.name, err, tc.snap.Routed())
+		if tc.snap.Routed() != tc.routable {
+			t.Errorf("%s: routed=%v after a Route, want %v", tc.name, tc.snap.Routed(), tc.routable)
 		}
 	}
 }
 
 // TestBuildPhasesWithinTotal: every phase of a cold build — the arena
-// pack included — lies inside the stamped total, and a router built
-// afterwards, before publication, extends the total by its own time.
+// pack included — lies inside the stamped total, and a router a commit
+// inherits, built before publication, extends the total by its own time.
 func TestBuildPhasesWithinTotal(t *testing.T) {
 	snap := buildTestSnapshot(t, 9)
 	b := snap.Build
-	if b.PackSec <= 0 || b.RouterSec <= 0 {
-		t.Fatalf("pack %v s, router %v s: a cold build times both", b.PackSec, b.RouterSec)
+	if b.PackSec <= 0 || b.RouterSec != 0 {
+		t.Fatalf("pack %v s, router %v s: a cold build times its pack and builds no router", b.PackSec, b.RouterSec)
 	}
 	for name, sec := range map[string]float64{
 		"index": b.IndexSec, "labels": b.LabelsTotalSec, "overlay": b.OverlaySec,
@@ -148,12 +118,15 @@ func TestBuildPhasesWithinTotal(t *testing.T) {
 			t.Errorf("%s phase %v s exceeds the total %v s", name, sec, b.TotalSec)
 		}
 	}
-	late := unrouted(t, snap)
-	before := late.Build.TotalSec
-	if err := late.ForceRouter(); err != nil {
+	if _, err := snap.Route(0, 1); err != nil {
 		t.Fatal(err)
 	}
-	if r := late.Build.RouterSec; r <= 0 || late.Build.TotalSec < before+r-1e-9 {
-		t.Fatalf("forced router %v s: total went %v -> %v s", r, before, late.Build.TotalSec)
+	next := buildTestSnapshot(t, 10)
+	before := next.Build.TotalSec
+	if err := next.InheritRouter(snap); err != nil {
+		t.Fatal(err)
+	}
+	if r := next.Build.RouterSec; r <= 0 || next.Build.TotalSec < before+r-1e-9 {
+		t.Fatalf("inherited router %v s: total went %v -> %v s", r, before, next.Build.TotalSec)
 	}
 }

@@ -18,8 +18,8 @@ import (
 // SkipOverlay.
 var ErrNoOverlay = errors.New("oracle: snapshot has no nearest-neighbor overlay")
 
-// ErrNoRouter is returned by Route when the snapshot is not Routable:
-// built with SkipRouting, or flat-only (no ball index yet).
+// ErrNoRouter is returned by Route when the snapshot is not Routable: a
+// flat-only warm start, whose ball index is not built yet.
 var ErrNoRouter = errors.New("oracle: snapshot has no routing scheme")
 
 // ErrNodeRange marks a query naming a node id outside [0, N()) — under
@@ -166,28 +166,27 @@ func (s *Snapshot) setOverlay(overlay *nnsearch.Overlay) {
 
 // Router build causes, the label of rings_oracle_router_builds_total.
 const (
-	routerCauseBoot    = "boot"    // a cold build or warm boot forced it
 	routerCauseCommit  = "commit"  // a commit inherited its predecessor's demand
 	routerCauseRequest = "request" // the first Route on the snapshot built it
 )
 
 // Routable reports whether Route can answer: the snapshot has its ball
-// index (it is not a flat-only warm start awaiting Hydrate) and its
-// recipe did not skip routing. Whether the router is built yet is Routed.
-func (s *Snapshot) Routable() bool { return s.Idx != nil && !s.Config.SkipRouting }
+// index (it is not a flat-only warm start awaiting Hydrate). Whether the
+// router is built yet is Routed.
+func (s *Snapshot) Routable() bool { return s.Idx != nil }
 
-// Routed reports whether the snapshot's router exists — a boot forced
-// it, a commit inherited it, or a Route asked for it. It is the demand a
-// successor commit inherits.
+// Routed reports whether the snapshot's router exists — a commit
+// inherited it or a Route asked for it. It is the demand a successor
+// commit inherits.
 func (s *Snapshot) Routed() bool { return s.router.built.Load() }
 
 // Router returns the Theorem 2.1 metric routing scheme over the
 // snapshot's index, building it on first use (concurrent callers share
 // one build). It is a pure function of (Idx, Config.Delta), so who builds
-// it only decides who waits: a boot forces it (BuildSnapshotOver and the
-// warm boots' ForceRouter, so a static server never routes on a cold
-// snapshot), a commit inherits demand (InheritRouter), and otherwise the
-// first Route pays — DESIGN.md §8. ErrNoRouter when not Routable.
+// it only decides who waits. One rule decides (DESIGN.md §8): the first
+// Route on a snapshot builds it — no boot, cold or warm, does, so a
+// server nobody routes on never holds one — and a commit inherits that
+// demand (InheritRouter). ErrNoRouter when not Routable.
 func (s *Snapshot) Router() (routing.Scheme, error) {
 	if !s.Routable() {
 		return nil, ErrNoRouter
@@ -195,20 +194,10 @@ func (s *Snapshot) Router() (routing.Scheme, error) {
 	return s.buildRouter(routerCauseRequest)
 }
 
-// ForceRouter is the boot half of the rule on Router: it builds the
-// router now, on a snapshot not yet published (no-op when not Routable).
-func (s *Snapshot) ForceRouter() error {
-	if !s.Routable() {
-		return nil
-	}
-	_, err := s.buildRouter(routerCauseBoot)
-	return err
-}
-
-// InheritRouter is the commit half: on a snapshot about to replace
-// prev, it builds the router now iff prev was Routed — a deployment that
-// routes keeps finding the router ready after every swap, one that does
-// not never pays for it.
+// InheritRouter is the commit half of the rule on Router: on a snapshot
+// about to replace prev, it builds the router now iff prev was Routed —
+// a deployment that routes keeps finding the router ready after every
+// swap, one that does not never pays for it.
 func (s *Snapshot) InheritRouter(prev *Snapshot) error {
 	if prev == nil || !prev.Routed() || !s.Routable() {
 		return nil
@@ -225,7 +214,7 @@ func (s *Snapshot) buildRouter(cause string) (routing.Scheme, error) {
 		took := time.Since(t0)
 		mRouterBuilds.With(cause).Inc()
 		mRouterBuildUs.Observe(float64(took) / float64(time.Microsecond))
-		if cause != routerCauseRequest {
+		if cause == routerCauseCommit {
 			// Not published yet: the build is one more serial phase. A
 			// served snapshot's BuildStats may be in a /stats reader's
 			// hands, so a request's build shows in the histogram alone.
@@ -335,8 +324,9 @@ type BuildStats struct {
 	LabelsTotalSec float64 `json:"labels_total_sec"`
 
 	OverlaySec float64 `json:"overlay_sec"`
-	// RouterSec is zero when the router was left to the first Route (see
-	// Snapshot.Router); PackSec is the flat-arena pack.
+	// RouterSec is the router build of a commit that inherited routing
+	// demand, zero otherwise: a boot leaves the router to the first Route
+	// (see Snapshot.Router). PackSec is the flat-arena pack.
 	RouterSec float64 `json:"router_sec"`
 	PackSec   float64 `json:"pack_sec"`
 	TotalSec  float64 `json:"total_sec"`

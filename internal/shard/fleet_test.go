@@ -231,7 +231,7 @@ func TestFleetCrossShardSandwich(t *testing.T) {
 // swap-safety proof for the sharded serving layer.
 func TestFleetChurnRoutedRepair(t *testing.T) {
 	f, err := NewFleet(Config{
-		Oracle: oracle.Config{Workload: "latency", N: 32, Seed: 2, MemberStride: 3, SkipRouting: true},
+		Oracle: oracle.Config{Workload: "latency", N: 32, Seed: 2, MemberStride: 3},
 		Shards: 2,
 		Churn:  true,
 	})
@@ -321,7 +321,7 @@ func TestFleetChurnRoutedRepair(t *testing.T) {
 // vector equals a from-scratch measurement.
 func TestFleetBeaconVectorMaintenance(t *testing.T) {
 	f, err := NewFleet(Config{
-		Oracle: oracle.Config{Workload: "cube", N: 24, Seed: 4, SkipRouting: true, SkipOverlay: true},
+		Oracle: oracle.Config{Workload: "cube", N: 24, Seed: 4, SkipOverlay: true},
 		Shards: 2,
 		Churn:  true,
 	})
@@ -379,7 +379,7 @@ func TestFleetBeaconVectorMaintenance(t *testing.T) {
 // estimate path, and whole-batch failure on an invalid pair.
 func TestFleetEstimateBatchConsistency(t *testing.T) {
 	f, err := NewFleet(Config{
-		Oracle: oracle.Config{Workload: "latency", N: 30, Seed: 6, MemberStride: 3, SkipRouting: true},
+		Oracle: oracle.Config{Workload: "latency", N: 30, Seed: 6, MemberStride: 3},
 		Shards: 3,
 	})
 	if err != nil {
@@ -419,7 +419,7 @@ func TestFleetEstimateBatchConsistency(t *testing.T) {
 // return empty commit lists, and explicit ops route by ownership.
 func TestFleetChurnBounds(t *testing.T) {
 	f, err := NewFleet(Config{
-		Oracle:        oracle.Config{Workload: "cube", N: 12, Seed: 8, SkipRouting: true, SkipOverlay: true},
+		Oracle:        oracle.Config{Workload: "cube", N: 12, Seed: 8, SkipOverlay: true},
 		Shards:        2,
 		Churn:         true,
 		ChurnCapacity: 16,

@@ -18,7 +18,7 @@ import (
 // truthful, and the error taxonomy must survive the shard split.
 func TestFleetObjectsBasics(t *testing.T) {
 	f, err := NewFleet(Config{
-		Oracle: oracle.Config{Workload: "cube", N: 24, Seed: 4, MemberStride: 4, SkipRouting: true},
+		Oracle: oracle.Config{Workload: "cube", N: 24, Seed: 4, MemberStride: 4},
 		Shards: 3,
 	})
 	if err != nil {
@@ -143,7 +143,7 @@ func fleetGoldTrace(rng *rand.Rand, universe, k, minGlobal, minShard int, active
 // identical Lookup answers from every surviving origin, both equal to
 // the brute-force oracle.
 func TestFleetObjectsChurnGoldStandard(t *testing.T) {
-	cfg := oracle.Config{Workload: "grid", Side: 6, MemberStride: 5, SkipRouting: true, SkipOverlay: true}
+	cfg := oracle.Config{Workload: "grid", Side: 6, MemberStride: 5, SkipOverlay: true}
 	f, err := NewFleet(Config{Oracle: cfg, Shards: 4, Churn: true})
 	if err != nil {
 		t.Fatal(err)

@@ -25,7 +25,8 @@ func SnapshotPath(base string, s int) string {
 // and serves straight from the mapping (oracle.HydrateOver; released by
 // Fleet.Close). All K files must exist and match the partition (node
 // counts are validated by the v2 restore); callers fall back to
-// NewFleet when any is missing.
+// NewFleet when any is missing. The fleet regenerates its workload from
+// cfg, so a file built under another recipe is refused, the field named.
 //
 // Churn fleets are refused: membership lives in the per-shard mutators,
 // whose repair state is not reconstructible from the persisted labels
@@ -66,9 +67,11 @@ func OpenFleet(cfg Config, snapBase string) (*Fleet, error) {
 				return fmt.Errorf("shard %d: %w", s, err)
 			}
 			shardName := fmt.Sprintf("%s/shard%d-of-%d", name, s, cfg.Shards)
-			snap, err := mapped.HydrateOver(metric.NewSubspace(base, owned[s]), shardName)
-			if err == nil {
-				err = snap.ForceRouter() // a boot forces the router, warm like cold
+			want := cfg.Oracle
+			want.N = len(owned[s]) // shard s's recipe, as NewFleet builds it
+			var snap *oracle.Snapshot
+			if err = mapped.CheckRecipe(want, func(string) bool { return true }); err == nil {
+				snap, err = mapped.HydrateOver(metric.NewSubspace(base, owned[s]), shardName)
 			}
 			if err != nil {
 				mapped.Close()

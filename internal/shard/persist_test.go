@@ -55,6 +55,11 @@ func TestFleetRestartRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	for s := 0; s < cfg.Shards; s++ {
+		if built.ShardSnapshot(s).Routed() || reopened.ShardSnapshot(s).Routed() {
+			t.Fatalf("shard %d: a fleet boot built its router; the first route builds it", s)
+		}
+	}
 	if reopened.N() != built.N() || reopened.K() != built.K() || reopened.Name() != built.Name() {
 		t.Fatalf("fleet identity: n=%d/%d k=%d/%d name=%q/%q",
 			reopened.N(), built.N(), reopened.K(), built.K(), reopened.Name(), built.Name())
@@ -112,8 +117,9 @@ func TestFleetRestartRoundTrip(t *testing.T) {
 }
 
 // TestOpenFleetGuards covers the refusal paths: churn fleets boot
-// fresh, missing files fail with the shard named, and a scheme
-// mismatch between the files and the boot flags is rejected.
+// fresh, missing files fail with the shard named, and a scheme or
+// recipe mismatch between the files and the boot flags is rejected
+// with the field named.
 func TestOpenFleetGuards(t *testing.T) {
 	cfg := fleetFamilies(true)[0]
 
@@ -137,6 +143,17 @@ func TestOpenFleetGuards(t *testing.T) {
 	retiredScheme.Oracle.Scheme = "beacons"
 	if _, err := OpenFleet(retiredScheme, base); !errors.Is(err, oracle.ErrSchemeRetired) {
 		t.Fatalf("warm boot under the retired beacons scheme: %v", err)
+	}
+	for field, change := range map[string]func(*oracle.Config){
+		"Delta":       func(c *oracle.Config) { c.Delta = 0.25 },
+		"N":           func(c *oracle.Config) { c.N += cfg.Shards },
+		"SkipOverlay": func(c *oracle.Config) { c.SkipOverlay = true },
+	} {
+		other := cfg
+		change(&other.Oracle)
+		if _, err := OpenFleet(other, base); err == nil || !strings.Contains(err.Error(), field+" = ") {
+			t.Fatalf("warm boot asking for another %s: %v", field, err)
+		}
 	}
 
 	// One shard file in either retired layout: its directory names the

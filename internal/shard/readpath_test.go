@@ -59,7 +59,7 @@ func TestStalledLinkFailsOverAfterTimeout(t *testing.T) {
 	}
 	f, err := NewFleet(quietProber(Config{
 		Oracle: oracle.Config{Workload: "cube", N: 24, Seed: 5, MemberStride: 3,
-			SkipRouting: true, SkipOverlay: true},
+			SkipOverlay: true},
 		Shards:   2,
 		Replicas: 2,
 		Transport: func(s, r int, b Backend) Backend {
@@ -246,7 +246,7 @@ func TestLocalReplicasAnswerInline(t *testing.T) {
 // has resynced it and closed the breaker, must not open it again.
 func TestStaleFailureCannotReopenBreaker(t *testing.T) {
 	cfg := fastReplicaKnobs(Config{
-		Oracle:   oracle.Config{Workload: "cube", N: 24, Seed: 5, MemberStride: 3, SkipRouting: true, SkipOverlay: true},
+		Oracle:   oracle.Config{Workload: "cube", N: 24, Seed: 5, MemberStride: 3, SkipOverlay: true},
 		Shards:   2,
 		Replicas: 2,
 	})
@@ -363,7 +363,7 @@ func TestShardDownNeedsASecondLook(t *testing.T) {
 		f     *Fleet
 	)
 	f, err := NewFleet(fastReplicaKnobs(Config{
-		Oracle:   oracle.Config{Workload: "cube", N: 24, Seed: 5, MemberStride: 3, SkipRouting: true, SkipOverlay: true},
+		Oracle:   oracle.Config{Workload: "cube", N: 24, Seed: 5, MemberStride: 3, SkipOverlay: true},
 		Shards:   2,
 		Replicas: 2,
 		Transport: func(s, r int, b Backend) Backend {

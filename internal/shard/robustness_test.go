@@ -261,7 +261,7 @@ func TestFleetReplicaKillByteIdentity(t *testing.T) {
 func TestFleetEpochFenceMidQuery(t *testing.T) {
 	f, err := NewFleet(Config{
 		Oracle: oracle.Config{Workload: "cube", N: 24, Seed: 5, MemberStride: 3,
-			SkipRouting: true, SkipOverlay: true},
+			SkipOverlay: true},
 		Shards: 2,
 	})
 	if err != nil {
@@ -310,8 +310,7 @@ func TestFleetEpochFenceMidQuery(t *testing.T) {
 // lands it under the fresh era.
 func TestFleetEpochFenceCommit(t *testing.T) {
 	f, err := NewFleet(Config{
-		Oracle: oracle.Config{Workload: "latency", N: 24, Seed: 2, MemberStride: 3,
-			SkipRouting: true},
+		Oracle: oracle.Config{Workload: "latency", N: 24, Seed: 2, MemberStride: 3},
 		Shards: 2,
 		Churn:  true,
 	})
@@ -362,7 +361,7 @@ func TestFleetSimPartitionFailover(t *testing.T) {
 	defer tr.Close()
 	cfg := fastReplicaKnobs(Config{
 		Oracle: oracle.Config{Workload: "cube", N: 24, Seed: 5, MemberStride: 3,
-			SkipRouting: true, SkipOverlay: true},
+			SkipOverlay: true},
 		Shards:   shards,
 		Replicas: 2,
 		Transport: func(s, r int, b Backend) Backend {
@@ -463,8 +462,7 @@ func TestFleetSimPartitionFailover(t *testing.T) {
 // to that standalone reference.
 func TestFleetChurnDuringFailover(t *testing.T) {
 	cfg := fastReplicaKnobs(Config{
-		Oracle: oracle.Config{Workload: "latency", N: 32, Seed: 2, MemberStride: 3,
-			SkipRouting: true},
+		Oracle:   oracle.Config{Workload: "latency", N: 32, Seed: 2, MemberStride: 3},
 		Shards:   2,
 		Churn:    true,
 		Replicas: 2,
@@ -564,7 +562,7 @@ func TestFleetChurnDuringFailover(t *testing.T) {
 func TestFleetShardDownSurface(t *testing.T) {
 	cfg := fastReplicaKnobs(Config{
 		Oracle: oracle.Config{Workload: "cube", N: 24, Seed: 5, MemberStride: 3,
-			SkipRouting: true, SkipOverlay: true},
+			SkipOverlay: true},
 		Shards:   2,
 		Replicas: 2,
 	})
@@ -608,7 +606,7 @@ func TestFleetShardDownSurface(t *testing.T) {
 func TestFleetStatsReplicaSurface(t *testing.T) {
 	cfg := fastReplicaKnobs(Config{
 		Oracle: oracle.Config{Workload: "cube", N: 24, Seed: 5, MemberStride: 3,
-			SkipRouting: true, SkipOverlay: true},
+			SkipOverlay: true},
 		Shards:   2,
 		Replicas: 2,
 	})

@@ -139,7 +139,7 @@ func run() error {
 		scheme     = flag.String("scheme", oracle.SchemeLabels, "estimator: labels (the only one)")
 		profile    = flag.String("profile", oracle.ProfileTuned, "ring constants: paper | tuned")
 		verify     = flag.Bool("verify", false, "after each build, check every pair's served estimate: lower <= d <= upper <= (1+delta)*d (O(n^2))")
-		backend    = flag.String("backend", "eager", "ball-index backend: eager | lazy")
+		backend    = flag.String("backend", "eager", "the cold build's construction index: eager | lazy (a warm boot always serves a lazy one)")
 		workers    = flag.Int("workers", 0, "index build workers (0 = GOMAXPROCS)")
 		members    = flag.Int("members", 4, "overlay member stride (every k-th node)")
 		noOverlay  = flag.Bool("no-overlay", false, "skip the ring overlay (disables /nearest)")
@@ -181,6 +181,11 @@ func run() error {
 	// -scheme accepts only labels; the flag stays because bench/ passes
 	// it (ROADMAP item 1a).
 	if err := oracle.CheckScheme(cfg.WithDefaults().Scheme); err != nil {
+		return err
+	}
+	// A warm boot never reads -backend, so it is checked here, before
+	// the boot paths branch, not by the cold build alone.
+	if err := oracle.CheckBackend(cfg.Backend); err != nil {
 		return err
 	}
 
@@ -279,7 +284,8 @@ func run() error {
 		case err == nil:
 			log.Printf("warm-starting from %s", *snapFile)
 			// O(header) open: the mapped file serves estimates at once, and
-			// hydration builds index and overlay around it in the background.
+			// hydration builds a lazy index (no sorted rows) and the overlay
+			// around it in the background.
 			// A file this binary cannot serve (v1, pre-PR-13 layout, corrupt)
 			// or built under another value of a recipe flag the operator set
 			// is an error, never a cold build over it.

@@ -323,13 +323,7 @@ func TestWarmBootRefusesAnotherRecipe(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := statFile(t, path)
-	boot := func(args ...string) error {
-		savedFlags, savedArgs := flag.CommandLine, os.Args
-		defer func() { flag.CommandLine, os.Args = savedFlags, savedArgs }()
-		flag.CommandLine = flag.NewFlagSet("ringsrv", flag.ContinueOnError)
-		os.Args = append([]string{"ringsrv", "-addr", "127.0.0.1:-1", "-snapshot-file", path}, args...)
-		return run()
-	}
+	boot := func(args ...string) error { return bootUnlistened(path, args...) }
 	for field, args := range map[string][]string{
 		"Workload":     {"-workload", "latency"},
 		"N":            {"-workload", "cube", "-n", "32"},
@@ -353,6 +347,40 @@ func TestWarmBootRefusesAnotherRecipe(t *testing.T) {
 		}
 	}
 	assertUntouched(t, path, before)
+}
+
+// bootUnlistened runs ringsrv's boot with -snapshot-file path and args
+// on an address no listener can take: a boot that passes every check
+// fails at listen, after its warm start or cold build.
+func bootUnlistened(path string, args ...string) error {
+	savedFlags, savedArgs := flag.CommandLine, os.Args
+	defer func() { flag.CommandLine, os.Args = savedFlags, savedArgs }()
+	flag.CommandLine = flag.NewFlagSet("ringsrv", flag.ContinueOnError)
+	os.Args = append([]string{"ringsrv", "-addr", "127.0.0.1:-1", "-snapshot-file", path}, args...)
+	return run()
+}
+
+// TestEveryBootRefusesAnUnknownBackend: a restore serves a lazy index
+// whatever -backend says, yet a value naming no backend is refused on a
+// warm boot exactly as on a cold one, named, and the file is left alone.
+func TestEveryBootRefusesAnUnknownBackend(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "snap.bin")
+	s := persistTestServer(t, path)
+	if err := s.persistCurrent(); err != nil {
+		t.Fatal(err)
+	}
+	before := statFile(t, path)
+	for boot, file := range map[string]string{"warm": path, "cold": filepath.Join(dir, "absent.bin")} {
+		err := bootUnlistened(file, "-workload", "cube", "-n", "24", "-backend", "bogus")
+		if err == nil || !strings.Contains(err.Error(), `unknown backend "bogus"`) {
+			t.Errorf("%s boot with -backend bogus: %v, want the value refused by name", boot, err)
+		}
+	}
+	assertUntouched(t, path, before)
+	if _, err := os.Stat(filepath.Join(dir, "absent.bin")); !os.IsNotExist(err) {
+		t.Fatalf("the refused cold boot wrote its file (stat: %v)", err)
+	}
 }
 
 // TestWarmStartRejectsTruncatedSnapshot: a file cut short (the crash

@@ -203,10 +203,11 @@ func (s *server) persistShards(units []int) error {
 	return nil
 }
 
-// hydrate upgrades a flat-only warm start in the background: index and
-// overlay are built around the already-open, already-verified arena (no
-// second read of the file) and swapped in, bringing /nearest and /route
-// online (the first /route builds the router). The full snapshot adopts
+// hydrate upgrades a flat-only warm start in the background: a lazy
+// index, which sorts no row, and the overlay are built around the
+// already-open, already-verified arena (no second read of the file) and
+// swapped in, bringing /nearest, /lookup and /route online (the first
+// /route builds the router and the rows it reads). The full snapshot adopts
 // fast's mapping, so fast is not closed here — Engine.Rebuild closes
 // whichever snapshot it swaps out. The swap is skipped if a rebuild already replaced fast;
 // rebuildMu makes that check-and-swap atomic against /snapshot.

@@ -178,6 +178,27 @@ func TestBackendEquivalenceParallelBuild(t *testing.T) {
 	}
 }
 
+// TestWithRows asserts WithRows hands an eager index back as is and
+// answers for a lazy one with an eager index over the same space whose
+// rows are exactly the parallel build's.
+func TestWithRows(t *testing.T) {
+	for _, tc := range testSpaces(t) {
+		t.Run(tc.name, func(t *testing.T) {
+			eager := NewIndex(tc.space)
+			if got := WithRows(eager, 0); got != BallIndex(eager) {
+				t.Fatal("WithRows rebuilt an eager index")
+			}
+			got, ok := WithRows(NewLazyIndex(tc.space, Options{}), 2).(*Index)
+			if !ok || got.Space() != tc.space {
+				t.Fatalf("WithRows over a lazy index returned %T, want an eager index over its space", got)
+			}
+			if !reflect.DeepEqual(got.sorted, eager.sorted) || got.Diameter() != eager.Diameter() || got.MinDistance() != eager.MinDistance() {
+				t.Fatal("WithRows' rows differ from the eager build's")
+			}
+		})
+	}
+}
+
 // TestNeighborsEarlyBreak asserts both backends' iterators yield the
 // sorted row in order and stop cleanly at every break point.
 func TestNeighborsEarlyBreak(t *testing.T) {

@@ -153,6 +153,18 @@ func New(space Space, opts Options) BallIndex {
 	}
 }
 
+// WithRows returns idx when it already holds every node's full sorted
+// row (the eager Index), and otherwise an eager Index built over idx's
+// space in one parallel pass. A caller that reads whole rows of every
+// node — the Theorem 2.1 router — sorts each row once this way instead
+// of growing it through a lazy backend's doubling prefixes.
+func WithRows(idx BallIndex, workers int) BallIndex {
+	if eager, ok := idx.(*Index); ok {
+		return eager
+	}
+	return newEager(idx.Space(), workers)
+}
+
 // Index is the eager backend: per-node distance-sorted neighbor lists,
 // built up front in parallel. It answers the ball queries used by nets,
 // packings, measures, rings of neighbors and the small-world samplers in

@@ -1,0 +1,108 @@
+package oracle_test
+
+import (
+	"os"
+	"path/filepath"
+	"runtime"
+	"testing"
+
+	"rings/internal/metric"
+	"rings/internal/nnsearch"
+	"rings/internal/objects"
+	"rings/internal/oracle"
+)
+
+// TestHydrateHeapCeiling bounds what a warm start holds beyond the
+// mapping by what a restore has to build: the restore of an n = 256
+// labels snapshot may grow the heap by no more than a lazy index and the
+// overlay built on their own over the same space, plus half the arena's
+// size as measurement slack. An eager index's sorted rows (1 MB at this
+// n), a second copy of the arena, or pointer labels (larger still) do
+// not fit in that. The ceiling holds again after the restored snapshot
+// has answered what a server asks of it — every estimate, a /nearest
+// per node, an object publish and lookups — since none of that asks the
+// index for a sorted row.
+func TestHydrateHeapCeiling(t *testing.T) {
+	cfg := oracle.Config{Workload: "cube", N: 256, Seed: 41, Delta: 0.5, Profile: oracle.ProfileTuned}
+	cold, err := oracle.BuildSnapshot(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "snap.bin")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cold.WriteTo(f); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	arena, n := int64(cold.Flat.Bytes()), cold.N()
+	cold = nil
+
+	cfg = cfg.WithDefaults()
+	before := oracle.HeapInuse()
+	space, _, err := cfg.Spec().Space()
+	if err != nil {
+		t.Fatal(err)
+	}
+	lazy := metric.NewLazyIndex(space, metric.Options{})
+	overlay, err := nnsearch.New(lazy, oracle.OverlayMembers(n, cfg.MemberStride), nnsearch.DefaultConfig(cfg.Seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	budget := oracle.HeapInuse() - before
+	runtime.KeepAlive(overlay)
+	space, lazy, overlay = nil, nil, nil
+
+	before = oracle.HeapInuse()
+	fast, err := oracle.OpenSnapshotFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !fast.Flat.Mapped() {
+		fast.Close()
+		t.Skip("the ceiling is for the mapped warm start; without mmap the read buffer itself is heap")
+	}
+	full, err := fast.Hydrate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer full.Close()
+	if _, lazy := full.Idx.(*metric.LazyIndex); !lazy {
+		t.Fatalf("restore serves a %T, want a *metric.LazyIndex", full.Idx)
+	}
+	within := func(after string) {
+		t.Helper()
+		growth := oracle.HeapInuse() - before
+		t.Logf("after %s: HeapInuse growth %d bytes; lazy index + overlay alone %d, the arena %d", after, growth, budget, arena)
+		if growth > budget+arena/2 {
+			t.Fatalf("after %s, the restored snapshot holds %d bytes more heap; lazy index + overlay alone take %d, the arena is %d", after, growth, budget, arena)
+		}
+	}
+	within("the restore")
+
+	for u := range n {
+		for v := range n {
+			if _, err := full.Estimate(u, v); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := full.Nearest(u); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dir := objects.New(full, objects.Config{Seed: cfg.Seed})
+	if _, err := dir.Publish("obj", n/3); err != nil {
+		t.Fatal(err)
+	}
+	for from := range n {
+		if res, err := dir.Lookup("obj", from); err != nil || res.Node != n/3 {
+			t.Fatalf("lookup of obj from %d = %+v, %v; want the one replica on %d", from, res, err, n/3)
+		}
+	}
+	within("estimates, /nearest, a publish and lookups")
+	runtime.KeepAlive(dir)
+}

@@ -127,60 +127,6 @@ func TestEstimateWalksTheArena(t *testing.T) {
 	}
 }
 
-// TestHydrateHeapCeiling bounds what a warm start holds beyond the
-// mapping by what it has to build: the restore of an n=256 labels
-// snapshot may grow the heap by no more than index + overlay built on
-// their own over the same space, plus half the arena's size as
-// measurement slack — a second copy of the arena, or pointer labels
-// (larger still), does not fit in that.
-func TestHydrateHeapCeiling(t *testing.T) {
-	if !mmapSupported {
-		t.Skip("the ceiling is for the mapped warm start; without mmap the read buffer itself is heap")
-	}
-	cfg := testConfig(41)
-	cfg.N, cfg.Verify = 256, false
-	cold, err := BuildSnapshot(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := writeSnapshotV2File(t, t.TempDir(), cold)
-	arena := cold.Flat.Bytes()
-	cold = nil
-
-	before := heapInuse()
-	space, name, err := cfg.withDefaults().Spec().Space()
-	if err != nil {
-		t.Fatal(err)
-	}
-	built, _, err := indexSnapshot(cfg, space, name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := built.buildOverlay(); err != nil {
-		t.Fatal(err)
-	}
-	budget := heapInuse() - before
-	runtime.KeepAlive(built)
-	built, space = nil, nil
-
-	before = heapInuse()
-	fast, err := OpenSnapshotFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	full, err := fast.Hydrate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer full.Close()
-	growth := heapInuse() - before
-	if growth > budget+int64(arena)/2 {
-		t.Fatalf("restore grew HeapInuse by %d bytes; index + overlay alone take %d, the arena is %d", growth, budget, arena)
-	}
-	t.Logf("arena %d bytes, HeapInuse growth %d bytes, artifacts alone %d", arena, growth, budget)
-	runtime.KeepAlive(full)
-}
-
 // heapInuse reports HeapInuse after a collection: what is live.
 func heapInuse() int64 {
 	runtime.GC()

@@ -121,7 +121,7 @@ func (e *Engine) Metrics() *telemetry.Registry { return e.metrics.reg }
 const (
 	openModeMmap    = "mmap"    // OpenSnapshotFile, zero-copy mapping
 	openModeRead    = "read"    // OpenSnapshotFile, bulk-read fallback
-	openModeRestore = "restore" // HydrateOver: artifacts rebuilt around an arena
+	openModeRestore = "restore" // HydrateOver: lazy index + overlay built around an arena
 )
 
 // Snapshot persistence metrics live in telemetry.Default: persist and
@@ -136,7 +136,8 @@ var (
 		"Snapshot serializations that failed.")
 	mOpenUs = telemetry.Default.HistogramFamily("rings_snapshot_open_us",
 		"Snapshot open latency in microseconds, by mode (mmap and read are the "+
-			"O(header) warm-start paths; restore is the full artifact rebuild).",
+			"O(header) warm-start paths; restore builds a lazy index and the overlay "+
+			"around the arena).",
 		latMinExp, latMaxExp, "mode", openModeMmap, openModeRead, openModeRestore)
 	mOpenTotal = telemetry.Default.CounterFamily("rings_snapshot_open_total",
 		"Snapshot opens completed, by mode.", "mode", openModeMmap, openModeRead, openModeRestore)

@@ -129,7 +129,9 @@ type Config struct {
 	// serving leaves it 0 (live count).
 	RefCount int
 
-	// Backend selects the ball-index backend: "eager" or "lazy".
+	// Backend selects the cold build's construction index: "eager" or
+	// "lazy". A restore always serves a lazy one (see HydrateOver), but
+	// still refuses a header naming neither.
 	Backend string
 	// Workers bounds index build parallelism (0 = GOMAXPROCS).
 	Workers int
@@ -174,6 +176,14 @@ func (c Config) Spec() workload.MetricSpec {
 		LogAspect: c.LogAspect,
 		Seed:      c.Seed,
 	}
+}
+
+// CheckBackend refuses a Config.Backend that names no ball-index
+// backend ("" is the default, eager). A restore serves a lazy index
+// whatever the value, so a warm boot checks its flag with this.
+func CheckBackend(backend string) error {
+	_, err := Config{Backend: backend}.withDefaults().indexOptions()
+	return err
 }
 
 func (c Config) indexOptions() (metric.Options, error) {
@@ -247,7 +257,7 @@ func BuildSnapshot(cfg Config) (*Snapshot, error) {
 // used only for naming/defaults; the space is served as given.
 func BuildSnapshotOver(cfg Config, space metric.Space, name string) (*Snapshot, error) {
 	start := time.Now()
-	snap, params, err := indexSnapshot(cfg, space, name)
+	snap, params, err := indexSnapshot(cfg, space, name, false)
 	if err != nil {
 		return nil, err
 	}
@@ -316,8 +326,12 @@ func BuildSnapshotOver(cfg Config, space metric.Space, name string) (*Snapshot, 
 }
 
 // indexSnapshot is the part of a snapshot a cold build and an arena
-// restore share: the validated recipe and the ball index over space.
-func indexSnapshot(cfg Config, space metric.Space, name string) (*Snapshot, triangulation.Params, error) {
+// restore share: the validated recipe and the ball index over space. A
+// build gets the recipe's backend, whose rows the construction reads; a
+// restore (restore true) always gets a LazyIndex, since nothing a
+// restored snapshot serves asks it for a sorted row (the router makes
+// its own, see buildRouter).
+func indexSnapshot(cfg Config, space metric.Space, name string, restore bool) (*Snapshot, triangulation.Params, error) {
 	cfg = cfg.withDefaults()
 	// Validate everything validatable before the index build: at large n
 	// the index is the first expensive step, and a rebuild triggered over
@@ -335,6 +349,9 @@ func indexSnapshot(cfg Config, space metric.Space, name string) (*Snapshot, tria
 		return nil, params, err
 	}
 
+	if restore {
+		opts.Backend = metric.Lazy
+	}
 	phase := time.Now()
 	idx := metric.New(space, opts)
 	n := idx.N()

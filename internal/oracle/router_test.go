@@ -100,6 +100,44 @@ func TestRoutableIsWhereRouteAnswers(t *testing.T) {
 	}
 }
 
+// TestRestoredRoutesEqualTheColdBuilds: a restore serves a lazy index,
+// so its router is built over rows WithRows sorts for it; every route
+// on the hydrated snapshot must still equal the route on the cold build
+// the file was written from, all pairs, on every workload family (grid:
+// the 11×11 lattice).
+func TestRestoredRoutesEqualTheColdBuilds(t *testing.T) {
+	for _, cfg := range []Config{
+		{Workload: "grid", Side: 11},
+		{Workload: "cube", N: 128, Seed: 3},
+		{Workload: "expline", N: 128, LogAspect: 60},
+		{Workload: "latency", N: 128, Seed: 1},
+	} {
+		cold, err := BuildSnapshot(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", cfg.Workload, err)
+		}
+		fast, err := OpenSnapshotFile(writeSnapshotV2File(t, t.TempDir(), cold))
+		if err != nil {
+			t.Fatalf("%s: %v", cfg.Workload, err)
+		}
+		restored, err := fast.Hydrate()
+		if err != nil {
+			t.Fatalf("%s: hydrate: %v", cfg.Workload, err)
+		}
+		n := cold.N()
+		for src := range n {
+			for dst := range n {
+				want, err1 := cold.Route(src, dst)
+				got, err2 := restored.Route(src, dst)
+				if err1 != nil || err2 != nil || !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s: route(%d,%d) restored %+v/%v, cold build %+v/%v", cfg.Workload, src, dst, got, err2, want, err1)
+				}
+			}
+		}
+		restored.Close()
+	}
+}
+
 // TestBuildPhasesWithinTotal: every phase of a cold build — the arena
 // pack included — lies inside the stamped total, and a router a commit
 // inherits, built before publication, extends the total by its own time.

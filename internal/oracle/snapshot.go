@@ -43,7 +43,8 @@ type Snapshot struct {
 	// Version is assigned by Engine.Swap when the snapshot is installed;
 	// 0 means never installed.
 	Version int64
-	// Idx is the ball index over the workload's space.
+	// Idx is the ball index over the workload's space: the recipe's
+	// backend on a built snapshot, a LazyIndex on a restored one.
 	Idx metric.BallIndex
 	// Scheme and Labels are the Theorem 3.4 labeling in pointer form,
 	// carried by build-side snapshots only (both nil on every restored
@@ -207,10 +208,13 @@ func (s *Snapshot) InheritRouter(prev *Snapshot) error {
 }
 
 // buildRouter is the memoized build; the first caller's cause counts.
+// The router reads every node's full sorted row, so over an index that
+// holds none (a restore's LazyIndex) it builds over an eager index of
+// the same space, sorted in one pass and kept only by the router.
 func (s *Snapshot) buildRouter(cause string) (routing.Scheme, error) {
 	s.router.once.Do(func() {
 		t0 := time.Now()
-		router, err := routing.NewThm21Metric(s.Idx, s.Config.Delta)
+		router, err := routing.NewThm21Metric(metric.WithRows(s.Idx, s.Config.Workers), s.Config.Delta)
 		took := time.Since(t0)
 		mRouterBuilds.With(cause).Inc()
 		mRouterBuildUs.Observe(float64(took) / float64(time.Microsecond))

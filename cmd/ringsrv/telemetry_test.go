@@ -109,8 +109,8 @@ func testMetricsSingleMode(t *testing.T, start startFunc) {
 	if arena := srv.engine.Snapshot().Flat.Bytes(); total != float64(arena) {
 		t.Errorf("arena sections sum to %v bytes, the arena holds %d", total, arena)
 	}
-	if got := sampleValue(t, sections, map[string]string{"section": "ents"}); got <= 0 {
-		t.Errorf("ents section = %v bytes", got)
+	if got := sampleValue(t, sections, map[string]string{"section": "yz"}); got <= 0 {
+		t.Errorf("yz section = %v bytes", got)
 	}
 	keys := sampleValue(t, parsed["rings_arena_keys"], nil)
 	lists := sampleValue(t, parsed["rings_arena_distinct_lists"], nil)

@@ -348,14 +348,19 @@ func TestMutatorConcurrentReaders(t *testing.T) {
 	}
 }
 
-// TestMutatorValidation covers the recipe check and the batch
-// validator.
+// TestMutatorValidation covers the recipe check, the capacity check
+// and the batch validator.
 func TestMutatorValidation(t *testing.T) {
 	ocfg := oracle.Config{Workload: "cube", N: 16, Seed: 1, SkipOverlay: true}
 	retired := ocfg
 	retired.Scheme = "beacons"
 	if _, err := NewMutator(Config{Oracle: retired, Capacity: 20}); !errors.Is(err, oracle.ErrSchemeRetired) {
 		t.Errorf("NewMutator under the retired beacons scheme: %v, want ErrSchemeRetired", err)
+	}
+	// Refused before the base workload is generated: nothing that size
+	// is built.
+	if _, err := NewMutator(Config{Oracle: ocfg, Capacity: oracle.ArenaWidth}); !errors.Is(err, oracle.ErrArenaWidth) {
+		t.Errorf("NewMutator at capacity %d: %v, want ErrArenaWidth", oracle.ArenaWidth, err)
 	}
 	m, err := NewMutator(Config{Oracle: ocfg, Capacity: 20, MinNodes: 14})
 	if err != nil {

@@ -79,13 +79,18 @@ type Mutator struct {
 
 // NewMutator generates the capacity-sized base workload, activates its
 // first N nodes, and performs the initial full build (every later
-// commit repairs incrementally against it).
+// commit repairs incrementally against it). A capacity the arena's
+// 16-bit entry fields cannot hold (oracle.ErrArenaWidth: MaxT and the
+// host counts are bounded by it) is refused before anything is built.
 func NewMutator(cfg Config) (*Mutator, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
 		return nil, err
 	}
 	if err := oracle.CheckScheme(cfg.Oracle.Scheme); err != nil {
+		return nil, err
+	}
+	if err := oracle.CheckArenaWidth("capacity", cfg.Capacity); err != nil {
 		return nil, err
 	}
 	params, err := cfg.Oracle.TriangulationParams()

@@ -70,7 +70,7 @@ func gauge(t testing.TB, reg *telemetry.Registry, name string) float64 {
 
 // assertSharedArena checks one served snapshot's arena against its
 // resident pointer labels: the restored arena validates (every span
-// inside ents) and answers every pair bit-identically to the pointer
+// inside yz) and answers every pair bit-identically to the pointer
 // walk; labels materialized from the arena, and labels that went
 // through the wire codec, pack back to the same bytes; and the arena
 // stores fewer lists than it has keys.

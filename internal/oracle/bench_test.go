@@ -112,13 +112,14 @@ func BenchmarkEngineEstimateParallel(b *testing.B) {
 // BenchmarkEstimateBatchFlat measures the zero-alloc batch path on the
 // dataset ringperf serves (latency, tuned, δ = 0.5, labels, n = 1024):
 // whole 256-pair batches answered straight from the flat arenas into a
-// reused caller buffer, cache bypassed. "hot" replays one batch; "uniform"
-// cycles 1,024 distinct batches of uniform pairs, which touch the whole
-// arena the way /batch traffic does, and is the figure to compare with
-// the server's per-pair cost. The two cost within ~15 % of each other:
-// the walk is bound by its harvest compute, not by cache misses. Each
-// sub-benchmark reports ns/pair and the arena's B/node. Run with
-// -benchmem: allocs/op is 0 on both.
+// reused caller buffer, cache bypassed. "hot" cycles 16 distinct pairs,
+// whose spans stay in cache; "uniform" cycles 1,024 distinct batches of
+// uniform pairs, which touch the whole arena the way /batch traffic does,
+// and is the figure to compare with the server's per-pair cost. The walk
+// waits on memory as well as computing: hot costs ~1.4 µs/pair and
+// uniform ~1.9 µs on 2 cores, so a uniform pair spends about a quarter of
+// its time on cache misses. Each sub-benchmark reports ns/pair and the
+// arena's B/node. Run with -benchmem: allocs/op is 0 on both.
 func BenchmarkEstimateBatchFlat(b *testing.B) {
 	snap, err := BuildSnapshot(Config{
 		Workload: "latency", N: 1024, Seed: 1, Delta: 0.5,
@@ -131,11 +132,16 @@ func BenchmarkEstimateBatchFlat(b *testing.B) {
 	e := NewEngine(snap, EngineOptions{})
 	const batchSize = 256
 	for _, bc := range []struct {
-		name    string
-		batches int
-	}{{"hot", 1}, {"uniform", 1024}} {
+		name     string
+		distinct int // distinct pairs, cycled through batch after batch
+	}{{"hot", 16}, {"uniform", 1024 * batchSize}} {
 		b.Run(bc.name, func(b *testing.B) {
-			pairs := benchPairs(snap.N(), bc.batches*batchSize)
+			distinct := benchPairs(snap.N(), bc.distinct)
+			pairs := make([]Pair, max(len(distinct), batchSize))
+			for i := range pairs {
+				pairs[i] = distinct[i%len(distinct)]
+			}
+			batches := len(pairs) / batchSize
 			out := make([]EstimateResult, batchSize)
 			if _, err := e.EstimateBatchInto(pairs[:batchSize], out); err != nil {
 				b.Fatal(err)
@@ -143,7 +149,7 @@ func BenchmarkEstimateBatchFlat(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				at := i % bc.batches * batchSize
+				at := i % batches * batchSize
 				if _, err := e.EstimateBatchInto(pairs[at:at+batchSize], out); err != nil {
 					b.Fatal(err)
 				}

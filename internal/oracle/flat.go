@@ -14,9 +14,9 @@ import (
 
 // FlatSnap is the flat serving representation of a snapshot's labels:
 // every label (host distances, zooming pointers, ζ-map triples) packed
-// into one contiguous arena with offset-index headers. The
-// hot read path walks int32/float64 views over that single allocation —
-// no pointer chasing, no map lookups, no per-query allocation — and the
+// into one contiguous arena with offset-index headers. The hot read path
+// walks int32/uint32/float64 views over that single allocation — no
+// pointer chasing, no map lookups, no per-query allocation — and the
 // persisted v2 snapshot format is exactly these arena bytes, so a warm
 // start is an mmap plus header validation instead of a decode.
 //
@@ -48,9 +48,10 @@ type FlatSnap struct {
 	// group's default span (s, e) = grpSpan[2g], grpSpan[2g+1] unless it is
 	// one of the group's exception keys xcKeys[xcOff[g]:xcOff[g+1]]
 	// (ascending), whose spans sit at xcSpan[2k], xcSpan[2k+1]. A span's
-	// Y-sorted (Y, Z) pairs sit interleaved at ents[2s:2e]; each distinct
-	// list of a group is stored once, and the default is the list most of
-	// its keys name (saturated T-sets make it every key's at lab scale).
+	// Y-sorted entries are the words yz[s:e], each Y<<16 | Z (see
+	// ArenaWidth); each distinct list of a group is stored once, and the
+	// default is the list most of its keys name (saturated T-sets make it
+	// every key's at lab scale).
 	// chain[3g:3g+3] is u's own zoom walk read ahead: the span of the key
 	// the walk stands on at level i, and the host it zooms to next (-1
 	// where the walk stops).
@@ -67,7 +68,7 @@ type FlatSnap struct {
 	xcKeys  []int32
 	xcSpan  []int32
 	chain   []int32
-	ents    []int32
+	yz      []uint32
 	// keys and lists are countKeys() of the finished arena (for the gauges).
 	keys, lists int
 }
@@ -77,7 +78,7 @@ type FlatSnap struct {
 // views straight over the file bytes.
 type flatSection struct {
 	Name  string `json:"name"`
-	Kind  string `json:"kind"` // "f64" | "i32"
+	Kind  string `json:"kind"` // "f64" | "i32" | "u32"
 	Off   int64  `json:"off"`  // byte offset into the arena
 	Count int64  `json:"count"`
 }
@@ -159,30 +160,53 @@ const (
 	secXcKeys  = "xc_keys"
 	secXcSpan  = "xc_span"
 	secChain   = "chain"
-	secEnts    = "ents"
+	secYZ      = "yz"
 )
 
 // sectionNames lists every arena section.
 var sectionNames = []string{
 	secDists, secDistOff, secL0, secZoom0, secPsiOff, secPsi, secKbOff,
-	secKeyBits, secGrpSpan, secXcOff, secXcKeys, secXcSpan, secChain, secEnts,
+	secKeyBits, secGrpSpan, secXcOff, secXcKeys, secXcSpan, secChain, secYZ,
 }
 
-// retiredSections name the per-key tables of the two layouts before the
-// key bitmap: ent_off (every key's list stored separately) and ent_span
-// (every key naming its shared list). Their ents sections mean something
-// else than today's, so a directory naming either is refused outright
-// (ErrOldLayout) instead of being read under the new rules.
-var retiredSections = []string{"ent_off", "ent_span"}
+// retiredSections name a section of each retired layout: ent_off (every
+// key's list stored separately) and ent_span (every key naming its shared
+// list), the per-key tables before the key bitmap; and ents, the (Y, Z)
+// entries as two int32 words each before yz packed them into one. What
+// those sections hold means something else than today's, so a directory
+// naming any of them is refused outright (ErrOldLayout) instead of being
+// read under the new rules.
+var retiredSections = []string{"ent_off", "ent_span", "ents"}
 
-// ErrOldLayout rejects a v2 snapshot whose arena predates the key
-// bitmap. No reader is kept for those layouts: the file is a cache of a
-// deterministic build, so the remedy is to delete it.
+// ErrOldLayout rejects a v2 snapshot whose arena is in a retired layout
+// (one naming a retiredSections section: an arena written before the key
+// bitmap, or before yz). No reader is kept for those layouts: the file is
+// a cache of a deterministic build, so the remedy is to delete it.
 var ErrOldLayout = errors.New("oracle: snapshot written in a retired arena layout; delete it to rebuild")
+
+// ArenaWidth bounds both halves of a yz word: an entry's virtual index Y
+// (below MaxT) and its host index Z (below the label's host count) each
+// take 16 bits, the paper's WidthFor(MaxT) and WidthFor(hosts) rounded
+// up to a half word. Labels with MaxT or a host count at or past it are
+// refused (ErrArenaWidth), never truncated.
+const ArenaWidth = 1 << 16
+
+// ErrArenaWidth refuses labels whose entries the arena's 16-bit halves
+// cannot hold.
+var ErrArenaWidth = errors.New("oracle: labels too wide for the arena (MaxT and every host count must stay below 65,536)")
+
+// CheckArenaWidth refuses a MaxT, host count or capacity (what names it)
+// the arena cannot hold.
+func CheckArenaWidth(what string, v int) error {
+	if v >= ArenaWidth {
+		return fmt.Errorf("%w: %s is %d", ErrArenaWidth, what, v)
+	}
+	return nil
+}
 
 // flatLayout accumulates the section directory while sizing the arena:
 // float64 sections first (keeping them 8-aligned from a 0-aligned base),
-// then the int32 sections.
+// then the 4-byte sections.
 type flatLayout struct {
 	sections []flatSection
 	off      int64
@@ -233,6 +257,13 @@ func (f *FlatSnap) bind() error {
 		}
 		return unsafe.Slice((*int32)(p), s.Count), nil
 	}
+	u32 := func(s flatSection) ([]uint32, error) {
+		p, err := view(s, "u32", 4)
+		if p == nil {
+			return nil, err
+		}
+		return unsafe.Slice((*uint32)(p), s.Count), nil
+	}
 	f64 := func(s flatSection) ([]float64, error) {
 		p, err := view(s, "f64", 8)
 		if p == nil {
@@ -274,8 +305,8 @@ func (f *FlatSnap) bind() error {
 			f.xcSpan, err = i32(s)
 		case secChain:
 			f.chain, err = i32(s)
-		case secEnts:
-			f.ents, err = i32(s)
+		case secYZ:
+			f.yz, err = u32(s)
 		default:
 			return fmt.Errorf("oracle: unknown flat section %q", s.Name)
 		}
@@ -341,12 +372,9 @@ func (f *FlatSnap) validate() error {
 			return fmt.Errorf("oracle: flat section %s has %d elements, want %d", c.name, c.got, c.want)
 		}
 	}
-	if len(f.ents)%2 != 0 {
-		return fmt.Errorf("oracle: flat ents length %d is odd", len(f.ents))
-	}
 	// Spans may repeat and need not be monotone, so each is bounded on
 	// its own.
-	nEnts := int32(len(f.ents) / 2)
+	nEnts := int32(len(f.yz))
 	checkSpan := func(name string, i int, start, end int32) error {
 		if start < 0 || end < start || end > nEnts {
 			return fmt.Errorf("oracle: flat section %s entry %d spans [%d, %d) outside [0, %d]", name, i, start, end, nEnts)
@@ -368,6 +396,9 @@ func (f *FlatSnap) validate() error {
 	}
 	for u := 0; u < f.n; u++ {
 		nd := int(f.distOff[u+1] - f.distOff[u])
+		if nd >= ArenaWidth {
+			return fmt.Errorf("%w: node %d has %d hosts", ErrArenaWidth, u, nd)
+		}
 		w := keyWords(nd)
 		gLo, gHi := int(f.psiOff[u]), int(f.psiOff[u+1])
 		if got, want := int(f.kbOff[u+1]-f.kbOff[u]), (gHi-gLo)*w; got != want {
@@ -436,7 +467,7 @@ func (f *FlatSnap) countKeys() (keys, lists int) {
 	return keys, lists
 }
 
-// listIndex places ζ entry lists in the ents section, each distinct list
+// listIndex places ζ entry lists in the yz section, each distinct list
 // of a group once: a list equal to one the current group already stored
 // is that one instead of a second copy. Equality is by content — slice
 // identity (the builder's aliased identity keys) is only the shortcut —
@@ -444,7 +475,7 @@ func (f *FlatSnap) countKeys() (keys, lists int) {
 // way their lists happen to be held in memory.
 type listIndex struct {
 	lists [][]distlabel.TransEntry // every stored list, in arena order
-	start []int32                  // start[i] is lists[i]'s first entry index in ents
+	start []int32                  // start[i] is lists[i]'s first entry index in yz
 	older []int32                  // older[i] is the previous list of the same group and hash, or -1
 	head  map[uint64]int32         // content hash -> newest list of the current group
 	last  int32                    // the list the previous key of the group resolved to, or -1
@@ -509,7 +540,9 @@ func (ix *listIndex) find(entries []distlabel.TransEntry) int32 {
 // pointer walk finds nothing under it either, and the wire codec drops it
 // the same way. The default span of a group is the list most of its keys
 // name (ties to the first in key order); only keys naming another list
-// are stored as exceptions.
+// are stored as exceptions. Each entry is one yz word, Y<<16 | Z: a label
+// with ArenaWidth hosts or more, or an entry whose Y or Z lies outside
+// [0, ArenaWidth), is refused with ErrArenaWidth.
 func newFlatFromLabels(labels []*distlabel.Label) (*FlatSnap, error) {
 	n := len(labels)
 	// Size pass.
@@ -522,6 +555,9 @@ func newFlatFromLabels(labels []*distlabel.Label) (*FlatSnap, error) {
 			// Groups are indexed like psi; the builder and wire decoder
 			// both emit equal lengths (IMax).
 			return nil, fmt.Errorf("oracle: flat pack: label %d has %d trans levels for %d zoom pointers", u, len(lab.Trans), len(lab.ZoomPsi))
+		}
+		if len(lab.Dists) >= ArenaWidth {
+			return nil, fmt.Errorf("%w: label %d has %d hosts", ErrArenaWidth, u, len(lab.Dists))
 		}
 		nDists += len(lab.Dists)
 		nGroups += len(lab.Trans)
@@ -603,7 +639,7 @@ func newFlatFromLabels(labels []*distlabel.Label) (*FlatSnap, error) {
 			word += w
 		}
 	}
-	if c := max(2*ix.ents, 2*len(xcKeys)); c > math.MaxInt32 {
+	if c := max(ix.ents, 2*len(xcKeys)); c > math.MaxInt32 {
 		return nil, fmt.Errorf("oracle: flat pack: arena of %d elements exceeds the int32 offset space", c)
 	}
 
@@ -621,7 +657,7 @@ func newFlatFromLabels(labels []*distlabel.Label) (*FlatSnap, error) {
 	lay.add(secXcKeys, "i32", len(xcKeys))
 	lay.add(secXcSpan, "i32", len(xcSpan))
 	lay.add(secChain, "i32", 3*nGroups)
-	lay.add(secEnts, "i32", 2*ix.ents)
+	lay.add(secYZ, "u32", ix.ents)
 
 	f := &FlatSnap{n: n, buf: alignedBytes(int(lay.off)), sections: lay.sections}
 	f.refs.Store(1)
@@ -653,9 +689,11 @@ func newFlatFromLabels(labels []*distlabel.Label) (*FlatSnap, error) {
 	ePos := 0
 	for _, l := range ix.lists {
 		for _, e := range l {
-			f.ents[ePos] = e.Y
-			f.ents[ePos+1] = e.Z
-			ePos += 2
+			if uint32(e.Y) >= ArenaWidth || uint32(e.Z) >= ArenaWidth {
+				return nil, fmt.Errorf("%w: entry (Y %d, Z %d)", ErrArenaWidth, e.Y, e.Z)
+			}
+			f.yz[ePos] = uint32(e.Y)<<16 | uint32(e.Z)
+			ePos++
 		}
 	}
 	f.keys, f.lists = f.countKeys()
@@ -669,6 +707,9 @@ func newFlatFromLabels(labels []*distlabel.Label) (*FlatSnap, error) {
 func newFlatForSnapshot(s *Snapshot) (*FlatSnap, error) {
 	if s.Labels == nil {
 		return nil, fmt.Errorf("oracle: snapshot has no labels to flatten")
+	}
+	if err := CheckArenaWidth("MaxT", s.LabelMeta.MaxT); err != nil {
+		return nil, err
 	}
 	return newFlatFromLabels(s.Labels)
 }
@@ -706,7 +747,8 @@ func (f *FlatSnap) materializeLabels() []*distlabel.Label {
 					if !ok {
 						entries = make([]distlabel.TransEntry, 0, span[1]-span[0])
 						for e := int(span[0]); e < int(span[1]); e++ {
-							entries = append(entries, distlabel.TransEntry{Y: f.ents[2*e], Z: f.ents[2*e+1]})
+							w := f.yz[e]
+							entries = append(entries, distlabel.TransEntry{Y: int32(w >> 16), Z: int32(w & 0xFFFF)})
 						}
 						bySpan[span] = entries
 					}

@@ -12,7 +12,7 @@ const ulpGuardFlat = 1e-13
 const spanLevels = 64
 
 // spanPair is the pair of entry lists one harvest intersects, in (u, v)
-// orientation: u's span [us, ue) and v's span [vs, ve) of ents.
+// orientation: u's span [us, ue) and v's span [vs, ve) of yz.
 type spanPair struct{ us, ue, vs, ve int32 }
 
 // flatAcc accumulates one estimate: the running sandwich fold over u's
@@ -25,11 +25,12 @@ type flatAcc struct {
 }
 
 // fold takes one common neighbor's two distances into the sandwich — the
-// arithmetic of distlabel.Estimate's consider. The
-// larger distance is picked by a plain compare, not math.Max (a call on
-// amd64): the two differ only when an operand is NaN, and then |da-db| is
-// NaN, so g is NaN and never stored, or when they are zeros of opposite
-// sign, and 0 - ulpGuardFlat*(±0) is +0 under either sign.
+// arithmetic of distlabel.Estimate's consider. The larger distance is
+// the builtin max, which compiles to branch-free instructions on amd64
+// where math.Max is a call. The two can differ only when an operand is
+// NaN, and then |da-db| is NaN, so g is NaN whatever m is and never
+// stored; or when they are zeros of opposite sign, and then the product
+// ulpGuardFlat*m is ±0, so g is 0 - (±0) = +0 either way.
 //
 //ringvet:hotpath
 func (a *flatAcc) fold(da, db float64) {
@@ -37,11 +38,7 @@ func (a *flatAcc) fold(da, db float64) {
 	if s := da + db; s < a.upper {
 		a.upper = s
 	}
-	m := da
-	if db > m {
-		m = db
-	}
-	if g := math.Abs(da-db) - ulpGuardFlat*m; g > a.lower {
+	if g := math.Abs(da-db) - ulpGuardFlat*max(da, db); g > a.lower {
 		a.lower = g
 	}
 }
@@ -147,7 +144,7 @@ func (f *FlatSnap) walk(a *flatAcc, harvested *[spanLevels]spanPair, u, v int, f
 }
 
 // span resolves key x of group g, whose key bitmap is bits, to the span
-// [start, end) of its Y-sorted entries in ents: the group's default span
+// [start, end) of its Y-sorted entries in yz: the group's default span
 // unless x is one of its exception keys (a binary search over a range
 // that is empty on every dataset in the tree). A key the group does not
 // have gets the empty span.
@@ -177,22 +174,25 @@ func (f *FlatSnap) span(g int, bits []int32, x int32) (start, end int32) {
 }
 
 // zoomHost finds the Z of the entry with virtual index y in the span
-// [start, end) (binary search over its Y-sorted pairs), or -1.
+// [start, end), or -1: a binary search for the first word at or past
+// y<<16, which is y's entry if any entry has Y = y. A y outside
+// [0, ArenaWidth) wraps the search key, but no word's Y equals it.
 //
 //ringvet:hotpath
 func (f *FlatSnap) zoomHost(start, end, y int32) int32 {
-	ents := f.ents[2*start : 2*end]
-	lo, hi := 0, len(ents)/2
+	yz := f.yz[start:end]
+	key := uint32(y) << 16
+	lo, hi := 0, len(yz)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if ents[2*mid] < y {
+		if yz[mid] < key {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	if 2*lo < len(ents) && ents[2*lo] == y {
-		return ents[2*lo+1]
+	if lo < len(yz) && yz[lo]>>16 == uint32(y) {
+		return int32(yz[lo] & 0xFFFF)
 	}
 	return -1
 }
@@ -207,21 +207,22 @@ func (f *FlatSnap) zoomHost(start, end, y int32) int32 {
 //
 //ringvet:hotpath
 func (f *FlatSnap) harvest(a *flatAcc, p spanPair) {
-	eu, ev := f.ents[2*p.us:2*p.ue], f.ents[2*p.vs:2*p.ve]
+	eu, ev := f.yz[p.us:p.ue], f.yz[p.vs:p.ve]
 	iu, iv := 0, 0
 	for iu < len(eu) && iv < len(ev) {
-		yu, yv := eu[iu], ev[iv]
+		wu, wv := eu[iu], ev[iv]
+		yu, yv := wu>>16, wv>>16
 		if yu == yv {
 			// consider, spelled out: the call does not inline.
-			if hu, hv := eu[iu+1], ev[iv+1]; uint(hu) < uint(len(a.du)) && uint(hv) < uint(len(a.dv)) {
+			if hu, hv := wu&0xFFFF, wv&0xFFFF; int(hu) < len(a.du) && int(hv) < len(a.dv) {
 				a.fold(a.du[hu], a.dv[hv])
 			}
-			iu += 2
-			iv += 2
+			iu++
+			iv++
 			continue
 		}
 		less := int((int64(yu) - int64(yv)) >> 63) // -1 when yu < yv, else 0
-		iu -= 2 * less
-		iv += 2 + 2*less
+		iu -= less
+		iv += 1 + less
 	}
 }

@@ -162,7 +162,7 @@ func TestSkipComparesWholeSpans(t *testing.T) {
 		s, e := f.grpSpan[2*g], f.grpSpan[2*g+1]
 		for k := f.xcOff[g]; k < f.xcOff[g+1]; k++ {
 			xs, xe := f.xcSpan[2*k], f.xcSpan[2*k+1]
-			if e-s > 1 && xe-xs == 1 && f.ents[2*s] == f.ents[2*xs] && f.ents[2*s+1] == f.ents[2*xs+1] {
+			if e-s > 1 && xe-xs == 1 && f.yz[s] == f.yz[xs] {
 				f.xcSpan[2*k], f.xcSpan[2*k+1] = s, s+1
 				if f.chain[3*g] == xs && f.chain[3*g+1] == xe {
 					f.chain[3*g], f.chain[3*g+1] = s, s+1

@@ -284,6 +284,9 @@ func arenaSnapshot(hdr persistHeaderV2, payload []byte, m *mapping) (*Snapshot, 
 	flat.refs.Store(1)
 	err := CheckScheme(hdr.Scheme)
 	if err == nil {
+		err = CheckArenaWidth("MaxT", hdr.LabelMeta.MaxT)
+	}
+	if err == nil {
 		err = flat.bind()
 	}
 	if err == nil {

@@ -73,7 +73,7 @@ func pack(t testing.TB, labels []*distlabel.Label) *FlatSnap {
 
 // TestArenaBytesAreAFunctionOfLabelContent is the sharing property on
 // every workload family: the arena stores fewer lists than it has keys,
-// every span stays inside ents, and packing depends on what the labels
+// every span stays inside yz, and packing depends on what the labels
 // say and not on how their lists are held — labels materialized from the
 // arena (aliased), a copy with every list in its own slice, and labels
 // that went through the wire codec all pack to the same bytes (the
@@ -93,8 +93,8 @@ func TestArenaBytesAreAFunctionOfLabelContent(t *testing.T) {
 			t.Fatalf("%s: %d stored lists for %d keys: nothing is shared", cfg.Workload, f.lists, f.keys)
 		}
 		for g := 0; g < len(f.psi); g++ {
-			if s, e := f.grpSpan[2*g], f.grpSpan[2*g+1]; s < 0 || s > e || int(e) > len(f.ents)/2 {
-				t.Fatalf("%s: group %d spans [%d, %d) outside the %d stored entries", cfg.Workload, g, s, e, len(f.ents)/2)
+			if s, e := f.grpSpan[2*g], f.grpSpan[2*g+1]; s < 0 || s > e || int(e) > len(f.yz) {
+				t.Fatalf("%s: group %d spans [%d, %d) outside the %d stored entries", cfg.Workload, g, s, e, len(f.yz))
 			}
 		}
 
@@ -126,12 +126,13 @@ func TestArenaBytesAreAFunctionOfLabelContent(t *testing.T) {
 	}
 }
 
-// TestArenaSizeBudget fails the build's tests when the sharing or the
-// key bitmap is lost: the benchmark's dataset (latency, tuned, δ = 0.5)
-// at n = 256 packs to 1,776 B per node (3,103 with a span per key, 21,029
-// with a list per key); the budget is that plus 10 %.
+// TestArenaSizeBudget fails the build's tests when the sharing, the key
+// bitmap or the one-word entry is lost: the benchmark's dataset (latency,
+// tuned, δ = 0.5) at n = 256 packs to 1,276 B per node (1,776 with an
+// entry in two int32 words, 3,103 with a span per key, 21,029 with a list
+// per key); the budget is that plus 10 %.
 func TestArenaSizeBudget(t *testing.T) {
-	const n, budget = 256, 1954
+	const n, budget = 256, 1403
 	snap, err := BuildSnapshot(Config{Workload: "latency", N: n, Seed: 1, Delta: 0.5, Scheme: SchemeLabels, Profile: ProfileTuned})
 	if err != nil {
 		t.Fatal(err)
@@ -142,12 +143,12 @@ func TestArenaSizeBudget(t *testing.T) {
 }
 
 // TestValidateRejectsBadSpans: a default, exception or chain span may
-// name any span inside ents and nothing else, a chain may zoom to a host
+// name any span inside yz and nothing else, a chain may zoom to a host
 // of its own label or -1, and a key bitmap sets no bit at or past its
 // label's hosts.
 func TestValidateRejectsBadSpans(t *testing.T) {
 	f := buildTestSnapshot(t, 43).Flat
-	nEnts := int32(len(f.ents) / 2)
+	nEnts := int32(len(f.yz))
 	g := len(f.psi) / 2
 	u := 0
 	for int(f.psiOff[u+1]) <= g {
@@ -164,10 +165,10 @@ func TestValidateRejectsBadSpans(t *testing.T) {
 		{"whole-section", f.grpSpan[2*g : 2*g+2], []int32{0, nEnts}, true},
 		{"empty", f.grpSpan[2*g : 2*g+2], []int32{nEnts, nEnts}, true},
 		{"end-before-start", f.grpSpan[2*g : 2*g+2], []int32{5, 4}, false},
-		{"end-past-ents", f.grpSpan[2*g : 2*g+2], []int32{0, nEnts + 1}, false},
+		{"end-past-yz", f.grpSpan[2*g : 2*g+2], []int32{0, nEnts + 1}, false},
 		{"negative-start", f.grpSpan[2*g : 2*g+2], []int32{-1, 3}, false},
 		{"chain-whole-section", f.chain[3*g : 3*g+2], []int32{0, nEnts}, true},
-		{"chain-end-past-ents", f.chain[3*g : 3*g+2], []int32{0, nEnts + 1}, false},
+		{"chain-end-past-yz", f.chain[3*g : 3*g+2], []int32{0, nEnts + 1}, false},
 		{"chain-stops", f.chain[3*g+2 : 3*g+3], []int32{-1}, true},
 		{"chain-last-host", f.chain[3*g+2 : 3*g+3], []int32{nd - 1}, true},
 		{"chain-past-hosts", f.chain[3*g+2 : 3*g+3], []int32{nd}, false},
@@ -188,12 +189,16 @@ func TestValidateRejectsBadSpans(t *testing.T) {
 	}
 }
 
-// oldLayoutImage renames a v2 image's grp_span section to the retired
-// name in place (ent_span has its length; ent_off is one letter shorter,
-// which becomes JSON whitespace, so nothing moves) and recomputes the
-// header checksum.
+// oldLayoutImage returns a v2 image in the retired layout that names
+// section retired. For ents it is the layout before yz (entsLayoutImage).
+// For the others it renames the image's grp_span section in place
+// (ent_span has its length; ent_off is one letter shorter, which becomes
+// JSON whitespace, so nothing moves) and recomputes the header checksum.
 func oldLayoutImage(t testing.TB, img []byte, retired string) []byte {
 	t.Helper()
+	if retired == "ents" {
+		return entsLayoutImage(t, img)
+	}
 	base := len(persistMagicV2)
 	hdr := img[base+v2HeaderPrefix : base+v2HeaderPrefix+int(binary.LittleEndian.Uint32(img[base:]))]
 	from := []byte(`"name":"` + secGrpSpan + `"`)
@@ -207,11 +212,38 @@ func oldLayoutImage(t testing.TB, img []byte, retired string) []byte {
 	return img
 }
 
-// TestOldLayoutRefusedByName: a file whose directory carries either
-// retired per-key table — ent_off, every key's list stored on its own, or
-// ent_span, every key naming its shared list — fails both readers with
-// the one sentinel that tells the operator what to do, by name, before
-// anything indexes the arena under the wrong rules.
+// entsLayoutImage rewrites a v2 image in the layout before yz: the yz
+// section (the arena's last) becomes an i32 section named ents holding
+// each entry as the pair Y, Z, and both checksums are recomputed. The
+// result is byte for byte the file a writer of that layout wrote for the
+// same snapshot.
+func entsLayoutImage(t testing.TB, img []byte) []byte {
+	t.Helper()
+	hdr, payload, err := readV2Envelope(bytes.NewReader(img[len(persistMagicV2):]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := &hdr.Sections[len(hdr.Sections)-1]
+	if last.Name != secYZ || last.Off+last.bytes() != int64(len(payload)) {
+		t.Fatalf("image does not end in its yz section: %+v", *last)
+	}
+	ents := payload[:last.Off:last.Off]
+	for at := last.Off; at < int64(len(payload)); at += 4 {
+		w := binary.NativeEndian.Uint32(payload[at:])
+		ents = binary.NativeEndian.AppendUint32(ents, w>>16)
+		ents = binary.NativeEndian.AppendUint32(ents, w&0xFFFF)
+	}
+	*last = flatSection{Name: "ents", Kind: "i32", Off: last.Off, Count: 2 * last.Count}
+	hdr.PayloadLen = int64(len(ents))
+	return reframe(hdr, ents)
+}
+
+// TestOldLayoutRefusedByName: a file whose directory carries a retired
+// section — ent_off, every key's list stored on its own; ent_span, every
+// key naming its shared list; or ents, every entry two int32 words —
+// fails both readers with the one sentinel that tells the operator what
+// to do, by name, before anything indexes the arena under the wrong
+// rules.
 func TestOldLayoutRefusedByName(t *testing.T) {
 	snap := buildTestSnapshot(t, 45)
 	var buf bytes.Buffer

@@ -261,7 +261,8 @@ type Artifacts struct {
 // incrementally and must still publish an ordinary, immutable Snapshot
 // (restores go through the arena path in persist.go instead); the
 // router is the caller's InheritRouter away. It fails only when the
-// labels cannot be packed.
+// labels cannot be packed, which includes labels too wide for the arena
+// (ErrArenaWidth: MaxT or a host count at or past ArenaWidth).
 func AssembleSnapshot(cfg Config, name string, a Artifacts, elapsed time.Duration, build BuildStats) (*Snapshot, error) {
 	cfg = cfg.withDefaults()
 	snap := &Snapshot{

@@ -156,14 +156,15 @@ func TestOpenFleetGuards(t *testing.T) {
 		}
 	}
 
-	// One shard file in either retired layout: its directory names the
-	// per-key ent_off or ent_span table, and the fleet refuses by that name.
+	// One shard file in a retired layout: its directory names the per-key
+	// ent_off or ent_span table, or the two-word ents entries, and the
+	// fleet refuses by that name.
 	path := SnapshotPath(base, cfg.Shards-1)
 	img, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, retired := range []string{"ent_off", "ent_span"} {
+	for _, retired := range []string{"ent_off", "ent_span", "ents"} {
 		if err := os.WriteFile(path, oldLayoutImage(t, bytes.Clone(img), retired), 0o644); err != nil {
 			t.Fatal(err)
 		}

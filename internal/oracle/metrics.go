@@ -155,4 +155,7 @@ var (
 	mRouterBuildUs = telemetry.Default.Histogram("rings_oracle_router_build_us",
 		"Router build latency in microseconds (what a request-caused build makes its /route wait).",
 		latMinExp, latMaxExp)
+	mRouterBytes = telemetry.Default.Gauge("rings_oracle_router_bytes",
+		"Bytes of the flat arena of the Theorem 2.1 router built last (zeta cells, first hops, "+
+			"offsets, self slots, labels; the overlay graph it routes on is not counted).")
 )

@@ -208,9 +208,10 @@ func (s *Snapshot) InheritRouter(prev *Snapshot) error {
 }
 
 // buildRouter is the memoized build; the first caller's cause counts.
-// The router reads every node's full sorted row, so over an index that
-// holds none (a restore's LazyIndex) it builds over an eager index of
-// the same space, sorted in one pass and kept only by the router.
+// The router's build reads every node's full sorted row, so over an
+// index that holds none (a restore's LazyIndex) it builds over an eager
+// index of the same space, sorted in one pass for the build alone: the
+// router keeps its flat arena and overlay, not the rows (DESIGN.md §8).
 func (s *Snapshot) buildRouter(cause string) (routing.Scheme, error) {
 	s.router.once.Do(func() {
 		t0 := time.Now()
@@ -229,6 +230,7 @@ func (s *Snapshot) buildRouter(cause string) (routing.Scheme, error) {
 			s.router.err = err
 			return
 		}
+		mRouterBytes.Set(float64(router.Bytes()))
 		s.router.scheme = router
 		s.router.built.Store(true)
 	})

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"rings/internal/bitio"
+	"rings/internal/core"
 	"rings/internal/graph"
 	"rings/internal/metric"
 )
@@ -84,9 +85,11 @@ func (s *FullTable) LabelBits(u int) (int, error) { return s.idW, nil }
 // written as global ceil(log n)-bit node identifiers instead of local
 // host-enumeration indices — so it needs no translation tables, and its
 // labels and headers pay the Θ(log n / log K) factor the host-enumeration
-// machinery (Figure 2) exists to remove.
+// machinery (Figure 2) exists to remove. It decodes by looking the ids up
+// in the rings, so unlike Thm21 it keeps them.
 type Thm21Global struct {
 	inner *Thm21
+	rings *core.Collection
 	// labels[t][j] is the global id of f_tj.
 	labels [][]int32
 }
@@ -95,35 +98,34 @@ var _ Scheme = (*Thm21Global)(nil)
 
 // NewThm21Global builds the global-id comparator over a weighted graph.
 func NewThm21Global(g *graph.Graph, delta float64) (*Thm21Global, error) {
-	inner, err := NewThm21(g, delta)
+	inner, b, err := newThm21(g, delta)
 	if err != nil {
 		return nil, err
 	}
-	return newGlobalFrom(inner)
+	return newGlobalFrom(inner, b), nil
 }
 
 // NewThm21GlobalMetric builds the overlay variant on a metric.
 func NewThm21GlobalMetric(idx metric.BallIndex, delta float64) (*Thm21Global, error) {
-	inner, err := NewThm21Metric(idx, delta)
+	inner, b, err := newThm21Metric(idx, delta)
 	if err != nil {
 		return nil, err
 	}
-	return newGlobalFrom(inner)
+	return newGlobalFrom(inner, b), nil
 }
 
-func newGlobalFrom(inner *Thm21) (*Thm21Global, error) {
-	n := inner.dist.N()
-	s := &Thm21Global{inner: inner, labels: make([][]int32, n)}
+func newGlobalFrom(inner *Thm21, b *thm21Build) *Thm21Global {
+	n := len(b.rings.ByNode)
+	s := &Thm21Global{inner: inner, rings: b.rings, labels: make([][]int32, n)}
 	for t := 0; t < n; t++ {
-		levels := inner.hier.NumLevels()
-		lab := make([]int32, levels)
-		for j := 0; j < levels; j++ {
-			f, _ := inner.hier.NearestInLevel(j, t)
+		lab := make([]int32, inner.levels)
+		for j := range lab {
+			f, _ := b.hier.NearestInLevel(j, t)
 			lab[j] = int32(f)
 		}
 		s.labels[t] = lab
 	}
-	return s, nil
+	return s
 }
 
 // Name implements Scheme.
@@ -166,7 +168,7 @@ func (s *Thm21Global) NextHop(u int, hdr Header) (int, bool, error) {
 	// Decode trivially: walk levels while f_tj ∈ Y_uj.
 	var slots []int32
 	for j := 0; j < len(h.label); j++ {
-		slot, ok := in.rings.Ring(u, j).IndexOf(int(h.label[j]))
+		slot, ok := s.rings.Ring(u, j).IndexOf(int(h.label[j]))
 		if !ok {
 			break
 		}
@@ -181,7 +183,7 @@ func (s *Thm21Global) NextHop(u int, hdr Header) (int, bool, error) {
 		if int(h.label[jut]) == u {
 			return 0, false, fmt.Errorf("thm21global: node %d is its own deepest target", u)
 		}
-		e := in.firstHop[u][jut][slots[jut]]
+		e := in.hop(u, jut, slots[jut])
 		if e < 0 {
 			return 0, false, fmt.Errorf("thm21global: missing hop at %d level %d", u, jut)
 		}
@@ -196,7 +198,7 @@ func (s *Thm21Global) NextHop(u int, hdr Header) (int, bool, error) {
 	if int(h.label[h.j]) == u {
 		return pick()
 	}
-	e := in.firstHop[u][h.j][slots[h.j]]
+	e := in.hop(u, h.j, slots[h.j])
 	if e < 0 {
 		return 0, false, fmt.Errorf("thm21global: missing hop at %d level %d", u, h.j)
 	}
@@ -207,9 +209,8 @@ func (s *Thm21Global) NextHop(u int, hdr Header) (int, bool, error) {
 func (s *Thm21Global) TableBits(u int) (int, error) {
 	in := s.inner
 	bits := in.idW
-	for j, hops := range in.firstHop[u] {
-		bits += len(hops) * (in.idW + in.doutW)
-		_ = j
+	for j := 0; j < in.levels; j++ {
+		bits += in.ringSize(u, j) * (in.idW + in.doutW)
 	}
 	return bits, nil
 }

@@ -8,14 +8,14 @@ import (
 	"rings/internal/workload"
 )
 
-// referenceFill is the map-probing fill the merge-walk fillNode replaces:
-// self slots by Enum.IndexOf, first hops by the overlay's linear
-// EdgeIndex, ζ cells by IndexOf into u's next ring.
-func referenceFill(t *testing.T, s *Thm21, u int) (zeta []*core.Table, hops [][]int32, self []int32) {
-	t.Helper()
-	levels := s.hier.NumLevels()
+// referenceFill is the map-probing fill the arena's merge-walk fillNode
+// replaces: self slots by Enum.IndexOf, first hops by the overlay's
+// linear EdgeIndex, ζ cells by IndexOf into u's next ring (core.Null
+// where w is not in it).
+func referenceFill(s *Thm21, b *thm21Build, u int) (zeta [][][]int32, hops [][]int32, self []int32) {
+	levels := b.hier.NumLevels()
 	for j := 0; j < levels; j++ {
-		ring := s.rings.Ring(u, j)
+		ring := b.rings.Ring(u, j)
 		row := make([]int32, ring.Size())
 		for a := range row {
 			row[a] = -1
@@ -31,20 +31,43 @@ func referenceFill(t *testing.T, s *Thm21, u int) (zeta []*core.Table, hops [][]
 		self = append(self, slot)
 	}
 	for j := 0; j+1 < levels; j++ {
-		ring, next := s.rings.Ring(u, j), s.rings.Ring(u, j+1)
-		widths := make([]int, ring.Size())
-		for a := range widths {
-			widths[a] = s.zoomRings[j+1][ring.Node(a)].Size()
-		}
-		table := core.NewTable(widths, next.Size())
-		for a := range widths {
-			zr := s.zoomRings[j+1][ring.Node(a)]
-			for b := 0; b < zr.Size(); b++ {
-				if m, ok := next.IndexOf(zr.Node(b)); ok {
-					if err := table.Set(a, b, m); err != nil {
-						t.Fatal(err)
-					}
+		ring, next := b.rings.Ring(u, j), b.rings.Ring(u, j+1)
+		table := make([][]int32, ring.Size())
+		for a := range table {
+			zr := b.zoom[j+1][ring.Node(a)]
+			table[a] = make([]int32, zr.Size())
+			for c := range table[a] {
+				table[a][c] = core.Null
+				if m, ok := next.IndexOf(zr.Node(c)); ok {
+					table[a][c] = int32(m)
 				}
+			}
+		}
+		zeta = append(zeta, table)
+	}
+	return zeta, hops, self
+}
+
+// arenaNode reads node u's first hops, self slots and ζ tables back out
+// of the arena in referenceFill's shapes.
+func arenaNode(s *Thm21, u int) (zeta [][][]int32, hops [][]int32, self []int32) {
+	for j := 0; j < s.levels; j++ {
+		k := u*s.levels + j
+		lo, hi := s.ring[k], s.ring[k+1]
+		hops = append(hops, append([]int32{}, s.hops[lo:hi]...))
+		self = append(self, s.self[k])
+		if j+1 == s.levels {
+			continue
+		}
+		table := make([][]int32, hi-lo)
+		for a := range table {
+			table[a] = []int32{}
+			for _, c := range s.cells[s.row[lo+uint32(a)]:s.row[lo+uint32(a)+1]] {
+				v := int32(c)
+				if c == nullCell {
+					v = core.Null
+				}
+				table[a] = append(table[a], v)
 			}
 		}
 		zeta = append(zeta, table)
@@ -65,27 +88,30 @@ func TestThm21FillMatchesIndexOfReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, err := NewThm21Metric(inst.Idx, 0.5)
+		s, b, err := newThm21Metric(inst.Idx, 0.5)
 		if err != nil {
 			t.Fatal(err)
 		}
-		bits := 0
+		cells := 0
 		for u := 0; u < inst.Idx.N(); u++ {
-			zeta, hops, self := referenceFill(t, s, u)
-			if !reflect.DeepEqual(s.firstHop[u], hops) {
-				t.Fatalf("%s: first hops of %d = %v, want %v", inst.Name, u, s.firstHop[u], hops)
+			wantZeta, wantHops, wantSelf := referenceFill(s, b, u)
+			zeta, hops, self := arenaNode(s, u)
+			if !reflect.DeepEqual(hops, wantHops) {
+				t.Fatalf("%s: first hops of %d = %v, want %v", inst.Name, u, hops, wantHops)
 			}
-			if !reflect.DeepEqual(s.selfIdx[u], self) {
-				t.Fatalf("%s: self slots of %d = %v, want %v", inst.Name, u, s.selfIdx[u], self)
+			if !reflect.DeepEqual(self, wantSelf) {
+				t.Fatalf("%s: self slots of %d = %v, want %v", inst.Name, u, self, wantSelf)
 			}
-			if !reflect.DeepEqual(s.zeta[u], zeta) {
+			if !reflect.DeepEqual(zeta, wantZeta) {
 				t.Fatalf("%s: ζ tables of %d differ from the IndexOf fill", inst.Name, u)
 			}
-			for _, tb := range zeta {
-				bits += tb.Bits()
+			for _, table := range wantZeta {
+				for _, row := range table {
+					cells += len(row)
+				}
 			}
 		}
-		if bits == 0 {
+		if cells == 0 {
 			t.Fatalf("%s: no ζ cells to compare", inst.Name)
 		}
 	}

@@ -1,6 +1,8 @@
 package routing
 
 import (
+	"errors"
+	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -154,25 +156,31 @@ func (fakeHeader) Bits() int { return 0 }
 func TestThm21IdenticalAcrossWorkers(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	idx := metric.NewIndex(metric.UniformCube(96, 2, 100, rng))
-	build := func(procs int) *Thm21 {
+	type built struct {
+		s *Thm21
+		b *thm21Build
+	}
+	build := func(procs int) built {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-		s, err := NewThm21Metric(idx, 0.5)
+		s, b, err := newThm21Metric(idx, 0.5)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return s
+		return built{s, b}
 	}
 	one, four := build(1), build(4)
 	for _, f := range []struct {
 		name string
 		a, b any
 	}{
-		{"rings", one.rings, four.rings},
-		{"zoom rings", one.zoomRings, four.zoomRings},
-		{"zeta", one.zeta, four.zeta},
-		{"first hops", one.firstHop, four.firstHop},
-		{"self slots", one.selfIdx, four.selfIdx},
-		{"labels", one.labels, four.labels},
+		{"rings", one.b.rings, four.b.rings},
+		{"zoom rings", one.b.zoom, four.b.zoom},
+		{"ring spans", one.s.ring, four.s.ring},
+		{"zeta rows", one.s.row, four.s.row},
+		{"zeta", one.s.cells, four.s.cells},
+		{"first hops", one.s.hops, four.s.hops},
+		{"self slots", one.s.self, four.s.self},
+		{"labels", one.s.labels, four.s.labels},
 	} {
 		if !reflect.DeepEqual(f.a, f.b) {
 			t.Errorf("%s differ between 1 and 4 workers", f.name)
@@ -181,16 +189,87 @@ func TestThm21IdenticalAcrossWorkers(t *testing.T) {
 	n := idx.N()
 	for q := 0; q < 200; q++ {
 		src, dst := rng.Intn(n), rng.Intn(n)
-		a, err := Route(one, src, dst, 50*n)
+		a, err := Route(one.s, src, dst, 50*n)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := Route(four, src, dst, 50*n)
+		b, err := Route(four.s, src, dst, 50*n)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(a, b) {
 			t.Fatalf("route(%d,%d): %+v with 1 worker, %+v with 4", src, dst, a, b)
 		}
+	}
+}
+
+// TestThm21HopAllocatesNothing: decode fills the header's slot buffer,
+// so once InitHeader has run, every forwarding decision of a route is
+// allocation-free.
+func TestThm21HopAllocatesNothing(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	idx := metric.NewIndex(metric.UniformCube(128, 2, 100, rng))
+	s, err := NewThm21Metric(idx, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := idx.N()
+	for q := 0; q < 20; q++ {
+		src, dst := rng.Intn(n), rng.Intn(n)
+		hdr, err := s.InitHeader(src, dst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hops := 0
+		allocs := testing.AllocsPerRun(10, func() {
+			hdr.(*thm21Header).j = -1
+			for u, hop := src, 0; hop <= 50*n; hop++ {
+				e, done, err := s.NextHop(u, hdr)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if done {
+					hops = hop
+					return
+				}
+				u = s.g.Out(u)[e].To
+			}
+			t.Fatalf("route %d->%d: hop budget exhausted", src, dst)
+		})
+		if allocs != 0 {
+			t.Fatalf("route %d->%d (%d hops): %v allocations per walk, want 0", src, dst, hops, allocs)
+		}
+	}
+}
+
+// TestLayoutRefusesWideRings: a ζ cell is a uint16 with nullCell for
+// Null, so the layout refuses a next ring of nullCell slots with
+// ErrRouterWidth (no truncation) and takes one slot fewer; ζ cells past a
+// uint32 offset are refused the same way. The sizes are synthetic, so no
+// space that large is built.
+func TestLayoutRefusesWideRings(t *testing.T) {
+	sizes := func(next int) func(u, j int) int {
+		return func(u, j int) int {
+			if j == 0 {
+				return 1
+			}
+			return next
+		}
+	}
+	narrow := func(u, j, a int) int { return 2 }
+	if _, _, err := layout(2, 2, sizes(nullCell), narrow); !errors.Is(err, ErrRouterWidth) {
+		t.Fatalf("next ring of %d slots: err = %v, want ErrRouterWidth", nullCell, err)
+	}
+	ring, row, err := layout(2, 2, sizes(nullCell-1), narrow)
+	if err != nil {
+		t.Fatalf("next ring of %d slots: %v", nullCell-1, err)
+	}
+	if slots := 2 * nullCell; int(ring[len(ring)-1]) != slots || len(row) != slots+1 || row[slots] != 4 {
+		t.Fatalf("layout of two nodes: %d slots, %d row offsets ending at %d cells; want %d, %d, 4",
+			ring[len(ring)-1], len(row), row[len(row)-1], slots, slots+1)
+	}
+	huge := func(u, j, a int) int { return math.MaxInt32 }
+	if _, _, err := layout(3, 2, sizes(1), huge); !errors.Is(err, ErrRouterWidth) {
+		t.Fatalf("ζ cells past uint32: err = %v, want ErrRouterWidth", err)
 	}
 }

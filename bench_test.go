@@ -11,6 +11,7 @@ import (
 	"sync"
 	"testing"
 
+	"rings/internal/bitio"
 	"rings/internal/core"
 	"rings/internal/distlabel"
 	"rings/internal/measure"
@@ -305,28 +306,20 @@ func BenchmarkFigure2(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	// Build one translation table and benchmark lookups.
+	// Translate through one ζ_uj by Enum.IndexOf, as the router's fill
+	// does; zeta-bits is the table's size at one WidthFor(|Y_(u,j+1)|+1)
+	// cell per (f, w), the +1 covering the absent mark.
 	u, j := 0, 1
 	uj, uj1 := rings.Ring(u, j), rings.Ring(u, j+1)
-	widths := make([]int, uj.Size())
+	cells := 0
 	for a := 0; a < uj.Size(); a++ {
-		widths[a] = rings.Ring(uj.Node(a), j+1).Size()
+		cells += rings.Ring(uj.Node(a), j+1).Size()
 	}
-	table := core.NewTable(widths, uj1.Size())
-	for a := 0; a < uj.Size(); a++ {
-		fj1 := rings.Ring(uj.Node(a), j+1)
-		for bb := 0; bb < fj1.Size(); bb++ {
-			if m, ok := uj1.IndexOf(fj1.Node(bb)); ok {
-				if err := table.Set(a, bb, m); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	}
-	b.ReportMetric(float64(table.Bits()), "zeta-bits")
+	b.ReportMetric(float64(cells*bitio.WidthFor(uj1.Size()+1)), "zeta-bits")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		table.Get(i%uj.Size(), i%3)
+		fj1 := rings.Ring(uj.Node(i%uj.Size()), j+1)
+		uj1.IndexOf(fj1.Node(i % 3 % fj1.Size()))
 	}
 }
 

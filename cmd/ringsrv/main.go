@@ -2,7 +2,11 @@
 // the paper's structures (Theorem 3.4 labels, the Meridian ring
 // overlay, the Theorem 2.1 metric router) over a synthetic
 // workload once, then answers query traffic from an oracle.Engine with
-// lock-free snapshot reads and a sharded result cache.
+// lock-free snapshot reads and a sharded result cache. A single engine
+// serves one state however it booted: a cold boot and a POST /snapshot
+// rebuild serve the build's label arena restored over a lazy ball index
+// with the overlay (oracle.BuildServed), as a warm boot serves its file,
+// and drop the build; the first /route builds the router.
 //
 //	ringsrv -workload latency -n 256
 //	ringsrv -workload latency -n 1024 -snapshot-file latency.snap
@@ -111,6 +115,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"runtime/debug"
 	"syscall"
 	"time"
 
@@ -139,7 +144,6 @@ func run() error {
 		scheme     = flag.String("scheme", oracle.SchemeLabels, "estimator: labels (the only one)")
 		profile    = flag.String("profile", oracle.ProfileTuned, "ring constants: paper | tuned")
 		verify     = flag.Bool("verify", false, "after each build, check every pair's served estimate: lower <= d <= upper <= (1+delta)*d (O(n^2))")
-		backend    = flag.String("backend", "eager", "the cold build's construction index: eager | lazy (a warm boot always serves a lazy one)")
 		workers    = flag.Int("workers", 0, "index build workers (0 = GOMAXPROCS)")
 		members    = flag.Int("members", 4, "overlay member stride (every k-th node)")
 		noOverlay  = flag.Bool("no-overlay", false, "skip the ring overlay (disables /nearest)")
@@ -173,7 +177,6 @@ func run() error {
 		Scheme:       *scheme,
 		Profile:      *profile,
 		Verify:       *verify,
-		Backend:      *backend,
 		Workers:      *workers,
 		MemberStride: *members,
 		SkipOverlay:  *noOverlay,
@@ -181,11 +184,6 @@ func run() error {
 	// -scheme accepts only labels; the flag stays because bench/ passes
 	// it (ROADMAP item 1a).
 	if err := oracle.CheckScheme(cfg.WithDefaults().Scheme); err != nil {
-		return err
-	}
-	// A warm boot never reads -backend, so it is checked here, before
-	// the boot paths branch, not by the cold build alone.
-	if err := oracle.CheckBackend(cfg.Backend); err != nil {
 		return err
 	}
 
@@ -311,11 +309,16 @@ func run() error {
 		fallthrough
 	default:
 		if snap == nil {
+			// The cold boot serves what a warm boot serves: the build's
+			// arena restored over a lazy index, the build itself dropped.
+			// Its pages go back to the OS now, not when the scavenger gets
+			// to them, so the process holds what it serves.
 			log.Printf("building snapshot: workload=%s scheme=%s profile=%s", *wl, *scheme, *profile)
-			built, err := oracle.BuildSnapshot(cfg)
+			built, err := oracle.BuildServed(cfg)
 			if err != nil {
 				return err
 			}
+			debug.FreeOSMemory()
 			snap = built
 			log.Printf("snapshot ready: %s n=%d build=%v routing=%v overlay=%v",
 				snap.Name, snap.N(), snap.BuildElapsed.Round(time.Millisecond),

@@ -340,7 +340,7 @@ func TestWarmBootRefusesAnotherRecipe(t *testing.T) {
 	for _, args := range [][]string{
 		nil,
 		{"-workload", "cube", "-n", "24", "-seed", "1", "-delta", "0.5", "-profile", "tuned", "-members", "4"},
-		{"-workers", "1", "-backend", "lazy", "-verify"},
+		{"-workers", "1", "-verify"},
 	} {
 		if err := boot(args...); err == nil || !strings.Contains(err.Error(), "listen") {
 			t.Errorf("warm boot with %v: %v, want it past the recipe check", args, err)
@@ -358,29 +358,6 @@ func bootUnlistened(path string, args ...string) error {
 	flag.CommandLine = flag.NewFlagSet("ringsrv", flag.ContinueOnError)
 	os.Args = append([]string{"ringsrv", "-addr", "127.0.0.1:-1", "-snapshot-file", path}, args...)
 	return run()
-}
-
-// TestEveryBootRefusesAnUnknownBackend: a restore serves a lazy index
-// whatever -backend says, yet a value naming no backend is refused on a
-// warm boot exactly as on a cold one, named, and the file is left alone.
-func TestEveryBootRefusesAnUnknownBackend(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "snap.bin")
-	s := persistTestServer(t, path)
-	if err := s.persistCurrent(); err != nil {
-		t.Fatal(err)
-	}
-	before := statFile(t, path)
-	for boot, file := range map[string]string{"warm": path, "cold": filepath.Join(dir, "absent.bin")} {
-		err := bootUnlistened(file, "-workload", "cube", "-n", "24", "-backend", "bogus")
-		if err == nil || !strings.Contains(err.Error(), `unknown backend "bogus"`) {
-			t.Errorf("%s boot with -backend bogus: %v, want the value refused by name", boot, err)
-		}
-	}
-	assertUntouched(t, path, before)
-	if _, err := os.Stat(filepath.Join(dir, "absent.bin")); !os.IsNotExist(err) {
-		t.Fatalf("the refused cold boot wrote its file (stat: %v)", err)
-	}
 }
 
 // TestWarmStartRejectsTruncatedSnapshot: a file cut short (the crash

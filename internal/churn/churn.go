@@ -119,8 +119,8 @@ type Universe struct {
 type Config struct {
 	// Oracle is the build recipe: workload family/size knobs, estimator
 	// scheme, profile, artifact toggles. Its N is the initial active
-	// count. The Backend knob is ignored: the engine maintains its own
-	// eager-equivalent dynamic index.
+	// count. The engine maintains its own eager-equivalent dynamic
+	// index.
 	Oracle oracle.Config
 	// Capacity is the base-workload size (the maximum concurrent node
 	// count); 0 defaults to 2*N. For the grid family the capacity is

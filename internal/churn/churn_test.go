@@ -96,7 +96,7 @@ func assertSnapshotsIdentical(t *testing.T, step int, got, want *oracle.Snapshot
 		if err != nil {
 			t.Fatalf("step %d: %v", step, err)
 		}
-		ww, err := want.Scheme.Wire()
+		ww, err := want.LabelWire()
 		if err != nil {
 			t.Fatalf("step %d: %v", step, err)
 		}

@@ -17,7 +17,9 @@
 // A host enumeration ϕ_u is an arbitrary fixed bijection from u's
 // neighbors to 0..k-1; a translation function ζ_uj lets u convert "w is
 // the i-th (j+1)-ring neighbor of my j-ring neighbor f" into w's index in
-// u's own (j+1)-ring — Figure 2 of the paper. Those two tools replace
+// u's own (j+1)-ring — Figure 2 of the paper. ζ_uj is Enum.IndexOf
+// into u's (j+1)-ring applied to f's; the router keeps its tables in its
+// own flat arena (internal/routing). Those two tools replace
 // ceil(log n)-bit global identifiers with ceil(log K)-bit local ones,
 // which is where the paper's space savings come from.
 package core
@@ -27,7 +29,6 @@ import (
 	"slices"
 	"sort"
 
-	"rings/internal/bitio"
 	"rings/internal/metric"
 	"rings/internal/nets"
 	"rings/internal/par"
@@ -207,88 +208,3 @@ func (c *Collection) Ring(u, j int) Enum { return c.ByNode[u][j] }
 
 // NumLevels reports the number of ring levels.
 func (c *Collection) NumLevels() int { return len(c.Radii) }
-
-// Table is a dense translation function: Table[a][b] is either a
-// translated index or Null. In the paper's ζ_uj, a indexes u's j-ring,
-// b indexes the (j+1)-ring of the a-th j-ring neighbor, and the value is
-// an index into u's (j+1)-ring.
-type Table struct {
-	cells [][]int32
-	// TargetSize is the size of the enumeration the values index into
-	// (used for bit accounting: each cell takes WidthFor(TargetSize+1)
-	// bits, the +1 covering Null).
-	TargetSize int
-}
-
-// Null marks an absent translation.
-const Null = -1
-
-// NewTable allocates a rows x variable-width table filled with Null.
-// widths[a] is the number of b-values for outer index a.
-// The rows share one backing array.
-func NewTable(widths []int, targetSize int) *Table {
-	total := 0
-	for _, w := range widths {
-		total += w
-	}
-	arena := make([]int32, total)
-	for i := range arena {
-		arena[i] = Null
-	}
-	cells := make([][]int32, len(widths))
-	for a, w := range widths {
-		cells[a] = arena[:w:w]
-		arena = arena[w:]
-	}
-	return &Table{cells: cells, TargetSize: targetSize}
-}
-
-// Set stores a translation.
-func (t *Table) Set(a, b, value int) error {
-	if a < 0 || a >= len(t.cells) || b < 0 || b >= len(t.cells[a]) {
-		return fmt.Errorf("core: table index (%d,%d) out of range", a, b)
-	}
-	if value < Null || value >= t.TargetSize {
-		return fmt.Errorf("core: table value %d out of range [%d,%d)", value, Null, t.TargetSize)
-	}
-	t.cells[a][b] = int32(value)
-	return nil
-}
-
-// Get reports the translation for (a, b); Null when absent or out of
-// range (out-of-range b happens legitimately: the packet asks about a
-// neighbor of f that u cannot see).
-func (t *Table) Get(a, b int) int {
-	if a < 0 || a >= len(t.cells) || b < 0 || b >= len(t.cells[a]) {
-		return Null
-	}
-	return int(t.cells[a][b])
-}
-
-// Bits reports the exact serialized size: every cell is packed with
-// WidthFor(TargetSize+1) bits (Null encoded as TargetSize).
-func (t *Table) Bits() int {
-	w := bitio.WidthFor(t.TargetSize + 1)
-	cells := 0
-	for _, row := range t.cells {
-		cells += len(row)
-	}
-	return cells * w
-}
-
-// Encode packs the table into the writer, matching Bits().
-func (t *Table) Encode(w *bitio.Writer) error {
-	width := bitio.WidthFor(t.TargetSize + 1)
-	for _, row := range t.cells {
-		for _, v := range row {
-			val := uint64(t.TargetSize) // Null sentinel
-			if v != Null {
-				val = uint64(v)
-			}
-			if err := w.WriteBits(val, width); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"rings/internal/bitio"
 	"rings/internal/metric"
 	"rings/internal/nets"
 )
@@ -204,26 +203,23 @@ func TestLevelZeroRingsCoincide(t *testing.T) {
 
 // TestFigure2TranslationTriangle reproduces Figure 2: for every triangle
 // (u, f, w) with f ∈ Y_uj and w ∈ Y_(f,j+1) ∩ Y_(u,j+1), the translation
-// table built from u's rings satisfies
-// ζ_uj(ϕ_uj(f), ϕ_(f,j+1)(w)) = ϕ_(u,j+1)(w).
+// ζ_uj filled from u's rings by Enum.IndexOf satisfies
+// ζ_uj(ϕ_uj(f), ϕ_(f,j+1)(w)) = ϕ_(u,j+1)(w), and names w there; for w
+// outside Y_(u,j+1) it holds the absent mark.
 func TestFigure2TranslationTriangle(t *testing.T) {
+	const absent = -1
 	idx, _, c := buildGridRings(t)
 	for u := 0; u < idx.N(); u += 7 {
 		for j := 0; j+1 < c.NumLevels(); j++ {
 			uj, uj1 := c.Ring(u, j), c.Ring(u, j+1)
-			widths := make([]int, uj.Size())
-			for a := 0; a < uj.Size(); a++ {
-				widths[a] = c.Ring(uj.Node(a), j+1).Size()
-			}
-			table := NewTable(widths, uj1.Size())
-			for a := 0; a < uj.Size(); a++ {
-				f := uj.Node(a)
-				fj1 := c.Ring(f, j+1)
-				for b := 0; b < fj1.Size(); b++ {
+			zeta := make([][]int, uj.Size())
+			for a := range zeta {
+				fj1 := c.Ring(uj.Node(a), j+1)
+				zeta[a] = make([]int, fj1.Size())
+				for b := range zeta[a] {
+					zeta[a][b] = absent
 					if m, ok := uj1.IndexOf(fj1.Node(b)); ok {
-						if err := table.Set(a, b, m); err != nil {
-							t.Fatal(err)
-						}
+						zeta[a][b] = m
 					}
 				}
 			}
@@ -233,75 +229,17 @@ func TestFigure2TranslationTriangle(t *testing.T) {
 				fj1 := c.Ring(f, j+1)
 				for b := 0; b < fj1.Size(); b++ {
 					w := fj1.Node(b)
-					got := table.Get(a, b)
+					got := zeta[a][b]
 					want, inU := uj1.IndexOf(w)
-					if inU && got != want {
+					if inU && (got != want || uj1.Node(got) != w) {
 						t.Fatalf("u=%d j=%d f=%d w=%d: ζ=%d, want %d", u, j, f, w, got, want)
 					}
-					if !inU && got != Null {
-						t.Fatalf("u=%d j=%d f=%d w=%d: ζ=%d, want Null", u, j, f, w, got)
+					if !inU && got != absent {
+						t.Fatalf("u=%d j=%d f=%d w=%d: ζ=%d, want absent", u, j, f, w, got)
 					}
 				}
 			}
 		}
-	}
-}
-
-func TestTableBitsAndEncode(t *testing.T) {
-	table := NewTable([]int{2, 3}, 5)
-	if err := table.Set(0, 1, 4); err != nil {
-		t.Fatal(err)
-	}
-	if err := table.Set(1, 2, 0); err != nil {
-		t.Fatal(err)
-	}
-	// 5 cells, width = WidthFor(6) = 3 bits -> 15 bits.
-	if got := table.Bits(); got != 15 {
-		t.Errorf("Bits = %d, want 15", got)
-	}
-	var w bitio.Writer
-	if err := table.Encode(&w); err != nil {
-		t.Fatal(err)
-	}
-	if w.Len() != table.Bits() {
-		t.Errorf("encoded %d bits, Bits() says %d", w.Len(), table.Bits())
-	}
-	// Decode manually and verify cells.
-	r := bitio.NewReader(w.Bytes(), w.Len())
-	expect := [][]int{{Null, 4}, {Null, Null, 0}}
-	for _, row := range expect {
-		for _, want := range row {
-			v, err := r.ReadBits(3)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := int(v)
-			if got == 5 {
-				got = Null
-			}
-			if got != want {
-				t.Fatalf("decoded %d, want %d", got, want)
-			}
-		}
-	}
-}
-
-func TestTableErrors(t *testing.T) {
-	table := NewTable([]int{1}, 2)
-	if err := table.Set(1, 0, 0); err == nil {
-		t.Error("accepted out-of-range row")
-	}
-	if err := table.Set(0, 1, 0); err == nil {
-		t.Error("accepted out-of-range column")
-	}
-	if err := table.Set(0, 0, 2); err == nil {
-		t.Error("accepted out-of-range value")
-	}
-	if err := table.Set(0, 0, -2); err == nil {
-		t.Error("accepted value below Null")
-	}
-	if got := table.Get(5, 5); got != Null {
-		t.Errorf("Get out of range = %d, want Null", got)
 	}
 }
 

@@ -111,14 +111,14 @@ func (e *Engine) Swap(snap *Snapshot) *Snapshot {
 	return old.snap
 }
 
-// Rebuild builds a snapshot from cfg and swaps it in, returning the new
-// snapshot. The build runs without holding any engine lock, so queries
-// keep flowing against the current snapshot for its whole duration —
-// this is the zero-downtime rebuild path cmd/ringsrv's /snapshot
-// endpoint triggers. The replaced snapshot is Closed: a warm-started
+// Rebuild builds a snapshot from cfg in its served form (BuildServed)
+// and swaps it in, returning the new snapshot. The build runs without
+// holding any engine lock, so queries keep flowing against the current
+// snapshot for its whole duration — this is the zero-downtime rebuild
+// path cmd/ringsrv's /snapshot endpoint triggers. The replaced snapshot is Closed: a warm-started
 // one gives its mapping up once its in-flight readers drain.
 func (e *Engine) Rebuild(cfg Config) (*Snapshot, error) {
-	snap, err := BuildSnapshot(cfg)
+	snap, err := BuildServed(cfg)
 	if err != nil {
 		return nil, err
 	}

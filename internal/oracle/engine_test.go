@@ -40,7 +40,7 @@ func buildTestSnapshot(t testing.TB, seed int64) *Snapshot {
 
 func TestBuildSnapshotVariants(t *testing.T) {
 	snap := buildTestSnapshot(t, 1)
-	if snap.Scheme == nil || snap.Labels == nil || snap.Flat == nil ||
+	if snap.Labels == nil || snap.Flat == nil ||
 		snap.Overlay == nil || !snap.Routable() {
 		t.Fatal("labels config missing artifacts")
 	}
@@ -72,7 +72,6 @@ func TestBuildSnapshotVariants(t *testing.T) {
 		func(c *Config) { c.Delta = 1.5 },
 		func(c *Config) { c.Scheme = "nope" },
 		func(c *Config) { c.Profile = "nope" },
-		func(c *Config) { c.Backend = "nope" },
 	} {
 		cfg := testConfig(1)
 		bad(&cfg)

@@ -167,7 +167,7 @@ func TestReadSnapshotV2FullRestore(t *testing.T) {
 	if loaded.Idx == nil || loaded.Overlay == nil || !loaded.Routable() {
 		t.Fatal("full restore missing derived artifacts")
 	}
-	if loaded.Labels != nil || loaded.Scheme != nil || loaded.Flat.Mapped() {
+	if loaded.Labels != nil || loaded.Flat.Mapped() {
 		t.Fatal("restore of a labels stream built more than the arena's serving artifacts")
 	}
 	n := snap.N()

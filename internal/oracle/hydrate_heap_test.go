@@ -106,3 +106,70 @@ func TestHydrateHeapCeiling(t *testing.T) {
 	within("estimates, /nearest, a publish and lookups")
 	runtime.KeepAlive(dir)
 }
+
+// TestColdBootServesWhatARestoreServes: a cold boot (BuildServed, the
+// call ringsrv's boot makes) and a /snapshot rebuild (Engine.Rebuild)
+// serve the restored form — a LazyIndex and no pointer labels — and hold
+// what a restore holds: the arena, on the heap here, plus the budget
+// TestHydrateHeapCeiling gives a mapped restore (a lazy index and the
+// overlay built on their own, and half the arena as slack). The build's
+// eager rows alone (1 MB at this n) do not fit in the slack, and its
+// pointer labels and construction less so.
+func TestColdBootServesWhatARestoreServes(t *testing.T) {
+	cfg := oracle.Config{Workload: "cube", N: 256, Seed: 41, Delta: 0.5, Profile: oracle.ProfileTuned}
+	// One build first, as TestHydrateHeapCeiling's, so that what the
+	// first build in a process sets up once is not counted below.
+	if _, err := oracle.BuildSnapshot(cfg); err != nil {
+		t.Fatal(err)
+	}
+	space, _, err := cfg.Spec().Space()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stride := cfg.WithDefaults().MemberStride
+	before := oracle.HeapInuse()
+	lazy := metric.NewLazyIndex(space, metric.Options{})
+	overlay, err := nnsearch.New(lazy, oracle.OverlayMembers(space.N(), stride), nnsearch.DefaultConfig(cfg.Seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	budget := oracle.HeapInuse() - before
+	runtime.KeepAlive(overlay)
+	space, lazy, overlay = nil, nil, nil
+
+	before = oracle.HeapInuse()
+	served := func(what string, snap *oracle.Snapshot) {
+		t.Helper()
+		if _, lazy := snap.Idx.(*metric.LazyIndex); !lazy {
+			t.Fatalf("%s serves a %T, want a *metric.LazyIndex", what, snap.Idx)
+		}
+		if snap.Labels != nil {
+			t.Fatalf("%s serves pointer labels", what)
+		}
+		arena := int64(snap.Flat.Bytes())
+		growth := oracle.HeapInuse() - before
+		t.Logf("%s: HeapInuse growth %d bytes; the arena %d, lazy index + overlay alone %d", what, growth, arena, budget)
+		if growth > arena+budget+arena/2 {
+			t.Fatalf("%s holds %d bytes more heap; the arena is %d, lazy index + overlay alone take %d", what, growth, arena, budget)
+		}
+	}
+
+	snap, err := oracle.BuildServed(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	served("a cold boot", snap)
+
+	// The rebuild takes the boot's place in the engine, so the boot's
+	// snapshot is garbage once it returns and the growth is counted from
+	// before the boot, as the boot's was.
+	engine := oracle.NewEngine(snap, oracle.EngineOptions{CacheCapacity: -1})
+	snap = nil
+	cfg.Seed++
+	rebuilt, err := engine.Rebuild(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	served("a rebuild", rebuilt)
+	runtime.KeepAlive(engine)
+}

@@ -121,7 +121,7 @@ func (e *Engine) Metrics() *telemetry.Registry { return e.metrics.reg }
 const (
 	openModeMmap    = "mmap"    // OpenSnapshotFile, zero-copy mapping
 	openModeRead    = "read"    // OpenSnapshotFile, bulk-read fallback
-	openModeRestore = "restore" // HydrateOver: lazy index + overlay built around an arena
+	openModeRestore = "restore" // HydrateOver: lazy index + overlay built around an arena (BuildServed too)
 )
 
 // Snapshot persistence metrics live in telemetry.Default: persist and

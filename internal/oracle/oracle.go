@@ -98,8 +98,8 @@ const tunedYReach = 2
 // constants, and which artifacts to include. The zero value is
 // not useful; fill at least Workload and its size knob. Defaults applied
 // by BuildSnapshot: Delta 0.5, Scheme "labels", Profile "tuned",
-// Backend "eager", MemberStride 4. The fields tagged recipe decide what a
-// snapshot serves (see CheckRecipe); a tag names the knob's ringsrv flag.
+// MemberStride 4. The fields tagged recipe decide what a snapshot serves
+// (see CheckRecipe); a tag names the knob's ringsrv flag.
 type Config struct {
 	// Workload selects the metric family (grid|cube|expline|latency)
 	// with the same knobs as workload.MetricSpec.
@@ -129,10 +129,6 @@ type Config struct {
 	// serving leaves it 0 (live count).
 	RefCount int
 
-	// Backend selects the cold build's construction index: "eager" or
-	// "lazy". A restore always serves a lazy one (see HydrateOver), but
-	// still refuses a header naming neither.
-	Backend string
 	// Workers bounds index build parallelism (0 = GOMAXPROCS).
 	Workers int
 
@@ -158,9 +154,6 @@ func (c Config) withDefaults() Config {
 	if c.Profile == "" {
 		c.Profile = ProfileTuned
 	}
-	if c.Backend == "" {
-		c.Backend = "eager"
-	}
 	if c.MemberStride == 0 {
 		c.MemberStride = 4
 	}
@@ -176,27 +169,6 @@ func (c Config) Spec() workload.MetricSpec {
 		LogAspect: c.LogAspect,
 		Seed:      c.Seed,
 	}
-}
-
-// CheckBackend refuses a Config.Backend that names no ball-index
-// backend ("" is the default, eager). A restore serves a lazy index
-// whatever the value, so a warm boot checks its flag with this.
-func CheckBackend(backend string) error {
-	_, err := Config{Backend: backend}.withDefaults().indexOptions()
-	return err
-}
-
-func (c Config) indexOptions() (metric.Options, error) {
-	opts := metric.Options{Workers: c.Workers}
-	switch c.Backend {
-	case "eager":
-		opts.Backend = metric.Eager
-	case "lazy":
-		opts.Backend = metric.Lazy
-	default:
-		return opts, fmt.Errorf("oracle: unknown backend %q (want eager|lazy)", c.Backend)
-	}
-	return opts, nil
 }
 
 // TriangulationParams resolves the ring geometry of the config's
@@ -250,6 +222,28 @@ func BuildSnapshot(cfg Config) (*Snapshot, error) {
 	return BuildSnapshotOver(cfg, space, name)
 }
 
+// BuildServed is BuildSnapshot in the form an engine serves: the build's
+// arena restored by HydrateOver over the build's own space, so a cold
+// boot and a rebuild serve what a warm boot serves — the arena, a
+// LazyIndex and the overlay — and the build-side snapshot (eager rows,
+// pointer labels, the construction behind them) is garbage on return.
+// The result keeps the build's BuildStats, the restore added to the
+// total as one more serial phase.
+func BuildServed(cfg Config) (*Snapshot, error) {
+	built, err := BuildSnapshot(cfg)
+	if err != nil {
+		return nil, err
+	}
+	t0 := time.Now()
+	served, err := built.HydrateOver(built.Idx.Space(), built.Name)
+	if err != nil {
+		return nil, err
+	}
+	served.BuildElapsed, served.Build = built.BuildElapsed, built.Build
+	served.extendBuild(time.Since(t0))
+	return served, nil
+}
+
 // BuildSnapshotOver is BuildSnapshot over an explicit metric space
 // instead of the config's workload spec: the from-scratch reference the
 // churn engine's delta snapshots are tested against (both constructions
@@ -271,15 +265,16 @@ func BuildSnapshotOver(cfg Config, space metric.Space, name string) (*Snapshot, 
 	// only the construction, the overlay only the index — so they build
 	// concurrently, each parallel over the worker pool; the label build
 	// hides the overlay. No router: the first Route builds it.
+	var scheme *distlabel.Scheme
 	err = par.Group(
 		func() error {
 			t0 := time.Now()
-			scheme, err := distlabel.FromConstruction(cons, cfg.Delta)
+			built, err := distlabel.FromConstruction(cons, cfg.Delta)
 			if err != nil {
 				return err
 			}
+			scheme = built
 			snap.Build.LabelsTotalSec = time.Since(t0).Seconds()
-			snap.Scheme = scheme
 			snap.Labels = make([]*distlabel.Label, n)
 			for u := 0; u < n; u++ {
 				snap.Labels[u] = scheme.Label(u)
@@ -301,7 +296,7 @@ func BuildSnapshotOver(cfg Config, space metric.Space, name string) (*Snapshot, 
 	snap.Build.RadiiSec = cons.Timings.Radii.Seconds()
 	snap.Build.PackingsSec = cons.Timings.Packings.Seconds()
 	snap.Build.RingsSec = cons.Timings.Rings.Seconds()
-	lt := snap.Scheme.Timings
+	lt := scheme.Timings
 	snap.Build.ZSetsSec = lt.ZSets.Seconds()
 	snap.Build.TSetsSec = lt.TSets.Seconds()
 	snap.Build.HostEnumsSec = lt.HostEnums.Seconds()
@@ -326,21 +321,17 @@ func BuildSnapshotOver(cfg Config, space metric.Space, name string) (*Snapshot, 
 }
 
 // indexSnapshot is the part of a snapshot a cold build and an arena
-// restore share: the validated recipe and the ball index over space. A
-// build gets the recipe's backend, whose rows the construction reads; a
-// restore (restore true) always gets a LazyIndex, since nothing a
-// restored snapshot serves asks it for a sorted row (the router makes
-// its own, see buildRouter).
+// restore share: the validated recipe and the ball index over space.
+// The path picks the index: a build gets an eager one, since the
+// construction reads every node's sorted row; a restore (restore true)
+// gets a LazyIndex, since nothing a restored snapshot serves asks it for
+// a sorted row (the router makes its own, see buildRouter).
 func indexSnapshot(cfg Config, space metric.Space, name string, restore bool) (*Snapshot, triangulation.Params, error) {
 	cfg = cfg.withDefaults()
 	// Validate everything validatable before the index build: at large n
 	// the index is the first expensive step, and a rebuild triggered over
 	// HTTP should reject a bad delta/scheme/profile instantly, not after
 	// minutes of construction.
-	opts, err := cfg.indexOptions()
-	if err != nil {
-		return nil, triangulation.Params{}, err
-	}
 	params, err := cfg.TriangulationParams()
 	if err != nil {
 		return nil, params, err
@@ -349,6 +340,7 @@ func indexSnapshot(cfg Config, space metric.Space, name string, restore bool) (*
 		return nil, params, err
 	}
 
+	opts := metric.Options{Workers: cfg.Workers, Backend: metric.Eager}
 	if restore {
 		opts.Backend = metric.Lazy
 	}

@@ -349,15 +349,16 @@ func (s *Snapshot) Hydrate() (*Snapshot, error) {
 
 // HydrateOver is the one routine that turns an arena into a full
 // snapshot; every restore entry point (ReadSnapshot*, Hydrate, fleet
-// warm boots, replica shipping) ends here. It builds only what queries
-// read around the receiver's arena as is — no copy, no pointer labels,
-// no ring construction: a LazyIndex over space, whatever backend the
-// header names (the overlay, the object directory and LabelWire read
-// only Dist, MinDistance and Diameter, so it never sorts a row), and
-// the overlay. The router is left to the rule on Snapshot.Router: the
-// first Route on the result builds it, or InheritRouter when a replica
-// installs a shipped snapshot in place of a routed one; either builds
-// its own rows. The space is the caller's
+// warm boots, replica shipping) and BuildServed end here. It builds only
+// what queries read around the receiver's arena as is — no copy, no
+// pointer labels, no ring construction: a LazyIndex over space (the
+// overlay, the object directory and LabelWire read only Dist,
+// MinDistance and Diameter, so it never sorts a row), and the overlay.
+// Whatever else the receiver holds (a build's eager index, pointer
+// labels, overlay) is not carried over. The router is left to the rule
+// on Snapshot.Router: the first Route on the result builds it, or
+// InheritRouter when a replica installs a shipped snapshot in place of a
+// routed one; either builds its own rows. The space is the caller's
 // because a fleet shard's (a subspace of the shared workload) is not
 // regenerable from its own Config.
 //
@@ -367,8 +368,8 @@ func (s *Snapshot) Hydrate() (*Snapshot, error) {
 // left service — that single release is what unmaps.
 func (s *Snapshot) HydrateOver(space metric.Space, name string) (*Snapshot, error) {
 	start := time.Now()
-	if s.Flat == nil || s.Idx != nil {
-		return nil, fmt.Errorf("oracle: hydrate needs a flat-only snapshot (a v2 OpenSnapshotFile result)")
+	if s.Flat == nil {
+		return nil, fmt.Errorf("oracle: hydrate needs a snapshot with a label arena")
 	}
 	if space.N() != s.n {
 		return nil, fmt.Errorf("oracle: snapshot holds %d nodes, its space has %d", s.n, space.N())

@@ -43,15 +43,13 @@ type Snapshot struct {
 	// Version is assigned by Engine.Swap when the snapshot is installed;
 	// 0 means never installed.
 	Version int64
-	// Idx is the ball index over the workload's space: the recipe's
-	// backend on a built snapshot, a LazyIndex on a restored one.
+	// Idx is the ball index over the workload's space: an eager Index
+	// on a build-side snapshot, a LazyIndex on a restored one (what a
+	// single engine serves outside churn, see BuildServed).
 	Idx metric.BallIndex
-	// Scheme and Labels are the Theorem 3.4 labeling in pointer form,
-	// carried by build-side snapshots only (both nil on every restored
-	// snapshot — see MaterializeLabels). No query reads them: Estimate
-	// walks Flat. Scheme is the full build object, nil on churn deltas;
-	// when present, Labels[u] == Scheme.Label(u).
-	Scheme *distlabel.Scheme
+	// Labels are the Theorem 3.4 labels in pointer form, carried by
+	// build-side snapshots only (nil on every restored snapshot — see
+	// MaterializeLabels). No query reads them: Estimate walks Flat.
 	Labels []*distlabel.Label
 	// Overlay is the Meridian-style ring overlay (nil under SkipOverlay).
 	Overlay *nnsearch.Overlay
@@ -69,9 +67,9 @@ type Snapshot struct {
 	// Capacity is the base-workload size behind Perm (0 when Perm is nil).
 	Capacity int
 
-	// LabelMeta carries the scheme-wide label constants. It exists so
-	// snapshots whose labels did not come from a live *distlabel.Scheme
-	// — churn deltas, restores — can still derive a Wire codec.
+	// LabelMeta carries the scheme-wide label constants, from which
+	// LabelWire derives a Wire codec without the *distlabel.Scheme that
+	// built the labels (no snapshot keeps one).
 	LabelMeta LabelMeta
 
 	// Flat is the arena-packed serving form of the labels. Every
@@ -246,7 +244,6 @@ func (s *Snapshot) extendBuild(phase time.Duration) {
 // Artifacts is the prebuilt-parts input of AssembleSnapshot.
 type Artifacts struct {
 	Idx     metric.BallIndex
-	Scheme  *distlabel.Scheme
 	Labels  []*distlabel.Label
 	Overlay *nnsearch.Overlay
 	// LabelMeta must be set when Labels is (see Snapshot.LabelMeta).
@@ -271,7 +268,6 @@ func AssembleSnapshot(cfg Config, name string, a Artifacts, elapsed time.Duratio
 		Config:       cfg,
 		Name:         name,
 		Idx:          a.Idx,
-		Scheme:       a.Scheme,
 		Labels:       a.Labels,
 		LabelMeta:    a.LabelMeta,
 		Perm:         a.Perm,

@@ -409,7 +409,7 @@ func (s *Thm21) InitHeader(source, target int) (Header, error) {
 // the slots of the zoom elements of the header's target in u's rings, where
 // k = j_ut is the deepest decodable level, and returns k. Each slot it
 // reads is in its ring (the level-0 ring is shared; later slots are ζ
-// values), and a ζ row too short for the label's pointer holds Null for it.
+// values), and a ζ row too short for the label's pointer holds nullCell for it.
 func (s *Thm21) decode(u int, label, ms []int32) int {
 	ring := s.ring[u*s.levels : (u+1)*s.levels]
 	ms[0] = label[0]
@@ -467,7 +467,7 @@ func (s *Thm21) ringSize(u, j int) int {
 
 // TableBits implements Scheme: ζ tables + first-hop pointers + self slots
 // + the node's own id. Each ζ cell of ζ_uj is WidthFor(|Y_(u,j+1)|+1)
-// bits, the +1 covering Null.
+// bits, the +1 covering nullCell.
 func (s *Thm21) TableBits(u int) (int, error) {
 	bits := s.idW
 	for j := 0; j < s.levels; j++ {

@@ -4,13 +4,16 @@ import (
 	"reflect"
 	"testing"
 
-	"rings/internal/core"
 	"rings/internal/workload"
 )
 
+// absentCell marks a ζ cell whose w is not in u's next ring, in
+// referenceFill's and arenaNode's shapes (the arena stores nullCell).
+const absentCell = -1
+
 // referenceFill is the map-probing fill the arena's merge-walk fillNode
 // replaces: self slots by Enum.IndexOf, first hops by the overlay's
-// linear EdgeIndex, ζ cells by IndexOf into u's next ring (core.Null
+// linear EdgeIndex, ζ cells by IndexOf into u's next ring (absentCell
 // where w is not in it).
 func referenceFill(s *Thm21, b *thm21Build, u int) (zeta [][][]int32, hops [][]int32, self []int32) {
 	levels := b.hier.NumLevels()
@@ -37,7 +40,7 @@ func referenceFill(s *Thm21, b *thm21Build, u int) (zeta [][][]int32, hops [][]i
 			zr := b.zoom[j+1][ring.Node(a)]
 			table[a] = make([]int32, zr.Size())
 			for c := range table[a] {
-				table[a][c] = core.Null
+				table[a][c] = absentCell
 				if m, ok := next.IndexOf(zr.Node(c)); ok {
 					table[a][c] = int32(m)
 				}
@@ -65,7 +68,7 @@ func arenaNode(s *Thm21, u int) (zeta [][][]int32, hops [][]int32, self []int32)
 			for _, c := range s.cells[s.row[lo+uint32(a)]:s.row[lo+uint32(a)+1]] {
 				v := int32(c)
 				if c == nullCell {
-					v = core.Null
+					v = absentCell
 				}
 				table[a] = append(table[a], v)
 			}

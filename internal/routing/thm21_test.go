@@ -242,11 +242,11 @@ func TestThm21HopAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestLayoutRefusesWideRings: a ζ cell is a uint16 with nullCell for
-// Null, so the layout refuses a next ring of nullCell slots with
-// ErrRouterWidth (no truncation) and takes one slot fewer; ζ cells past a
-// uint32 offset are refused the same way. The sizes are synthetic, so no
-// space that large is built.
+// TestLayoutRefusesWideRings: a ζ cell is a uint16 with nullCell for an
+// absent translation, so the layout refuses a next ring of nullCell
+// slots with ErrRouterWidth (no truncation) and takes one slot fewer; ζ
+// cells past a uint32 offset are refused the same way. The sizes are
+// synthetic, so no space that large is built.
 func TestLayoutRefusesWideRings(t *testing.T) {
 	sizes := func(next int) func(u, j int) int {
 		return func(u, j int) int {

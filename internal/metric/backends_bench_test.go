@@ -64,21 +64,23 @@ func backendUnderMix(tb testing.TB, space metric.Space, opts metric.Options) met
 }
 
 // BenchmarkIndexBuild compares the serial eager build against the
-// worker-pool build at n = 4096 on the clustered latency space. On a
-// multi-core machine the parallel build is ~core-count faster; both are
-// exact.
+// worker-pool build on the clustered latency space, at n = 1024 (the
+// served build's size) and n = 4096. On a multi-core machine the
+// parallel build is ~core-count faster; both are exact.
 func BenchmarkIndexBuild(b *testing.B) {
-	space := latencySpace(b, 4096)
-	b.Run("serial", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			metric.New(space, metric.Options{Workers: 1})
-		}
-	})
-	b.Run("parallel", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			metric.New(space, metric.Options{})
-		}
-	})
+	for _, n := range []int{1024, 4096} {
+		space := latencySpace(b, n)
+		b.Run(fmt.Sprintf("n=%d/serial", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				metric.New(space, metric.Options{Workers: 1})
+			}
+		})
+		b.Run(fmt.Sprintf("n=%d/parallel", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				metric.New(space, metric.Options{})
+			}
+		})
+	}
 }
 
 // BenchmarkBackendMemory builds each backend on the n=10000 clustered

@@ -85,6 +85,7 @@ type DynamicIndex struct {
 	// Rows are allocated at capacity cap so inserts never reallocate.
 	sorted [][]Neighbor
 	cap    int
+	sorter rowSorter // scratch of buildRow
 }
 
 // NewDynamicIndex builds the initial rows over base restricted to
@@ -124,7 +125,7 @@ func (d *DynamicIndex) buildRow(u int) []Neighbor {
 	for v := 0; v < n; v++ {
 		row[v] = Neighbor{Node: v, Dist: d.dist(u, v)}
 	}
-	slices.SortFunc(row, neighborCmp)
+	d.sorter.sortRow(row)
 	return row
 }
 

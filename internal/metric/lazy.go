@@ -4,7 +4,6 @@ import (
 	"iter"
 	"math"
 	"slices"
-	"sort"
 
 	"rings/internal/par"
 	"sync"
@@ -121,7 +120,7 @@ func (ix *LazyIndex) prefixAtLeast(u, need int) []Neighbor {
 func (ix *LazyIndex) kNearest(u, k int) []Neighbor {
 	n := ix.n
 	if k >= n {
-		return buildRow(ix.space, u, n)
+		return buildRow(ix.space, u, n, new(rowSorter))
 	}
 	// Max-heap of the k smallest seen so far: the root is the largest
 	// retained neighbor, evicted whenever a smaller candidate arrives.
@@ -208,14 +207,13 @@ func (ix *LazyIndex) Neighbors(u int) iter.Seq[Neighbor] {
 
 // BallCount reports |B_u(r)|.
 func (ix *LazyIndex) BallCount(u int, r float64) int {
-	p := ix.ballPrefix(u, r)
-	return sort.Search(len(p), func(i int) bool { return p[i].Dist > r })
+	return ballEnd(ix.ballPrefix(u, r), r)
 }
 
 // Ball returns the closed ball B_u(r) in ascending distance order.
 func (ix *LazyIndex) Ball(u int, r float64) []Neighbor {
 	p := ix.ballPrefix(u, r)
-	return p[:sort.Search(len(p), func(i int) bool { return p[i].Dist > r })]
+	return p[:ballEnd(p, r)]
 }
 
 // RadiusForCount reports the radius of the smallest closed ball around u
@@ -288,7 +286,7 @@ func (ix *LazyIndex) stats() {
 			ix.diam, ix.minPos = scanPairs(ix.space, 0, n, n)
 			return
 		}
-		ix.diam, ix.minPos = parallelScan(n, ix.workers, func(lo, hi int) (float64, float64) {
+		ix.diam, ix.minPos = parallelScan(n, ix.workers, func(_, lo, hi int) (float64, float64) {
 			return scanPairs(ix.space, lo, hi, n)
 		})
 	})

@@ -28,8 +28,6 @@ import (
 	"fmt"
 	"iter"
 	"math"
-	"slices"
-	"sort"
 
 	"rings/internal/par"
 )
@@ -120,9 +118,11 @@ type Backend int
 
 const (
 	// Eager precomputes every distance-sorted neighbor row up front:
-	// O(n^2 log n) build time (parallelized across Workers), O(n^2)
-	// memory, O(log n) queries. The right regime for the paper's
-	// centralized polynomial-time constructions.
+	// O(n^2) build time, n distances and at most eight radix passes
+	// per row (rows shorter than radixCutoff are comparison-sorted),
+	// parallelized across Workers; O(n^2) memory, O(log n) queries.
+	// The right regime for the paper's centralized polynomial-time
+	// constructions.
 	Eager Backend = iota
 	// Lazy keeps only a truncated k-nearest prefix per node and extends
 	// prefixes on demand, answering every query exactly. Memory stays
@@ -170,8 +170,11 @@ func WithRows(idx BallIndex, workers int) BallIndex {
 // packings, measures, rings of neighbors and the small-world samplers in
 // O(log n) per query.
 //
-// Building an Index costs O(n^2 log n) time (divided across a
-// GOMAXPROCS-sized worker pool) and O(n^2) memory; all constructions in
+// Building an Index costs O(n^2) time — per row, n distances and a
+// stable radix sort of at most eight byte passes (~30 ns per element at
+// n = 1024 against ~95 for a comparison sort, 2 vCPUs; rows shorter than
+// radixCutoff take the comparison sort, see sortRow) — divided across a
+// GOMAXPROCS-sized worker pool, and O(n^2) memory; all constructions in
 // the paper are polynomial-time and centralized ("efficiently computed"
 // in the paper's sense), so this is the intended regime.
 type Index struct {
@@ -196,15 +199,17 @@ func newEager(space Space, workers int) *Index {
 	}
 	workers = par.Workers(workers, n)
 	if workers <= 1 {
+		var s rowSorter
 		for u := 0; u < n; u++ {
-			idx.setRow(u, buildRow(space, u, n))
+			idx.setRow(u, buildRow(space, u, n, &s))
 		}
 		return idx
 	}
-	idx.diam, idx.minPos = parallelScan(n, workers, func(lo, hi int) (diam, minPos float64) {
+	sorters := make([]rowSorter, workers)
+	idx.diam, idx.minPos = parallelScan(n, workers, func(w, lo, hi int) (diam, minPos float64) {
 		minPos = math.Inf(1)
 		for u := lo; u < hi; u++ {
-			row := buildRow(space, u, n)
+			row := buildRow(space, u, n, &sorters[w])
 			idx.sorted[u] = row
 			if last := row[n-1].Dist; last > diam {
 				diam = last
@@ -222,8 +227,8 @@ func newEager(space Space, workers int) *Index {
 // merges each range's (diameter, min positive distance) fold. Dynamic
 // batch claiming matters here: Dist cost can be arbitrarily uneven
 // across user-supplied spaces and triangular pair scans skew work toward
-// low node ids.
-func parallelScan(n, workers int, scan func(lo, hi int) (diam, minPos float64)) (diam, minPos float64) {
+// low node ids. scan gets the worker id, for per-worker scratch.
+func parallelScan(n, workers int, scan func(w, lo, hi int) (diam, minPos float64)) (diam, minPos float64) {
 	workers = par.Workers(workers, n)
 	diams := make([]float64, workers)
 	mins := make([]float64, workers)
@@ -231,7 +236,7 @@ func parallelScan(n, workers int, scan func(lo, hi int) (diam, minPos float64)) 
 		mins[w] = math.Inf(1)
 	}
 	par.ForRange(workers, n, func(w, lo, hi int) {
-		d, m := scan(lo, hi)
+		d, m := scan(w, lo, hi)
 		if d > diams[w] {
 			diams[w] = d
 		}
@@ -251,12 +256,13 @@ func parallelScan(n, workers int, scan func(lo, hi int) (diam, minPos float64)) 
 	return diam, minPos
 }
 
-func buildRow(space Space, u, n int) []Neighbor {
+// buildRow returns u's distance-sorted row, sorted with s's scratch.
+func buildRow(space Space, u, n int, s *rowSorter) []Neighbor {
 	row := make([]Neighbor, n)
 	for v := 0; v < n; v++ {
 		row[v] = Neighbor{Node: v, Dist: space.Dist(u, v)}
 	}
-	slices.SortFunc(row, neighborCmp)
+	s.sortRow(row)
 	return row
 }
 
@@ -323,9 +329,7 @@ func (idx *Index) Neighbors(u int) iter.Seq[Neighbor] {
 // BallCount reports |B_u(r)|, the number of nodes in the closed ball of
 // radius r around u.
 func (idx *Index) BallCount(u int, r float64) int {
-	row := idx.sorted[u]
-	// First index with Dist > r; that index equals the count of nodes <= r.
-	return sort.Search(len(row), func(i int) bool { return row[i].Dist > r })
+	return ballEnd(idx.sorted[u], r)
 }
 
 // Ball returns the nodes of the closed ball B_u(r) in ascending distance

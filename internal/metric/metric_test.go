@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -113,17 +114,32 @@ func TestIndexSortedAgainstBruteForce(t *testing.T) {
 	}
 }
 
-// TestRowsMatchStableSortReference pins the eager rows against the
-// reference order built without neighborCmp: nodes in id order, stably
-// sorted by distance alone, so equal distances keep ascending ids. The
-// grid ties constantly.
+// TestRowsMatchStableSortReference pins the eager rows against two
+// references: the order built without neighborCmp (nodes in id order,
+// stably sorted by distance alone, so equal distances keep ascending
+// ids) and slices.SortFunc(neighborCmp), the sort the rows once came
+// from. The grids tie constantly; the n = 256 spaces take the radix
+// path, the small ones the short-row fallback.
 func TestRowsMatchStableSortReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	grid, err := NewGrid(9, 2, L1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, space := range []Space{grid, UniformCube(70, 2, 10, rng)} {
+	grid16, err := NewGrid(16, 2, L2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	expline, err := ExponentialLine(256, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lat, err := NewClusteredLatency(256, 3, []int{4, 4}, []float64{300, 60, 10}, 3, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spaces := []Space{grid, UniformCube(70, 2, 10, rng), grid16, UniformCube(256, 2, 10, rng), expline, lat}
+	for _, space := range spaces {
 		idx := NewIndex(space)
 		n := space.N()
 		for u := 0; u < n; u++ {
@@ -131,9 +147,15 @@ func TestRowsMatchStableSortReference(t *testing.T) {
 			for v := range want {
 				want[v] = Neighbor{Node: v, Dist: space.Dist(u, v)}
 			}
+			cmpRef := slices.Clone(want)
+			slices.SortFunc(cmpRef, neighborCmp)
 			sort.SliceStable(want, func(i, j int) bool { return want[i].Dist < want[j].Dist })
-			if got := idx.Sorted(u); !reflect.DeepEqual(got, want) {
-				t.Fatalf("row %d = %v, want %v", u, got, want)
+			got := idx.Sorted(u)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("n = %d: row %d = %v, want %v", n, u, got, want)
+			}
+			if !reflect.DeepEqual(got, cmpRef) {
+				t.Fatalf("n = %d: row %d = %v, SortFunc gives %v", n, u, got, cmpRef)
 			}
 		}
 	}

@@ -163,13 +163,16 @@ func BenchmarkEstimateBatchFlat(b *testing.B) {
 // BenchmarkBuildSnapshot measures the cold build of ringperf's
 // point-uniform server (latency, n = 1024, tuned, δ = 0.5, labels and
 // overlay; n = 256 under -short) and reports each phase's ms/build from
-// the snapshot's BuildStats. Labels and overlay build concurrently, so
-// the phases sum to more than total. It also reports what the build
-// allocates (alloc-MB/build) and what the last snapshot holds live after
-// a collection (live-MB, HeapInuse growth, the figure
-// TestColdBuildHeapCeiling bounds at n = 256). No build makes the
-// router, so router-ms/first-route times one Router call on the last
-// snapshot, after those figures: the wait of its first /route.
+// the snapshot's BuildStats. "build" times BuildSnapshot, whose labels
+// and overlay build concurrently, so its phases sum to more than total;
+// "served" times BuildServed, the call ringsrv's cold boot makes, whose
+// one overlay is the restore's and whose total includes the restore. It
+// also reports what the build allocates (alloc-MB/build) and what the
+// last snapshot holds live after a collection (live-MB, HeapInuse
+// growth, the figure TestColdBuildHeapCeiling bounds at n = 256 for
+// "build"). No build makes the router, so router-ms/first-route times
+// one Router call on the last snapshot, after those figures: the wait
+// of its first /route.
 func BenchmarkBuildSnapshot(b *testing.B) {
 	n := 1024
 	if testing.Short() {
@@ -195,37 +198,47 @@ func BenchmarkBuildSnapshot(b *testing.B) {
 		{"pack", func(s BuildStats) float64 { return s.PackSec }},
 		{"total", func(s BuildStats) float64 { return s.TotalSec }},
 	}
-	sums := make([]float64, len(phases))
-	var ms runtime.MemStats
-	b.StopTimer()
-	before := heapInuse()
-	runtime.ReadMemStats(&ms)
-	allocated := ms.TotalAlloc
-	b.StartTimer()
-	var snap *Snapshot
-	for i := 0; i < b.N; i++ {
-		var err error
-		if snap, err = BuildSnapshot(cfg); err != nil {
-			b.Fatal(err)
-		}
-		for p, ph := range phases {
-			sums[p] += ph.sec(snap.Build)
-		}
+	for _, bc := range []struct {
+		name  string
+		build func(Config) (*Snapshot, error)
+	}{
+		{"build", BuildSnapshot},
+		{"served", BuildServed},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			sums := make([]float64, len(phases))
+			var ms runtime.MemStats
+			b.StopTimer()
+			before := heapInuse()
+			runtime.ReadMemStats(&ms)
+			allocated := ms.TotalAlloc
+			b.StartTimer()
+			var snap *Snapshot
+			for i := 0; i < b.N; i++ {
+				var err error
+				if snap, err = bc.build(cfg); err != nil {
+					b.Fatal(err)
+				}
+				for p, ph := range phases {
+					sums[p] += ph.sec(snap.Build)
+				}
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&ms)
+			allocated = ms.TotalAlloc - allocated
+			live := heapInuse() - before
+			t0 := time.Now()
+			if _, err := snap.Router(); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportMetric(float64(time.Since(t0).Microseconds())/1e3, "router-ms/first-route")
+			for p, ph := range phases {
+				b.ReportMetric(sums[p]*1e3/float64(b.N), ph.name+"-ms/build")
+			}
+			b.ReportMetric(float64(allocated)/(1<<20)/float64(b.N), "alloc-MB/build")
+			b.ReportMetric(float64(live)/(1<<20), "live-MB")
+		})
 	}
-	b.StopTimer()
-	runtime.ReadMemStats(&ms)
-	allocated = ms.TotalAlloc - allocated
-	live := heapInuse() - before
-	t0 := time.Now()
-	if _, err := snap.Router(); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportMetric(float64(time.Since(t0).Microseconds())/1e3, "router-ms/first-route")
-	for p, ph := range phases {
-		b.ReportMetric(sums[p]*1e3/float64(b.N), ph.name+"-ms/build")
-	}
-	b.ReportMetric(float64(allocated)/(1<<20)/float64(b.N), "alloc-MB/build")
-	b.ReportMetric(float64(live)/(1<<20), "live-MB")
 }
 
 func reportQPS(b *testing.B) {

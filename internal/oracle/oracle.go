@@ -227,19 +227,28 @@ func BuildSnapshot(cfg Config) (*Snapshot, error) {
 // boot and a rebuild serve what a warm boot serves — the arena, a
 // LazyIndex and the overlay — and the build-side snapshot (eager rows,
 // pointer labels, the construction behind them) is garbage on return.
-// The result keeps the build's BuildStats, the restore added to the
-// total as one more serial phase.
+// The build makes no overlay of its own: the restore builds the one the
+// result serves. The result keeps the build's BuildStats with the
+// restore's overlay time, the restore added to the total as one more
+// serial phase.
 func BuildServed(cfg Config) (*Snapshot, error) {
-	built, err := BuildSnapshot(cfg)
+	cfg = cfg.withDefaults()
+	space, name, err := cfg.Spec().Space()
+	if err != nil {
+		return nil, err
+	}
+	built, err := buildSnapshotOver(cfg, space, name, false)
 	if err != nil {
 		return nil, err
 	}
 	t0 := time.Now()
-	served, err := built.HydrateOver(built.Idx.Space(), built.Name)
+	served, err := built.HydrateOver(space, name)
 	if err != nil {
 		return nil, err
 	}
+	overlaySec := served.Build.OverlaySec
 	served.BuildElapsed, served.Build = built.BuildElapsed, built.Build
+	served.Build.OverlaySec = overlaySec
 	served.extendBuild(time.Since(t0))
 	return served, nil
 }
@@ -250,6 +259,14 @@ func BuildServed(cfg Config) (*Snapshot, error) {
 // then see literally the same metric). The config's workload knobs are
 // used only for naming/defaults; the space is served as given.
 func BuildSnapshotOver(cfg Config, space metric.Space, name string) (*Snapshot, error) {
+	return buildSnapshotOver(cfg, space, name, true)
+}
+
+// buildSnapshotOver is BuildSnapshotOver; overlay false leaves the
+// overlay out whatever the config says, for a caller that builds the
+// served one itself (BuildServed), so the recorded Config is the recipe
+// as asked.
+func buildSnapshotOver(cfg Config, space metric.Space, name string, overlay bool) (*Snapshot, error) {
 	start := time.Now()
 	snap, params, err := indexSnapshot(cfg, space, name, false)
 	if err != nil {
@@ -266,7 +283,7 @@ func BuildSnapshotOver(cfg Config, space metric.Space, name string) (*Snapshot, 
 	// concurrently, each parallel over the worker pool; the label build
 	// hides the overlay. No router: the first Route builds it.
 	var scheme *distlabel.Scheme
-	err = par.Group(
+	phases := []func() error{
 		func() error {
 			t0 := time.Now()
 			built, err := distlabel.FromConstruction(cons, cfg.Delta)
@@ -286,9 +303,11 @@ func BuildSnapshotOver(cfg Config, space metric.Space, name string) (*Snapshot, 
 			}
 			return nil
 		},
-		snap.buildOverlay,
-	)
-	if err != nil {
+	}
+	if overlay {
+		phases = append(phases, snap.buildOverlay)
+	}
+	if err = par.Group(phases...); err != nil {
 		return nil, err
 	}
 

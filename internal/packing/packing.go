@@ -24,7 +24,6 @@ import (
 	"slices"
 	"sync"
 
-	"rings/internal/intset"
 	"rings/internal/measure"
 	"rings/internal/metric"
 	"rings/internal/nets"
@@ -130,8 +129,7 @@ func NewWithOptions(idx metric.BallIndex, smp *measure.Sampler, eps float64, opt
 		radiusAt[u] = QuantizeUp(smp.RadiusForMass(u, eps), opts.Quantum)
 	})
 
-	// Per-node candidate balls, with one covered-set scratch per worker
-	// (the greedy sub-cover of candidateBall used to burn a map per round).
+	// Per-node candidate balls, with one covered-mark scratch per worker.
 	// Stable mode memoizes descent suffixes: after the first hop every
 	// descent state is (net point, ladder radius), shared by all the
 	// nodes whose descents pass through it, so the per-level candidate
@@ -139,7 +137,7 @@ func NewWithOptions(idx metric.BallIndex, smp *measure.Sampler, eps float64, opt
 	// node. Racing workers compute identical balls (the descent is
 	// deterministic), so last-write-wins publication is sound.
 	candidates := make([]Ball, n)
-	scratch := make([]intset.Set, par.Workers(workers, n))
+	scratch := make([]coverMarks, par.Workers(workers, n))
 	if opts.Quantum > 0 {
 		stableCandidates(idx, smp, eps, opts, workers, radiusAt, candidates)
 	} else {
@@ -465,7 +463,7 @@ func heaviestNetBall(idx metric.BallIndex, smp *measure.Sampler, h nets.Ascendin
 
 // candidateBall finds either a u-zooming ball or a heavy singleton, per
 // the Lemma A.1 existence argument.
-func candidateBall(idx metric.BallIndex, smp *measure.Sampler, u int, ru, eps float64, covered *intset.Set) Ball {
+func candidateBall(idx metric.BallIndex, smp *measure.Sampler, u int, ru, eps float64, covered *coverMarks) Ball {
 	center, rho := u, ru
 	if rho == 0 {
 		// u alone already has measure >= eps.
@@ -485,20 +483,43 @@ func candidateBall(idx metric.BallIndex, smp *measure.Sampler, u int, ru, eps fl
 	return makeBall(idx, smp, center, 0)
 }
 
+// coverMarks is one worker's covered-node scratch for heaviestCoverBall:
+// node v is covered in the current call when stamp[v] == gen, so a call
+// starts with one increment instead of clearing what the last one
+// marked, and marking a node is one store.
+type coverMarks struct {
+	stamp []uint32
+	gen   uint32
+}
+
+// reset starts a new generation over the universe [0, n).
+func (m *coverMarks) reset(n int) {
+	if len(m.stamp) < n {
+		m.stamp = make([]uint32, n)
+		m.gen = 0
+	}
+	m.gen++
+	if m.gen == 0 { // wrapped: stale stamps could read as current
+		clear(m.stamp)
+		m.gen = 1
+	}
+}
+
 // heaviestCoverBall greedily covers B_center(rho) with balls of radius
 // rho/8 centered at its members and returns the center whose rho/8-ball is
 // heaviest.
-func heaviestCoverBall(idx metric.BallIndex, smp *measure.Sampler, center int, rho float64, covered *intset.Set) int {
+func heaviestCoverBall(idx metric.BallIndex, smp *measure.Sampler, center int, rho float64, covered *coverMarks) int {
 	sub := rho / 8
 	ball := idx.Ball(center, rho)
-	covered.Reset(idx.N())
+	covered.reset(idx.N())
+	stamp, gen := covered.stamp, covered.gen
 	best, bestMass := center, -1.0
 	for _, nb := range ball {
-		if covered.Has(nb.Node) {
+		if stamp[nb.Node] == gen {
 			continue
 		}
 		for _, other := range idx.Ball(nb.Node, sub) {
-			covered.Add(other.Node)
+			stamp[other.Node] = gen
 		}
 		if m := smp.BallMass(nb.Node, sub); m > bestMass {
 			best, bestMass = nb.Node, m

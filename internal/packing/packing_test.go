@@ -186,3 +186,28 @@ func TestPackingLocalSparsity(t *testing.T) {
 		t.Errorf("MinMass ratio %v suspiciously small", p.MinMass())
 	}
 }
+
+// TestCoverMarksGenerations checks the covered-mark scratch of the
+// greedy cover: a reset forgets every mark of the call before, also when
+// the generation counter wraps, and a larger universe regrows it.
+func TestCoverMarksGenerations(t *testing.T) {
+	var m coverMarks
+	m.reset(4)
+	m.stamp[2] = m.gen
+	m.reset(4)
+	if m.stamp[2] == m.gen {
+		t.Fatal("a mark survived reset")
+	}
+	m.gen = math.MaxUint32 - 1
+	m.reset(4)
+	m.stamp[1] = m.gen // marked at the last generation before the wrap
+	m.reset(4)
+	if m.gen == 0 || m.stamp[1] == m.gen {
+		t.Fatalf("after the wrap: gen %d, stamp[1] %d", m.gen, m.stamp[1])
+	}
+	m.stamp[3] = m.gen
+	m.reset(8)
+	if len(m.stamp) != 8 || m.stamp[3] == m.gen {
+		t.Fatalf("regrown to %d marks, stamp[3] %d at gen %d", len(m.stamp), m.stamp[3], m.gen)
+	}
+}

@@ -874,9 +874,9 @@ func printReport(rep Report) {
 	}
 	fmt.Printf("%s, %.0f qps\n", line, rep.QPS)
 	if rep.Objects != nil {
-		fmt.Printf("objects: %d published (%d replicas), %d lookups (%d not found, %d certified misses), %d republishes\n",
+		fmt.Printf("objects: %d published (%d replicas), %d lookups (%d not found), %d republishes\n",
 			rep.Objects.Objects, rep.Objects.Replicas, rep.Objects.Lookups,
-			rep.Objects.NotFound, rep.Objects.Misses, rep.Objects.Republishes)
+			rep.Objects.NotFound, rep.Objects.Republishes)
 	}
 	if len(rep.SlowQueries) > 0 {
 		fmt.Printf("slowest sampled queries (server-side, from /debug/trace):\n")

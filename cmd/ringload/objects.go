@@ -189,7 +189,7 @@ func (g *generator) doMove(client *http.Client, n int, rng *rand.Rand, pos []int
 }
 
 // objectsReport is the duration-end scrape of /objects/stats folded
-// into the run report: the server's own lookup/miss/republish counters,
+// into the run report: the server's own lookup/republish counters,
 // whichever mode answered (ringload has no compile-time dependency on
 // the server, like health and serverStats).
 type objectsReport struct {
@@ -197,7 +197,6 @@ type objectsReport struct {
 	Replicas    int   `json:"replicas"`
 	Lookups     int64 `json:"lookups"`
 	NotFound    int64 `json:"not_found"`
-	Misses      int64 `json:"misses"`
 	Republishes int64 `json:"republishes"`
 }
 

@@ -184,7 +184,6 @@ func testStatsAgreeSingle(t *testing.T, start startFunc) {
 	agree(t, "objects republishes", os.Single.Republishes, series(t, page, "rings_objects_republishes_total", ""))
 	agree(t, "objects lookups", os.Single.Lookups, series(t, page, "rings_objects_lookups_total", ""))
 	agree(t, "objects not found", os.Single.NotFound, series(t, page, "rings_objects_lookup_not_found_total", ""))
-	agree(t, "objects misses", os.Single.Misses, series(t, page, "rings_objects_lookup_misses_total", ""))
 	if os.Single.Lookups == 0 || os.Single.Publishes == 0 {
 		t.Errorf("object traffic never landed: %+v", *os.Single)
 	}
@@ -228,7 +227,5 @@ func testStatsAgreeFleet(t *testing.T, start startFunc) {
 	agree(t, "fleet objects republishes", os.Fleet.Republishes, series(t, page, "rings_objects_republishes_total", ""))
 	agree(t, "fleet objects lookups", os.Fleet.Lookups, series(t, page, "rings_objects_lookups_total", ""))
 	agree(t, "fleet objects not found", os.Fleet.NotFound, series(t, page, "rings_objects_lookup_not_found_total", ""))
-	agree(t, "fleet objects misses", os.Fleet.Misses, series(t, page, "rings_objects_lookup_misses_total", ""))
-	agree(t, "fleet objects remote pruned", os.Fleet.RemotePruned, series(t, page, "rings_objects_remote_pruned_total", ""))
 	agree(t, "fleet objects remote refined", os.Fleet.RemoteRefined, series(t, page, "rings_objects_remote_refined_total", ""))
 }

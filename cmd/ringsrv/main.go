@@ -335,10 +335,7 @@ func run() error {
 		handler.enableChurn(mutator, *seed)
 		// Rebuild the (still empty) object directory with the frozen base
 		// metric, so churn repairs can re-place replicas next-nearest.
-		handler.enableObjects(objects.Config{
-			Seed:     cfg.Seed,
-			BaseDist: mutator.FrozenSpace().Base().Dist,
-		})
+		handler.enableObjects(objects.Config{BaseDist: mutator.FrozenSpace().Base().Dist})
 	}
 	return serve(handler, false)
 }

@@ -163,7 +163,6 @@ type lookupBody struct {
 	// Fleet attribution (fleet mode only).
 	Shard   *int  `json:"shard,omitempty"`
 	Remote  bool  `json:"remote,omitempty"`
-	Pruned  int   `json:"pruned,omitempty"`
 	Refined int   `json:"refined,omitempty"`
 	Epoch   int64 `json:"epoch,omitempty"`
 }
@@ -192,7 +191,6 @@ func (s *server) handleLookup(w http.ResponseWriter, r *http.Request) {
 			Stable:       res.Node,
 			Shard:        &sh,
 			Remote:       res.Remote,
-			Pruned:       res.Pruned,
 			Refined:      res.Refined,
 			Epoch:        res.Epoch,
 		})

@@ -1,24 +1,20 @@
 // Package objects implements the object-location half of the paper's
 // title: a Directory maps named objects to replica sets placed on nodes
 // of a served snapshot, and resolves Lookup(obj, from) to the nearest
-// replica through a rings-of-neighbors overlay restricted to the
-// object's replica set (nnsearch, the paper's Section 6 / Meridian
-// application), so lookup work scales with the replica set and the
-// distance to the nearest copy — not with n.
+// replica.
 //
-// Exactness contract. Each object keeps its own mini-overlay over its
-// replicas with rings dense enough to be complete (PerRing is raised to
-// |replicas|-1, so every ring retains its whole annulus — replica sets
-// are small, a handful of copies per object, which is what makes this
-// affordable). A lookup first runs the Meridian climb to a ring-local
-// optimum at distance r from the origin, then certifies it with a
-// MultiRange(r) flood: with complete rings the flood collects every
-// replica within r of the origin (the start member is within 2r of
-// every such replica's acceptance test), so taking the (dist, stable id)
-// minimum of the collected set answers exactly what a brute-force scan
-// over the replicas would. TrueNearest runs that scan — Lookup computes
-// it on every query for the stretch/miss accounting, and the churn gold
-// standard asserts the two never diverge.
+// Exactness contract. An object is its replica set, kept sorted by
+// stable id, and a lookup scans it: each replica's exact distance from
+// the origin, in ascending stable ids with strict improvement, so the
+// answer is the nearest replica with ties broken toward the lowest
+// stable id — what any brute-force scan over the set answers, bit for
+// bit. No per-object rings-of-neighbors overlay (the paper's Section 6
+// search) is kept. Objects hold a handful of copies (no workload places
+// more than 4), an overlay exact enough to serve needs complete rings,
+// and such an overlay costs more than the scan it would shorten: at 4
+// replicas on latency n = 1024 (BenchmarkDirectory, 2 vCPUs) its
+// rebuild made a publish or unpublish ~47 µs and a lookup still took
+// ~1.7 µs, where the slice edit takes ~0.16 µs and the scan ~0.14 µs.
 //
 // Identity under churn. Replicas and lookup origins are stored and
 // answered in stable ids — base ids of the snapshot's Perm when it
@@ -36,10 +32,10 @@ package objects
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
-	"rings/internal/nnsearch"
 	"rings/internal/oracle"
 )
 
@@ -52,8 +48,8 @@ var ErrUnknownObject = errors.New("objects: unknown object")
 var ErrNoReplica = errors.New("objects: node holds no replica of the object")
 
 // ErrNotReady marks a directory over a flat-only snapshot (mmap warm
-// start before hydration): estimates serve, but the object layer needs
-// the ball index to climb and certify. HTTP surfaces map it to 503
+// start before hydration): estimates serve, but the object layer
+// measures replicas through the ball index. HTTP surfaces map it to 503
 // "unavailable".
 var ErrNotReady = errors.New("objects: directory not hydrated (snapshot has no index yet)")
 
@@ -63,13 +59,10 @@ type DistFunc func(u, v int) float64
 
 // Config tunes a Directory.
 type Config struct {
-	// RingBase/PerRing/Seed shape the per-object overlays (defaults 2 /
-	// 8 / 0 — Meridian's constants). PerRing is a floor: it is raised
-	// per object to keep rings complete, which is what makes lookups
-	// exact (see the package comment).
-	RingBase float64
-	PerRing  int
-	Seed     int64
+	// Seed is ignored: it seeded the per-object overlays a lookup no
+	// longer builds, and stays only because ringperf's replay
+	// (bench/replay.go) still sets it.
+	Seed int64
 	// BaseDist, when set, lets SetSnapshot re-publish replicas stranded
 	// on departing nodes to the next-nearest surviving node (distances
 	// measured from the departed id in the base space). When nil,
@@ -83,31 +76,16 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.RingBase <= 1 {
-		c.RingBase = 2
-	}
-	if c.PerRing < 1 {
-		c.PerRing = 8
-	}
 	if c.Metrics == nil {
 		c.Metrics = NewMetrics()
 	}
 	return c
 }
 
-// object is one published object: its replica set in ascending stable
-// ids and the complete-ring overlay over the replicas' current internal
-// ids (nil while the directory is not ready).
-type object struct {
-	replicas []int
-	overlay  *nnsearch.Overlay
-}
-
 // Directory is the object-location table over one served snapshot. All
 // methods are safe for concurrent use: mutations (Publish, Unpublish,
-// SetSnapshot) take the write lock and rebuild the touched overlays
-// eagerly — O(replicas²) per object, trivial at replica-set scale —
-// so lookups are pure reads under the read lock.
+// SetSnapshot) take the write lock and edit sorted replica slices;
+// lookups are pure reads under the read lock.
 type Directory struct {
 	mu   sync.RWMutex
 	cfg  Config
@@ -117,7 +95,9 @@ type Directory struct {
 	ids   []int32
 	intOf []int32
 
-	objs map[string]*object
+	// objs maps each published object to its replicas in ascending
+	// stable ids (never empty: the last unpublish deletes the entry).
+	objs map[string][]int
 }
 
 // New builds a directory over snap, deriving stable ids from snap.Perm
@@ -131,7 +111,7 @@ func New(snap *oracle.Snapshot, cfg Config) *Directory {
 // from [0, universe). shard.Fleet passes each shard's global ids so
 // every directory of a fleet speaks one id space.
 func NewWithIDs(snap *oracle.Snapshot, ids []int32, universe int, cfg Config) *Directory {
-	d := &Directory{cfg: cfg.withDefaults(), objs: make(map[string]*object)}
+	d := &Directory{cfg: cfg.withDefaults(), objs: make(map[string][]int)}
 	d.install(snap, ids, universe)
 	return d
 }
@@ -189,33 +169,6 @@ func (d *Directory) Universe() int {
 	return len(d.intOf)
 }
 
-// rebuild recomputes one object's overlay over the current snapshot.
-// PerRing is raised to |replicas|-1 so every ring keeps its complete
-// annulus — the density that makes the MultiRange certification exact.
-// Callers hold d.mu.
-func (d *Directory) rebuild(o *object) error {
-	if !d.ready() {
-		o.overlay = nil
-		return nil
-	}
-	members := make([]int, len(o.replicas))
-	for i, s := range o.replicas {
-		members[i] = int(d.intOf[s])
-	}
-	per := d.cfg.PerRing
-	if len(members)-1 > per {
-		per = len(members) - 1
-	}
-	ov, err := nnsearch.New(d.snap.Idx, members, nnsearch.Config{
-		RingBase: d.cfg.RingBase, PerRing: per, Seed: d.cfg.Seed,
-	})
-	if err != nil {
-		return fmt.Errorf("objects: overlay rebuild: %w", err)
-	}
-	o.overlay = ov
-	return nil
-}
-
 // Publish places a replica of obj on the given stable id (idempotent —
 // re-publishing to a holder is a no-op) and returns the resulting
 // replica count.
@@ -231,28 +184,16 @@ func (d *Directory) Publish(obj string, node int) (int, error) {
 	if node < 0 || node >= len(d.intOf) || d.intOf[node] < 0 {
 		return 0, fmt.Errorf("objects: publish to node %d: %w", node, oracle.ErrNodeRange)
 	}
-	o := d.objs[obj]
-	if o == nil {
-		o = &object{}
-		d.objs[obj] = o
+	reps := d.objs[obj]
+	i := sort.SearchInts(reps, node)
+	if i < len(reps) && reps[i] == node {
+		return len(reps), nil
 	}
-	i := sort.SearchInts(o.replicas, node)
-	if i < len(o.replicas) && o.replicas[i] == node {
-		return len(o.replicas), nil
-	}
-	o.replicas = append(o.replicas, 0)
-	copy(o.replicas[i+1:], o.replicas[i:])
-	o.replicas[i] = node
-	if err := d.rebuild(o); err != nil {
-		o.replicas = append(o.replicas[:i], o.replicas[i+1:]...)
-		if len(o.replicas) == 0 {
-			delete(d.objs, obj)
-		}
-		return 0, err
-	}
+	reps = slices.Insert(reps, i, node)
+	d.objs[obj] = reps
 	d.cfg.Metrics.Publishes.Inc()
 	d.setGauges()
-	return len(o.replicas), nil
+	return len(reps), nil
 }
 
 // Unpublish removes obj's replica from the given stable id and returns
@@ -261,44 +202,42 @@ func (d *Directory) Publish(obj string, node int) (int, error) {
 func (d *Directory) Unpublish(obj string, node int) (int, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	o := d.objs[obj]
-	if o == nil {
+	reps, ok := d.objs[obj]
+	if !ok {
 		return 0, fmt.Errorf("objects: unpublish %q: %w", obj, ErrUnknownObject)
 	}
-	i := sort.SearchInts(o.replicas, node)
-	if i >= len(o.replicas) || o.replicas[i] != node {
+	i := sort.SearchInts(reps, node)
+	if i >= len(reps) || reps[i] != node {
 		return 0, fmt.Errorf("objects: unpublish %q from node %d: %w", obj, node, ErrNoReplica)
 	}
-	o.replicas = append(o.replicas[:i], o.replicas[i+1:]...)
-	if len(o.replicas) == 0 {
+	reps = slices.Delete(reps, i, i+1)
+	if len(reps) == 0 {
 		delete(d.objs, obj)
-	} else if err := d.rebuild(o); err != nil {
-		return 0, err
+	} else {
+		d.objs[obj] = reps
 	}
 	d.cfg.Metrics.Unpublishes.Inc()
 	d.setGauges()
-	return len(o.replicas), nil
+	return len(reps), nil
 }
 
 // LookupResult is one resolved lookup.
 type LookupResult struct {
 	Object string `json:"object"`
-	// Node is the chosen replica's stable id; Dist the exact metric
-	// distance from the origin to it (certified: equal to the
-	// brute-force nearest-replica scan by the complete-ring argument).
+	// Node is the nearest replica's stable id (the lowest among equally
+	// near ones); Dist the exact metric distance from the origin to it.
 	Node int     `json:"node"`
 	Dist float64 `json:"dist"`
-	// Hops counts the Meridian climb's forwarding steps; Scanned the
-	// certification candidates the closing flood collected.
-	Hops     int   `json:"hops"`
-	Scanned  int   `json:"scanned"`
+	// Hops always reads 0: a lookup forwards nowhere. It stays only
+	// because ringperf's replay (bench/replay.go) still reads it, and it
+	// is not on the wire.
+	Hops     int   `json:"-"`
 	Replicas int   `json:"replicas"`
 	Version  int64 `json:"version"`
 }
 
 // Lookup resolves obj from the given stable origin id to its nearest
-// replica: Meridian climb over the object's overlay, then a MultiRange
-// certification flood, ties broken toward the lowest stable id.
+// replica by scanning the replica set (see the package comment).
 func (d *Directory) Lookup(obj string, from int) (LookupResult, error) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
@@ -308,85 +247,46 @@ func (d *Directory) Lookup(obj string, from int) (LookupResult, error) {
 	if from < 0 || from >= len(d.intOf) || d.intOf[from] < 0 {
 		return LookupResult{}, fmt.Errorf("objects: lookup from node %d: %w", from, oracle.ErrNodeRange)
 	}
-	o := d.objs[obj]
-	if o == nil {
+	reps, ok := d.objs[obj]
+	if !ok {
 		d.cfg.Metrics.NotFound.Inc()
 		return LookupResult{}, fmt.Errorf("objects: lookup %q: %w", obj, ErrUnknownObject)
 	}
 	target := int(d.intOf[from])
-	ov := o.overlay
-	budget := len(ov.Members()) + 1
-	climb, err := ov.NearestMember(ov.Members()[0], target, budget)
-	if err != nil {
-		return LookupResult{}, fmt.Errorf("objects: lookup %q: %w", obj, err)
-	}
-	cand, err := ov.MultiRange(climb.Member, target, climb.Dist, budget)
-	if err != nil {
-		return LookupResult{}, fmt.Errorf("objects: lookup %q: %w", obj, err)
-	}
-	best, bestD := -1, 0.0
-	for _, m := range cand {
-		s, ds := d.stableOf(m), d.snap.Idx.Dist(m, target)
-		if best < 0 || ds < bestD || (ds == bestD && s < best) {
-			best, bestD = s, ds
-		}
-	}
-	res := LookupResult{
+	node, dist := nearest(reps, func(s int) float64 { return d.snap.Idx.Dist(int(d.intOf[s]), target) })
+	d.cfg.Metrics.Lookups.Inc()
+	return LookupResult{
 		Object:   obj,
-		Node:     best,
-		Dist:     bestD,
-		Hops:     climb.Hops,
-		Scanned:  len(cand),
-		Replicas: len(o.replicas),
+		Node:     node,
+		Dist:     dist,
+		Replicas: len(reps),
 		Version:  d.snap.Version,
-	}
-	m := d.cfg.Metrics
-	m.Lookups.Inc()
-	trueNode, trueDist := d.trueNearest(o, target)
-	if trueNode != best || trueDist != bestD {
-		m.Misses.Inc()
-	}
-	m.Hops.Observe(float64(res.Hops))
-	m.Scanned.Observe(float64(res.Scanned))
-	stretch := 1.0
-	if trueDist > 0 {
-		stretch = bestD / trueDist
-	}
-	m.Stretch.Observe(stretch)
-	return res, nil
+	}, nil
 }
 
-// trueNearest is the brute-force scan: ascending stable ids, strict
-// improvement — the lowest stable id among the closest replicas wins,
-// the same order Lookup's certification uses. Callers hold d.mu.
-func (d *Directory) trueNearest(o *object, target int) (int, float64) {
+// nearest is the scan every lookup runs: replicas in ascending stable
+// ids, strict improvement, so the lowest stable id among the closest
+// wins. It answers (-1, 0) for an empty set.
+func nearest(replicas []int, dist func(stable int) float64) (int, float64) {
 	best, bestD := -1, 0.0
-	for _, s := range o.replicas {
-		if ds := d.snap.Idx.Dist(int(d.intOf[s]), target); best < 0 || ds < bestD {
+	for _, s := range replicas {
+		if ds := dist(s); best < 0 || ds < bestD {
 			best, bestD = s, ds
 		}
 	}
 	return best, bestD
 }
 
-// TrueNearest answers the brute-force nearest replica of obj from the
-// given stable origin — the verification oracle Lookup is certified
-// against.
-func (d *Directory) TrueNearest(obj string, from int) (int, float64, error) {
+// NearestFrom scans the replicas of obj this directory holds with the
+// caller's metric (Lookup's scan) and reports the winner and the set's
+// size, (-1, 0, 0) when it holds none. shard.Fleet folds it across its
+// shard directories, which share one stable id space.
+func (d *Directory) NearestFrom(obj string, dist func(stable int) float64) (node int, nodeDist float64, replicas int) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	if !d.ready() {
-		return 0, 0, ErrNotReady
-	}
-	if from < 0 || from >= len(d.intOf) || d.intOf[from] < 0 {
-		return 0, 0, fmt.Errorf("objects: true-nearest from node %d: %w", from, oracle.ErrNodeRange)
-	}
-	o := d.objs[obj]
-	if o == nil {
-		return 0, 0, fmt.Errorf("objects: true-nearest %q: %w", obj, ErrUnknownObject)
-	}
-	node, dist := d.trueNearest(o, int(d.intOf[from]))
-	return node, dist, nil
+	reps := d.objs[obj]
+	node, nodeDist = nearest(reps, dist)
+	return node, nodeDist, len(reps)
 }
 
 // Republish records one replica displaced by churn: From departed; To
@@ -400,10 +300,9 @@ type Republish struct {
 }
 
 // SetSnapshot installs a new snapshot (stable ids derived from its
-// Perm, like New) and repairs the table: overlays are rebuilt over the
-// new internal ids, and replicas on departed stable ids are
-// re-published to the next-nearest surviving node (BaseDist set) or
-// dropped and reported. Processing order is deterministic — objects by
+// Perm, like New) and repairs the table: replicas on departed stable
+// ids are re-published to the next-nearest surviving node (BaseDist
+// set) or dropped and reported. Processing order is deterministic — objects by
 // ascending name, departures by ascending stable id — so two
 // directories fed the same commits evolve identically.
 func (d *Directory) SetSnapshot(snap *oracle.Snapshot) []Republish {
@@ -417,26 +316,26 @@ func (d *Directory) SetSnapshotIDs(snap *oracle.Snapshot, ids []int32, universe 
 	defer d.mu.Unlock()
 	d.install(snap, ids, universe)
 
-	names := make([]string, 0, len(d.objs))
-	for name := range d.objs {
-		names = append(names, name)
+	// Only objects with a replica on a departed id change: the stable
+	// ids of the others still name active nodes.
+	departed := func(s int) bool { return s >= len(d.intOf) || d.intOf[s] < 0 }
+	var names []string
+	for name, reps := range d.objs {
+		if slices.ContainsFunc(reps, departed) {
+			names = append(names, name)
+		}
 	}
 	sort.Strings(names)
 
 	var out []Republish
 	var active []int // ascending survivors, built on first departure
 	for _, name := range names {
-		o := d.objs[name]
-		kept := make([]int, 0, len(o.replicas))
-		var departed []int
-		for _, s := range o.replicas {
-			if s < len(d.intOf) && d.intOf[s] >= 0 {
-				kept = append(kept, s)
-			} else {
-				departed = append(departed, s)
+		reps := d.objs[name]
+		kept := slices.DeleteFunc(slices.Clone(reps), departed)
+		for _, gone := range reps {
+			if !departed(gone) {
+				continue
 			}
-		}
-		for _, gone := range departed {
 			if d.cfg.BaseDist == nil {
 				out = append(out, Republish{Object: name, From: gone, To: -1})
 				continue
@@ -464,20 +363,14 @@ func (d *Directory) SetSnapshotIDs(snap *oracle.Snapshot, ids []int32, universe 
 			if best < 0 {
 				continue
 			}
-			i := sort.SearchInts(kept, best)
-			kept = append(kept, 0)
-			copy(kept[i+1:], kept[i:])
-			kept[i] = best
+			kept = slices.Insert(kept, sort.SearchInts(kept, best), best)
 			d.cfg.Metrics.Republishes.Inc()
 		}
-		o.replicas = kept
-		if len(o.replicas) == 0 {
+		if len(kept) == 0 {
 			delete(d.objs, name)
-			continue
+		} else {
+			d.objs[name] = kept
 		}
-		// Rebuild unconditionally: even without departures the internal
-		// ids behind the stable set may have been renamed by the swap.
-		d.rebuild(o)
 	}
 	d.setGauges()
 	return out
@@ -495,10 +388,7 @@ type Stats struct {
 	Republishes int64 `json:"republishes"`
 	Lookups     int64 `json:"lookups"`
 	NotFound    int64 `json:"not_found"`
-	// Misses counts lookups whose overlay answer disagreed with the
-	// brute-force scan — pinned to zero by the certification.
-	Misses  int64 `json:"misses"`
-	Version int64 `json:"version"`
+	Version     int64 `json:"version"`
 }
 
 // Stats reports the current directory state and its counters, read from
@@ -515,16 +405,13 @@ func (d *Directory) Stats() Stats {
 		Republishes: m.Republishes.Value(),
 		Lookups:     m.Lookups.Value(),
 		NotFound:    m.NotFound.Value(),
-		Misses:      m.Misses.Value(),
 	}
 	if d.snap != nil {
 		st.Version = d.snap.Version
 	}
-	for _, o := range d.objs {
-		st.Replicas += len(o.replicas)
-		if len(o.replicas) > st.MaxReplicas {
-			st.MaxReplicas = len(o.replicas)
-		}
+	for _, reps := range d.objs {
+		st.Replicas += len(reps)
+		st.MaxReplicas = max(st.MaxReplicas, len(reps))
 	}
 	return st
 }
@@ -546,11 +433,7 @@ func (d *Directory) Objects() []string {
 func (d *Directory) Replicas(obj string) []int {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	o := d.objs[obj]
-	if o == nil {
-		return nil
-	}
-	return append([]int(nil), o.replicas...)
+	return slices.Clone(d.objs[obj])
 }
 
 // Has reports whether obj has any published replica.
@@ -576,8 +459,8 @@ func (d *Directory) CurrentOf(stable int) int {
 // setGauges refreshes the object/replica gauges. Callers hold d.mu.
 func (d *Directory) setGauges() {
 	replicas := 0
-	for _, o := range d.objs {
-		replicas += len(o.replicas)
+	for _, reps := range d.objs {
+		replicas += len(reps)
 	}
 	d.cfg.Metrics.Objects.Set(float64(len(d.objs)))
 	d.cfg.Metrics.Replicas.Set(float64(replicas))

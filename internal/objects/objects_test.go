@@ -41,8 +41,7 @@ func bruteNearest(snap *oracle.Snapshot, replicas []int, intOf map[int]int, targ
 
 // TestLookupExactStatic pins the exactness contract on every family:
 // for random replica sets, Lookup from every origin answers the same
-// (node, dist) as the brute-force scan, bit for bit, and the miss
-// counter stays zero.
+// (node, dist) as the brute-force scan, bit for bit.
 func TestLookupExactStatic(t *testing.T) {
 	for _, cfg := range staticFamilies() {
 		cfg := cfg
@@ -52,7 +51,7 @@ func TestLookupExactStatic(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			d := objects.New(snap, objects.Config{Seed: 7})
+			d := objects.New(snap, objects.Config{})
 			n := snap.N()
 			identity := make(map[int]int, n)
 			for u := 0; u < n; u++ {
@@ -100,14 +99,7 @@ func TestLookupExactStatic(t *testing.T) {
 						t.Fatalf("lookup %s from %d: (%d, %v), brute force (%d, %v)",
 							name, from, res.Node, res.Dist, wantNode, wantDist)
 					}
-					tn, td, err := d.TrueNearest(name, from)
-					if err != nil || tn != wantNode || math.Float64bits(td) != math.Float64bits(wantDist) {
-						t.Fatalf("true-nearest %s from %d: (%d, %v, %v)", name, from, tn, td, err)
-					}
 				}
-			}
-			if st := d.Stats(); st.Misses != 0 {
-				t.Fatalf("%d certified misses", st.Misses)
 			}
 		})
 	}
@@ -237,7 +229,7 @@ func TestChurnGoldStandard(t *testing.T) {
 			}
 			base := mut.FrozenSpace().Base()
 			snap := mut.Snapshot()
-			d := objects.New(snap, objects.Config{Seed: 9, BaseDist: base.Dist})
+			d := objects.New(snap, objects.Config{BaseDist: base.Dist})
 			universe := d.Universe()
 
 			// Active stable ids, maintained alongside the trace.
@@ -352,11 +344,7 @@ func TestChurnGoldStandard(t *testing.T) {
 					}
 				}
 			}
-			st := d.Stats()
-			if st.Misses != 0 {
-				t.Fatalf("%d certified misses across the trace", st.Misses)
-			}
-			if st.Republishes != wantRepublishes {
+			if st := d.Stats(); st.Republishes != wantRepublishes {
 				t.Fatalf("%d republishes, model expects %d", st.Republishes, wantRepublishes)
 			}
 		})

@@ -94,7 +94,7 @@ func TestHydrateHeapCeiling(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	dir := objects.New(full, objects.Config{Seed: cfg.Seed})
+	dir := objects.New(full, objects.Config{})
 	if _, err := dir.Publish("obj", n/3); err != nil {
 		t.Fatal(err)
 	}

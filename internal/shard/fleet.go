@@ -100,7 +100,6 @@ type Fleet struct {
 	// telemetry plus the cross-shard pruning counters sharing its
 	// registry. Per-shard directories live on the shardUnits.
 	objMetrics *objects.Metrics
-	objPruned  *telemetry.Counter
 	objRefined *telemetry.Counter
 
 	buildElapsed time.Duration

@@ -14,15 +14,13 @@ import (
 // own snapshot, keyed in global ids (NewWithIDs with the shard's
 // local→global map), and a replica placed on global node g lives in
 // shard owner(g)'s directory — publishes are owner-routed exactly like
-// churn. A lookup resolves the origin shard's replicas exactly through
-// that shard's overlay directory, then folds in remote shards'
-// replicas: each is first screened by the beacon sandwich's lower
-// bound (a certified underestimate, so pruning against the current
-// best exact distance never discards a winner) and only the survivors
-// pay an exact base-space distance. The final (dist, global id)
-// minimum therefore equals the brute-force scan over the fleet-wide
-// replica set — the same contract the single-engine Directory
-// certifies per lookup.
+// churn. A lookup is one scan of the fleet-wide replica set: every
+// shard directory's replicas, each measured exactly in the base space,
+// the (dist, global id) minimum winning — the same answer the
+// single-engine Directory's scan gives over the same set. No beacon
+// screen skips remote replicas: on latency n = 1024 one 24-landmark
+// sandwich bound takes 150–220 ns, the exact distance it would spare
+// 13–15 ns.
 //
 // Churn repair is global: a commit drops the departing node's replicas
 // from the owning shard's directory (per-shard directories carry no
@@ -37,15 +35,11 @@ import (
 // telemetry (called from finishInit, after every unit's state exists).
 func (f *Fleet) initObjects() {
 	f.objMetrics = objects.NewMetrics()
-	f.objPruned = f.objMetrics.Reg.Counter("rings_objects_remote_pruned_total",
-		"Remote replicas skipped by the beacon sandwich lower bound during fleet lookups.")
 	f.objRefined = f.objMetrics.Reg.Counter("rings_objects_remote_refined_total",
 		"Remote replicas whose exact distance was computed during fleet lookups.")
 	for _, unit := range f.shards {
 		st := unit.load()
-		unit.dir = objects.NewWithIDs(st.snap, st.global, f.universe, objects.Config{
-			Seed: f.cfg.Oracle.Seed,
-		})
+		unit.dir = objects.NewWithIDs(st.snap, st.global, f.universe, objects.Config{})
 	}
 }
 
@@ -111,23 +105,19 @@ func (f *Fleet) UnpublishObject(obj string, g int) (int, error) {
 }
 
 // ObjectLookup is one fleet-resolved lookup: the exact nearest replica
-// across every shard, plus the cross-shard work accounting.
+// across every shard, plus where it lives.
 type ObjectLookup struct {
 	objects.LookupResult
 	// Shard owns the chosen replica; Remote reports it lives outside
-	// the origin's shard.
-	Shard  int  `json:"shard"`
-	Remote bool `json:"remote"`
-	// Pruned counts remote replicas discarded on the sandwich lower
-	// bound alone; Refined those that paid an exact distance.
-	Pruned  int   `json:"pruned"`
+	// the origin's shard. Refined counts the remote replicas measured.
+	Shard   int   `json:"shard"`
+	Remote  bool  `json:"remote"`
 	Refined int   `json:"refined"`
 	Epoch   int64 `json:"epoch"`
 }
 
 // LookupObject resolves obj from global origin g to its nearest replica
-// fleet-wide (epoch-fenced; see the file comment for the exactness
-// argument).
+// fleet-wide (epoch-fenced; see the file comment).
 func (f *Fleet) LookupObject(obj string, g int) (ObjectLookup, error) {
 	if err := f.checkGlobal(g); err != nil {
 		return ObjectLookup{}, err
@@ -146,9 +136,6 @@ func (f *Fleet) LookupObject(obj string, g int) (ObjectLookup, error) {
 	}
 	out.Epoch = epoch
 	f.objMetrics.Lookups.Inc()
-	f.objMetrics.Hops.Observe(float64(out.Hops))
-	f.objMetrics.Scanned.Observe(float64(out.Scanned))
-	f.objPruned.Add(int64(out.Pruned))
 	f.objRefined.Add(int64(out.Refined))
 	return out, nil
 }
@@ -156,114 +143,40 @@ func (f *Fleet) LookupObject(obj string, g int) (ObjectLookup, error) {
 func (f *Fleet) lookupObjectOnce(obj string, g int) (ObjectLookup, error) {
 	so := owner(g, f.k)
 	stO := f.shards[so].load()
-	lo, err := localOf(stO, g)
-	if err != nil {
+	if _, err := localOf(stO, g); err != nil {
 		return ObjectLookup{}, err
 	}
-	var (
-		found          bool
-		bestNode       int
-		bestDist       float64
-		hops, scanned  int
-		pruned, refine int
-		replicas       int
-		trueNode       = -1
-		trueDist       float64
-	)
-	// Local replicas resolve exactly through the origin shard's overlay
-	// directory (its index distances are the base distances).
-	if res, err := f.shards[so].dir.Lookup(obj, g); err == nil {
-		found, bestNode, bestDist = true, res.Node, res.Dist
-		hops, scanned, replicas = res.Hops, res.Scanned, res.Replicas
-		trueNode, trueDist = res.Node, res.Dist
-	} else if !errors.Is(err, objects.ErrUnknownObject) {
-		return ObjectLookup{}, err
-	}
-	states := make([]*shardState, f.k)
-	for t := 0; t < f.k; t++ {
-		if t == so {
+	dist := func(r int) float64 { return f.base.Dist(g, r) }
+	best, bestD, replicas, refined := -1, 0.0, 0, 0
+	for t, unit := range f.shards {
+		node, d, n := unit.dir.NearestFrom(obj, dist)
+		if n == 0 {
 			continue
 		}
-		reps := f.shards[t].dir.Replicas(obj)
-		replicas += len(reps)
-		for _, r := range reps {
-			// Sandwich screen: the lower bound never exceeds the true
-			// distance, so a bound above the current best exact distance
-			// certifies this replica cannot win (even on ties — ties
-			// break toward the lower id only at equal exact distance).
-			if found {
-				if states[t] == nil {
-					states[t] = f.shards[t].load()
-				}
-				if lr, lerr := localOf(states[t], r); lerr == nil {
-					lower, _ := f.tier.estimate(stO.bvec[lo], states[t].bvec[lr])
-					if lower > bestDist {
-						pruned++
-						continue
-					}
-				}
-			}
-			d := f.base.Dist(g, r)
-			refine++
-			if trueNode < 0 || d < trueDist || (d == trueDist && r < trueNode) {
-				trueNode, trueDist = r, d
-			}
-			if !found || d < bestDist || (d == bestDist && r < bestNode) {
-				found, bestNode, bestDist = true, r, d
-			}
+		replicas += n
+		if t != so {
+			refined += n
+		}
+		if best < 0 || d < bestD || (d == bestD && node < best) {
+			best, bestD = node, d
 		}
 	}
-	if !found {
+	if best < 0 {
 		return ObjectLookup{}, fmt.Errorf("objects: lookup %q: %w", obj, objects.ErrUnknownObject)
 	}
-	if bestNode != trueNode || bestDist != trueDist {
-		f.objMetrics.Misses.Inc()
-	}
-	stretch := 1.0
-	if trueDist > 0 && bestDist > trueDist {
-		stretch = bestDist / trueDist
-	}
-	f.objMetrics.Stretch.Observe(stretch)
-	bs := owner(bestNode, f.k)
+	bs := owner(best, f.k)
 	return ObjectLookup{
 		LookupResult: objects.LookupResult{
 			Object:   obj,
-			Node:     bestNode,
-			Dist:     bestDist,
-			Hops:     hops,
-			Scanned:  scanned + refine,
+			Node:     best,
+			Dist:     bestD,
 			Replicas: replicas,
 			Version:  stO.snap.Version,
 		},
 		Shard:   bs,
 		Remote:  bs != so,
-		Pruned:  pruned,
-		Refined: refine,
+		Refined: refined,
 	}, nil
-}
-
-// TrueNearestObject is the fleet-wide brute-force verification oracle:
-// the exact nearest replica of obj from global origin g, scanning every
-// shard's replica set in ascending global id.
-func (f *Fleet) TrueNearestObject(obj string, g int) (int, float64, error) {
-	if err := f.checkGlobal(g); err != nil {
-		return 0, 0, err
-	}
-	var all []int
-	for _, unit := range f.shards {
-		all = append(all, unit.dir.Replicas(obj)...)
-	}
-	if len(all) == 0 {
-		return 0, 0, fmt.Errorf("objects: true-nearest %q: %w", obj, objects.ErrUnknownObject)
-	}
-	sort.Ints(all)
-	best, bestD := -1, 0.0
-	for _, r := range all {
-		if d := f.base.Dist(g, r); best < 0 || d < bestD {
-			best, bestD = r, d
-		}
-	}
-	return best, bestD, nil
 }
 
 // repairObjectsLocked re-places replicas stranded by a churn commit on
@@ -322,11 +235,9 @@ type ObjectStats struct {
 	// PerShard; fleet lookups never touch them).
 	Lookups       int64 `json:"lookups"`
 	NotFound      int64 `json:"not_found"`
-	Misses        int64 `json:"misses"`
 	Publishes     int64 `json:"publishes"`
 	Unpublishes   int64 `json:"unpublishes"`
 	Republishes   int64 `json:"republishes"`
-	RemotePruned  int64 `json:"remote_pruned"`
 	RemoteRefined int64 `json:"remote_refined"`
 	// PerShard reports each shard directory (owner-routed holdings).
 	PerShard []objects.Stats `json:"per_shard"`
@@ -340,11 +251,9 @@ func (f *Fleet) ObjectStats() ObjectStats {
 		Ready:         true,
 		Lookups:       f.objMetrics.Lookups.Value(),
 		NotFound:      f.objMetrics.NotFound.Value(),
-		Misses:        f.objMetrics.Misses.Value(),
 		Publishes:     f.objMetrics.Publishes.Value(),
 		Unpublishes:   f.objMetrics.Unpublishes.Value(),
 		Republishes:   f.objMetrics.Republishes.Value(),
-		RemotePruned:  f.objPruned.Value(),
 		RemoteRefined: f.objRefined.Value(),
 	}
 	names := make(map[string]struct{})

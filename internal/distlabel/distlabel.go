@@ -161,15 +161,31 @@ func NewInternal(idx metric.BallIndex, deltaPrime float64) (*Scheme, error) {
 // which the churn engine's localized repair reuses one node at a time —
 // one construction implementation, two drivers.
 func FromConstruction(cons *triangulation.Construction, delta float64) (*Scheme, error) {
+	return FromConstructionEach(cons, delta, nil)
+}
+
+// FromConstructionEach is FromConstruction handing each label to sink
+// as soon as it is filled, on the worker w that filled it (w below
+// par.Workers(cons.Params.Workers, n); distinct nodes reach sink
+// concurrently). With a sink the scheme keeps no label, so a caller that
+// packs each label as it comes never holds all n in pointer form. An
+// error from sink fails the build as a fill error does.
+func FromConstructionEach(cons *triangulation.Construction, delta float64, sink func(w, u int, lab *Label) error) (*Scheme, error) {
 	n := cons.Idx.N()
 	workers := cons.Params.Workers
 	nw := par.Workers(workers, n)
 	s := &Scheme{
 		Delta:     delta,
 		Cons:      cons,
-		labels:    make([]*Label, n),
 		tSets:     NewVirtualSets(IdentitySet(n), make([][]int, n)),
 		hostEnums: make([]core.Enum, n),
+	}
+	if sink == nil {
+		s.labels = make([]*Label, n)
+		sink = func(_, u int, lab *Label) error {
+			s.labels[u] = lab
+			return nil
+		}
 	}
 
 	// Z-neighbor sets: Z_u = union over scales t_k of B_u(t_k) ∩ G_jz(k).
@@ -218,11 +234,10 @@ func FromConstruction(cons *triangulation.Construction, delta float64) (*Scheme,
 			return
 		}
 		lab, err := FillLabel(cons, u, s.hostEnums[u], level0Count, s.tSets, scr[w])
-		if err != nil {
-			errs[w] = err
-			return
+		if err == nil {
+			err = sink(w, u, lab)
 		}
-		s.labels[u] = lab
+		errs[w] = err
 	})
 	for _, err := range errs {
 		if err != nil {
@@ -233,7 +248,8 @@ func FromConstruction(cons *triangulation.Construction, delta float64) (*Scheme,
 	return s, nil
 }
 
-// Label returns node u's label.
+// Label returns node u's label; a scheme built with a sink holds none
+// (see FromConstructionEach).
 func (s *Scheme) Label(u int) *Label { return s.labels[u] }
 
 // VirtualEnum exposes ψ_u (for Theorem B.1's reuse and for tests).

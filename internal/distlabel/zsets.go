@@ -2,9 +2,11 @@ package distlabel
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"rings/internal/intset"
+	"rings/internal/metric"
 	"rings/internal/par"
 	"rings/internal/triangulation"
 )
@@ -80,28 +82,42 @@ func (zp ZParams) Qualifies(masks [][]bool, w int, d float64) bool {
 	return k0 < len(zp.Tks) && masks[k0][w]
 }
 
-// BuildZSets computes every Z-neighbor set: Z_u is the union over
-// scales t_k of B_u(t_k) ∩ G_jz(k), derived in one pass over each
-// node's sorted row (see the package doc for why testing the first
-// qualifying scale alone decides membership). Each Z_u comes out
-// sorted by node id, collected through a per-worker mark set: a dense
-// Z_u is read off its marks in id order instead of being sorted.
-func BuildZSets(cons *triangulation.Construction, workers int) [][]int {
-	idx := cons.Idx
-	n := idx.N()
-	zp := ZSetParams(cons)
-	masks := zp.Masks(cons)
-	zAll := make([][]int, n)
-	sets := make([]intset.Set, par.Workers(workers, n))
-	par.ForWorker(workers, n, func(w, u int) {
-		st := &sets[w]
-		st.Reset(n)
-		for _, nb := range idx.Sorted(u) {
-			if zp.Qualifies(masks, nb.Node, nb.Dist) {
-				st.Add(nb.Node)
+// Reach reports, per node w, the largest scale at which w qualifies
+// (-1 where it qualifies at none), so that Qualifies(masks, w, d) is
+// d <= reach[w]. The masks are nested — Levels ascend, and a coarser net
+// is a subset of each finer one — so w qualifies at every scale up to
+// the last whose net holds it, and k0(d) reaches past that scale exactly
+// when d exceeds it.
+func (zp ZParams) Reach(masks [][]bool) []float64 {
+	reach := make([]float64, len(masks[0]))
+	for w := range reach {
+		reach[w] = -1
+		for k := range masks {
+			if !masks[k][w] {
+				break
 			}
+			reach[w] = zp.Tks[k]
 		}
-		zAll[u] = st.Sorted()
+	}
+	return reach
+}
+
+// BuildZSets computes every Z-neighbor set: Z_u is the union over
+// scales t_k of B_u(t_k) ∩ G_jz(k), and testing the first qualifying
+// scale alone decides membership (see the package doc), so w's
+// membership is a test on the one distance d(u, w) — against w's reach
+// (see Reach). Each Z_u is read off in id order, w = 0…n−1, and comes out
+// sorted: no sorted row, no mark set and no sort, so after the
+// construction no Z-set asks the index for more than a distance.
+func BuildZSets(cons *triangulation.Construction, workers int) [][]int {
+	n := cons.Idx.N()
+	zp := ZSetParams(cons)
+	reach := zp.Reach(zp.Masks(cons))
+	zAll := make([][]int, n)
+	bufs := make([][]int, par.Workers(workers, n))
+	par.ForWorker(workers, n, func(w, u int) {
+		bufs[w] = appendZSet(bufs[w][:0], cons.Idx, reach, u)
+		zAll[u] = slices.Clone(bufs[w])
 	})
 	return zAll
 }
@@ -109,14 +125,17 @@ func BuildZSets(cons *triangulation.Construction, workers int) [][]int {
 // BuildZSet computes a single node's Z-set (the churn repair path for a
 // freshly joined node), sorted by id.
 func BuildZSet(cons *triangulation.Construction, zp ZParams, masks [][]bool, u int) []int {
-	var out []int
-	for _, nb := range cons.Idx.Sorted(u) {
-		if zp.Qualifies(masks, nb.Node, nb.Dist) {
-			out = append(out, nb.Node)
+	return appendZSet(nil, cons.Idx, zp.Reach(masks), u)
+}
+
+// appendZSet appends Z_u to dst in ascending id order.
+func appendZSet(dst []int, idx metric.BallIndex, reach []float64, u int) []int {
+	for w, r := range reach {
+		if idx.Dist(u, w) <= r {
+			dst = append(dst, w)
 		}
 	}
-	sort.Ints(out)
-	return out
+	return dst
 }
 
 // BuildXAll computes every node's X union ∪_i X_ui, sorted by id.

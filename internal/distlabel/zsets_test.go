@@ -1,10 +1,12 @@
 package distlabel
 
 import (
+	"iter"
 	"slices"
 	"testing"
 
 	"rings/internal/intset"
+	"rings/internal/metric"
 	"rings/internal/triangulation"
 	"rings/internal/workload"
 )
@@ -89,5 +91,69 @@ func TestSetBuildersMatchSortedUnion(t *testing.T) {
 		if spec.Name == "expline" && (full == 0 || full == n) {
 			t.Errorf("%s: %d of %d T-sets saturated, want some of each", inst.Name, full, n)
 		}
+	}
+}
+
+// rowless is a ball index that answers distances but refuses every row
+// query: what the Z-sets may ask of the index once the construction is
+// done.
+type rowless struct{ metric.BallIndex }
+
+func (rowless) Sorted(int) []metric.Neighbor            { panic("Z-sets read a sorted row") }
+func (rowless) Ball(int, float64) []metric.Neighbor     { panic("Z-sets read a ball") }
+func (rowless) Neighbors(int) iter.Seq[metric.Neighbor] { panic("Z-sets walk a row") }
+
+// rowScanZSets is the row scan BuildZSets replaced, kept as the
+// reference: each node's distance-sorted row, every neighbor tested by
+// Qualifies, the members sorted by id.
+func rowScanZSets(cons *triangulation.Construction) [][]int {
+	zp := ZSetParams(cons)
+	masks := zp.Masks(cons)
+	zAll := make([][]int, cons.Idx.N())
+	for u := range zAll {
+		for _, nb := range cons.Idx.Sorted(u) {
+			if zp.Qualifies(masks, nb.Node, nb.Dist) {
+				zAll[u] = append(zAll[u], nb.Node)
+			}
+		}
+		slices.Sort(zAll[u])
+	}
+	return zAll
+}
+
+// TestZSetsReadOnlyDistances: BuildZSets and BuildZSet, over an index
+// whose Sorted, Ball and Neighbors panic, equal the row scan on all four
+// families at n = 256 under the served tuned profile.
+func TestZSetsReadOnlyDistances(t *testing.T) {
+	for _, spec := range []workload.MetricSpec{
+		{Name: "grid", Side: 16},
+		{Name: "cube", N: 256, Seed: 3},
+		{Name: "expline", N: 256, LogAspect: 60},
+		{Name: "latency", N: 256, Seed: 1},
+	} {
+		inst, err := workload.Metric(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cons, err := triangulation.NewConstructionParams(inst.Idx, triangulation.TunedParams(0.5/6, 2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := rowScanZSets(cons)
+		cons.Rebase(rowless{inst.Idx})
+		got := BuildZSets(cons, 2)
+		zp := ZSetParams(cons)
+		masks := zp.Masks(cons)
+		sizes := 0
+		for u := range want {
+			if !slices.Equal(got[u], want[u]) {
+				t.Fatalf("%s: Z_%d = %v, the row scan's %v", inst.Name, u, got[u], want[u])
+			}
+			if one := BuildZSet(cons, zp, masks, u); !slices.Equal(one, want[u]) {
+				t.Fatalf("%s: BuildZSet(%d) = %v, the row scan's %v", inst.Name, u, one, want[u])
+			}
+			sizes += len(want[u])
+		}
+		t.Logf("%s: %.1f Z-neighbors per node", inst.Name, float64(sizes)/float64(len(want)))
 	}
 }

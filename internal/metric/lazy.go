@@ -70,6 +70,16 @@ func NewLazyIndex(space Space, opts Options) *LazyIndex {
 	}
 }
 
+// LazyOver is NewLazyIndex over idx's space, taking idx's diameter and
+// minimum distance instead of scanning every pair for them: the index a
+// caller done with idx's rows goes on with.
+func LazyOver(idx BallIndex, opts Options) *LazyIndex {
+	ix := NewLazyIndex(idx.Space(), opts)
+	diam, minPos := idx.Diameter(), idx.MinDistance()
+	ix.statsOnce.Do(func() { ix.diam, ix.minPos = diam, minPos })
+	return ix
+}
+
 // Space returns the underlying metric space.
 func (ix *LazyIndex) Space() Space { return ix.space }
 

@@ -169,6 +169,17 @@ func NewHierarchyOrdered(idx metric.BallIndex, scales []float64, order []int) (*
 	return h, nil
 }
 
+// Over returns the hierarchy with its ball queries answered by idx,
+// another index over the same space: the levels, masks and nearest-point
+// cache are shared, not copied. A caller that is done with a row-holding
+// index moves the hierarchy off it this way, so the rows can be
+// collected.
+func (h *Hierarchy) Over(idx metric.BallIndex) *Hierarchy {
+	moved := *h
+	moved.idx = idx
+	return &moved
+}
+
 // NumLevels reports the number of levels (== number of scales).
 func (h *Hierarchy) NumLevels() int { return len(h.scales) }
 

@@ -436,6 +436,14 @@ func (d *Directory) Replicas(obj string) []int {
 	return slices.Clone(d.objs[obj])
 }
 
+// ReplicaCount reports how many replicas obj has (0 when unknown),
+// copying nothing.
+func (d *Directory) ReplicaCount(obj string) int {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	return len(d.objs[obj])
+}
+
 // Has reports whether obj has any published replica.
 func (d *Directory) Has(obj string) bool {
 	d.mu.RLock()

@@ -28,7 +28,7 @@ func widthLabel(hosts int, y, z int32) *distlabel.Label {
 // built.
 func TestPackRefusesWideLabels(t *testing.T) {
 	const top = ArenaWidth - 1
-	f, err := newFlatFromLabels([]*distlabel.Label{widthLabel(top, top, top)})
+	f, err := newFlatFromLabels([]*distlabel.Label{widthLabel(top, top, top)}, 0)
 	if err != nil {
 		t.Fatalf("pack at the widest values: %v", err)
 	}
@@ -56,7 +56,7 @@ func TestPackRefusesWideLabels(t *testing.T) {
 		{"negative-Z", widthLabel(2, 1, -1)},
 		{"hosts", widthLabel(ArenaWidth, 1, 1)},
 	} {
-		if _, err := newFlatFromLabels([]*distlabel.Label{tc.lab}); !errors.Is(err, ErrArenaWidth) {
+		if _, err := newFlatFromLabels([]*distlabel.Label{tc.lab}, 0); !errors.Is(err, ErrArenaWidth) {
 			t.Errorf("%s: pack = %v, want ErrArenaWidth", tc.name, err)
 		}
 	}

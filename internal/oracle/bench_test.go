@@ -3,6 +3,8 @@ package oracle
 import (
 	"math/rand"
 	"runtime"
+	"runtime/debug"
+	"runtime/metrics"
 	"sync"
 	"testing"
 	"time"
@@ -172,7 +174,13 @@ func BenchmarkEstimateBatchFlat(b *testing.B) {
 // growth, the figure TestColdBuildHeapCeiling bounds at n = 256 for
 // "build"). No build makes the router, so router-ms/first-route times
 // one Router call on the last snapshot, after those figures: the wait
-// of its first /route.
+// of its first /route. peak-MB/build is the largest memory the runtime
+// held during the builds, sampled every 500 µs as
+// /memory/classes/total:bytes less what it has returned to the OS
+// (heap/released; total alone only grows, so it would carry an earlier
+// sub-benchmark's peak into the next); each sub-benchmark starts from a
+// collection that returns every free page, and the figure includes the
+// test process's own baseline.
 func BenchmarkBuildSnapshot(b *testing.B) {
 	n := 1024
 	if testing.Short() {
@@ -210,8 +218,10 @@ func BenchmarkBuildSnapshot(b *testing.B) {
 			var ms runtime.MemStats
 			b.StopTimer()
 			before := heapInuse()
+			debug.FreeOSMemory()
 			runtime.ReadMemStats(&ms)
 			allocated := ms.TotalAlloc
+			peak := samplePeak()
 			b.StartTimer()
 			var snap *Snapshot
 			for i := 0; i < b.N; i++ {
@@ -224,6 +234,7 @@ func BenchmarkBuildSnapshot(b *testing.B) {
 				}
 			}
 			b.StopTimer()
+			b.ReportMetric(float64(peak())/(1<<20), "peak-MB/build")
 			runtime.ReadMemStats(&ms)
 			allocated = ms.TotalAlloc - allocated
 			live := heapInuse() - before
@@ -238,6 +249,37 @@ func BenchmarkBuildSnapshot(b *testing.B) {
 			b.ReportMetric(float64(allocated)/(1<<20)/float64(b.N), "alloc-MB/build")
 			b.ReportMetric(float64(live)/(1<<20), "live-MB")
 		})
+	}
+}
+
+// samplePeak samples the memory the runtime holds from the OS —
+// /memory/classes/total:bytes less /memory/classes/heap/released:bytes —
+// every 500 µs until the returned stop is called, which reports the
+// largest sample.
+func samplePeak() (stop func() uint64) {
+	samples := []metrics.Sample{
+		{Name: "/memory/classes/total:bytes"},
+		{Name: "/memory/classes/heap/released:bytes"},
+	}
+	done, result := make(chan struct{}), make(chan uint64)
+	go func() {
+		tick := time.NewTicker(500 * time.Microsecond)
+		defer tick.Stop()
+		var peak uint64
+		for {
+			metrics.Read(samples)
+			peak = max(peak, samples[0].Value.Uint64()-samples[1].Value.Uint64())
+			select {
+			case <-done:
+				result <- peak
+				return
+			case <-tick.C:
+			}
+		}
+	}()
+	return func() uint64 {
+		close(done)
+		return <-result
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"unsafe"
 
 	"rings/internal/distlabel"
+	"rings/internal/par"
 )
 
 // FlatSnap is the flat serving representation of a snapshot's labels:
@@ -467,19 +468,27 @@ func (f *FlatSnap) countKeys() (keys, lists int) {
 	return keys, lists
 }
 
-// listIndex places ζ entry lists in the yz section, each distinct list
-// of a group once: a list equal to one the current group already stored
-// is that one instead of a second copy. Equality is by content — slice
+// listIndex places one label's ζ entry lists in its yz words, each
+// distinct list of a group once: a list equal to one the current group
+// already stored is that one instead of a second copy. Equality is by content — slice
 // identity (the builder's aliased identity keys) is only the shortcut —
 // so the arena bytes depend on nothing but what the labels say, whichever
 // way their lists happen to be held in memory.
 type listIndex struct {
-	lists [][]distlabel.TransEntry // every stored list, in arena order
-	start []int32                  // start[i] is lists[i]'s first entry index in yz
+	lists [][]distlabel.TransEntry // the label's stored lists, in arena order
+	start []int32                  // start[i] is lists[i]'s first entry index in the label's yz
 	older []int32                  // older[i] is the previous list of the same group and hash, or -1
 	head  map[uint64]int32         // content hash -> newest list of the current group
 	last  int32                    // the list the previous key of the group resolved to, or -1
 	ents  int                      // entries stored so far
+}
+
+// reset empties the index for the next label.
+func (ix *listIndex) reset() {
+	if ix.head == nil {
+		ix.head = make(map[uint64]int32)
+	}
+	ix.lists, ix.start, ix.older, ix.ents = ix.lists[:0], ix.start[:0], ix.older[:0], 0
 }
 
 // nextGroup forgets the finished group's lists: sharing never crosses a
@@ -531,118 +540,152 @@ func (ix *listIndex) find(entries []distlabel.TransEntry) int32 {
 	return at
 }
 
-// newFlatFromLabels packs Theorem 3.4 labels into the flat arenas. Each
-// group's keys, read in their ascending order, become bits; its lists
-// are stored once per content (see listIndex), in key order and
-// Y-sorted as they arrive from the builder — the exact fold
-// order distlabel.Estimate's harvest/lookup walk uses, so the flat
-// answers are bit-identical. A key with an empty list is left out: the
-// pointer walk finds nothing under it either, and the wire codec drops it
-// the same way. The default span of a group is the list most of its keys
-// name (ties to the first in key order); only keys naming another list
-// are stored as exceptions. Each entry is one yz word, Y<<16 | Z: a label
-// with ArenaWidth hosts or more, or an entry whose Y or Z lies outside
-// [0, ArenaWidth), is refused with ErrArenaWidth.
-func newFlatFromLabels(labels []*distlabel.Label) (*FlatSnap, error) {
-	n := len(labels)
-	// Size pass.
-	var nDists, nGroups, nWords int
-	for u, lab := range labels {
-		if lab == nil {
-			return nil, fmt.Errorf("oracle: flat pack: nil label %d", u)
-		}
-		if len(lab.Trans) != len(lab.ZoomPsi) {
-			// Groups are indexed like psi; the builder and wire decoder
-			// both emit equal lengths (IMax).
-			return nil, fmt.Errorf("oracle: flat pack: label %d has %d trans levels for %d zoom pointers", u, len(lab.Trans), len(lab.ZoomPsi))
-		}
-		if len(lab.Dists) >= ArenaWidth {
-			return nil, fmt.Errorf("%w: label %d has %d hosts", ErrArenaWidth, u, len(lab.Dists))
-		}
-		nDists += len(lab.Dists)
-		nGroups += len(lab.Trans)
-		nWords += len(lab.Trans) * keyWords(len(lab.Dists))
-	}
-	if c := max(nDists, 3*nGroups, nWords); c > math.MaxInt32 {
-		return nil, fmt.Errorf("oracle: flat pack: arena of %d elements exceeds the int32 offset space", c)
-	}
-	// Placement pass: bitmaps, spans and chains into scratch, because the
-	// arena's size is the number of entries and exceptions that survive
-	// the sharing.
-	ix := listIndex{head: make(map[uint64]int32)}
-	keyBits := make([]int32, nWords)
-	grpSpan := make([]int32, 2*nGroups)
-	chain := make([]int32, 3*nGroups)
-	xcOff := make([]int32, nGroups+1)
-	var xcKeys, xcSpan, keys, ids, tally []int32
-	g, word := 0, 0
-	for u, lab := range labels {
-		nd := len(lab.Dists)
-		w := keyWords(nd)
-		own := int32(lab.Zoom0) // the host u's own walk stands on
-		for i, lm := range lab.Trans {
-			ix.nextGroup()
-			group := keyBits[word : word+w]
-			first, ownList := int32(len(ix.lists)), int32(-1)
-			keys, ids = keys[:0], ids[:0]
-			for k, x := range lm.Keys {
-				entries := lm.Lists[k]
-				if len(entries) == 0 {
-					continue
-				}
-				if x < 0 || int(x) >= nd || (len(keys) > 0 && x <= keys[len(keys)-1]) {
-					return nil, fmt.Errorf("oracle: flat pack: label %d level %d has key %d out of order or outside its %d hosts", u, i, x, nd)
-				}
-				group[x>>5] |= int32(uint32(1) << (x & 31))
-				at := ix.place(entries)
-				keys, ids = append(keys, x), append(ids, at)
-				if x == own {
-					ownList = at
-				}
-			}
-			stored := len(ix.lists) - int(first)
-			tally = slices.Grow(tally[:0], stored)[:stored]
-			clear(tally)
-			def := int32(-1)
-			for _, at := range ids {
-				tally[at-first]++
-			}
-			for j, c := range tally {
-				if def < 0 || c > tally[def] {
-					def = int32(j)
-				}
-			}
-			if def >= 0 {
-				def += first
-				grpSpan[2*g], grpSpan[2*g+1] = ix.span(def)
-			}
-			for k, at := range ids {
-				if at != def {
-					s, e := ix.span(at)
-					xcKeys = append(xcKeys, keys[k])
-					xcSpan = append(xcSpan, s, e)
-				}
-			}
-			xcOff[g+1] = int32(len(xcKeys))
-			if ownList >= 0 {
-				chain[3*g], chain[3*g+1] = ix.span(ownList)
-			}
-			// A host past the label's end names no key: the walk would
-			// stop one level later having folded nothing more.
-			next := lab.Translate(i, int(own), lab.ZoomPsi[i])
-			if next >= nd {
-				next = -1
-			}
-			own = int32(next)
-			chain[3*g+2] = own
-			g++
-			word += w
-		}
-	}
-	if c := max(ix.ents, 2*len(xcKeys)); c > math.MaxInt32 {
-		return nil, fmt.Errorf("oracle: flat pack: arena of %d elements exceeds the int32 offset space", c)
-	}
+// packedLabel is one label in arena form: its share of every section,
+// its spans counted from its own first yz word and its exception offsets
+// from its own first exception. Sharing never crosses a label (see
+// listIndex), so each label packs on its own — on the worker that filled
+// it, as soon as it is filled — and assembleFlat lays them end to end,
+// adding each label's bases.
+type packedLabel struct {
+	dists     []float64 // the label's own Dists (aliased, not copied)
+	psi       []int32   // the label's own ZoomPsi (aliased, not copied)
+	l0, zoom0 int32
+	// Per group: keyWords(len(dists)) bitmap words, 2 grpSpan and 3
+	// chain words, and xcEnd, the label's exception keys up to its end.
+	keyBits, grpSpan, chain, xcEnd []int32
+	xcKeys, xcSpan                 []int32
+	yz                             []uint32
+}
 
+// labelPacker is one worker's scratch for pack.
+type labelPacker struct {
+	ix               listIndex
+	keys, ids, tally []int32
+}
+
+// pack lays label u out in arena form. Each group's keys, read in their
+// ascending order, become bits; its lists are stored once per content
+// (see listIndex), in key order and Y-sorted as they arrive from the
+// builder — the exact fold order distlabel.Estimate's harvest/lookup
+// walk uses, so the flat answers are bit-identical. A key with an empty
+// list is left out: the pointer walk finds nothing under it either, and
+// the wire codec drops it the same way. The default span of a group is
+// the list most of its keys name (ties to the first in key order); only
+// keys naming another list are stored as exceptions. Each entry is one
+// yz word, Y<<16 | Z: a label with ArenaWidth hosts or more, or an entry
+// whose Y or Z lies outside [0, ArenaWidth), is refused with
+// ErrArenaWidth.
+func (pk *labelPacker) pack(u int, lab *distlabel.Label) (packedLabel, error) {
+	if lab == nil {
+		return packedLabel{}, fmt.Errorf("oracle: flat pack: nil label %d", u)
+	}
+	if len(lab.Trans) != len(lab.ZoomPsi) {
+		// Groups are indexed like psi; the builder and wire decoder both
+		// emit equal lengths (IMax).
+		return packedLabel{}, fmt.Errorf("oracle: flat pack: label %d has %d trans levels for %d zoom pointers", u, len(lab.Trans), len(lab.ZoomPsi))
+	}
+	nd, groups := len(lab.Dists), len(lab.Trans)
+	if nd >= ArenaWidth {
+		return packedLabel{}, fmt.Errorf("%w: label %d has %d hosts", ErrArenaWidth, u, nd)
+	}
+	w := keyWords(nd)
+	p := packedLabel{
+		dists: lab.Dists, psi: lab.ZoomPsi,
+		l0: int32(lab.Level0Count), zoom0: int32(lab.Zoom0),
+		keyBits: make([]int32, groups*w), grpSpan: make([]int32, 2*groups),
+		chain: make([]int32, 3*groups), xcEnd: make([]int32, groups),
+	}
+	ix := &pk.ix
+	ix.reset()
+	own := int32(lab.Zoom0) // the host u's own walk stands on
+	for g, lm := range lab.Trans {
+		ix.nextGroup()
+		group := p.keyBits[g*w : (g+1)*w]
+		first, ownList := int32(len(ix.lists)), int32(-1)
+		keys, ids := pk.keys[:0], pk.ids[:0]
+		for k, x := range lm.Keys {
+			entries := lm.Lists[k]
+			if len(entries) == 0 {
+				continue
+			}
+			if x < 0 || int(x) >= nd || (len(keys) > 0 && x <= keys[len(keys)-1]) {
+				return packedLabel{}, fmt.Errorf("oracle: flat pack: label %d level %d has key %d out of order or outside its %d hosts", u, g, x, nd)
+			}
+			group[x>>5] |= int32(uint32(1) << (x & 31))
+			at := ix.place(entries)
+			keys, ids = append(keys, x), append(ids, at)
+			if x == own {
+				ownList = at
+			}
+		}
+		pk.keys, pk.ids = keys, ids
+		stored := len(ix.lists) - int(first)
+		tally := slices.Grow(pk.tally[:0], stored)[:stored]
+		pk.tally = tally
+		clear(tally)
+		def := int32(-1)
+		for _, at := range ids {
+			tally[at-first]++
+		}
+		for j, c := range tally {
+			if def < 0 || c > tally[def] {
+				def = int32(j)
+			}
+		}
+		if def >= 0 {
+			def += first
+			p.grpSpan[2*g], p.grpSpan[2*g+1] = ix.span(def)
+		}
+		for k, at := range ids {
+			if at != def {
+				s, e := ix.span(at)
+				p.xcKeys = append(p.xcKeys, keys[k])
+				p.xcSpan = append(p.xcSpan, s, e)
+			}
+		}
+		p.xcEnd[g] = int32(len(p.xcKeys))
+		if ownList >= 0 {
+			p.chain[3*g], p.chain[3*g+1] = ix.span(ownList)
+		}
+		// A host past the label's end names no key: the walk would stop
+		// one level later having folded nothing more.
+		next := lab.Translate(g, int(own), lab.ZoomPsi[g])
+		if next >= nd {
+			next = -1
+		}
+		own = int32(next)
+		p.chain[3*g+2] = own
+	}
+	p.yz = make([]uint32, 0, ix.ents)
+	for _, l := range ix.lists {
+		for _, e := range l {
+			if uint32(e.Y) >= ArenaWidth || uint32(e.Z) >= ArenaWidth {
+				return packedLabel{}, fmt.Errorf("%w: entry (Y %d, Z %d)", ErrArenaWidth, e.Y, e.Z)
+			}
+			p.yz = append(p.yz, uint32(e.Y)<<16|uint32(e.Z))
+		}
+	}
+	clear(ix.lists) // the scratch must not keep the label's lists alive
+	return p, nil
+}
+
+// assembleFlat lays packed labels end to end into one arena. A span
+// (start, end) with start < end is moved by the label's first yz word;
+// an empty one is a group or chain with no list and stays (0, 0).
+func assembleFlat(packs []packedLabel) (*FlatSnap, error) {
+	n := len(packs)
+	var nDists, nGroups, nWords, nXc, nEnts int
+	for i := range packs {
+		p := &packs[i]
+		nDists += len(p.dists)
+		nGroups += len(p.psi)
+		nWords += len(p.keyBits)
+		nXc += len(p.xcKeys)
+		nEnts += len(p.yz)
+	}
+	if c := max(nDists, 3*nGroups, nWords, 2*nXc, nEnts); c > math.MaxInt32 {
+		return nil, fmt.Errorf("oracle: flat pack: arena of %d elements exceeds the int32 offset space", c)
+	}
 	var lay flatLayout
 	lay.add(secDists, "f64", nDists)
 	lay.add(secDistOff, "i32", n+1)
@@ -654,56 +697,76 @@ func newFlatFromLabels(labels []*distlabel.Label) (*FlatSnap, error) {
 	lay.add(secKeyBits, "i32", nWords)
 	lay.add(secGrpSpan, "i32", 2*nGroups)
 	lay.add(secXcOff, "i32", nGroups+1)
-	lay.add(secXcKeys, "i32", len(xcKeys))
-	lay.add(secXcSpan, "i32", len(xcSpan))
+	lay.add(secXcKeys, "i32", nXc)
+	lay.add(secXcSpan, "i32", 2*nXc)
 	lay.add(secChain, "i32", 3*nGroups)
-	lay.add(secYZ, "u32", ix.ents)
+	lay.add(secYZ, "u32", nEnts)
 
 	f := &FlatSnap{n: n, buf: alignedBytes(int(lay.off)), sections: lay.sections}
 	f.refs.Store(1)
 	if err := f.bind(); err != nil {
 		return nil, err
 	}
-
-	// Fill pass.
-	var dPos, pPos, wPos int
-	for u, lab := range labels {
-		f.distOff[u] = int32(dPos)
-		dPos += copy(f.dists[dPos:], lab.Dists)
-		f.l0[u] = int32(lab.Level0Count)
-		f.zoom0[u] = int32(lab.Zoom0)
-		f.psiOff[u] = int32(pPos)
-		pPos += copy(f.psi[pPos:], lab.ZoomPsi)
-		f.kbOff[u] = int32(wPos)
-		wPos += len(lab.Trans) * keyWords(len(lab.Dists))
-	}
-	f.distOff[n] = int32(dPos)
-	f.psiOff[n] = int32(pPos)
-	f.kbOff[n] = int32(wPos)
-	copy(f.keyBits, keyBits)
-	copy(f.grpSpan, grpSpan)
-	copy(f.xcOff, xcOff)
-	copy(f.xcKeys, xcKeys)
-	copy(f.xcSpan, xcSpan)
-	copy(f.chain, chain)
-	ePos := 0
-	for _, l := range ix.lists {
-		for _, e := range l {
-			if uint32(e.Y) >= ArenaWidth || uint32(e.Z) >= ArenaWidth {
-				return nil, fmt.Errorf("%w: entry (Y %d, Z %d)", ErrArenaWidth, e.Y, e.Z)
-			}
-			f.yz[ePos] = uint32(e.Y)<<16 | uint32(e.Z)
-			ePos++
+	var dPos, gPos, wPos, xPos, ePos int32
+	moved := func(s, e int32) (int32, int32) {
+		if s < e {
+			return s + ePos, e + ePos
 		}
+		return s, e
 	}
+	for u := range packs {
+		p := &packs[u]
+		f.distOff[u], f.psiOff[u], f.kbOff[u] = dPos, gPos, wPos
+		f.l0[u], f.zoom0[u] = p.l0, p.zoom0
+		dPos += int32(copy(f.dists[dPos:], p.dists))
+		wPos += int32(copy(f.keyBits[wPos:], p.keyBits))
+		copy(f.psi[gPos:], p.psi)
+		for g := range p.psi {
+			at := int(gPos) + g
+			f.grpSpan[2*at], f.grpSpan[2*at+1] = moved(p.grpSpan[2*g], p.grpSpan[2*g+1])
+			f.chain[3*at], f.chain[3*at+1] = moved(p.chain[3*g], p.chain[3*g+1])
+			f.chain[3*at+2] = p.chain[3*g+2]
+			f.xcOff[at+1] = xPos + p.xcEnd[g]
+		}
+		copy(f.xcKeys[xPos:], p.xcKeys)
+		for k := range p.xcKeys {
+			at := int(xPos) + k
+			f.xcSpan[2*at], f.xcSpan[2*at+1] = moved(p.xcSpan[2*k], p.xcSpan[2*k+1])
+		}
+		copy(f.yz[ePos:], p.yz)
+		gPos += int32(len(p.psi))
+		xPos += int32(len(p.xcKeys))
+		ePos += int32(len(p.yz))
+	}
+	f.distOff[n], f.psiOff[n], f.kbOff[n] = dPos, gPos, wPos
 	f.keys, f.lists = f.countKeys()
 	return f, nil
 }
 
+// newFlatFromLabels packs Theorem 3.4 labels into the flat arenas: each
+// label on its own, in parallel across workers (0 = GOMAXPROCS), then
+// assembleFlat. The first error in node order is returned.
+func newFlatFromLabels(labels []*distlabel.Label, workers int) (*FlatSnap, error) {
+	n := len(labels)
+	packs := make([]packedLabel, n)
+	packers := make([]labelPacker, par.Workers(workers, n))
+	errs := make([]error, n)
+	par.ForWorker(workers, n, func(w, u int) {
+		packs[u], errs[u] = packers[w].pack(u, labels[u])
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return assembleFlat(packs)
+}
+
 // newFlatForSnapshot builds the flat serving arena for a snapshot's
-// labels. Both BuildSnapshot and the churn engine's delta commits run
-// through this at assembly, so every served snapshot carries flat
-// arenas and the persisted v2 format is always available.
+// labels. BuildSnapshot packs each label as it is filled instead; the
+// churn engine's delta commits run through this at assembly, so every
+// served snapshot carries flat arenas and the persisted v2 format is
+// always available.
 func newFlatForSnapshot(s *Snapshot) (*FlatSnap, error) {
 	if s.Labels == nil {
 		return nil, fmt.Errorf("oracle: snapshot has no labels to flatten")
@@ -711,7 +774,7 @@ func newFlatForSnapshot(s *Snapshot) (*FlatSnap, error) {
 	if err := CheckArenaWidth("MaxT", s.LabelMeta.MaxT); err != nil {
 		return nil, err
 	}
-	return newFlatFromLabels(s.Labels)
+	return newFlatFromLabels(s.Labels, s.Config.Workers)
 }
 
 // materializeLabels rebuilds pointer-form labels from the label arenas

@@ -46,6 +46,7 @@ package oracle
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"time"
 
 	"rings/internal/distlabel"
@@ -223,26 +224,29 @@ func BuildSnapshot(cfg Config) (*Snapshot, error) {
 }
 
 // BuildServed is BuildSnapshot in the form an engine serves: the build's
-// arena restored by HydrateOver over the build's own space, so a cold
-// boot and a rebuild serve what a warm boot serves — the arena, a
-// LazyIndex and the overlay — and the build-side snapshot (eager rows,
-// pointer labels, the construction behind them) is garbage on return.
-// The build makes no overlay of its own: the restore builds the one the
-// result serves. The result keeps the build's BuildStats with the
-// restore's overlay time, the restore added to the total as one more
-// serial phase.
+// arena restored over the build's own space, so a cold boot and a
+// rebuild serve what a warm boot serves — the arena, a LazyIndex and the
+// overlay. The build holds as little as it can on the way: once the
+// construction returns, the snapshot and the construction move onto the
+// LazyIndex the restore then serves and the eager rows are collected
+// (the Z-sets and labels read only distances), and each label is packed
+// into arena form as it is filled, so no pointer label outlives its
+// pack. The build makes no overlay of its own: the restore builds the
+// one the result serves. The result keeps the build's BuildStats with
+// the restore's overlay time, the restore added to the total as one
+// more serial phase.
 func BuildServed(cfg Config) (*Snapshot, error) {
 	cfg = cfg.withDefaults()
 	space, name, err := cfg.Spec().Space()
 	if err != nil {
 		return nil, err
 	}
-	built, err := buildSnapshotOver(cfg, space, name, false)
+	built, err := buildSnapshotOver(cfg, space, name, true)
 	if err != nil {
 		return nil, err
 	}
 	t0 := time.Now()
-	served, err := built.HydrateOver(space, name)
+	served, err := built.hydrate(built.Idx, name)
 	if err != nil {
 		return nil, err
 	}
@@ -259,16 +263,22 @@ func BuildServed(cfg Config) (*Snapshot, error) {
 // then see literally the same metric). The config's workload knobs are
 // used only for naming/defaults; the space is served as given.
 func BuildSnapshotOver(cfg Config, space metric.Space, name string) (*Snapshot, error) {
-	return buildSnapshotOver(cfg, space, name, true)
+	return buildSnapshotOver(cfg, space, name, false)
 }
 
-// buildSnapshotOver is BuildSnapshotOver; overlay false leaves the
-// overlay out whatever the config says, for a caller that builds the
-// served one itself (BuildServed), so the recorded Config is the recipe
-// as asked.
-func buildSnapshotOver(cfg Config, space metric.Space, name string, overlay bool) (*Snapshot, error) {
+// buildHook, when non-nil, is called at two points of every build with
+// the snapshot being built: "constructed" as the construction returns,
+// while the snapshot's index is still the one it read, and "labeled"
+// once every label is filled. Only tests set it.
+var buildHook func(point string, snap *Snapshot)
+
+// buildSnapshotOver is BuildSnapshotOver, or with served the build
+// BuildServed restores: no overlay whatever the config says (the
+// recorded Config stays the recipe as asked), the eager rows released
+// once the construction returns, and no pointer labels kept.
+func buildSnapshotOver(cfg Config, space metric.Space, name string, served bool) (*Snapshot, error) {
 	start := time.Now()
-	snap, params, err := indexSnapshot(cfg, space, name, false)
+	snap, params, err := indexSnapshot(cfg, space, name, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -276,6 +286,33 @@ func buildSnapshotOver(cfg Config, space metric.Space, name string, overlay bool
 	cons, err := triangulation.NewConstructionParams(snap.Idx, params)
 	if err != nil {
 		return nil, err
+	}
+	if buildHook != nil {
+		buildHook("constructed", snap)
+	}
+	if served {
+		// The construction was the rows' last reader. Dropping them is
+		// not enough: the heap goal set while they were live would let
+		// the label fill grow into their room, so one collection resets
+		// it to what is live now.
+		snap.Idx = metric.LazyOver(snap.Idx, metric.Options{Workers: cfg.Workers})
+		cons.Rebase(snap.Idx)
+		runtime.GC()
+	}
+
+	// Each label is packed into arena form on the worker that filled it;
+	// the pointer label is kept only for a build-side snapshot.
+	packs := make([]packedLabel, n)
+	packers := make([]labelPacker, par.Workers(params.Workers, n))
+	if !served {
+		snap.Labels = make([]*distlabel.Label, n)
+	}
+	sink := func(w, u int, lab *distlabel.Label) (err error) {
+		if !served {
+			snap.Labels[u] = lab
+		}
+		packs[u], err = packers[w].pack(u, lab)
+		return err
 	}
 
 	// The remaining artifacts are independent of each other — labels read
@@ -286,25 +323,19 @@ func buildSnapshotOver(cfg Config, space metric.Space, name string, overlay bool
 	phases := []func() error{
 		func() error {
 			t0 := time.Now()
-			built, err := distlabel.FromConstruction(cons, cfg.Delta)
+			built, err := distlabel.FromConstructionEach(cons, cfg.Delta, sink)
 			if err != nil {
 				return err
 			}
 			scheme = built
 			snap.Build.LabelsTotalSec = time.Since(t0).Seconds()
-			snap.Labels = make([]*distlabel.Label, n)
-			for u := 0; u < n; u++ {
-				snap.Labels[u] = scheme.Label(u)
-			}
-			snap.LabelMeta = LabelMeta{
-				IMax:        cons.IMax,
-				MaxT:        scheme.MaxT,
-				Level0Count: snap.Labels[0].Level0Count,
+			if buildHook != nil {
+				buildHook("labeled", snap)
 			}
 			return nil
 		},
 	}
-	if overlay {
+	if !served {
 		phases = append(phases, snap.buildOverlay)
 	}
 	if err = par.Group(phases...); err != nil {
@@ -320,11 +351,15 @@ func buildSnapshotOver(cfg Config, space metric.Space, name string, overlay bool
 	snap.Build.TSetsSec = lt.TSets.Seconds()
 	snap.Build.HostEnumsSec = lt.HostEnums.Seconds()
 	snap.Build.LabelFillSec = lt.Labels.Seconds()
-	// Pack the flat serving arenas last: a linear copy of the estimator
-	// payload. The Engine's hot path reads these instead of the pointer
-	// structures, and the v2 persisted format is exactly their bytes.
+	snap.LabelMeta = LabelMeta{IMax: cons.IMax, MaxT: scheme.MaxT, Level0Count: int(packs[0].l0)}
+	if err := CheckArenaWidth("MaxT", scheme.MaxT); err != nil {
+		return nil, err
+	}
+	// Lay the packed labels end to end: the flat serving arena the
+	// Engine's hot path reads instead of the pointer structures, and
+	// exactly the bytes of the v2 persisted format.
 	phase := time.Now()
-	if snap.Flat, err = newFlatForSnapshot(snap); err != nil {
+	if snap.Flat, err = assembleFlat(packs); err != nil {
 		return nil, err
 	}
 	snap.Build.PackSec = time.Since(phase).Seconds()
@@ -341,11 +376,12 @@ func buildSnapshotOver(cfg Config, space metric.Space, name string, overlay bool
 
 // indexSnapshot is the part of a snapshot a cold build and an arena
 // restore share: the validated recipe and the ball index over space.
-// The path picks the index: a build gets an eager one, since the
-// construction reads every node's sorted row; a restore (restore true)
-// gets a LazyIndex, since nothing a restored snapshot serves asks it for
-// a sorted row (the router makes its own, see buildRouter).
-func indexSnapshot(cfg Config, space metric.Space, name string, restore bool) (*Snapshot, triangulation.Params, error) {
+// The path picks the index: a restore passes the LazyIndex it serves
+// (nothing a restored snapshot serves asks it for a sorted row; the
+// router makes its own, see buildRouter), and a build passes nil and
+// gets an eager one, built once the recipe is validated, since the
+// construction reads every node's sorted row.
+func indexSnapshot(cfg Config, space metric.Space, name string, idx metric.BallIndex) (*Snapshot, triangulation.Params, error) {
 	cfg = cfg.withDefaults()
 	// Validate everything validatable before the index build: at large n
 	// the index is the first expensive step, and a rebuild triggered over
@@ -359,12 +395,10 @@ func indexSnapshot(cfg Config, space metric.Space, name string, restore bool) (*
 		return nil, params, err
 	}
 
-	opts := metric.Options{Workers: cfg.Workers, Backend: metric.Eager}
-	if restore {
-		opts.Backend = metric.Lazy
-	}
 	phase := time.Now()
-	idx := metric.New(space, opts)
+	if idx == nil {
+		idx = metric.New(space, metric.Options{Workers: cfg.Workers, Backend: metric.Eager})
+	}
 	n := idx.N()
 	if sub, ok := space.(*metric.Subspace); ok && cfg.RefCount > 0 {
 		// Churned views run every greedy scan in base-id order so this

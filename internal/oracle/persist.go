@@ -349,7 +349,8 @@ func (s *Snapshot) Hydrate() (*Snapshot, error) {
 
 // HydrateOver is the one routine that turns an arena into a full
 // snapshot; every restore entry point (ReadSnapshot*, Hydrate, fleet
-// warm boots, replica shipping) and BuildServed end here. It builds only
+// warm boots, replica shipping) ends here, and BuildServed in its body,
+// hydrate. It builds only
 // what queries read around the receiver's arena as is — no copy, no
 // pointer labels, no ring construction: a LazyIndex over space (the
 // overlay, the object directory and LabelWire read only Dist,
@@ -367,14 +368,21 @@ func (s *Snapshot) Hydrate() (*Snapshot, error) {
 // of either pin the same refcount) and Close the result once it has
 // left service — that single release is what unmaps.
 func (s *Snapshot) HydrateOver(space metric.Space, name string) (*Snapshot, error) {
+	return s.hydrate(metric.NewLazyIndex(space, metric.Options{Workers: s.Config.Workers}), name)
+}
+
+// hydrate is HydrateOver serving idx, a LazyIndex over the space: a new
+// one for a restore, or the one a served build moved onto after its
+// construction (see BuildServed).
+func (s *Snapshot) hydrate(idx metric.BallIndex, name string) (*Snapshot, error) {
 	start := time.Now()
 	if s.Flat == nil {
 		return nil, fmt.Errorf("oracle: hydrate needs a snapshot with a label arena")
 	}
-	if space.N() != s.n {
-		return nil, fmt.Errorf("oracle: snapshot holds %d nodes, its space has %d", s.n, space.N())
+	if idx.N() != s.n {
+		return nil, fmt.Errorf("oracle: snapshot holds %d nodes, its space has %d", s.n, idx.N())
 	}
-	full, _, err := indexSnapshot(s.Config, space, name, true)
+	full, _, err := indexSnapshot(s.Config, idx.Space(), name, idx)
 	if err != nil {
 		return nil, err
 	}

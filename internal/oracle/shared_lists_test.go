@@ -64,7 +64,7 @@ func throughWire(t testing.TB, wire distlabel.Wire, labels []*distlabel.Label) [
 
 func pack(t testing.TB, labels []*distlabel.Label) *FlatSnap {
 	t.Helper()
-	f, err := newFlatFromLabels(labels)
+	f, err := newFlatFromLabels(labels, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -57,7 +57,7 @@ func (f *Fleet) ObjectsMetrics() *telemetry.Registry {
 func (f *Fleet) objectReplicaCount(obj string) int {
 	n := 0
 	for _, unit := range f.shards {
-		n += len(unit.dir.Replicas(obj))
+		n += unit.dir.ReplicaCount(obj)
 	}
 	return n
 }
@@ -70,7 +70,7 @@ func (f *Fleet) PublishObject(obj string, g int) (int, error) {
 		return 0, err
 	}
 	dir := f.shards[owner(g, f.k)].dir
-	prev := len(dir.Replicas(obj))
+	prev := dir.ReplicaCount(obj)
 	n, err := dir.Publish(obj, g)
 	if err != nil {
 		return 0, err

@@ -288,3 +288,41 @@ func copyActive(m map[int]bool) map[int]bool {
 	}
 	return out
 }
+
+// TestFleetMoveAllocations pins what a fleet object move allocates — an
+// unpublish and a publish of one replica between two nodes of the same
+// shard, as ringperf's fleet-mixed moves do — on a 4-shard fleet whose
+// every directory holds two replicas, so none forgets the object midway.
+// The directories move a replica in place, and the fleet-wide replica
+// counts both calls return are sums of each directory's count, not
+// copies of its replica slice (9 allocations a move here when they
+// were).
+func TestFleetMoveAllocations(t *testing.T) {
+	f, err := NewFleet(Config{
+		Oracle: oracle.Config{Workload: "cube", N: 48, Seed: 4, SkipOverlay: true},
+		Shards: 4,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	held := 2 * f.k
+	for g := range held {
+		if _, err := f.PublishObject("obj", g); err != nil {
+			t.Fatal(err)
+		}
+	}
+	from, to := 1, 1+held // both on shard 1, beside its replica on 1+k
+	allocs := testing.AllocsPerRun(200, func() {
+		if n, err := f.UnpublishObject("obj", from); err != nil || n != held-1 {
+			t.Fatalf("unpublish from %d: %d replicas, %v", from, n, err)
+		}
+		if n, err := f.PublishObject("obj", to); err != nil || n != held {
+			t.Fatalf("publish on %d: %d replicas, %v", to, n, err)
+		}
+		from, to = to, from
+	})
+	if allocs != 0 {
+		t.Fatalf("a fleet move allocates %v times, want 0", allocs)
+	}
+}

@@ -282,6 +282,16 @@ func NewConstructionParams(idx metric.BallIndex, params Params) (*Construction, 
 	return c, nil
 }
 
+// Rebase moves the construction, its net hierarchy included, onto idx,
+// another index over the same space; nothing built so far changes. The
+// construction's own build is the last reader of whole sorted rows (the
+// Z-sets and labels read distances), so a caller that builds on over a
+// LazyIndex lets the eager rows go.
+func (c *Construction) Rebase(idx metric.BallIndex) {
+	c.Idx = idx
+	c.Nets = nets.Ascending{H: c.Nets.H.Over(idx)}
+}
+
 // fillXNeighbors computes every X_ui by inverting the scan: instead of
 // testing all packing balls against every node u (O(n·|F_i|) Dist calls
 // per level), each packing ball enumerates one index ball around its
